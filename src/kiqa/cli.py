@@ -4,7 +4,7 @@ Each stage is an independent process reading and writing files, so any
 stage's artifact can be cached, inspected, or swapped out:
 
 * ``corpus-prep``    raw knowledge source → prepared corpus (JSONL)
-* ``index-build``    prepared corpus → ranked-retrieval index (JSON)
+* ``index-build``    prepared corpus → ranked-retrieval index (binary KIIX)
 * ``attach``         dataset + corpus → dataset with premises attached
 * ``pfqa-gen``       parent-facts file → knowledge + train/dev/test splits
 * ``revise``         corpus [+ encoder] → masked-token-pretrained encoder
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("index-build", help="build the retrieval index for a corpus")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
-    _add_common(sub, "index JSON (config: k1, b)")
+    _add_common(sub, "binary KIIX index file (config: k1, b)")
     sub.set_defaults(run=_cmd_index_build)
 
     sub = commands.add_parser("attach", help="retrieve and attach premises to a dataset")
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--schema", choices=SCHEMAS, default="generic", help="question file schema")
     sub.add_argument("--schema-map", help="JSON field-name overrides for off-spec dumps")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
-    sub.add_argument("--index", help="prebuilt index JSON (default: build from the corpus)")
+    sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
     sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
     _add_common(sub, "attached dataset JSONL (config: m, lambda, retrieve_k, pos_filter, similarity)")
     sub.set_defaults(run=_cmd_attach)
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--eval", required=True, help="evaluation dataset (raw)")
     sub.add_argument("--schema", choices=SCHEMAS, default="generic", help="dataset schema")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
-    sub.add_argument("--index", help="prebuilt index JSON (default: build from the corpus)")
+    sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
     sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
     _add_common(sub, "CSV of (m, accuracy) rows (config: m_values, retrain, lambda, retrieve_k, "
                      "lr, epochs, batch_size, momentum, freeze_encoder, similarity)")

@@ -39,6 +39,18 @@ class CheckpointError(ValueError):
     pass
 
 
+class DivergenceError(ValueError):
+    """A training loss went non-finite; the parameters are no longer usable."""
+
+
+def require_finite(loss: Tensor) -> float:
+    """The loss value, or DivergenceError before it can reach an optimizer step."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise DivergenceError(f"training loss became {value!r}; lower the learning rate")
+    return value
+
+
 def encoder_tokens(text: str) -> list[str]:
     """Whitespace tokenization, lowercased; the toy encoder's word pieces."""
     return text.lower().split()
@@ -123,6 +135,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError("learning rate must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
         if not 0.0 < self.mask_prob < 1.0:
             raise ValueError("mask probability must be in (0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
@@ -159,12 +173,15 @@ class EncoderModel:
     }
 
     @classmethod
+    def param_shapes(cls, vocab: Vocab, config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+        dims = {"V": len(vocab), "d": config.d, "h": 4 * config.d}
+        return {name: tuple(dims[s] for s in spec) for name, spec in cls.PARAM_SHAPES.items()}
+
+    @classmethod
     def init(cls, vocab: Vocab, config: EncoderConfig = EncoderConfig(), seed: int = 0):
         rng = np.random.default_rng(seed)
-        dims = {"V": len(vocab), "d": config.d, "h": 4 * config.d}
         params = {}
-        for name, shape_spec in cls.PARAM_SHAPES.items():
-            shape = tuple(dims[s] for s in shape_spec)
+        for name, shape in cls.param_shapes(vocab, config).items():
             if name.endswith("gamma"):
                 data = np.ones(shape)
             elif name.endswith(("beta", "b1", "b2")):
@@ -228,13 +245,12 @@ def build_sequence(
     knowledge: str,
     question: str,
     option: str,
-    vocab: Vocab | None = None,
     max_len: int = 256,
 ) -> list[str]:
     """[start] K [sep] Q a [sep]; knowledge tokens are dropped first when
     the sequence would exceed ``max_len``, question/answer only as a last
-    resort (from the end, keeping the closing separator)."""
-    del vocab  # tokens stay strings; ids are assigned at encode time
+    resort (from the end, keeping the closing separator).  Tokens stay
+    strings; ids are assigned at encode time."""
     k_tokens = encoder_tokens(knowledge)
     q_tokens = encoder_tokens(question)
     a_tokens = encoder_tokens(option)
@@ -325,8 +341,9 @@ def revision_train(
             loss = mlm_batch_loss(model, ids, mask)
             if loss is None:
                 continue
+            value = require_finite(loss)
             if loss_log is not None:
-                loss_log.append(loss.item())
+                loss_log.append(value)
             opt.zero_grad()
             loss.backward()
             opt.step()
@@ -358,6 +375,7 @@ def _nsp_epoch(model, corpus, sequences, pairs, nsp_params, opt, rng, config):
         z = pooled @ nsp_params["nsp_w"] + nsp_params["nsp_b"]  # (B, 1)
         logits = ad.concat([Tensor(np.zeros_like(z.data)), z], axis=1)
         loss = cross_entropy(logits, np.array([y for _, _, y in batch]))
+        require_finite(loss)
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -430,6 +448,12 @@ def encoder_from_bytes(data: bytes, source: str = "<bytes>") -> EncoderModel:
         raise CheckpointError(f"{source}: trailing bytes after checkpoint data")
     if set(params) != set(EncoderModel.PARAM_SHAPES):
         raise CheckpointError(f"{source}: unexpected parameter set")
+    for name, shape in EncoderModel.param_shapes(vocab, config).items():
+        if params[name].data.shape != shape:
+            raise CheckpointError(
+                f"{source}: parameter {name} has shape {params[name].data.shape}, "
+                f"expected {shape}"
+            )
     return EncoderModel(vocab, config, params)
 
 

@@ -13,6 +13,13 @@ The encoder is pluggable: either the trainable `EncoderModel` or an
 `ExternalVectorStore` of precomputed vectors (which can never receive
 gradient updates).  An option with no retrieved passages is scored
 against a single empty-knowledge placeholder so every head stays total.
+
+Scoring runs on one padded minibatch: every (item, option, passage)
+sequence is encoded in a single call, gathered into a (B, n, m_max, d)
+tensor, and each head is a masked reduction over the passage axis — a
+max or softmax with -1e30 added at padded slots, or a sum over zeroed
+ones.  Training, gradient checks and `score_item` (a batch of one) all
+share this path.
 """
 
 from __future__ import annotations
@@ -35,12 +42,13 @@ from .encoder import (
     encoder_from_bytes,
     encoder_to_bytes,
     pad_batch,
+    require_finite,
 )
 from .external import ExternalVectorStore
 
 HEADS = ("baseline", "concat", "parallel-max", "simple-sum", "weighted-sum")
 
-_PER_PASSAGE_HEADS = ("parallel-max", "simple-sum", "weighted-sum")
+_NEG_INF = -1e30  # added to padded passage slots; its exponential is exactly 0.0
 
 
 class FusionError(ValueError):
@@ -127,131 +135,83 @@ def question_text(item: McqItem) -> str:
     return f"{item.context} {item.question}" if item.context else item.question
 
 
-def _premise_texts(item: McqItem, option: int) -> list[str]:
-    if item.premises is None:
-        return []
-    return [p.text for p in item.premises[option]]
+def _passages(head: str, item: McqItem, option: int) -> list[tuple[int | None, str]]:
+    """(store key, knowledge text) of every passage the head scores for one option."""
+    texts = [p.text for p in item.premises[option]] if item.premises else []
+    if head == "baseline" or not texts:
+        return [(None, "")]
+    if head == "concat":
+        return [(-1, " ".join(texts))]
+    return list(enumerate(texts))
 
 
-def _pooled_per_option(model: FusionModel, item: McqItem, frozen: bool) -> list[Tensor]:
-    """One (passages, d) tensor per option.
+def _batch_scores(
+    model: FusionModel, items: list[McqItem], frozen: bool
+) -> tuple[Tensor, Tensor | None, np.ndarray]:
+    """Differentiable (B, n) option scores for a minibatch of items.
 
-    For the trainable encoder every sequence of the item is encoded in a
-    single padded batch (padding cannot change the pooled vectors), then
-    sliced back apart; for a vector store the rows are constant lookups.
+    Also returns the weighted-sum head's (B, n, m_max, 1) passage weights
+    (None for the other heads) and the (B, n) real passage counts; padded
+    passage slots carry zero vectors and zero weight.
     """
-    if isinstance(model.encoder, ExternalVectorStore):
-        store = model.encoder
-        out = []
-        for i in range(item.n):
-            m = len(_premise_texts(item, i))
-            if model.head == "baseline" or m == 0:
-                keys = [None]
-            elif model.head == "concat":
-                keys = [-1]
-            else:
-                keys = list(range(m))
-            out.append(Tensor(np.stack([store.get(item.id, i, k) for k in keys])))
-        return out
-
-    q = question_text(item)
-    per_option_knowledge: list[list[str]] = []
-    for i in range(item.n):
-        texts = _premise_texts(item, i)
-        if model.head == "baseline":
-            per_option_knowledge.append([""])
-        elif model.head == "concat":
-            per_option_knowledge.append([" ".join(texts)])
-        else:
-            per_option_knowledge.append(texts if texts else [""])
+    per_option = [[_passages(model.head, it, i) for i in range(it.n)] for it in items]
+    counts = np.array([[len(ps) for ps in row] for row in per_option])
+    mask = np.arange(counts.max()) < counts[..., None]  # (B, n, m_max)
+    # flat row of every real passage, in (item, option, passage) order;
+    # padded slots read row 0 and are zeroed by the mask
+    rows = np.zeros(mask.shape, dtype=np.int64)
+    rows[mask] = np.arange(counts.sum())
+    flat = [
+        (it, i, key, text)
+        for it, row in zip(items, per_option)
+        for i, ps in enumerate(row)
+        for key, text in ps
+    ]
 
     enc = model.encoder
-    seqs = [
-        enc.vocab.encode(build_sequence(k, q, item.options[i], max_len=enc.config.max_len))
-        for i, knowledge in enumerate(per_option_knowledge)
-        for k in knowledge
-    ]
-    ids = pad_batch(seqs, enc.vocab.pad_id)
-    if frozen:
-        with no_grad():
-            pooled = Tensor(enc.encode_ids(ids).data)
+    if isinstance(enc, ExternalVectorStore):
+        pooled = Tensor(np.stack([enc.get(it.id, i, key) for it, i, key, _ in flat]))
     else:
-        pooled = enc.encode_ids(ids)
-    out, lo = [], 0
-    for knowledge in per_option_knowledge:
-        out.append(pooled[lo : lo + len(knowledge)])
-        lo += len(knowledge)
-    return out
+        seqs = [
+            enc.vocab.encode(
+                build_sequence(text, question_text(it), it.options[i], max_len=enc.config.max_len)
+            )
+            for it, i, _, text in flat
+        ]
+        ids = pad_batch(seqs, enc.vocab.pad_id)
+        if frozen:
+            with no_grad():
+                pooled = Tensor(enc.encode_ids(ids).data)
+        else:
+            pooled = enc.encode_ids(ids)
+    vecs = pooled[rows] * Tensor(mask[..., None].astype(np.float64))  # (B, n, m_max, d)
+    pad = Tensor(np.where(mask, 0.0, _NEG_INF)[..., None])  # additive score mask
 
-
-def _head_score(model: FusionModel, pooled: Tensor) -> tuple[Tensor, Tensor | None]:
-    """(passages, d) -> ((1, 1) score, (passages, 1) weights or None)."""
     w, b = model.score_w, model.score_b
-    head = model.head
-    if head in ("baseline", "concat"):
-        return pooled @ w + b, None
-    if head == "parallel-max":
-        return (pooled @ w + b).max(axis=0).reshape((1, 1)), None
-    if head == "simple-sum":
-        summary = pooled.sum(axis=0).reshape((1, model.d))
-        return summary @ w + b, None
-    weights = ad.softmax(pooled @ model.weight_w + model.weight_b, axis=0)
-    summary = weights.swap_last_axes() @ pooled  # (1, m) @ (m, d)
-    return summary @ w + b, weights
-
-
-def _item_scores(
-    model: FusionModel, item: McqItem, frozen: bool = False
-) -> tuple[Tensor, list[Tensor] | None]:
-    """Differentiable (1, n) score row plus per-option weight columns."""
-    per_option = _pooled_per_option(model, item, frozen)
-    scores, weights = [], []
-    for pooled in per_option:
-        s, wts = _head_score(model, pooled)
-        scores.append(s)
-        weights.append(wts)
-    row = ad.concat(scores, axis=1)
-    return row, (weights if model.head == "weighted-sum" else None)
+    weights = None
+    if model.head == "simple-sum":
+        # keeping the reduced axis scores (1, d) rows, as a single option would
+        scores = vecs.sum(axis=2, keepdims=True) @ w + b
+    elif model.head == "weighted-sum":
+        weights = ad.softmax(vecs @ model.weight_w + model.weight_b + pad, axis=2)
+        scores = (weights.swap_last_axes() @ vecs) @ w + b
+    else:  # baseline and concat score their single passage; parallel-max the best
+        scores = (vecs @ w + b + pad).max(axis=2)
+    return scores.reshape(counts.shape), weights, counts
 
 
 def score_item(model: FusionModel, item: McqItem) -> OptionScores:
     with no_grad():
-        row, weights = _item_scores(model, item)
-    scores = tuple(float(v) for v in row.data[0])
+        scores, weights, counts = _batch_scores(model, [item], frozen=True)
+    row = scores.data[0]
     wts = None
     if weights is not None:
-        wts = tuple(tuple(float(v) for v in w.data[:, 0]) for w in weights)
-    return OptionScores(scores=scores, predicted=int(np.argmax(row.data[0])), weights=wts)
-
-
-def _require_head(model: FusionModel, head: str):
-    if model.head != head:
-        raise FusionError(f"model head is {model.head!r}, expected {head!r}")
-
-
-def score_baseline(model: FusionModel, item: McqItem) -> OptionScores:
-    _require_head(model, "baseline")
-    return score_item(model, item)
-
-
-def score_concat(model: FusionModel, item: McqItem) -> OptionScores:
-    _require_head(model, "concat")
-    return score_item(model, item)
-
-
-def score_max(model: FusionModel, item: McqItem) -> OptionScores:
-    _require_head(model, "parallel-max")
-    return score_item(model, item)
-
-
-def score_simple_sum(model: FusionModel, item: McqItem) -> OptionScores:
-    _require_head(model, "simple-sum")
-    return score_item(model, item)
-
-
-def score_weighted_sum(model: FusionModel, item: McqItem) -> OptionScores:
-    _require_head(model, "weighted-sum")
-    return score_item(model, item)
+        wts = tuple(
+            tuple(float(v) for v in weights.data[0, i, :m, 0]) for i, m in enumerate(counts[0])
+        )
+    return OptionScores(
+        scores=tuple(float(v) for v in row), predicted=int(np.argmax(row)), weights=wts
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +219,8 @@ def score_weighted_sum(model: FusionModel, item: McqItem) -> OptionScores:
 # ---------------------------------------------------------------------------
 
 def _batch_loss(model: FusionModel, batch: list[McqItem], frozen: bool) -> Tensor:
-    logits = ad.concat([_item_scores(model, it, frozen)[0] for it in batch], axis=0)
-    return cross_entropy(logits, np.array([it.gold for it in batch]))
+    scores, _, _ = _batch_scores(model, batch, frozen)
+    return cross_entropy(scores, np.array([it.gold for it in batch]))
 
 
 def train(
@@ -291,19 +251,13 @@ def train(
         for lo in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[lo : lo + config.batch_size]]
             loss = _batch_loss(model, batch, freeze_encoder)
+            value = require_finite(loss)
             if loss_log is not None:
-                loss_log.append(loss.item())
+                loss_log.append(value)
             opt.zero_grad()
             loss.backward()
             opt.step()
     return model
-
-
-def accuracy(model: FusionModel, dataset: McqDataset) -> float:
-    right = sum(
-        1 for it in dataset.items if score_item(model, it).predicted == it.gold
-    )
-    return right / len(dataset.items)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +420,13 @@ def load_model(path: str | Path) -> FusionModel:
         expected |= {"weight_w", "weight_b"}
     if set(params) != expected:
         raise CheckpointError(f"{path}: unexpected head parameter set {sorted(params)}")
+    d = encoder.config.d
+    for name, tensor in params.items():
+        want = (d, 1) if name.endswith("_w") else (1,)
+        if tensor.data.shape != want:
+            raise CheckpointError(
+                f"{path}: head parameter {name} has shape {tensor.data.shape}, expected {want}"
+            )
     score_w, score_b = params["score_w"], params["score_b"]
     weight_w = weight_b = None
     if head == "weighted-sum":

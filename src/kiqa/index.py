@@ -175,7 +175,13 @@ def load_index(path: str | Path) -> InvertedIndex:
     for _ in range(r.u32()):
         term = r.string()
         plist = [struct.unpack("<II", r.take(8)) for _ in range(r.u32())]
-        postings[term] = [(pos, tf) for pos, tf in plist]
+        for pos, tf in plist:
+            if pos >= doc_count or tf < 1:
+                raise IndexFormatError(
+                    f"{path}: posting ({pos}, {tf}) of term {term!r} is out of range "
+                    f"for {doc_count} documents"
+                )
+        postings[term] = plist
     if r.offset != len(data):
         raise IndexFormatError(f"{path}: trailing bytes after index data")
     return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths, postings=postings)

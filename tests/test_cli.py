@@ -2,13 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from kiqa.autodiff import Tensor
 from kiqa.cli import CliError, main, parse_config_file
 from kiqa.corpus import load_jsonl
-from kiqa.datasets import load_mcq
-from kiqa.encoder import load_encoder
-from kiqa.fusion import load_model
+from kiqa.datasets import load_mcq, save_mcq_jsonl
+from kiqa.encoder import load_encoder, save_encoder
+from kiqa.fusion import load_model, save_model
+from kiqa.index import build_index, save_index
+from kiqa.toytasks import make_planted_evidence_task, route_premises
 
 RAW_LINES = (
     "the sky is blue today\n"
@@ -276,6 +280,62 @@ def test_revision_without_corpus_exits_1(artifacts, tmp_path, capsys):
                "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
     assert rc == 1
     assert "--corpus" in capsys.readouterr().err
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+@pytest.mark.parametrize("posting", [(99, 1), (0, 0)])
+def test_index_with_out_of_range_posting_exits_1(artifacts, tmp_path, capsys, posting):
+    index = build_index(load_jsonl(artifacts / "corpus.jsonl"))
+    index.postings["sky"] = [posting]
+    save_index(index, tmp_path / "bad.idx")
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"),
+               "--index", str(tmp_path / "bad.idx"), "--out", str(tmp_path / "a.jsonl")])
+    assert rc == 1
+    assert "posting" in one_error_line(capsys)
+
+
+def test_encoder_with_wrong_parameter_shape_exits_1(artifacts, tmp_path, capsys):
+    encoder = load_model(artifacts / "model.bin").encoder
+    encoder.params["att_wq"] = Tensor(np.zeros((3, 5)))
+    save_encoder(encoder, tmp_path / "bad.bin")
+    rc = main(["revise", "--corpus", str(artifacts / "corpus.jsonl"),
+               "--encoder", str(tmp_path / "bad.bin"), "--out", str(tmp_path / "e.bin")])
+    assert rc == 1
+    assert "att_wq" in one_error_line(capsys)
+
+
+def test_model_with_wrong_head_shape_exits_1(artifacts, tmp_path, capsys):
+    model = load_model(artifacts / "model.bin")
+    model.score_w = Tensor(np.zeros((model.d + 1, 1)))
+    save_model(model, tmp_path / "bad.bin")
+    rc = main(["eval", "--model", str(tmp_path / "bad.bin"),
+               "--dataset", str(artifacts / "attached.jsonl"),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "score_w" in one_error_line(capsys)
+
+
+def test_diverging_train_exits_1_without_checkpoint(tmp_path, capsys):
+    corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
+    save_mcq_jsonl(route_premises(dataset, corpus, m=1), tmp_path / "planted.jsonl")
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text('head = "concat"\nd = 8\nlr = 1e50\nepochs = 3\nbatch_size = 8\n',
+                   encoding="utf-8")
+    out = tmp_path / "m.bin"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--dataset", str(tmp_path / "planted.jsonl"),
+                   "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "training loss" in one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):

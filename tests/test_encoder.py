@@ -21,6 +21,7 @@ from kiqa.encoder import (
     START,
     UNK,
     CheckpointError,
+    DivergenceError,
     EncoderConfig,
     EncoderModel,
     TrainConfig,
@@ -449,6 +450,22 @@ def test_train_config_validation():
         TrainConfig(mask_prob=1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("momentum", [-5.0, -1e-9, 1.0, 2.0])
+def test_train_config_rejects_momentum_outside_unit_interval(momentum):
+    with pytest.raises(ValueError, match="momentum"):
+        TrainConfig(momentum=momentum)
+    TrainConfig(momentum=0.0)  # plain gradient descent stays allowed
+
+
+def test_revision_train_stops_on_non_finite_loss():
+    model = small_model(seed=22)
+    log = []
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="nan|inf"):
+        revision_train(model, toy_corpus(paragraphs=False),
+                       TrainConfig(seed=3, lr=1e50, epochs=5), loss_log=log)
+    assert log and all(np.isfinite(log))
 
 
 @settings(max_examples=20, deadline=None)

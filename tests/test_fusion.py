@@ -18,28 +18,26 @@ from hypothesis import strategies as st
 from kiqa.autodiff import Tensor
 from kiqa.datasets import DatasetError, McqDataset, McqItem
 from kiqa.corpus import KnowledgeSentence
-from kiqa.encoder import EncoderConfig, EncoderModel, TrainConfig, Vocab
+from kiqa.encoder import DivergenceError, EncoderConfig, EncoderModel, TrainConfig, Vocab
 from kiqa.external import ExternalVectorError, ExternalVectorStore
 from kiqa.encoder import CheckpointError
+from kiqa.evalreport import evaluate
 from kiqa.fusion import (
     HEADS,
     FusionError,
     FusionModel,
     OptionScores,
-    accuracy,
+    _batch_loss,
+    _batch_scores,
     grad_check,
     load_model,
     question_text,
     save_model,
     save_predictions,
-    score_baseline,
-    score_concat,
     score_item,
-    score_max,
-    score_simple_sum,
-    score_weighted_sum,
     train,
 )
+from kiqa.toytasks import make_planted_evidence_task, route_premises, training_vocab
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +74,16 @@ def naive_scores(head, pooled_per_option, score_w, score_b, weight_w=None, weigh
     return scores, weights
 
 
+def store_vectors(pooled_per_option, item_id):
+    vectors = {}
+    for i, vecs in enumerate(pooled_per_option):
+        vectors[(item_id, i, None)] = np.asarray(vecs[0], dtype=float)
+        vectors[(item_id, i, -1)] = np.asarray(vecs[0], dtype=float)
+        for j, v in enumerate(vecs):
+            vectors[(item_id, i, j)] = np.asarray(v, dtype=float)
+    return vectors
+
+
 def store_model(head, pooled_per_option, item_id="it-0", tied=False,
                 score_w=None, score_b=0.0, weight_w=None, weight_b=0.0):
     """FusionModel over an ExternalVectorStore holding the given vectors.
@@ -84,13 +92,7 @@ def store_model(head, pooled_per_option, item_id="it-0", tied=False,
     and joined (-1) entries so any head can run against it.
     """
     d = len(pooled_per_option[0][0])
-    vectors = {}
-    for i, vecs in enumerate(pooled_per_option):
-        vectors[(item_id, i, None)] = np.asarray(vecs[0], dtype=float)
-        vectors[(item_id, i, -1)] = np.asarray(vecs[0], dtype=float)
-        for j, v in enumerate(vecs):
-            vectors[(item_id, i, j)] = np.asarray(v, dtype=float)
-    store = ExternalVectorStore(vectors)
+    store = ExternalVectorStore(store_vectors(pooled_per_option, item_id))
     rng = np.random.default_rng(0)
     sw = np.asarray(score_w if score_w is not None else rng.normal(size=d), float)
     score_w_t = Tensor(sw.reshape(d, 1).copy(), requires_grad=True)
@@ -147,6 +149,13 @@ vec_lists = st.integers(2, 3).flatmap(
 )
 
 
+def head_params(model):
+    """score_w, score_b, weight_w, weight_b as plain lists/floats for the oracle."""
+    ww = model.weight_w.data[:, 0].tolist() if model.weight_w is not None else None
+    wb = float(model.weight_b.data[0]) if model.weight_b is not None else None
+    return model.score_w.data[:, 0].tolist(), float(model.score_b.data[0]), ww, wb
+
+
 @settings(max_examples=60, deadline=None)
 @given(vec_lists, st.sampled_from(HEADS), st.booleans())
 def test_heads_match_definition_oracle(pooled, head, tied):
@@ -156,11 +165,7 @@ def test_heads_match_definition_oracle(pooled, head, tied):
         pooled = [vecs[:1] for vecs in pooled]
     model = store_model(head, pooled, tied=tied)
     got = score_item(model, ragged_item(pooled))
-    sw = model.score_w.data[:, 0].tolist()
-    sb = float(model.score_b.data[0])
-    ww = model.weight_w.data[:, 0].tolist() if model.weight_w is not None else None
-    wb = float(model.weight_b.data[0]) if model.weight_b is not None else None
-    want_scores, want_weights = naive_scores(head, pooled, sw, sb, ww, wb)
+    want_scores, want_weights = naive_scores(head, pooled, *head_params(model))
     np.testing.assert_allclose(got.scores, want_scores, rtol=1e-12, atol=1e-12)
     assert got.predicted == int(np.argmax(want_scores))
     if head == "weighted-sum":
@@ -170,6 +175,59 @@ def test_heads_match_definition_oracle(pooled, head, tied):
         assert got.weights is None
 
 
+# (d, n) fixed per batch; each of 2-5 items draws 1-4 passages per option
+ragged_batches = st.tuples(st.integers(2, 3), st.integers(2, 4)).flatmap(
+    lambda dn: st.lists(
+        st.tuples(
+            st.lists(
+                st.lists(
+                    st.lists(st.floats(-3, 3), min_size=dn[0], max_size=dn[0]),
+                    min_size=1, max_size=4,
+                ),
+                min_size=dn[1], max_size=dn[1],
+            ),
+            st.integers(0, dn[1] - 1),
+        ),
+        min_size=2, max_size=5,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_batches, st.sampled_from(HEADS), st.booleans())
+def test_batch_loss_matches_oracle_on_ragged_store_batch(batch, head, tied):
+    if head != "weighted-sum":
+        tied = False
+    items = [
+        ragged_item(pooled, item_id=f"it-{k}", gold=gold)
+        for k, (pooled, gold) in enumerate(batch)
+    ]
+    model = store_model(head, batch[0][0], tied=tied)
+    vectors = {}
+    for item, (pooled, _) in zip(items, batch):
+        vectors.update(store_vectors(pooled, item.id))
+    model.encoder = ExternalVectorStore(vectors)
+
+    losses = []
+    for item, (pooled, _) in zip(items, batch):
+        single = [vecs[:1] for vecs in pooled]  # what baseline and concat read
+        scores, _ = naive_scores(
+            head, single if head in ("baseline", "concat") else pooled, *head_params(model)
+        )
+        top = max(scores)
+        log_z = top + math.log(sum(math.exp(s - top) for s in scores))
+        losses.append(log_z - scores[item.gold])
+    got = _batch_loss(model, items, frozen=True).item()
+    assert abs(got - sum(losses) / len(losses)) <= 1e-12
+
+    for item, (pooled, _) in zip(items, batch):
+        out = score_item(model, item)
+        if head == "weighted-sum":
+            assert [len(row) for row in out.weights] == [len(vecs) for vecs in pooled]
+        else:
+            assert out.weights is None
+
+
 # ---------------------------------------------------------------------------
 # Hand-set arithmetic
 # ---------------------------------------------------------------------------
@@ -177,7 +235,7 @@ def test_heads_match_definition_oracle(pooled, head, tied):
 def test_baseline_hand_case():
     model = store_model("baseline", [[[1.0, 0.0]], [[0.0, 1.0]]],
                         score_w=[1.0, 2.0], score_b=0.5)
-    out = score_baseline(model, make_item(m=0))
+    out = score_item(model, make_item(m=0))
     assert out.scores == (1.5, 2.5)
     assert out.predicted == 1
 
@@ -188,7 +246,7 @@ def test_parallel_max_hand_table():
         [[1.0, 1.0], [-1.0, 0.0]],  # scores 3.0, -1.0 -> 3.0
     ]
     model = store_model("parallel-max", pooled, score_w=[1.0, 2.0], score_b=0.0)
-    out = score_max(model, make_item())
+    out = score_item(model, make_item())
     assert out.scores == (4.0, 3.0)
     assert out.predicted == 0
 
@@ -196,7 +254,7 @@ def test_parallel_max_hand_table():
 def test_simple_sum_hand_case():
     pooled = [[[1.0, 0.0], [0.0, 2.0]], [[1.0, 1.0], [-1.0, 0.0]]]
     model = store_model("simple-sum", pooled, score_w=[1.0, 2.0], score_b=0.25)
-    out = score_simple_sum(model, make_item())
+    out = score_item(model, make_item())
     assert out.scores == (1.0 + 4.0 + 0.25, 0.0 + 2.0 + 0.25)
 
 
@@ -204,7 +262,7 @@ def test_weighted_sum_tied_hand_case():
     # tied layer u=[1,0], bias 0; z = (0, ln 3) -> weights (1/4, 3/4)
     pooled = [[[0.0, 1.0], [math.log(3.0), 1.0]]] * 2
     model = store_model("weighted-sum", pooled, tied=True, score_w=[1.0, 0.0])
-    out = score_weighted_sum(model, make_item())
+    out = score_item(model, make_item())
     np.testing.assert_allclose(out.weights[0], (0.25, 0.75), atol=1e-12)
     np.testing.assert_allclose(out.scores[0], 0.75 * math.log(3.0), atol=1e-12)
 
@@ -220,7 +278,7 @@ def test_zero_weights_score_equals_bias():
 
 def test_identical_options_tie_goes_low():
     model = store_model("baseline", [[[1.0, 1.0]], [[1.0, 1.0]]], score_w=[1.0, 1.0])
-    out = score_baseline(model, make_item(m=0))
+    out = score_item(model, make_item(m=0))
     assert out.scores[0] == out.scores[1]
     assert out.predicted == 0
 
@@ -252,12 +310,12 @@ def test_m1_max_equals_simple_sum_bitwise():
     mx = FusionModel.init(enc, "parallel-max", seed=3)
     sm = FusionModel.init(enc, "simple-sum", seed=3)
     item = encoder_item(m=1)
-    assert score_max(mx, item).scores == score_simple_sum(sm, item).scores
+    assert score_item(mx, item).scores == score_item(sm, item).scores
 
 
 def test_m1_weighted_sum_weight_is_exactly_one():
     model = FusionModel.init(tiny_encoder(), "weighted-sum", seed=3)
-    out = score_weighted_sum(model, encoder_item(m=1))
+    out = score_item(model, encoder_item(m=1))
     assert out.weights == ((1.0,), (1.0,))
 
 
@@ -266,7 +324,7 @@ def test_concat_of_one_passage_equals_single_passage_heads():
     cc = FusionModel.init(enc, "concat", seed=3)
     sm = FusionModel.init(enc, "simple-sum", seed=3)
     item = encoder_item(m=1)
-    assert score_concat(cc, item).scores == score_simple_sum(sm, item).scores
+    assert score_item(cc, item).scores == score_item(sm, item).scores
 
 
 def test_empty_premises_concat_equals_baseline():
@@ -274,10 +332,10 @@ def test_empty_premises_concat_equals_baseline():
     cc = FusionModel.init(enc, "concat", seed=5)
     bl = FusionModel.init(enc, "baseline", seed=5)
     bare = McqItem(id="e-1", question="which one?", options=["opt0", "opt1"], gold=0)
-    assert score_concat(cc, bare).scores == score_baseline(bl, bare).scores
+    assert score_item(cc, bare).scores == score_item(bl, bare).scores
     empty = McqItem(id="e-2", question="which one?", options=["opt0", "opt1"],
                     gold=0, premises=[[], []])
-    assert score_concat(cc, empty).scores == score_baseline(bl, empty).scores
+    assert score_item(cc, empty).scores == score_item(bl, empty).scores
 
 
 def test_empty_premises_placeholder_makes_per_passage_heads_total():
@@ -290,7 +348,7 @@ def test_empty_premises_placeholder_makes_per_passage_heads_total():
         assert len(out.scores) == 2 and all(np.isfinite(out.scores))
     bl = FusionModel.init(enc, "baseline", seed=5)
     mx = FusionModel.init(enc, "parallel-max", seed=5)
-    assert score_max(mx, item).scores == score_baseline(bl, item).scores
+    assert score_item(mx, item).scores == score_item(bl, item).scores
 
 
 def test_duplicate_passage_leaves_max_unchanged():
@@ -299,7 +357,7 @@ def test_duplicate_passage_leaves_max_unchanged():
     a = store_model("parallel-max", pooled, score_w=[1.0, 2.0])
     b = store_model("parallel-max", dup, score_w=[1.0, 2.0])
     assert (
-        score_max(a, make_item(m=2)).scores == score_max(b, make_item(m=3)).scores
+        score_item(a, make_item(m=2)).scores == score_item(b, make_item(m=3)).scores
     )
 
 
@@ -405,17 +463,11 @@ def test_model_validation():
                     Tensor(np.zeros(1), requires_grad=True), tied=True)
 
 
-def test_score_op_guards_head_kind():
-    model = store_model("baseline", [[[1.0, 0.0]], [[0.0, 1.0]]])
-    with pytest.raises(FusionError, match="head"):
-        score_max(model, make_item(m=1))
-
-
 def test_missing_store_key_errors():
     model = store_model("parallel-max", [[[1.0, 0.0]], [[0.0, 1.0]]])
     other = make_item(m=1, item_id="unknown-item")
     with pytest.raises(ExternalVectorError, match="no vector"):
-        score_max(model, other)
+        score_item(model, other)
 
 
 def test_question_text_includes_context():
@@ -459,10 +511,8 @@ def test_symmetric_options_have_exactly_zero_score_difference_gradient():
     item = McqItem(id="sym", question="which one?", options=["opt0", "opt0"], gold=0,
                    premises=[[KnowledgeSentence(id=f"{i}{j}", text=t)
                               for j, t in enumerate(o)] for i, o in enumerate(texts)])
-    from kiqa.fusion import _item_scores
-
-    row, _ = _item_scores(model, item)
-    diff = row[0:1, 0:1] - row[0:1, 1:2]
+    scores, _, _ = _batch_scores(model, [item], frozen=False)
+    diff = scores[0:1, 0:1] - scores[0:1, 1:2]
     for p in model.parameters().values():
         p.zero_grad()
     for p in enc.params.values():
@@ -517,13 +567,13 @@ def test_train_lr_zero_changes_nothing():
     model = FusionModel.init(enc, "simple-sum", seed=1)
     before_head = {k: t.data.copy() for k, t in model.parameters().items()}
     before_enc = {k: t.data.copy() for k, t in enc.params.items()}
-    acc_before = accuracy(model, ds)
+    acc_before = evaluate(model, ds).accuracy
     train(model, ds, TrainConfig(seed=0, lr=0.0, epochs=2, batch_size=4))
     for k, v in before_head.items():
         assert np.array_equal(v, model.parameters()[k].data)
     for k, v in before_enc.items():
         assert np.array_equal(v, enc.params[k].data)
-    assert accuracy(model, ds) == acc_before
+    assert evaluate(model, ds).accuracy == acc_before
 
 
 def test_train_requires_gold():
@@ -548,7 +598,7 @@ def test_train_store_fits_head():
     ds = McqDataset(items=[make_item(m=0, gold=1)])
     train(model, ds, TrainConfig(seed=0, lr=0.5, epochs=50, batch_size=1),
           freeze_encoder=True)
-    assert accuracy(model, ds) == 1.0
+    assert evaluate(model, ds).accuracy == 1.0
 
 
 def test_train_same_seed_identical_parameters():
@@ -588,10 +638,22 @@ def test_separable_task_reaches_95_percent(head, tied):
     model = FusionModel.init(enc, head, seed=1, tied=tied)
     for _ in range(10):  # 10 x 20 = at most 200 epochs
         train(model, ds, TrainConfig(seed=9, lr=0.2, epochs=20, batch_size=10))
-        best = max(best, accuracy(model, ds))
+        best = max(best, evaluate(model, ds).accuracy)
         if best >= 0.95:
             break
     assert best >= 0.95, f"{head} tied={tied}: best accuracy {best}"
+
+
+def test_train_stops_on_non_finite_loss():
+    corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
+    attached = route_premises(dataset, corpus, m=1)
+    enc = EncoderModel.init(training_vocab(attached), EncoderConfig(d=8), seed=0)
+    model = FusionModel.init(enc, "concat", seed=1)
+    log = []
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="nan|inf"):
+        train(model, attached, TrainConfig(seed=2, lr=1e50, epochs=3, batch_size=8),
+              loss_log=log)
+    assert log and all(np.isfinite(log))
 
 
 def test_train_loss_decreases():

@@ -25,17 +25,21 @@ def bm25_brute_force(docs, query, k1=1.2, b=0.75):
     for _, toks in tokenized:
         for term in set(toks):
             df[term] += 1
+    # The query is a bag: each distinct term is added once, weighted by its
+    # count, in first-occurrence order. Adding repeats one at a time rounds
+    # differently, so documents whose scores tie exactly in real arithmetic
+    # could come out an ulp apart and break the sentence-id tie order.
     results = []
     for doc_id, toks in tokenized:
         tf = Counter(toks)
         score = 0.0
-        for term in query:
+        for term, count in Counter(query).items():
             f = tf.get(term, 0)
             if f == 0:
                 continue
             idf = math.log(1.0 + (n - df[term] + 0.5) / (df[term] + 0.5))
             ratio = len(toks) / avg if avg > 0 else 0.0
-            score += idf * f * (k1 + 1.0) / (f + k1 * (1.0 - b + b * ratio))
+            score += idf * count * f * (k1 + 1.0) / (f + k1 * (1.0 - b + b * ratio))
         if score != 0.0:
             results.append((doc_id, score))
     results.sort(key=lambda kv: (-kv[1], kv[0]))
