@@ -256,10 +256,16 @@ def attach_premises(
     """Retrieve and re-rank knowledge for every (item, option) pair.
 
     The corpus provides sentence texts for re-ranking; it must be the one
-    the index was built over.  Options whose query comes back empty retry
-    with the part-of-speech filter off; if retrieval still finds nothing
-    the option gets an empty premise list.
+    the index was built over, which is checked by its sentence ids.
+    Options whose query comes back empty retry with the part-of-speech
+    filter off; if retrieval still finds nothing the option gets an empty
+    premise list.
     """
+    if index.doc_ids != [s.id for s in corpus.sentences]:
+        raise DatasetError(
+            f"index does not match the corpus: its {index.doc_count} document ids are not "
+            f"the corpus's {len(corpus)} sentence ids in order; rebuild it with index-build"
+        )
     out_items = []
     for item in dataset.items:
         premises: list[list[KnowledgeSentence]] = []

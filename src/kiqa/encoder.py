@@ -331,24 +331,26 @@ def revision_train(
         }
     opt = SGD({**model.params, **nsp_params}, lr=config.lr, momentum=config.momentum)
 
-    for _ in range(config.epochs):
-        order = rng.permutation(len(sequences))
-        for lo in range(0, len(order), config.batch_size):
-            chunk = [sequences[i] for i in order[lo : lo + config.batch_size]]
-            ids = pad_batch(chunk, vocab.pad_id)
-            maskable = ids >= vocab.first_word_id
-            mask = (rng.random(ids.shape) < config.mask_prob) & maskable
-            loss = mlm_batch_loss(model, ids, mask)
-            if loss is None:
-                continue
-            value = require_finite(loss)
-            if loss_log is not None:
-                loss_log.append(value)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        if pairs:
-            _nsp_epoch(model, corpus, sequences, pairs, nsp_params, opt, rng, config)
+    # As in fusion.train: require_finite reports a diverging run, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(len(sequences))
+            for lo in range(0, len(order), config.batch_size):
+                chunk = [sequences[i] for i in order[lo : lo + config.batch_size]]
+                ids = pad_batch(chunk, vocab.pad_id)
+                maskable = ids >= vocab.first_word_id
+                mask = (rng.random(ids.shape) < config.mask_prob) & maskable
+                loss = mlm_batch_loss(model, ids, mask)
+                if loss is None:
+                    continue
+                value = require_finite(loss)
+                if loss_log is not None:
+                    loss_log.append(value)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+            if pairs:
+                _nsp_epoch(model, corpus, sequences, pairs, nsp_params, opt, rng, config)
     return model
 
 

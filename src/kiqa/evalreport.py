@@ -152,30 +152,39 @@ def sweep_m(
 ) -> list[tuple[int, float]]:
     """Accuracy at each retrieval depth m.
 
-    Premises are re-attached (retrieve + re-rank) at every m.  With
-    ``retrain`` a fresh copy of the model is fitted per depth; otherwise
-    the given model is only re-evaluated against the re-attached premises.
+    Premises are attached (retrieve + re-rank) once, at the largest m; each
+    depth takes the first m of every option's list.  The greedy re-rank
+    picks in the same order whatever its m, which only bounds how many
+    picks it makes, so that prefix is exactly what attaching at m gives.
+    With ``retrain`` a fresh copy of the model is fitted per depth;
+    otherwise the given model is only re-evaluated at each depth.
     """
     if not m_values or any(m < 1 for m in m_values):
         raise EvalError("m values must be positive")
     if list(m_values) != sorted(m_values):
         raise EvalError("m values must be ascending")
+    if retrain and train_config is None:
+        raise EvalError("retrain sweep needs a train config")
     qg_config = qg_config or QueryGenConfig()
-    rr_config = rr_config or RerankConfig()
+    rr = replace(rr_config or RerankConfig(), m=m_values[-1])
+    eval_full = attach_premises(eval_set, corpus, index, qg_config, rr, retrieve_k)
+    if retrain:
+        train_full = attach_premises(train_set, corpus, index, qg_config, rr, retrieve_k)
     rows = []
     for m in m_values:
-        rr = replace(rr_config, m=m)
-        eval_m = attach_premises(eval_set, corpus, index, qg_config, rr, retrieve_k)
         if retrain:
-            if train_config is None:
-                raise EvalError("retrain sweep needs a train config")
-            train_m = attach_premises(train_set, corpus, index, qg_config, rr, retrieve_k)
             candidate = _clone_model(model)
-            train(candidate, train_m, train_config, freeze_encoder=freeze_encoder)
+            train(candidate, _first_premises(train_full, m), train_config,
+                  freeze_encoder=freeze_encoder)
         else:
             candidate = model
-        rows.append((m, evaluate(candidate, eval_m).accuracy))
+        rows.append((m, evaluate(candidate, _first_premises(eval_full, m)).accuracy))
     return rows
+
+
+def _first_premises(dataset: McqDataset, m: int) -> McqDataset:
+    items = [replace(it, premises=[plist[:m] for plist in it.premises]) for it in dataset.items]
+    return McqDataset(items=items, schema_tag=dataset.schema_tag)
 
 
 def write_sweep_csv(rows: list[tuple[int, float]], path: str | Path) -> None:

@@ -246,17 +246,20 @@ def train(
     opt = SGD(params, lr=config.lr, momentum=config.momentum)
     rng = np.random.default_rng(config.seed)
     items = dataset.items
-    for _ in range(config.epochs):
-        order = rng.permutation(len(items))
-        for lo in range(0, len(order), config.batch_size):
-            batch = [items[i] for i in order[lo : lo + config.batch_size]]
-            loss = _batch_loss(model, batch, freeze_encoder)
-            value = require_finite(loss)
-            if loss_log is not None:
-                loss_log.append(value)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    # A diverging run overflows before its loss goes non-finite; require_finite
+    # stops it there, so numpy's overflow warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(len(items))
+            for lo in range(0, len(order), config.batch_size):
+                batch = [items[i] for i in order[lo : lo + config.batch_size]]
+                loss = _batch_loss(model, batch, freeze_encoder)
+                value = require_finite(loss)
+                if loss_log is not None:
+                    loss_log.append(value)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
     return model
 
 

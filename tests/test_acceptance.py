@@ -455,10 +455,10 @@ def test_criterion_9_stage_determinism(tmp_path):
         d.mkdir()
         stages = [
             ("corpus.jsonl", ["corpus-prep", "--input", str(raw)]),
-            ("index.json", ["index-build", "--corpus", str(d / "corpus.jsonl")]),
+            ("index.kiix", ["index-build", "--corpus", str(d / "corpus.jsonl")]),
             ("attached.jsonl", ["attach", "--dataset", str(questions),
                                 "--corpus", str(d / "corpus.jsonl"),
-                                "--index", str(d / "index.json")]),
+                                "--index", str(d / "index.kiix")]),
             ("pfqa", ["pfqa-gen", "--facts", str(facts)]),
             ("encoder.bin", ["revise", "--corpus", str(d / "corpus.jsonl"),
                              "--config", str(tmp_path / "rev.cfg")]),

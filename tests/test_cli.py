@@ -1,13 +1,19 @@
 """End-to-end tests for the command-line pipeline driver."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kiqa
 from kiqa.autodiff import Tensor
 from kiqa.cli import CliError, main, parse_config_file
-from kiqa.corpus import load_jsonl
+from kiqa.corpus import KnowledgeCorpus, load_jsonl, save_jsonl
 from kiqa.datasets import load_mcq, save_mcq_jsonl
 from kiqa.encoder import load_encoder, save_encoder
 from kiqa.fusion import load_model, save_model
@@ -38,9 +44,9 @@ def artifacts(tmp_path_factory):
     (d / "train.cfg").write_text('head = "concat"\nd = 8\nepochs = 2\n', encoding="utf-8")
     steps = [
         ["corpus-prep", "--input", str(d / "raw.txt"), "--out", str(d / "corpus.jsonl")],
-        ["index-build", "--corpus", str(d / "corpus.jsonl"), "--out", str(d / "index.json")],
+        ["index-build", "--corpus", str(d / "corpus.jsonl"), "--out", str(d / "index.kiix")],
         ["attach", "--dataset", str(d / "qs.jsonl"), "--corpus", str(d / "corpus.jsonl"),
-         "--index", str(d / "index.json"), "--config", str(d / "attach.cfg"),
+         "--index", str(d / "index.kiix"), "--config", str(d / "attach.cfg"),
          "--out", str(d / "attached.jsonl")],
         ["train", "--dataset", str(d / "attached.jsonl"), "--config", str(d / "train.cfg"),
          "--out", str(d / "model.bin")],
@@ -71,10 +77,19 @@ def test_corpus_prep_prepared_jsonl_is_identity(artifacts, tmp_path):
 def test_index_build_respects_config(artifacts, tmp_path):
     cfg = tmp_path / "bm25.cfg"
     cfg.write_text("k1 = 2.0\nb = 0.5\n", encoding="utf-8")
-    out = tmp_path / "index.json"
+    out = tmp_path / "index.kiix"
     assert main(["index-build", "--corpus", str(artifacts / "corpus.jsonl"),
                  "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.read_bytes() != (artifacts / "index.json").read_bytes()
+    assert out.read_bytes() != (artifacts / "index.kiix").read_bytes()
+
+
+def test_index_build_rejects_params_outside_the_bm25_range(artifacts, tmp_path, capsys):
+    cfg = tmp_path / "bm25.cfg"
+    cfg.write_text("k1 = -1.0\nb = 0.0\n", encoding="utf-8")
+    assert main(["index-build", "--corpus", str(artifacts / "corpus.jsonl"),
+                 "--config", str(cfg), "--out", str(tmp_path / "i.kiix")]) == 1
+    assert "k1 >= 0" in one_error_line(capsys)
+    assert not (tmp_path / "i.kiix").exists()
 
 
 def test_attach_bounds_premises_by_m(artifacts):
@@ -292,9 +307,13 @@ def one_error_line(capsys) -> str:
 
 @pytest.mark.parametrize("posting", [(99, 1), (0, 0)])
 def test_index_with_out_of_range_posting_exits_1(artifacts, tmp_path, capsys, posting):
-    index = build_index(load_jsonl(artifacts / "corpus.jsonl"))
-    index.postings["sky"] = [posting]
-    save_index(index, tmp_path / "bad.idx")
+    # "sky" occurs in one sentence, so its block is one (pos, tf) record
+    # right after the term's length-prefixed name and its count of 1.
+    data = (artifacts / "index.kiix").read_bytes()
+    head = struct.pack("<I", 3) + b"sky" + struct.pack("<I", 1)
+    at = data.index(head) + len(head)
+    bad = data[:at] + struct.pack("<II", *posting) + data[at + 8:]
+    (tmp_path / "bad.idx").write_bytes(bad)
     rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
                "--corpus", str(artifacts / "corpus.jsonl"),
                "--index", str(tmp_path / "bad.idx"), "--out", str(tmp_path / "a.jsonl")])
@@ -323,19 +342,51 @@ def test_model_with_wrong_head_shape_exits_1(artifacts, tmp_path, capsys):
     assert "score_w" in one_error_line(capsys)
 
 
-def test_diverging_train_exits_1_without_checkpoint(tmp_path, capsys):
+def test_diverging_train_exits_1_without_checkpoint(tmp_path):
     corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
     save_mcq_jsonl(route_premises(dataset, corpus, m=1), tmp_path / "planted.jsonl")
     cfg = tmp_path / "hot.cfg"
     cfg.write_text('head = "concat"\nd = 8\nlr = 1e50\nepochs = 3\nbatch_size = 8\n',
                    encoding="utf-8")
     out = tmp_path / "m.bin"
-    with np.errstate(all="ignore"):
-        rc = main(["train", "--dataset", str(tmp_path / "planted.jsonl"),
-                   "--config", str(cfg), "--out", str(out)])
-    assert rc == 1
-    assert "training loss" in one_error_line(capsys)
+    # A child process, so stderr holds whatever numpy would warn as well:
+    # pytest's own warning capture would hide that in-process.
+    env = {**os.environ, "PYTHONPATH": str(Path(kiqa.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kiqa.cli", "train", "--dataset", str(tmp_path / "planted.jsonl"),
+         "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "training loss" in proc.stderr
     assert not out.exists()
+
+
+def test_index_of_another_corpus_exits_1(artifacts, tmp_path, capsys):
+    # An index of the first three sentences, used with a corpus of the first one.
+    corpus = load_jsonl(artifacts / "corpus.jsonl")
+    save_index(build_index(KnowledgeCorpus(corpus.sentences[:3])), tmp_path / "three.idx")
+    save_jsonl(KnowledgeCorpus(corpus.sentences[:1]), tmp_path / "one.jsonl")
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
+               "--corpus", str(tmp_path / "one.jsonl"),
+               "--index", str(tmp_path / "three.idx"), "--out", str(tmp_path / "a.jsonl")])
+    assert rc == 1
+    assert "does not match the corpus" in one_error_line(capsys)
+    assert not (tmp_path / "a.jsonl").exists()
+
+
+def test_sweep_m_with_index_of_reordered_corpus_exits_1(artifacts, tmp_path, capsys):
+    corpus = load_jsonl(artifacts / "corpus.jsonl")
+    save_index(build_index(KnowledgeCorpus(corpus.sentences[::-1])), tmp_path / "rev.idx")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("m_values = [1, 2]\nretrain = false\n", encoding="utf-8")
+    rc = main(["sweep-m", "--model", str(artifacts / "model.bin"),
+               "--train", str(artifacts / "qs.jsonl"), "--eval", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"), "--index", str(tmp_path / "rev.idx"),
+               "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert "does not match the corpus" in one_error_line(capsys)
 
 
 def test_help_exits_0(capsys):

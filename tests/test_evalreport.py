@@ -11,6 +11,7 @@ from kiqa.encoder import EncoderConfig, EncoderModel, TrainConfig, Vocab
 from kiqa.evalreport import (
     EvalError,
     EvalReport,
+    _clone_model,
     config_fingerprint,
     evaluate,
     normalized_overlap,
@@ -305,6 +306,51 @@ def test_sweep_m_deterministic():
                        train_config=TrainConfig(seed=3, lr=0.1, epochs=2, batch_size=4))
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("lambda_", [0.0, 0.5, 1.0, 2.0])
+def test_premises_at_m_are_a_prefix_of_premises_at_10(lambda_):
+    # sweep_m attaches once at its largest m and slices; that is only
+    # sound if the re-ranker's first m picks do not depend on its m.
+    ds, corpus, index, _ = decisive_pipeline(n_items=6, noise_per_item=8)
+    qg = QueryGenConfig()
+    deep = attach_premises(ds, corpus, index, qg, RerankConfig(m=10, lambda_=lambda_))
+    for m in (1, 2, 5):
+        at_m = attach_premises(ds, corpus, index, qg, RerankConfig(m=m, lambda_=lambda_))
+        for deep_item, item in zip(deep.items, at_m.items):
+            assert [plist[:m] for plist in deep_item.premises] == item.premises
+
+
+def test_sweep_m_rows_equal_attaching_at_each_m():
+    from kiqa.toytasks import make_scattered_evidence_task, training_vocab
+
+    corpus, dataset = make_scattered_evidence_task(n_items=60, seed=0)
+    index = build_index(corpus)
+    qg = QueryGenConfig()
+
+    def attach(m):
+        return attach_premises(dataset, corpus, index, qg, RerankConfig(m=m, lambda_=0.5),
+                               retrieve_k=20)
+
+    config = TrainConfig(seed=2, lr=0.1, epochs=5, batch_size=16)
+    enc = EncoderModel.init(training_vocab(attach(4), corpus), EncoderConfig(d=8), seed=0)
+    model = FusionModel.init(enc, "simple-sum", seed=1)
+    train(model, attach(4), config)
+    ms = [1, 2, 3, 4]
+
+    rows = sweep_m(model, dataset, dataset, corpus, index, ms,
+                   rr_config=RerankConfig(lambda_=0.5), retrain=False, retrieve_k=20)
+    assert rows == [(m, evaluate(model, attach(m)).accuracy) for m in ms]
+    assert len({acc for _, acc in rows}) > 1  # the depths do score differently
+
+    expected = []
+    for m in ms[:2]:
+        fitted = _clone_model(model)
+        train(fitted, attach(m), config)
+        expected.append((m, evaluate(fitted, attach(m)).accuracy))
+    rows = sweep_m(model, dataset, dataset, corpus, index, ms[:2],
+                   rr_config=RerankConfig(lambda_=0.5), train_config=config, retrieve_k=20)
+    assert rows == expected
 
 
 def test_concat_accuracy_does_not_improve_with_noise_passages():

@@ -4,6 +4,7 @@ import math
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,9 +144,7 @@ def test_matches_brute_force(docs, query):
     idx = build_index(corpus)
     hits = search(idx, query, k=len(docs))
     expected = bm25_brute_force([(s.id, s.text) for s in corpus], query)
-    assert [h.sentence_id for h in hits] == [doc_id for doc_id, _ in expected]
-    for hit, (_, score) in zip(hits, expected):
-        assert hit.score == pytest.approx(score, abs=1e-9)
+    assert [(h.sentence_id, h.score) for h in hits] == expected
     assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
     assert all(h.score > 0 for h in hits)
     assert all(a.score >= b.score for a, b in zip(hits, hits[1:]))
@@ -165,9 +164,33 @@ def test_matches_brute_force_any_params(docs, query, k1, b):
     idx = build_index(corpus, Bm25Params(k1=k1, b=b))
     hits = search(idx, query, k=len(docs))
     expected = bm25_brute_force([(s.id, s.text) for s in corpus], query, k1=k1, b=b)
-    assert [h.sentence_id for h in hits] == [doc_id for doc_id, _ in expected]
-    for hit, (_, score) in zip(hits, expected):
-        assert hit.score == pytest.approx(score, abs=1e-9)
+    assert [(h.sentence_id, h.score) for h in hits] == expected
+
+
+@given(
+    docs=st.lists(
+        st.lists(st.sampled_from(["cat", "dog", "the"]), min_size=1, max_size=4).map(" ".join),
+        min_size=1, max_size=8,
+    ),
+    copies=st.integers(1, 6),
+    query=st.lists(st.sampled_from(["cat", "dog", "the"]), min_size=1, max_size=4),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_top_k_cuts_tie_groups_like_brute_force(docs, copies, query, data):
+    # Few words and repeated documents make large groups of equal scores;
+    # a k drawn below len(docs) cuts through them.
+    docs = docs * copies
+    k = data.draw(st.integers(1, len(docs)), label="k")
+    # ids in shuffled order, so the id tie-break is not the position order
+    ids = data.draw(st.permutations(range(len(docs))), label="ids")
+    corpus = KnowledgeCorpus(
+        [KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in zip(ids, docs)]
+    )
+    hits = search(build_index(corpus), query, k=k)
+    expected = bm25_brute_force([(s.id, s.text) for s in corpus], query)[:k]
+    assert [(h.sentence_id, h.score) for h in hits] == expected
+    assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
 
 
 # --- serialization -----------------------------------------------------------
@@ -179,10 +202,94 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_index(path)
     assert loaded.params == idx.params
     assert loaded.doc_ids == idx.doc_ids
-    assert loaded.doc_lengths == idx.doc_lengths
-    assert loaded.postings == idx.postings
+    assert np.array_equal(loaded.doc_lengths, idx.doc_lengths)
+    assert list(loaded.postings) == list(idx.postings)
+    for term, block in idx.postings.items():
+        assert loaded.postings[term].tolist() == block.tolist()
     assert loaded.avg_doc_length == idx.avg_doc_length
     assert search(loaded, ["cat", "dog"], k=3) == search(idx, ["cat", "dog"], k=3)
+
+
+@pytest.mark.parametrize(
+    "texts", [["the cat sat", "a dog ran far", "cats and dogs", "the the cat"], ["!!!"], []]
+)
+def test_save_load_save_reproduces_the_file(tmp_path, texts):
+    first, second = tmp_path / "a.idx", tmp_path / "b.idx"
+    save_index(build_index(make_corpus(texts), Bm25Params(k1=1.7, b=0.3)), first)
+    save_index(load_index(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _string(text):
+    raw = text.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def test_hand_packed_v1_file_loads(tmp_path):
+    # KIIX v1 laid out field by field: magic, version, k1, b, the documents
+    # (id, length), then the terms in sorted order with their (pos, tf) pairs.
+    data = b"KIIX" + struct.pack("<Idd", 1, 1.2, 0.75)
+    data += struct.pack("<I", 2)
+    data += _string("d0") + struct.pack("<I", 3)
+    data += _string("d1") + struct.pack("<I", 2)
+    data += struct.pack("<I", 2)
+    data += _string("cat") + struct.pack("<I", 2) + struct.pack("<IIII", 0, 2, 1, 1)
+    data += _string("sat") + struct.pack("<I", 1) + struct.pack("<II", 0, 1)
+    path = tmp_path / "hand.idx"
+    path.write_bytes(data)
+    idx = load_index(path)
+    assert idx.params == Bm25Params(k1=1.2, b=0.75)
+    assert idx.doc_ids == ["d0", "d1"]
+    assert idx.doc_lengths.tolist() == [3, 2]
+    assert idx.postings["cat"].tolist() == [(0, 2), (1, 1)]
+    assert idx.postings["sat"].tolist() == [(0, 1)]
+    assert len(idx.postings["cat"]) == 2 and len(idx.postings.get("dog", ())) == 0
+    save_index(idx, tmp_path / "again.idx")
+    assert (tmp_path / "again.idx").read_bytes() == data
+    assert [h.sentence_id for h in search(idx, ["cat"], k=5)] == ["d0", "d1"]
+
+
+@pytest.mark.parametrize(
+    "cat_postings",
+    [
+        [(2, 1)],          # position past the last document
+        [(0, 0)],          # zero term frequency
+        [(1, 1), (0, 1)],  # positions out of order
+        [(0, 1), (0, 2)],  # the same document twice
+    ],
+)
+def test_bad_posting_rejected(tmp_path, cat_postings):
+    data = b"KIIX" + struct.pack("<IddI", 1, 1.2, 0.75, 2)
+    data += _string("d0") + struct.pack("<I", 3) + _string("d1") + struct.pack("<I", 2)
+    data += struct.pack("<I", 2) + _string("a") + struct.pack("<III", 1, 0, 1)
+    data += _string("cat") + struct.pack("<I", len(cat_postings))
+    data += b"".join(struct.pack("<II", *p) for p in cat_postings)
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data)
+    with pytest.raises(IndexFormatError, match="'cat'"):
+        load_index(path)
+
+
+def test_repeated_term_rejected(tmp_path):
+    data = b"KIIX" + struct.pack("<IddI", 1, 1.2, 0.75, 1) + _string("d0") + struct.pack("<I", 1)
+    data += struct.pack("<I", 2)
+    data += (_string("cat") + struct.pack("<III", 1, 0, 1)) * 2
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data)
+    with pytest.raises(IndexFormatError, match="more than one"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "k1, b", [(-1.0, 0.0), (1.2, -0.1), (1.2, 1.5), (math.nan, 0.5), (math.inf, 0.5)]
+)
+def test_params_outside_the_bm25_range_rejected(tmp_path, k1, b):
+    with pytest.raises(ValueError, match="k1 >= 0"):
+        Bm25Params(k1=k1, b=b)
+    path = tmp_path / "bad.idx"
+    path.write_bytes(b"KIIX" + struct.pack("<IddII", 1, k1, b, 0, 0))
+    with pytest.raises(IndexFormatError, match="k1 >= 0"):
+        load_index(path)
 
 
 def test_serialization_is_deterministic(tmp_path):
