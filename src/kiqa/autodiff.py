@@ -68,9 +68,13 @@ class Tensor:
         return Tensor(self.data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # The first gradient is kept as it is, without a copy.  That array
+        # may also be another node's gradient (add hands one array to both
+        # operands), so later gradients add out of place, never into it.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad
+        else:
+            self.grad = self.grad + grad
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -383,11 +387,13 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of ``gold`` class ids; logits (B, n)."""
+    """Mean negative log-likelihood of ``gold`` class ids; logits (B, n).
+
+    The gold log-probabilities are gathered with ``take``; no one-hot of
+    the logits' size is built.
+    """
     logp = log_softmax(logits, axis=-1)
-    onehot = np.zeros_like(logits.data)
-    onehot[np.arange(len(gold)), gold] = 1.0
-    return -(logp * Tensor(onehot)).sum() / len(gold)
+    return -logp[np.arange(len(gold)), gold].sum() / len(gold)
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,10 @@ class EncoderConfig:
     def __post_init__(self):
         if self.d < 1 or self.max_len < 4:
             raise ValueError("d must be >= 1 and max_len >= 4")
-        if self.ln_eps <= 0:
-            raise ValueError("layer-norm epsilon must be > 0")
+        if not (np.isfinite(self.ln_eps) and self.ln_eps > 0):
+            raise ValueError(f"layer-norm epsilon must be finite and > 0, got {self.ln_eps!r}")
+        if not np.isfinite(self.init_scale):
+            raise ValueError(f"init scale must be finite, got {self.init_scale!r}")
 
 
 @dataclass
@@ -236,10 +238,6 @@ class EncoderModel:
         with no_grad():
             return self.encode_ids(self.vocab.encode(tokens)[None, :]).data[0]
 
-    def mlm_logits(self, ids: np.ndarray) -> Tensor:
-        """(B, L, V) token logits via the projection tied to the embeddings."""
-        return self.hidden_states(ids) @ self.params["emb"].swap_last_axes()
-
 
 def build_sequence(
     knowledge: str,
@@ -282,16 +280,16 @@ def mlm_batch_loss(
     """Cross-entropy at masked positions; None when nothing is masked.
 
     ``mask`` flags the positions to hide; inputs get the mask token there
-    and the model must recover the original ids.
+    and the model must recover the original ids.  Logits exist only at the
+    M masked positions: their hidden states are gathered first and then
+    go through the projection tied to the embeddings, so the logits are
+    (M, V), never (B, L, V).
     """
     if not mask.any():
         return None
-    masked_ids = np.where(mask, model.vocab.mask_id, ids)
-    logp = ad.log_softmax(model.mlm_logits(masked_ids), axis=-1)
-    onehot = np.zeros((*ids.shape, len(model.vocab)))
     rows, cols = np.nonzero(mask)
-    onehot[rows, cols, ids[rows, cols]] = 1.0
-    return -(logp * Tensor(onehot)).sum() / len(rows)
+    hidden = model.hidden_states(np.where(mask, model.vocab.mask_id, ids))[rows, cols]
+    return cross_entropy(hidden @ model.params["emb"].swap_last_axes(), ids[rows, cols])
 
 
 def _adjacent_pairs(corpus: KnowledgeCorpus) -> list[tuple[int, int]]:
@@ -429,7 +427,10 @@ def encoder_from_bytes(data: bytes, source: str = "<bytes>") -> EncoderModel:
     if version != _VERSION:
         raise CheckpointError(f"{source}: unsupported checkpoint version {version}")
     d, max_len, ln_eps, init_scale = struct.unpack("<IIdd", take(24))
-    config = EncoderConfig(d=d, max_len=max_len, ln_eps=ln_eps, init_scale=init_scale)
+    try:
+        config = EncoderConfig(d=d, max_len=max_len, ln_eps=ln_eps, init_scale=init_scale)
+    except ValueError as exc:
+        raise CheckpointError(f"{source}: {exc}") from exc
     (n_tokens,) = struct.unpack("<I", take(4))
     tokens = []
     for _ in range(n_tokens):
@@ -456,6 +457,9 @@ def encoder_from_bytes(data: bytes, source: str = "<bytes>") -> EncoderModel:
                 f"{source}: parameter {name} has shape {params[name].data.shape}, "
                 f"expected {shape}"
             )
+    for name, param in params.items():
+        if not np.isfinite(param.data).all():
+            raise CheckpointError(f"{source}: parameter {name} holds a NaN or inf")
     return EncoderModel(vocab, config, params)
 
 

@@ -197,6 +197,29 @@ def test_cross_entropy():
     assert cross_entropy(Tensor(logits), gold).item() == pytest.approx(want, abs=1e-12)
 
 
+def onehot_cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
+    """Oracle: the gold log-probabilities picked by a one-hot product."""
+    onehot = np.zeros_like(logits.data)
+    onehot[np.arange(len(gold)), gold] = 1.0
+    return -(log_softmax(logits) * Tensor(onehot)).sum() / len(gold)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 3), (7, 60)])
+def test_cross_entropy_gradient_equals_one_hot_formula(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    logits = rng.normal(scale=3.0, size=shape)
+    gold = rng.integers(shape[1], size=shape[0])
+    grads = []
+    for loss_fn in (cross_entropy, onehot_cross_entropy):
+        x = Tensor(logits, requires_grad=True)
+        loss = loss_fn(x, gold)
+        loss.backward()
+        grads.append(x.grad)
+    assert (grads[0] == grads[1]).all()
+    want = onehot_cross_entropy(Tensor(logits), gold).item()
+    assert cross_entropy(Tensor(logits), gold).item() == pytest.approx(want, rel=1e-12, abs=0)
+
+
 # --- graph mechanics -----------------------------------------------------------------
 
 def test_shared_node_accumulates_both_paths():
@@ -204,6 +227,22 @@ def test_shared_node_accumulates_both_paths():
     y = x * 3.0 + x * x  # dy/dx = 3 + 2x = 7
     y.backward()
     assert x.grad[0] == pytest.approx(7.0)
+
+
+W_DIAMOND = RNG.normal(size=(3,))
+
+
+@pytest.mark.parametrize("sum_first", [True, False])
+def test_gradient_shared_with_a_sibling_survives_a_second_path(sum_first):
+    # add() hands one gradient array to both operands.  In this diamond x
+    # reaches the product along two paths, x + y and x * 2; whichever path
+    # the tape replays first gives x its first gradient, and when that is
+    # the array shared with y, adding the second into it would change y.
+    def build(x, y):
+        s, m = x + y, x * 2.0
+        return ((s * m if sum_first else m * s) * W_DIAMOND).sum()
+
+    check_grads(build, RNG.normal(size=(3,)), RNG.normal(size=(3,)))
 
 
 def test_deep_chain_no_recursion_error():

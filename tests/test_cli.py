@@ -331,6 +331,31 @@ def test_encoder_with_wrong_parameter_shape_exits_1(artifacts, tmp_path, capsys)
     assert "att_wq" in one_error_line(capsys)
 
 
+def test_encoder_with_nan_weight_exits_1(artifacts, tmp_path, capsys):
+    encoder = load_model(artifacts / "model.bin").encoder
+    encoder.params["ffn_w1"].data[0, 0] = np.nan
+    save_encoder(encoder, tmp_path / "bad.bin")
+    rc = main(["revise", "--corpus", str(artifacts / "corpus.jsonl"),
+               "--encoder", str(tmp_path / "bad.bin"), "--out", str(tmp_path / "e.bin")])
+    assert rc == 1
+    line = one_error_line(capsys)
+    assert "ffn_w1" in line and "learning rate" not in line
+    assert not (tmp_path / "e.bin").exists()
+
+
+def test_encoder_with_nan_layer_norm_epsilon_exits_1(artifacts, tmp_path, capsys):
+    save_encoder(load_model(artifacts / "model.bin").encoder, tmp_path / "bad.bin")
+    raw = bytearray((tmp_path / "bad.bin").read_bytes())
+    raw[16:24] = struct.pack("<d", np.nan)  # ln_eps follows magic, version, d, max_len
+    (tmp_path / "bad.bin").write_bytes(bytes(raw))
+    rc = main(["revise", "--corpus", str(artifacts / "corpus.jsonl"),
+               "--encoder", str(tmp_path / "bad.bin"), "--out", str(tmp_path / "e.bin")])
+    assert rc == 1
+    line = one_error_line(capsys)
+    assert "epsilon" in line and "learning rate" not in line
+    assert not (tmp_path / "e.bin").exists()
+
+
 def test_model_with_wrong_head_shape_exits_1(artifacts, tmp_path, capsys):
     model = load_model(artifacts / "model.bin")
     model.score_w = Tensor(np.zeros((model.d + 1, 1)))

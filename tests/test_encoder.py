@@ -6,12 +6,15 @@ single-sequence reimplementation that shares no code with the package
 central finite differences.
 """
 
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa.autodiff import Tensor, no_grad
+from kiqa.autodiff import Tensor, log_softmax, no_grad
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.encoder import (
     MASK,
@@ -312,6 +315,82 @@ def test_mlm_loss_gradient_reaches_embeddings():
     assert abs(emb.grad.reshape(-1)[i] - (hi - lo) / (2 * eps)) < 1e-6
 
 
+def dense_mlm_loss(model, ids, mask):
+    """Oracle: the masked-token loss as first written, with (B, L, V) logits
+    and a one-hot of the same size picking the gold log-probabilities."""
+    masked_ids = np.where(mask, model.vocab.mask_id, ids)
+    logits = model.hidden_states(masked_ids) @ model.params["emb"].swap_last_axes()
+    logp = log_softmax(logits, axis=-1)
+    onehot = np.zeros((*ids.shape, len(model.vocab)))
+    rows, cols = np.nonzero(mask)
+    onehot[rows, cols, ids[rows, cols]] = 1.0
+    return -(logp * Tensor(onehot)).sum() / len(rows)
+
+
+def _loss_and_grads(loss_fn, model, ids, mask):
+    for p in model.params.values():
+        p.zero_grad()
+    loss = loss_fn(model, ids, mask)
+    loss.backward()
+    return loss.item(), {name: p.grad.copy() for name, p in model.params.items()}
+
+
+def _ragged_masked_batch(rng, vocab, max_words=6):
+    """Padded [start] words [sep] rows of random lengths; at least one masked word."""
+    seqs = [
+        np.concatenate([[vocab.start_id],
+                        rng.integers(vocab.first_word_id, len(vocab), size=n),
+                        [vocab.sep_id]])
+        for n in rng.integers(1, max_words + 1, size=rng.integers(1, 5))
+    ]
+    ids = pad_batch(seqs, vocab.pad_id)
+    maskable = ids >= vocab.first_word_id
+    mask = (rng.random(ids.shape) < rng.uniform(0.1, 0.6)) & maskable
+    if not mask.any():
+        rows, cols = np.nonzero(maskable)
+        pick = rng.integers(len(rows))
+        mask[rows[pick], cols[pick]] = True
+    return ids, mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mlm_loss_matches_dense_one_hot_oracle(seed):
+    rng = np.random.default_rng(seed)
+    words = tuple(f"w{i}" for i in range(int(rng.integers(1, 30))))
+    model = small_model(seed=seed % 97, d=int(rng.integers(1, 6)), extra_words=words)
+    ids, mask = _ragged_masked_batch(rng, model.vocab)
+    want, want_grads = _loss_and_grads(dense_mlm_loss, model, ids, mask)
+    got, got_grads = _loss_and_grads(mlm_batch_loss, model, ids, mask)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+def _tape(loss):
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_mlm_tape_holds_logits_only_at_masked_positions():
+    model = small_model(seed=5, d=4, extra_words=tuple(f"w{i}" for i in range(60)))
+    V = len(model.vocab)
+    ids, mask = _ragged_masked_batch(np.random.default_rng(8), model.vocab)
+    B, L = ids.shape
+    M = int(mask.sum())
+    assert M not in (0, model.config.d)
+    nodes = _tape(mlm_batch_loss(model, ids, mask))
+    assert all(node.data.size != B * L * V for node in nodes)
+    # the logits are the product with the transposed (d, V) embeddings
+    logits = [n for n in nodes if any(p.shape == (model.config.d, V) for p in n._parents)]
+    assert [n.shape for n in logits] == [(M, V)]
+
+
 # ---------------------------------------------------------------------------
 # Sequence assembly
 # ---------------------------------------------------------------------------
@@ -452,6 +531,16 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("ln_eps", float("nan")), ("ln_eps", float("inf")), ("ln_eps", 0.0), ("ln_eps", -1e-5),
+     ("init_scale", float("nan")), ("init_scale", float("inf")), ("init_scale", float("-inf"))],
+)
+def test_encoder_config_rejects_bad_float(field, value):
+    with pytest.raises(ValueError, match={"ln_eps": "epsilon", "init_scale": "init scale"}[field]):
+        EncoderConfig(**{field: value})
+
+
 @pytest.mark.parametrize("momentum", [-5.0, -1e-9, 1.0, 2.0])
 def test_train_config_rejects_momentum_outside_unit_interval(momentum):
     with pytest.raises(ValueError, match="momentum"):
@@ -538,6 +627,29 @@ def test_checkpoint_trailing_garbage(tmp_path):
     save_encoder(model, p)
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
+        load_encoder(p)
+
+
+@pytest.mark.parametrize("name", ["att_wq", "ln2_beta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_non_finite_parameter_names_it(tmp_path, name, bad):
+    model = small_model()
+    model.params[name].data.reshape(-1)[-1] = bad
+    model.params["ln2_gamma"].data[0] = bad  # the last parameter in file order
+    save_encoder(model, tmp_path / "n.bin")
+    with pytest.raises(CheckpointError, match=f"parameter {name} holds a NaN or inf"):
+        load_encoder(tmp_path / "n.bin")
+
+
+@pytest.mark.parametrize("offset, value", [(16, float("nan")), (16, -1.0), (24, float("inf"))])
+def test_checkpoint_bad_config_float(tmp_path, offset, value):
+    # header: magic, version, d, max_len, then ln_eps and init_scale as <f8
+    p = tmp_path / "c.bin"
+    save_encoder(small_model(), p)
+    raw = bytearray(p.read_bytes())
+    raw[offset : offset + 8] = struct.pack("<d", value)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=re.escape(str(p)) + ": .* must be finite"):
         load_encoder(p)
 
 
