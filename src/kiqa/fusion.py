@@ -430,6 +430,8 @@ def load_model(path: str | Path) -> FusionModel:
             raise CheckpointError(
                 f"{path}: head parameter {name} has shape {tensor.data.shape}, expected {want}"
             )
+        if not np.isfinite(tensor.data).all():
+            raise CheckpointError(f"{path}: head parameter {name} holds a NaN or inf")
     score_w, score_b = params["score_w"], params["score_b"]
     weight_w = weight_b = None
     if head == "weighted-sum":

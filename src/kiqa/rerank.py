@@ -5,6 +5,12 @@ near-duplicates.  The re-ranker greedily picks the sentence with the best
 ``sim(s, query) - lambda * max_selected sim(s, t)`` trade-off until m
 sentences are chosen, trading relevance against redundancy with what is
 already selected.
+
+Each call prepares every distinct text once (the query and the
+candidates, deduplicated by text) and then compares prepared features
+for every pair it scores: a token set for token overlap, a mean word
+vector for embedding cosine.  A similarity called on two strings is the
+same comparison of the two texts' prepared features.
 """
 
 from __future__ import annotations
@@ -12,15 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .corpus import KnowledgeSentence
 from .textnorm import token_set, word_tokens
 
 
-def token_jaccard(a: str, b: str) -> float:
-    """Jaccard overlap of lowercase token sets; two empty sets count as equal."""
-    sa, sb = token_set(a), token_set(b)
+def token_jaccard(a: str | set[str], b: str | set[str]) -> float:
+    """Jaccard overlap of lowercase token sets; two empty sets count as equal.
+
+    Each argument is a text or its ``token_set``.
+    """
+    sa = token_set(a) if isinstance(a, str) else a
+    sb = token_set(b) if isinstance(b, str) else b
     if not sa and not sb:
         return 1.0
     if not sa or not sb:
@@ -63,8 +73,10 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
 
 def embedding_cosine(a: str, b: str, table: dict[str, tuple[float, ...]]) -> float:
     """Cosine of mean word vectors; sentences with no known word score 0."""
-    va = _mean_vector(a, table)
-    vb = _mean_vector(b, table)
+    return _vector_cosine(_mean_vector(a, table), _mean_vector(b, table))
+
+
+def _vector_cosine(va: list[float] | None, vb: list[float] | None) -> float:
     if va is None or vb is None:
         return 0.0
     dot = sum(x * y for x, y in zip(va, vb))
@@ -95,10 +107,19 @@ class SimilarityFn:
         if self.kind == "embedding-cosine" and self.table is None:
             raise ValueError("embedding-cosine similarity needs an embedding table")
 
-    def __call__(self, a: str, b: str) -> float:
+    def prepare(self, text: str):
+        """The feature of one text that ``compare`` takes."""
         if self.kind == "token-jaccard":
-            return token_jaccard(a, b)
-        return embedding_cosine(a, b, self.table)
+            return token_set(text)
+        return _mean_vector(text, self.table)
+
+    def compare(self, fa, fb) -> float:
+        if self.kind == "token-jaccard":
+            return token_jaccard(fa, fb)
+        return _vector_cosine(fa, fb)
+
+    def __call__(self, a: str, b: str) -> float:
+        return self.compare(self.prepare(a), self.prepare(b))
 
 
 @dataclass
@@ -110,8 +131,8 @@ class RerankConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.lambda_ < 0:
-            raise ValueError("lambda must be >= 0")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lambda_}")
 
 
 def rerank(
@@ -125,8 +146,11 @@ def rerank(
     """
     if not candidates:
         raise ValueError("empty candidate list")
-    sim: Callable[[str, str], float] = config.similarity
-    query_sim = [sim(c.text, query_text) for c in candidates]
+    sim = config.similarity
+    distinct = dict.fromkeys([query_text, *(c.text for c in candidates)])
+    prepared = {text: sim.prepare(text) for text in distinct}
+    features = [prepared[c.text] for c in candidates]
+    query_sim = [sim.compare(f, prepared[query_text]) for f in features]
     n = len(candidates)
     selected: list[int] = []
     # redundancy[i] tracks max similarity to anything already selected
@@ -142,7 +166,7 @@ def rerank(
         selected.append(best)
         remaining.remove(best)
         for i in remaining:
-            s = sim(candidates[i].text, candidates[best].text)
+            s = sim.compare(features[i], features[best])
             if s > redundancy[i]:
                 redundancy[i] = s
     return [candidates[i] for i in selected]

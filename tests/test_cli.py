@@ -367,6 +367,44 @@ def test_model_with_wrong_head_shape_exits_1(artifacts, tmp_path, capsys):
     assert "score_w" in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_with_non_finite_head_parameter_exits_1(artifacts, tmp_path, capsys, value):
+    model = load_model(artifacts / "model.bin")
+    model.score_w.data[:] = value
+    save_model(model, tmp_path / "bad.bin")
+    rc = main(["eval", "--model", str(tmp_path / "bad.bin"),
+               "--dataset", str(artifacts / "attached.jsonl"),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "score_w" in one_error_line(capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_attach_with_non_finite_lambda_exits_1(artifacts, tmp_path, capsys, lam):
+    cfg = tmp_path / "attach.cfg"
+    cfg.write_text(f"m = 2\nlambda = {lam}\n", encoding="utf-8")
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"), "--index", str(artifacts / "index.kiix"),
+               "--config", str(cfg), "--out", str(tmp_path / "a.jsonl")])
+    assert rc == 1
+    assert "lambda" in one_error_line(capsys)
+    assert not (tmp_path / "a.jsonl").exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_sweep_m_with_non_finite_lambda_exits_1(artifacts, tmp_path, capsys, lam):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"m_values = [1, 2]\nretrain = false\nlambda = {lam}\n", encoding="utf-8")
+    rc = main(["sweep-m", "--model", str(artifacts / "model.bin"),
+               "--train", str(artifacts / "qs.jsonl"), "--eval", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"),
+               "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert "lambda" in one_error_line(capsys)
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_diverging_train_exits_1_without_checkpoint(tmp_path):
     corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
     save_mcq_jsonl(route_premises(dataset, corpus, m=1), tmp_path / "planted.jsonl")

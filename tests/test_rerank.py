@@ -1,11 +1,13 @@
 """Diverse re-ranking checked against a step-by-step oracle."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kiqa.rerank
 from kiqa.corpus import KnowledgeSentence
 from kiqa.rerank import (
     EmbeddingTableError,
@@ -15,6 +17,7 @@ from kiqa.rerank import (
     load_embedding_table,
     rerank,
     token_jaccard,
+    token_set,
 )
 
 
@@ -68,6 +71,15 @@ def test_jaccard_symmetric_and_bounded(a, b):
 @given(st.text(min_size=1, max_size=40))
 def test_jaccard_self_similarity(a):
     assert token_jaccard(a, a) == 1.0
+
+
+@given(st.text(max_size=40), st.text(max_size=40))
+def test_jaccard_takes_texts_or_token_sets(a, b):
+    want = token_jaccard(a, b)
+    sa, sb = token_set(a), token_set(b)
+    assert token_jaccard(sa, b) == want
+    assert token_jaccard(a, sb) == want
+    assert token_jaccard(sa, sb) == want
 
 
 # --- embedding_cosine -------------------------------------------------------
@@ -175,6 +187,9 @@ def test_config_validation():
         RerankConfig(m=0)
     with pytest.raises(ValueError, match="lambda"):
         RerankConfig(lambda_=-0.5)
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            RerankConfig(lambda_=lam)
     with pytest.raises(ValueError, match="kind"):
         SimilarityFn(kind="bogus")
     with pytest.raises(ValueError, match="table"):
@@ -222,3 +237,87 @@ def test_cosine_similarity_matches_oracle(texts, m):
     got = rerank(cands, "cat play", cfg)
     want = rerank_oracle(cands, "cat play", m, 1.0, cfg.similarity)
     assert got == want
+
+
+# --- prepared features ------------------------------------------------------
+# One call prepares each distinct text once and compares prepared features
+# per pair; the string-level oracle above prepares both texts on every call.
+
+_WORDS = ["cat", "dog", "yarn", "play", "sleep", "ball", "tree", "moss", "rain", "sun"]
+_TABLE = {  # "moss", "rain" and "sun" have no vector
+    "cat": (1.0, 0.2, 0.0, -0.3),
+    "dog": (0.8, 0.5, 0.1, 0.0),
+    "yarn": (0.0, 1.0, 0.3, 0.2),
+    "play": (0.1, 0.9, 0.7, -0.1),
+    "sleep": (0.0, 0.0, 1.0, 0.4),
+    "ball": (0.4, 0.4, 0.4, 0.4),
+    "tree": (-0.5, 0.3, 0.0, 0.9),
+}
+
+
+def _retrieval_sized_call(seed):
+    """50 candidates with repeated texts; the query is one candidate's text."""
+    rng = random.Random(seed)
+    pool = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6))) for _ in range(30)]
+    pool += ["moss rain", "sun", "rain sun moss"]  # no table word
+    texts = [rng.choice(pool) for _ in range(50)]
+    assert len(set(texts)) < len(texts)
+    return sents(*texts), rng.choice(texts)
+
+
+@pytest.mark.parametrize("kind", ["token-jaccard", "embedding-cosine"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+def test_retrieval_sized_call_matches_string_oracle(kind, lam):
+    if kind == "token-jaccard":
+        fn, oracle_sim = SimilarityFn(), token_jaccard
+    else:
+        fn = SimilarityFn(kind="embedding-cosine", table=_TABLE)
+        oracle_sim = lambda a, b: embedding_cosine(a, b, _TABLE)  # noqa: E731
+    for seed in range(6):
+        cands, query = _retrieval_sized_call(seed)
+        got = rerank(cands, query, RerankConfig(m=10, lambda_=lam, similarity=fn))
+        want = rerank_oracle(cands, query, 10, lam, oracle_sim)
+        assert [s.id for s in got] == [s.id for s in want]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(kiqa.rerank, name)
+
+    def counted(text, *rest):
+        calls.append(text)
+        return real(text, *rest)
+
+    monkeypatch.setattr(kiqa.rerank, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_token_set_runs_once_per_distinct_text(monkeypatch, seed):
+    cands, query = _retrieval_sized_call(seed)
+    calls = _counting(monkeypatch, "token_set")
+    rerank(cands, query, RerankConfig(m=10, lambda_=1.0))
+    assert sorted(calls) == sorted({c.text for c in cands} | {query})
+
+
+def test_query_outside_the_candidates_is_prepared_once_too(monkeypatch):
+    cands = sents("cat play", "cat play", "dog ball", "cat play")
+    calls = _counting(monkeypatch, "token_set")
+    rerank(cands, "yarn", RerankConfig(m=3))
+    assert sorted(calls) == ["cat play", "dog ball", "yarn"]
+
+
+def test_mean_vector_runs_once_per_distinct_text(monkeypatch):
+    cands, query = _retrieval_sized_call(0)
+    calls = _counting(monkeypatch, "_mean_vector")
+    fn = SimilarityFn(kind="embedding-cosine", table=_TABLE)
+    rerank(cands, query, RerankConfig(m=10, similarity=fn))
+    assert sorted(calls) == sorted({c.text for c in cands} | {query})
+
+
+def test_similarity_call_is_compare_of_prepared():
+    for fn in (SimilarityFn(), SimilarityFn(kind="embedding-cosine", table=_TABLE)):
+        for a, b in [("cat play", "play yarn"), ("moss", "cat"), ("", "sun"), ("dog", "dog")]:
+            assert fn(a, b) == fn.compare(fn.prepare(a), fn.prepare(b))
+    assert SimilarityFn().prepare("The CAT, the cat") == {"the", "cat"}
+    assert SimilarityFn(kind="embedding-cosine", table=_TABLE).prepare("moss rain") is None
