@@ -285,7 +285,7 @@ def _cmd_revise(args) -> int:
     if args.encoder:
         encoder = load_encoder(_input(args.encoder))
     else:
-        vocab = Vocab.from_texts(s.text for s in corpus.sentences)
+        vocab = Vocab.from_texts(corpus.texts)
         encoder = EncoderModel.init(vocab, _encoder_config(cfg), seed=args.seed)
     revision_train(encoder, corpus, _train_config(cfg, args.seed + 3, mask=True))
     save_encoder(encoder, args.out)

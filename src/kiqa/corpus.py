@@ -11,15 +11,29 @@ Three raw formats are supported:
 
 Prepared corpora are exchanged between pipeline stages as JSON lines
 (one sentence record per line, see :func:`save_jsonl`).
+
+A :class:`KnowledgeCorpus` is a column store: parallel lists of ids,
+texts, source tags and titles.  The plain-lines and JSONL loaders fill the
+columns directly and :func:`save_jsonl` writes from them, so no
+per-sentence object is made on the way; :class:`KnowledgeSentence`
+objects are built only when ``sentences`` or ``get`` asks for them.
+Records are the ``\\n``-separated lines of a JSON-lines file, so a U+2028
+or U+0085 inside a string value stays part of its record.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from functools import cached_property
+from json.decoder import JSONDecoder
+from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterable
 
 
 class CorpusError(ValueError):
@@ -36,9 +50,15 @@ class KnowledgeSentence:
     title: str | None = None
 
 
-@dataclass
 class KnowledgeCorpus:
-    """Ordered collection of knowledge sentences.
+    """Ordered knowledge sentences, stored as columns.
+
+    ``ids``, ``texts``, ``tags`` and ``titles`` are parallel lists with one
+    entry per sentence; treat them as read-only.  Loading, saving, indexing
+    and retrieval work on the columns, so a 50k-sentence corpus never
+    becomes 50k objects: ``sentences`` builds the
+    :class:`KnowledgeSentence` objects on first use and keeps them, and
+    ``get`` and ``at`` build one.
 
     ``paragraphs`` optionally records contiguous (start, end) index ranges of
     sentences that came from the same source paragraph; it is populated by
@@ -46,48 +66,94 @@ class KnowledgeCorpus:
     pairs.
     """
 
-    sentences: list[KnowledgeSentence]
-    paragraphs: list[tuple[int, int]] | None = None
-    _by_id: dict[str, KnowledgeSentence] = field(init=False, repr=False)
+    def __init__(
+        self,
+        sentences: Iterable[KnowledgeSentence],
+        paragraphs: list[tuple[int, int]] | None = None,
+    ):
+        sentences = list(sentences)
+        self._set_columns(
+            [s.id for s in sentences],
+            [s.text for s in sentences],
+            [s.source_tag for s in sentences],
+            [s.title for s in sentences],
+            paragraphs,
+        )
+        self._sentences = sentences
 
-    def __post_init__(self):
-        self._by_id = {}
-        for sent in self.sentences:
-            if not sent.text.strip():
-                raise CorpusError(f"sentence {sent.id!r} is empty")
-            if sent.id in self._by_id:
-                raise CorpusError(f"duplicate sentence id {sent.id!r}")
-            self._by_id[sent.id] = sent
+    @classmethod
+    def from_columns(
+        cls,
+        ids: list[str],
+        texts: list[str],
+        tags: list[str],
+        titles: list[str | None],
+        paragraphs: list[tuple[int, int]] | None = None,
+    ) -> KnowledgeCorpus:
+        corpus = cls.__new__(cls)
+        corpus._set_columns(ids, texts, tags, titles, paragraphs)
+        return corpus
+
+    def _set_columns(self, ids, texts, tags, titles, paragraphs) -> None:
+        if not len(ids) == len(texts) == len(tags) == len(titles):
+            raise ValueError("corpus columns differ in length")
+        self.ids, self.texts, self.tags, self.titles = ids, texts, tags, titles
+        self.paragraphs = paragraphs
+        self._sentences: list[KnowledgeSentence] | None = None
+        self._pos = dict(zip(ids, range(len(ids))))
+        if len(self._pos) != len(ids) or not all(map(str.strip, texts)):
+            seen = set()
+            for sid, text in zip(ids, texts):
+                if not text.strip():
+                    raise CorpusError(f"sentence {sid!r} is empty")
+                if sid in seen:
+                    raise CorpusError(f"duplicate sentence id {sid!r}")
+                seen.add(sid)
+
+    @property
+    def sentences(self) -> list[KnowledgeSentence]:
+        if self._sentences is None:
+            self._sentences = list(
+                map(KnowledgeSentence, self.ids, self.texts, self.tags, self.titles)
+            )
+        return self._sentences
+
+    @cached_property
+    def digest(self) -> bytes:
+        """sha256 of the id and text columns, which an index built here records.
+
+        The hashed bytes are the sentence count, then for each column the
+        code-point length of every entry followed by the entries' UTF-8
+        concatenation: different columns always give different bytes.
+        """
+        h = hashlib.sha256(struct.pack("<Q", len(self.ids)))
+        for column in (self.ids, self.texts):
+            h.update(struct.pack(f"<{len(column)}I", *map(len, column)))
+            h.update("".join(column).encode("utf-8", "surrogatepass"))
+        return h.digest()
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.sentences)
 
+    def at(self, pos: int) -> KnowledgeSentence:
+        """The sentence at position ``pos``."""
+        return KnowledgeSentence(self.ids[pos], self.texts[pos], self.tags[pos], self.titles[pos])
+
     def get(self, sentence_id: str) -> KnowledgeSentence:
-        return self._by_id[sentence_id]
+        return self.at(self._pos[sentence_id])
 
     def __contains__(self, sentence_id: str) -> bool:
-        return sentence_id in self._by_id
-
-    @property
-    def sentence_count(self) -> int:
-        return len(self.sentences)
-
-    @property
-    def token_count(self) -> int:
-        from .textnorm import word_tokens
-
-        return sum(len(word_tokens(s.text)) for s in self.sentences)
+        return sentence_id in self._pos
 
 
 def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def _make_id(n: int) -> str:
-    return f"{n:08d}"
+_make_id = "{:08d}".format  # sentence number -> id; a bound method, so map() runs it in C
 
 
 # ---------------------------------------------------------------------------
@@ -291,40 +357,37 @@ def load_corpus(
         raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
 
     if format == "plain-lines":
-        tag = source_tag or "plain"
-        sentences = [
-            KnowledgeSentence(id=_make_id(i), text=_normalize_ws(line), source_tag=tag)
-            for i, line in enumerate(ln for ln in raw.splitlines() if ln.strip())
-        ]
-        paragraphs = None
+        # _normalize_ws on every line, as C-level maps
+        texts = [text for text in map(" ".join, map(str.split, raw.splitlines())) if text]
+        n = len(texts)
+        corpus = KnowledgeCorpus.from_columns(
+            list(map(_make_id, range(n))), texts, [source_tag or "plain"] * n, [None] * n
+        )
     elif format == "titled-paragraphs":
         records = _parse_jsonl(raw, path, required=("title", "text"))
         pairs = [(rec["title"], rec["text"]) for rec, _ in records]
         sentences, paragraphs = prepare_titled(pairs, source_tag=source_tag or "wikihow")
+        corpus = KnowledgeCorpus(sentences, paragraphs=paragraphs)
     elif format == "atomic-events":
         records = _parse_jsonl(raw, path, required=("event", "dimension", "inference"))
         pool = name_pool if name_pool is not None else load_name_pool()
-        sentences = prepare_atomic(
+        corpus = KnowledgeCorpus(prepare_atomic(
             [rec for rec, _ in records], pool, seed, source_tag=source_tag or "atomic"
-        )
-        paragraphs = None
+        ))
     else:
         raise CorpusError(f"unknown corpus format {format!r}")
 
-    if not sentences:
+    if not len(corpus):
         raise CorpusError(f"empty corpus: {path}")
-    return KnowledgeCorpus(sentences, paragraphs=paragraphs)
+    return corpus
 
 
 def _parse_jsonl(raw: str, path: Path, required: tuple[str, ...]) -> list[tuple[dict, int]]:
     records = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        rec = _loads(line, path, lineno)
         if not isinstance(rec, dict) or any(k not in rec for k in required):
             raise CorpusError(
                 f"{path}:{lineno}: record must have fields {', '.join(required)}"
@@ -333,52 +396,104 @@ def _parse_jsonl(raw: str, path: Path, required: tuple[str, ...]) -> list[tuple[
     return records
 
 
-def save_plain_lines(corpus: KnowledgeCorpus, path: str | Path) -> None:
-    """One sentence text per line; titles and metadata are dropped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent in corpus.sentences:
-            fh.write(sent.text + "\n")
+_SCAN = JSONDecoder().scan_once
 
 
 def save_jsonl(corpus: KnowledgeCorpus, path: str | Path) -> None:
-    """Prepared-corpus interchange format: one sentence record per line."""
+    """Prepared-corpus interchange format: one sentence record per line.
+
+    Each line holds the bytes ``json.dumps(..., ensure_ascii=False)`` gives
+    for ``{"id", "text", "source", "title"}``, written field by field with
+    the same string encoder.  A last ``{"paragraphs": [[start, end], ...]}``
+    line follows when the corpus has paragraph ranges.
+    """
+    enc = encode_basestring
     with open(path, "w", encoding="utf-8") as fh:
-        for sent in corpus.sentences:
-            rec = {"id": sent.id, "text": sent.text, "source": sent.source_tag, "title": sent.title}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        fh.writelines(
+            f'{{"id": {enc(sid)}, "text": {enc(text)}, "source": {enc(tag)}, '
+            f'"title": {"null" if title is None else enc(title)}}}\n'
+            for sid, text, tag, title in zip(corpus.ids, corpus.texts, corpus.tags, corpus.titles)
+        )
         if corpus.paragraphs is not None:
             fh.write(json.dumps({"paragraphs": corpus.paragraphs}) + "\n")
 
 
 def load_jsonl(path: str | Path) -> KnowledgeCorpus:
+    """Read a corpus written by :func:`save_jsonl` into columns.
+
+    Records are the ``\\n``-separated lines; each is parsed on its own, so a
+    malformed one is reported with its line number.  ``source`` defaults to
+    ``"generic"`` and ``title`` to null.
+    """
     path = Path(path)
-    sentences = []
-    paragraphs = None
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
+    lines = raw.split("\n")
+    del raw
+    ids, texts, tags, titles = [], [], [], []
+    paragraphs, paragraphs_line = None, 0
+    for lineno, line in enumerate(lines, start=1):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if "paragraphs" in rec and "id" not in rec:
-            paragraphs = [tuple(r) for r in rec["paragraphs"]]
-            continue
+            rec, end = _SCAN(line, 0)  # what json.loads returns when the line has no padding
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            rec = _loads(line, path, lineno)
         try:
-            sentences.append(
-                KnowledgeSentence(
-                    id=rec["id"],
-                    text=rec["text"],
-                    source_tag=rec.get("source", "generic"),
-                    title=rec.get("title"),
-                )
+            sid, text = rec["id"], rec["text"]
+            tag, title = rec.get("source", "generic"), rec.get("title")
+        except (TypeError, KeyError):  # not an object, or no id or text
+            if type(rec) is not dict:
+                raise CorpusError(f"{path}:{lineno}: record must be a JSON object") from None
+            if "id" in rec or "paragraphs" not in rec:
+                missing = "id" if "id" not in rec else "text"
+                raise CorpusError(f"{path}:{lineno}: missing field {missing!r}") from None
+            if paragraphs is not None:
+                raise CorpusError(f"{path}:{lineno}: second paragraphs record") from None
+            paragraphs, paragraphs_line = rec["paragraphs"], lineno
+            continue
+        if not (type(sid) is str and type(text) is str and type(tag) is str
+                and (title is None or type(title) is str)):
+            raise CorpusError(
+                f"{path}:{lineno}: id, text and source must be strings and title a string or null"
             )
-        except KeyError as exc:
-            raise CorpusError(f"{path}:{lineno}: missing field {exc}") from exc
-    if not sentences:
+        ids.append(sid)
+        texts.append(text)
+        tags.append(tag)
+        titles.append(title)
+    del lines
+    if not ids:
         raise CorpusError(f"empty corpus: {path}")
-    return KnowledgeCorpus(sentences, paragraphs=paragraphs)
+    if paragraphs is not None:
+        paragraphs = _paragraph_ranges(paragraphs, len(ids), path, paragraphs_line)
+    try:
+        return KnowledgeCorpus.from_columns(ids, texts, tags, titles, paragraphs)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+
+
+def _loads(line: str, path: Path, lineno: int):
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+
+
+def _paragraph_ranges(value, n: int, path: Path, lineno: int) -> list[tuple[int, int]]:
+    """[start, end] pairs of ints with 0 <= start < end <= n, as tuples."""
+    if type(value) is list and all(
+        type(r) is list and len(r) == 2 and type(r[0]) is int and type(r[1]) is int
+        and 0 <= r[0] < r[1] <= n
+        for r in value
+    ):
+        return [tuple(r) for r in value]
+    raise CorpusError(
+        f"{path}:{lineno}: paragraphs must be [start, end] integer pairs with "
+        f"0 <= start < end <= {n} (the sentence count)"
+    )

@@ -256,15 +256,18 @@ def attach_premises(
     """Retrieve and re-rank knowledge for every (item, option) pair.
 
     The corpus provides sentence texts for re-ranking; it must be the one
-    the index was built over, which is checked by its sentence ids.
+    the index was built over, which is checked by the corpus digest the
+    index records (a sha256 of the corpus's ids and texts).  Hits carry
+    document positions, so candidates are read from the corpus's columns.
     Options whose query comes back empty retry with the part-of-speech
     filter off; if retrieval still finds nothing the option gets an empty
     premise list.
     """
-    if index.doc_ids != [s.id for s in corpus.sentences]:
+    if index.corpus_digest != corpus.digest:
         raise DatasetError(
-            f"index does not match the corpus: its {index.doc_count} document ids are not "
-            f"the corpus's {len(corpus)} sentence ids in order; rebuild it with index-build"
+            f"index does not match the corpus: it was built over other ids or texts "
+            f"({index.doc_count} documents; the corpus has {len(corpus)} sentences); "
+            f"rebuild it with index-build"
         )
     out_items = []
     for item in dataset.items:
@@ -282,7 +285,7 @@ def attach_premises(
             if not hits:
                 premises.append([])
                 continue
-            candidates = [corpus.get(h.sentence_id) for h in hits]
+            candidates = [corpus.at(h.pos) for h in hits]
             premises.append(rerank(candidates, " ".join(query.terms), rr_config))
         out_items.append(replace(item, premises=premises))
     return McqDataset(items=out_items, schema_tag=dataset.schema_tag)

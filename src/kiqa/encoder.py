@@ -317,8 +317,8 @@ def revision_train(
     rng = np.random.default_rng(config.seed)
     vocab = model.vocab
     sequences = [
-        vocab.encode([START, *encoder_tokens(s.text), SEP][: model.config.max_len])
-        for s in corpus.sentences
+        vocab.encode([START, *encoder_tokens(text), SEP][: model.config.max_len])
+        for text in corpus.texts
     ]
     pairs = _adjacent_pairs(corpus)
     nsp_params = {}
@@ -353,7 +353,7 @@ def revision_train(
 
 
 def _nsp_epoch(model, corpus, sequences, pairs, nsp_params, opt, rng, config):
-    n = len(corpus.sentences)
+    n = len(corpus)
     examples = []
     for a, b in pairs:
         examples.append((a, b, 1))

@@ -14,9 +14,23 @@ are broken by sentence id ascending.
 Postings live in one flat array of little-endian ``(pos <u4, tf <u4)``
 records sorted by (term, document position); ``postings[term]`` is a view
 of that term's block, so its length is the term's document frequency.
-The records are the bytes a KIIX v1 file stores for each term, so saving
-writes each block with one ``tobytes`` and loading reads all of them with
-one ``frombuffer``.
+A search hit carries the document's position, so a caller reads the
+corpus's columns by position and needs no id lookup.
+
+A KIIX v2 file is little-endian and columnar::
+
+    "KIIX"  version u32 (2)  k1 f64  b f64  corpus sha256 (32 bytes)
+    doc count u32   doc id column       doc lengths <u4[doc count]
+    term count u32  term column         dfs <u4[term count]
+    postings: sum(dfs) (pos, tf) records, term after term
+
+A string column is the ``<u4`` UTF-8 byte length of every string followed
+by the strings' concatenated UTF-8 bytes; terms are sorted.  Saving and
+loading thus take a few array calls per column.  The sha256 is the corpus's
+:attr:`~kiqa.corpus.KnowledgeCorpus.digest` over its id and text
+columns: an index pins the corpus it was built over, and attaching with
+any other corpus, even one with the same ids, is rejected.  Version 1
+files are rejected with a request to rebuild the index.
 """
 
 from __future__ import annotations
@@ -35,8 +49,9 @@ from .corpus import KnowledgeCorpus
 from .textnorm import word_tokens
 
 _MAGIC = b"KIIX"
-_VERSION = 1
+_VERSION = 2
 POSTING = np.dtype([("pos", "<u4"), ("tf", "<u4")])
+_U4 = np.dtype("<u4")
 
 
 class IndexFormatError(ValueError):
@@ -60,6 +75,7 @@ class SearchHit:
     sentence_id: str
     score: float
     rank: int  # 1-based
+    pos: int  # the document's position in the corpus and in ``doc_ids``
 
 
 @dataclass
@@ -68,6 +84,7 @@ class InvertedIndex:
     doc_ids: list[str]
     doc_lengths: np.ndarray  # int64, one token count per document
     postings: dict[str, np.ndarray]  # term -> block of POSTING records, by position
+    corpus_digest: bytes  # KnowledgeCorpus.digest of the corpus it was built over
     avg_doc_length: float = field(init=False)
     length_norm: np.ndarray = field(init=False, repr=False)  # k1*(1 - b + b*len/avg)
 
@@ -98,19 +115,17 @@ def _blocks(terms: list[str], counts: Sequence[int], records: np.ndarray) -> dic
 
 
 def build_index(corpus: KnowledgeCorpus, params: Bm25Params = Bm25Params()) -> InvertedIndex:
-    doc_ids = []
     doc_lengths = []
     term_ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new term gets the next id
     token_col: list[int] = []  # the term id of every token, sentence after sentence
-    for sent in corpus.sentences:
-        tokens = word_tokens(sent.text)
-        doc_ids.append(sent.id)
+    for text in corpus.texts:
+        tokens = word_tokens(text)
         doc_lengths.append(len(tokens))
         token_col += map(term_ids.__getitem__, tokens)
     terms = sorted(term_ids)
     rank = np.empty(len(terms), dtype=np.int64)
     rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
-    n = len(doc_ids)
+    n = len(corpus)
     doc_of = np.repeat(np.arange(n, dtype=np.int64), doc_lengths)
     # One key per token, ordered by (term, position); each distinct key is a
     # posting and its multiplicity the term frequency.
@@ -120,8 +135,8 @@ def build_index(corpus: KnowledgeCorpus, params: Bm25Params = Bm25Params()) -> I
     records["pos"] = keys % n
     records["tf"] = tf
     df = np.bincount(keys // n, minlength=len(terms))
-    return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
-                         postings=_blocks(terms, df, records))
+    return InvertedIndex(params=params, doc_ids=list(corpus.ids), doc_lengths=doc_lengths,
+                         postings=_blocks(terms, df, records), corpus_digest=corpus.digest)
 
 
 def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> list[SearchHit]:
@@ -150,37 +165,39 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
         kth = np.partition(vals, len(vals) - k)[len(vals) - k]
         keep = vals >= kth
         hit, vals = hit[keep], vals[keep]
-    ranked = sorted(
-        ((index.doc_ids[p], s) for p, s in zip(hit.tolist(), vals.tolist())),
-        key=lambda item: (-item[1], item[0]),
-    )
+    doc_ids = index.doc_ids
+    ranked = sorted(zip(hit.tolist(), vals.tolist()), key=lambda ps: (-ps[1], doc_ids[ps[0]]))
     return [
-        SearchHit(sentence_id=i, score=s, rank=r)
-        for r, (i, s) in enumerate(ranked[:k], start=1)
+        SearchHit(sentence_id=doc_ids[p], score=s, rank=r, pos=p)
+        for r, (p, s) in enumerate(ranked[:k], start=1)
     ]
 
 
 # ---------------------------------------------------------------------------
-# Binary serialization (little-endian, length-prefixed sections)
+# Binary serialization (KIIX v2, see the module docstring)
 # ---------------------------------------------------------------------------
 
+def _string_column(strings: Sequence[str]) -> bytes:
+    raw = [s.encode("utf-8", "surrogatepass") for s in strings]
+    return np.array(list(map(len, raw)), dtype=_U4).tobytes() + b"".join(raw)
+
+
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    out += struct.pack("<dd", index.params.k1, index.params.b)
-    out += struct.pack("<I", index.doc_count)
-    for doc_id, length in zip(index.doc_ids, index.doc_lengths.tolist()):
-        raw = doc_id.encode("utf-8")
-        out += struct.pack("<I", len(raw)) + raw + struct.pack("<I", length)
     terms = sorted(index.postings)
-    out += struct.pack("<I", len(terms))
-    for term in terms:
-        raw = term.encode("utf-8")
-        block = index.postings[term]
-        out += struct.pack("<I", len(raw)) + raw + struct.pack("<I", len(block))
-        out += block.tobytes()
-    Path(path).write_bytes(bytes(out))
+    blocks = [index.postings[t] for t in terms]
+    parts = [
+        _MAGIC,
+        struct.pack("<Idd", _VERSION, index.params.k1, index.params.b),
+        index.corpus_digest,
+        struct.pack("<I", index.doc_count),
+        _string_column(index.doc_ids),
+        index.doc_lengths.astype(_U4).tobytes(),
+        struct.pack("<I", len(terms)),
+        _string_column(terms),
+        np.array(list(map(len, blocks)), dtype=_U4).tobytes(),
+        *(block.tobytes() for block in blocks),
+    ]
+    Path(path).write_bytes(b"".join(parts))
 
 
 class _Reader:
@@ -199,11 +216,21 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+    def u32s(self, n: int) -> np.ndarray:
+        return np.frombuffer(self.take(n * _U4.itemsize), _U4)
 
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+    def strings(self, n: int) -> list[str]:
+        """A string column of ``n`` entries."""
+        ends = np.cumsum(self.u32s(n), dtype=np.int64).tolist()
+        blob = self.take(ends[-1] if ends else 0)
+        starts = [0, *ends[:-1]]
+        try:
+            text = blob.decode("utf-8", "surrogatepass")
+            if len(text) == len(blob):  # all ASCII: byte offsets are character offsets
+                return list(map(text.__getitem__, map(slice, starts, ends)))
+            return [blob[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(starts, ends)]
+        except UnicodeDecodeError:
+            raise IndexFormatError(f"{self.path}: a string column is not valid UTF-8") from None
 
 
 def load_index(path: str | Path) -> InvertedIndex:
@@ -217,37 +244,35 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise IndexFormatError(f"{path}: not an index file (bad magic)")
     version = r.u32()
     if version != _VERSION:
-        raise IndexFormatError(f"{path}: unsupported index version {version}")
+        raise IndexFormatError(
+            f"{path}: unsupported index version {version} (this version reads {_VERSION}); "
+            f"rebuild the index with index-build"
+        )
+    k1, b = struct.unpack("<dd", r.take(16))
     try:
-        params = Bm25Params(k1=r.f64(), b=r.f64())
+        params = Bm25Params(k1=k1, b=b)
     except ValueError as exc:
         raise IndexFormatError(f"{path}: {exc}") from None
+    corpus_digest = r.take(32)
     doc_count = r.u32()
-    doc_ids = []
-    doc_lengths = []
-    for _ in range(doc_count):
-        doc_ids.append(r.string())
-        doc_lengths.append(r.u32())
-    terms = []
-    counts = []
-    blocks = []  # each term's (pos, tf) records, as the file stores them
-    for _ in range(r.u32()):
-        terms.append(r.string())
-        counts.append(r.u32())
-        blocks.append(r.take(counts[-1] * POSTING.itemsize))
+    doc_ids = r.strings(doc_count)
+    doc_lengths = r.u32s(doc_count)
+    term_count = r.u32()
+    terms = r.strings(term_count)
+    counts = r.u32s(term_count)
+    records = np.frombuffer(r.take(int(counts.sum(dtype=np.int64)) * POSTING.itemsize), POSTING)
     if r.offset != len(data):
         raise IndexFormatError(f"{path}: trailing bytes after index data")
     if len(set(terms)) != len(terms):
         raise IndexFormatError(f"{path}: a term has more than one posting list")
-    records = np.frombuffer(b"".join(blocks), POSTING)
     _check_postings(records, counts, terms, doc_count, path)
-    postings = _blocks(terms, counts, records)
-    return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths, postings=postings)
+    return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
+                         postings=_blocks(terms, counts, records), corpus_digest=corpus_digest)
 
 
 def _check_postings(records, counts, terms, doc_count, path) -> None:
     """Every position is in range and ascends within its block; every tf >= 1."""
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = counts.astype(np.int64)
     starts = np.cumsum(counts) - counts
     pos = records["pos"].astype(np.int64)
     bad = (pos >= doc_count) | (records["tf"] < 1)

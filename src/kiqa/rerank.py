@@ -43,7 +43,11 @@ class EmbeddingTableError(ValueError):
 
 
 def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
-    """Text format: ``word v1 v2 ... vd`` per line, one fixed dimension."""
+    """Text format: ``word v1 v2 ... vd`` per line, one fixed dimension.
+
+    Components must be finite: one NaN would make every cosine with its
+    word NaN, and the re-rank would silently fall back to retrieval order.
+    """
     table: dict[str, tuple[float, ...]] = {}
     dim: int | None = None
     path = Path(path)
@@ -59,6 +63,8 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
                 raise EmbeddingTableError(f"{path}:{lineno}: bad vector component") from exc
             if not vec:
                 raise EmbeddingTableError(f"{path}:{lineno}: no vector components")
+            if not all(map(math.isfinite, vec)):
+                raise EmbeddingTableError(f"{path}:{lineno}: non-finite vector component")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:

@@ -225,5 +225,5 @@ def training_vocab(dataset: McqDataset, corpus: KnowledgeCorpus | None = None) -
         for plist in item.premises or []:
             texts.extend(p.text for p in plist)
     if corpus is not None:
-        texts.extend(s.text for s in corpus.sentences)
+        texts.extend(corpus.texts)
     return Vocab.from_texts(texts)

@@ -17,7 +17,7 @@ from kiqa.corpus import KnowledgeCorpus, load_jsonl, save_jsonl
 from kiqa.datasets import load_mcq, save_mcq_jsonl
 from kiqa.encoder import load_encoder, save_encoder
 from kiqa.fusion import load_model, save_model
-from kiqa.index import build_index, save_index
+from kiqa.index import build_index, load_index, save_index
 from kiqa.toytasks import make_planted_evidence_task, route_premises
 
 RAW_LINES = (
@@ -307,11 +307,14 @@ def one_error_line(capsys) -> str:
 
 @pytest.mark.parametrize("posting", [(99, 1), (0, 0)])
 def test_index_with_out_of_range_posting_exits_1(artifacts, tmp_path, capsys, posting):
-    # "sky" occurs in one sentence, so its block is one (pos, tf) record
-    # right after the term's length-prefixed name and its count of 1.
+    # KIIX v2 ends with the (pos, tf) records of every term, in sorted term
+    # order. "sky" occurs in one sentence, so its block is one record.
     data = (artifacts / "index.kiix").read_bytes()
-    head = struct.pack("<I", 3) + b"sky" + struct.pack("<I", 1)
-    at = data.index(head) + len(head)
+    postings = load_index(artifacts / "index.kiix").postings
+    terms = sorted(postings)
+    after = sum(len(postings[t]) for t in terms[terms.index("sky"):])
+    assert len(postings["sky"]) == 1
+    at = len(data) - after * 8
     bad = data[:at] + struct.pack("<II", *posting) + data[at + 8:]
     (tmp_path / "bad.idx").write_bytes(bad)
     rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
@@ -450,6 +453,72 @@ def test_sweep_m_with_index_of_reordered_corpus_exits_1(artifacts, tmp_path, cap
                "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
     assert rc == 1
     assert "does not match the corpus" in one_error_line(capsys)
+
+
+def _corpus_with_other_texts(artifacts, tmp_path):
+    """The artifacts' corpus with the same ids, in order, but one text changed."""
+    corpus = load_jsonl(artifacts / "corpus.jsonl")
+    texts = list(corpus.texts)
+    texts[1] = "the grass is blue here"
+    other = KnowledgeCorpus.from_columns(list(corpus.ids), texts, corpus.tags, corpus.titles)
+    save_jsonl(other, tmp_path / "other.jsonl")
+    return tmp_path / "other.jsonl"
+
+
+def test_attach_with_index_of_same_ids_other_texts_exits_1(artifacts, tmp_path, capsys):
+    other = _corpus_with_other_texts(artifacts, tmp_path)
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"), "--corpus", str(other),
+               "--index", str(artifacts / "index.kiix"), "--out", str(tmp_path / "a.jsonl")])
+    assert rc == 1
+    assert "does not match the corpus" in one_error_line(capsys)
+    assert not (tmp_path / "a.jsonl").exists()
+
+
+def test_sweep_m_with_index_of_same_ids_other_texts_exits_1(artifacts, tmp_path, capsys):
+    other = _corpus_with_other_texts(artifacts, tmp_path)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("m_values = [1, 2]\nretrain = false\n", encoding="utf-8")
+    rc = main(["sweep-m", "--model", str(artifacts / "model.bin"),
+               "--train", str(artifacts / "qs.jsonl"), "--eval", str(artifacts / "qs.jsonl"),
+               "--corpus", str(other), "--index", str(artifacts / "index.kiix"),
+               "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert "does not match the corpus" in one_error_line(capsys)
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("index-build", "[1, 2]"),
+        ("index-build", "7"),
+        ("index-build", '{"id": "s2", "text": 5}'),
+        ("index-build", '{"id": 5, "text": "five"}'),
+        ("revise", '{"paragraphs": [[0, 9]]}'),
+        ("revise", '{"paragraphs": [["x", 1]]}'),
+    ],
+)
+def test_malformed_prepared_corpus_exits_1_naming_the_line(tmp_path, capsys, command, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "s0", "text": "the sky"}\n{"id": "s1", "text": "the sea"}\n'
+                    + line + "\n", encoding="utf-8")
+    out = tmp_path / "out.bin"
+    rc = main([command, "--corpus", str(path), "--out", str(out)])
+    assert rc == 1
+    assert f"{path}:3:" in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+def test_attach_with_non_finite_embedding_exits_1(artifacts, tmp_path, capsys, component):
+    table = tmp_path / "emb.txt"
+    table.write_text(f"sky 0.5 1.0\nblue {component} 1.0\ngrass 1.0 0.0\n", encoding="utf-8")
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"), "--index", str(artifacts / "index.kiix"),
+               "--embeddings", str(table), "--out", str(tmp_path / "a.jsonl")])
+    assert rc == 1
+    assert f"{table}:2: non-finite" in one_error_line(capsys)
+    assert not (tmp_path / "a.jsonl").exists()
 
 
 def test_help_exits_0(capsys):

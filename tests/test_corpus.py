@@ -253,9 +253,7 @@ def test_load_plain_lines_round_trip(tmp_path):
     src.write_text("Water boils at 100 C.\nIce is frozen water.\n", encoding="utf-8")
     loaded = corpus.load_corpus(src, "plain-lines")
     assert [s.id for s in loaded] == ["00000000", "00000001"]
-    out = tmp_path / "out.txt"
-    corpus.save_plain_lines(loaded, out)
-    assert out.read_bytes() == src.read_bytes()
+    assert loaded.texts == ["Water boils at 100 C.", "Ice is frozen water."]
 
 
 def test_load_same_file_twice_is_identical(tmp_path):
@@ -352,7 +350,230 @@ def test_stats_and_lookup():
             corpus.KnowledgeSentence(id="b", text="Ice melts."),
         ]
     )
-    assert kc.sentence_count == 2
-    assert kc.token_count == 7  # water boils at 100 c | ice melts
+    assert len(kc) == 2
     assert kc.get("b").text == "Ice melts."
     assert "a" in kc and "z" not in kc
+
+
+# ---------------------------------------------------------------------------
+# Column store: fast loaders and saver against the per-line code they replaced
+# ---------------------------------------------------------------------------
+
+def oracle_save_jsonl(kc, path):
+    """One json.dumps per record, as the writer was before the column store."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for sent in kc.sentences:
+            rec = {"id": sent.id, "text": sent.text, "source": sent.source_tag, "title": sent.title}
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        if kc.paragraphs is not None:
+            fh.write(json.dumps({"paragraphs": kc.paragraphs}) + "\n")
+
+
+def oracle_load_jsonl(path):
+    """One json.loads and one KnowledgeSentence per record.
+
+    This is the loader from before the column store with one change: it
+    splits records at "\n", where the old one used str.splitlines, which
+    also splits at U+2028 and U+0085 inside a string value (see
+    test_line_separators_inside_a_text_round_trip).
+    """
+    sentences, paragraphs = [], None
+    for line in path.read_text(encoding="utf-8").split("\n"):
+        if not line.strip():
+            continue
+        rec = json.loads(line)
+        if "paragraphs" in rec and "id" not in rec:
+            paragraphs = [tuple(r) for r in rec["paragraphs"]]
+            continue
+        sentences.append(corpus.KnowledgeSentence(
+            id=rec["id"], text=rec["text"], source_tag=rec.get("source", "generic"),
+            title=rec.get("title"),
+        ))
+    return sentences, paragraphs
+
+
+def oracle_plain_lines(raw, tag="plain"):
+    return [
+        corpus.KnowledgeSentence(id=f"{i:08d}", text=" ".join(line.split()), source_tag=tag)
+        for i, line in enumerate(ln for ln in raw.splitlines() if ln.strip())
+    ]
+
+
+# quotes, backslashes, control characters, line separators, non-BMP
+_TRICKY = st.sampled_from(list('"\\\x00\x01\x08\t\n\r\x0b\x0c\x1c\x1f\x7f\x85\u2028\u2029é日\U0001f600\U0010ffff '))
+_CHARS = st.one_of(_TRICKY, st.characters(blacklist_categories=("Cs",)))
+_TEXT = st.text(_CHARS, min_size=1, max_size=12).filter(str.strip)
+
+
+@st.composite
+def corpora(draw):
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.text(_CHARS, max_size=6), min_size=n, max_size=n, unique=True))
+    sentences = [
+        corpus.KnowledgeSentence(
+            id=sid, text=draw(_TEXT), source_tag=draw(st.text(_CHARS, max_size=5)),
+            title=draw(st.none() | st.text(_CHARS, max_size=8)),
+        )
+        for sid in ids
+    ]
+    paragraphs = None
+    if draw(st.booleans()):
+        inner = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
+        cuts = sorted(draw(inner) | {0, n})
+        paragraphs = list(zip(cuts, cuts[1:]))
+    return corpus.KnowledgeCorpus(sentences, paragraphs=paragraphs)
+
+
+@given(corpora())
+@settings(max_examples=150, deadline=None)
+def test_save_and_load_jsonl_match_the_per_line_oracles(tmp_path_factory, kc):
+    d = tmp_path_factory.mktemp("jsonl")
+    fast, slow = d / "fast.jsonl", d / "slow.jsonl"
+    corpus.save_jsonl(kc, fast)
+    oracle_save_jsonl(kc, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    loaded = corpus.load_jsonl(fast)
+    assert (loaded.sentences, loaded.paragraphs) == oracle_load_jsonl(fast)
+    assert loaded.sentences == kc.sentences and loaded.paragraphs == kc.paragraphs
+
+
+@st.composite
+def hand_written_jsonl(draw):
+    """Records with and without source and title, any escaping, blank lines."""
+    lines = []
+    for n in range(draw(st.integers(1, 5))):
+        rec = {"id": f"s{n}", "text": draw(_TEXT)}
+        if draw(st.booleans()):
+            rec["source"] = draw(st.text(_CHARS, max_size=5))
+        if draw(st.booleans()):
+            rec["title"] = draw(st.none() | st.text(_CHARS, max_size=8))
+        lines.append(json.dumps(rec, ensure_ascii=draw(st.booleans())))
+        lines += [""] * draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        lines.append(json.dumps({"paragraphs": [[0, 1]]}))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@given(hand_written_jsonl())
+@settings(max_examples=150, deadline=None)
+def test_load_jsonl_matches_the_oracle_on_hand_written_records(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("hand") / "c.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    loaded = corpus.load_jsonl(path)
+    assert (loaded.sentences, loaded.paragraphs) == oracle_load_jsonl(path)
+
+
+_LINE = st.text(st.one_of(_TRICKY, st.sampled_from(list("ab \t")), st.characters(
+    blacklist_categories=("Cs",))), max_size=10)
+
+
+@given(st.lists(_LINE, min_size=1, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=150, deadline=None)
+def test_plain_lines_loader_matches_the_oracle(tmp_path_factory, lines, sep):
+    path = tmp_path_factory.mktemp("plain") / "kb.txt"
+    path.write_bytes(sep.join(lines).encode("utf-8"))
+    expected = oracle_plain_lines(path.read_text(encoding="utf-8"), tag="t")
+    if not expected:
+        with pytest.raises(corpus.CorpusError, match="empty corpus"):
+            corpus.load_corpus(path, "plain-lines", source_tag="t")
+        return
+    assert corpus.load_corpus(path, "plain-lines", source_tag="t").sentences == expected
+
+
+def test_line_separators_inside_a_text_round_trip(tmp_path):
+    kc = corpus.KnowledgeCorpus([
+        corpus.KnowledgeSentence(id="a", text="one\u2028two"),
+        corpus.KnowledgeSentence(id="b", text="three\x85four", title="t\u2029"),
+    ])
+    corpus.save_jsonl(kc, tmp_path / "c.jsonl")
+    assert corpus.load_jsonl(tmp_path / "c.jsonl").sentences == kc.sentences
+
+
+def test_columns_make_no_sentence_objects(tmp_path, monkeypatch):
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return corpus.KnowledgeSentence.__wrapped__(*args, **kwargs)
+
+    from kiqa.index import build_index
+
+    src = tmp_path / "kb.txt"
+    src.write_text("Water boils.\n\nIce melts.\n", encoding="utf-8")
+    monkeypatch.setattr(counting, "__wrapped__", corpus.KnowledgeSentence, raising=False)
+    monkeypatch.setattr(corpus, "KnowledgeSentence", counting)
+    kc = corpus.load_corpus(src, "plain-lines")
+    corpus.save_jsonl(kc, tmp_path / "c.jsonl")
+    again = corpus.load_jsonl(tmp_path / "c.jsonl")
+    build_index(again)
+    assert made == [] and again.texts == ["Water boils.", "Ice melts."]
+    assert again.get("00000001").text == "Ice melts." and len(made) == 1
+
+
+def test_digest_pins_ids_and_texts_only():
+    def kc(pairs, tag="x", title=None):
+        return corpus.KnowledgeCorpus(
+            [corpus.KnowledgeSentence(id=i, text=t, source_tag=tag, title=title) for i, t in pairs]
+        )
+
+    base = kc([("a", "b c"), ("d", "e")])
+    assert base.digest == kc([("a", "b c"), ("d", "e")], tag="y", title="T").digest
+    assert len(base.digest) == 32
+    for other in (
+        kc([("a", "b c"), ("d", "f")]),   # another text
+        kc([("a", "b c"), ("x", "e")]),   # another id
+        kc([("d", "e"), ("a", "b c")]),   # another order
+        kc([("a", "b"), ("c d", "e")]),   # the same characters, other boundaries
+        kc([("a", "b c")]),
+    ):
+        assert other.digest != base.digest
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "JSON object"),
+        ("7", "JSON object"),
+        ('{"id": "z", "text": 5}', "must be strings"),
+        ('{"id": 5, "text": "t"}', "must be strings"),
+        ('{"id": "z", "text": "t", "source": null}', "must be strings"),
+        ('{"id": "z", "text": "t", "title": 3}', "title"),
+        ('{"text": "t"}', "missing field 'id'"),
+        ('{"id": "z"}', "missing field 'text'"),
+        ('{"paragraphs": [[0, 9]]}', "paragraphs"),
+        ('{"paragraphs": [["x", 1]]}', "paragraphs"),
+        ('{"paragraphs": [[1, 1]]}', "paragraphs"),
+        ('{"paragraphs": [[0, true]]}', "paragraphs"),
+        ('{"paragraphs": 3}', "paragraphs"),
+        ("{not json}", "invalid JSON"),
+        ("[" * 100_000, "invalid JSON"),
+    ],
+)
+def test_malformed_prepared_record_names_its_line(tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "text": "A b."}\n{"id": "b", "text": "C d."}\n' + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(corpus.CorpusError, match=f"bad.jsonl:3: .*{message}"):
+        corpus.load_jsonl(path)
+
+
+def test_second_paragraphs_record_rejected(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "text": "A b."}\n{"paragraphs": [[0, 1]]}\n'
+                    '{"paragraphs": [[0, 1]]}\n', encoding="utf-8")
+    with pytest.raises(corpus.CorpusError, match=r":3: second paragraphs"):
+        corpus.load_jsonl(path)
+
+
+def test_prepared_corpus_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"id": "a", "text": "\xff"}\n')
+    with pytest.raises(corpus.CorpusError, match="UTF-8"):
+        corpus.load_jsonl(path)
+
+
+def test_duplicate_id_in_prepared_corpus_names_the_file(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    path.write_text('{"id": "a", "text": "A b."}\n{"id": "a", "text": "C d."}\n', encoding="utf-8")
+    with pytest.raises(corpus.CorpusError, match="dup.jsonl: duplicate sentence id 'a'"):
+        corpus.load_jsonl(path)

@@ -187,10 +187,13 @@ def test_top_k_cuts_tie_groups_like_brute_force(docs, copies, query, data):
     corpus = KnowledgeCorpus(
         [KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in zip(ids, docs)]
     )
-    hits = search(build_index(corpus), query, k=k)
+    index = build_index(corpus)
+    hits = search(index, query, k=k)
     expected = bm25_brute_force([(s.id, s.text) for s in corpus], query)[:k]
     assert [(h.sentence_id, h.score) for h in hits] == expected
     assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
+    assert [h.pos for h in hits] == [index.doc_ids.index(h.sentence_id) for h in hits]
+    assert all(corpus.texts[h.pos] == corpus.get(h.sentence_id).text for h in hits)
 
 
 # --- serialization -----------------------------------------------------------
@@ -201,6 +204,7 @@ def test_save_load_round_trip(tmp_path):
     save_index(idx, path)
     loaded = load_index(path)
     assert loaded.params == idx.params
+    assert loaded.corpus_digest == idx.corpus_digest
     assert loaded.doc_ids == idx.doc_ids
     assert np.array_equal(loaded.doc_lengths, idx.doc_lengths)
     assert list(loaded.postings) == list(idx.postings)
@@ -220,25 +224,36 @@ def test_save_load_save_reproduces_the_file(tmp_path, texts):
     assert second.read_bytes() == first.read_bytes()
 
 
-def _string(text):
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+def _column(strings):
+    raw = [s.encode("utf-8") for s in strings]
+    return struct.pack(f"<{len(raw)}I", *map(len, raw)) + b"".join(raw)
 
 
-def test_hand_packed_v1_file_loads(tmp_path):
-    # KIIX v1 laid out field by field: magic, version, k1, b, the documents
-    # (id, length), then the terms in sorted order with their (pos, tf) pairs.
-    data = b"KIIX" + struct.pack("<Idd", 1, 1.2, 0.75)
-    data += struct.pack("<I", 2)
-    data += _string("d0") + struct.pack("<I", 3)
-    data += _string("d1") + struct.pack("<I", 2)
-    data += struct.pack("<I", 2)
-    data += _string("cat") + struct.pack("<I", 2) + struct.pack("<IIII", 0, 2, 1, 1)
-    data += _string("sat") + struct.pack("<I", 1) + struct.pack("<II", 0, 1)
+def pack_v2(docs, terms, k1=1.2, b=0.75, digest=bytes(range(32))):
+    """KIIX v2 laid out field by field.
+
+    ``docs`` lists (id, length) pairs and ``terms`` (term, [(pos, tf), ...])
+    pairs, both in file order: magic, version, k1, b, the corpus digest,
+    the id column and the lengths, the term column and the dfs, then the
+    postings term after term.
+    """
+    data = b"KIIX" + struct.pack("<Idd", 2, k1, b) + digest
+    data += struct.pack("<I", len(docs)) + _column([d for d, _ in docs])
+    data += struct.pack(f"<{len(docs)}I", *(n for _, n in docs))
+    data += struct.pack("<I", len(terms)) + _column([t for t, _ in terms])
+    data += struct.pack(f"<{len(terms)}I", *(len(p) for _, p in terms))
+    data += b"".join(struct.pack("<II", *rec) for _, p in terms for rec in p)
+    return data
+
+
+def test_hand_packed_v2_file_loads(tmp_path):
+    data = pack_v2([("d0", 3), ("d1", 2)],
+                   [("cat", [(0, 2), (1, 1)]), ("sat", [(0, 1)])])
     path = tmp_path / "hand.idx"
     path.write_bytes(data)
     idx = load_index(path)
     assert idx.params == Bm25Params(k1=1.2, b=0.75)
+    assert idx.corpus_digest == bytes(range(32))
     assert idx.doc_ids == ["d0", "d1"]
     assert idx.doc_lengths.tolist() == [3, 2]
     assert idx.postings["cat"].tolist() == [(0, 2), (1, 1)]
@@ -247,6 +262,39 @@ def test_hand_packed_v1_file_loads(tmp_path):
     save_index(idx, tmp_path / "again.idx")
     assert (tmp_path / "again.idx").read_bytes() == data
     assert [h.sentence_id for h in search(idx, ["cat"], k=5)] == ["d0", "d1"]
+
+
+def test_non_ascii_ids_and_terms_round_trip(tmp_path):
+    corpus = KnowledgeCorpus([KnowledgeSentence(id="é-0", text="ß straße 日本"),
+                              KnowledgeSentence(id="😀", text="straße plain")])
+    idx = build_index(corpus)
+    save_index(idx, tmp_path / "a.idx")
+    loaded = load_index(tmp_path / "a.idx")
+    assert loaded.doc_ids == ["é-0", "😀"]
+    assert sorted(loaded.postings) == sorted(idx.postings)
+    assert loaded.corpus_digest == corpus.digest
+    save_index(loaded, tmp_path / "b.idx")
+    assert (tmp_path / "b.idx").read_bytes() == (tmp_path / "a.idx").read_bytes()
+
+
+def test_v1_file_rejected_with_rebuild_hint(tmp_path):
+    # The previous layout: a header without the corpus digest, then each
+    # document's length-prefixed id and length, each term with its postings.
+    data = b"KIIX" + struct.pack("<IddI", 1, 1.2, 0.75, 1)
+    data += struct.pack("<I", 2) + b"d0" + struct.pack("<I", 1)
+    data += struct.pack("<I", 1) + struct.pack("<I", 3) + b"cat" + struct.pack("<III", 1, 0, 1)
+    path = tmp_path / "v1.idx"
+    path.write_bytes(data)
+    with pytest.raises(IndexFormatError, match="version 1.*rebuild the index with index-build"):
+        load_index(path)
+
+
+def test_string_column_that_is_not_utf8_rejected(tmp_path):
+    data = pack_v2([("d0", 1)], [("cat", [(0, 1)])])
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data.replace(b"cat", b"c\xffa"))
+    with pytest.raises(IndexFormatError, match="UTF-8"):
+        load_index(path)
 
 
 @pytest.mark.parametrize(
@@ -259,11 +307,7 @@ def test_hand_packed_v1_file_loads(tmp_path):
     ],
 )
 def test_bad_posting_rejected(tmp_path, cat_postings):
-    data = b"KIIX" + struct.pack("<IddI", 1, 1.2, 0.75, 2)
-    data += _string("d0") + struct.pack("<I", 3) + _string("d1") + struct.pack("<I", 2)
-    data += struct.pack("<I", 2) + _string("a") + struct.pack("<III", 1, 0, 1)
-    data += _string("cat") + struct.pack("<I", len(cat_postings))
-    data += b"".join(struct.pack("<II", *p) for p in cat_postings)
+    data = pack_v2([("d0", 3), ("d1", 2)], [("a", [(0, 1)]), ("cat", cat_postings)])
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     with pytest.raises(IndexFormatError, match="'cat'"):
@@ -271,9 +315,7 @@ def test_bad_posting_rejected(tmp_path, cat_postings):
 
 
 def test_repeated_term_rejected(tmp_path):
-    data = b"KIIX" + struct.pack("<IddI", 1, 1.2, 0.75, 1) + _string("d0") + struct.pack("<I", 1)
-    data += struct.pack("<I", 2)
-    data += (_string("cat") + struct.pack("<III", 1, 0, 1)) * 2
+    data = pack_v2([("d0", 1)], [("cat", [(0, 1)]), ("cat", [(0, 1)])])
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     with pytest.raises(IndexFormatError, match="more than one"):
@@ -287,7 +329,7 @@ def test_params_outside_the_bm25_range_rejected(tmp_path, k1, b):
     with pytest.raises(ValueError, match="k1 >= 0"):
         Bm25Params(k1=k1, b=b)
     path = tmp_path / "bad.idx"
-    path.write_bytes(b"KIIX" + struct.pack("<IddII", 1, k1, b, 0, 0))
+    path.write_bytes(pack_v2([], [], k1=k1, b=b))
     with pytest.raises(IndexFormatError, match="k1 >= 0"):
         load_index(path)
 
