@@ -64,9 +64,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accumulate(self, grad: np.ndarray) -> None:
         # The first gradient is kept as it is, without a copy.  That array
         # may also be another node's gradient (add hands one array to both

@@ -388,9 +388,9 @@ def _parse_jsonl(raw: str, path: Path, required: tuple[str, ...]) -> list[tuple[
         if not line.strip():
             continue
         rec = _loads(line, path, lineno)
-        if not isinstance(rec, dict) or any(k not in rec for k in required):
+        if not isinstance(rec, dict) or any(not isinstance(rec.get(k), str) for k in required):
             raise CorpusError(
-                f"{path}:{lineno}: record must have fields {', '.join(required)}"
+                f"{path}:{lineno}: record must have string fields {', '.join(required)}"
             )
         records.append((rec, lineno))
     return records

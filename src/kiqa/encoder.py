@@ -16,7 +16,6 @@ accumulation is not.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -24,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
+from . import binfmt
 from .autodiff import SGD, Tensor, cross_entropy, no_grad
 from .corpus import KnowledgeCorpus
 
@@ -31,12 +31,13 @@ PAD, START, SEP, MASK, UNK = "<pad>", "<s>", "<sep>", "<mask>", "<unk>"
 SPECIAL_TOKENS = (PAD, START, SEP, MASK, UNK)
 
 _NEG_INF = -1e30
-_MAGIC = b"KENC"
-_VERSION = 1
 
 
 class CheckpointError(ValueError):
     pass
+
+
+KENC = binfmt.Kind(b"KENC", 2, "encoder", "revise", CheckpointError)
 
 
 class DivergenceError(ValueError):
@@ -385,88 +386,38 @@ def _nsp_epoch(model, corpus, sequences, pairs, nsp_params, opt, rng, config):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def encoder_to_bytes(model: EncoderModel) -> bytes:
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    out += struct.pack("<IIdd", model.config.d, model.config.max_len,
-                       model.config.ln_eps, model.config.init_scale)
-    out += struct.pack("<I", len(model.vocab))
-    for token in model.vocab.tokens:
-        raw = token.encode("utf-8")
-        out += struct.pack("<I", len(raw)) + raw
-    out += struct.pack("<I", len(model.params))
-    for name in sorted(model.params):
-        raw = name.encode("utf-8")
-        data = model.params[name].data
-        out += struct.pack("<I", len(raw)) + raw
-        out += struct.pack("<I", data.ndim)
-        out += struct.pack(f"<{data.ndim}I", *data.shape)
-        out += np.ascontiguousarray(data, dtype="<f8").tobytes()
-    return bytes(out)
+def write_encoder(w: binfmt.Writer, model: EncoderModel) -> None:
+    """The encoder's fields: config, vocabulary, parameters."""
+    config = model.config
+    w.u32(config.d)
+    w.u32(config.max_len)
+    w.f64(config.ln_eps)
+    w.f64(config.init_scale)
+    w.strings(model.vocab.tokens)
+    w.tensors({name: t.data for name, t in model.params.items()})
+
+
+def read_encoder(r: binfmt.Reader) -> EncoderModel:
+    """The fields :func:`write_encoder` wrote, with every shape and value checked."""
+    d, max_len, ln_eps, init_scale = r.u32(), r.u32(), r.f64(), r.f64()
+    tokens = r.strings()
+    try:
+        config = EncoderConfig(d=d, max_len=max_len, ln_eps=ln_eps, init_scale=init_scale)
+        vocab = Vocab(tokens)
+    except ValueError as exc:
+        raise r.error(str(exc)) from None
+    params = r.tensors(EncoderModel.param_shapes(vocab, config), "parameter")
+    return EncoderModel(vocab, config, {k: Tensor(v, requires_grad=True) for k, v in params.items()})
 
 
 def save_encoder(model: EncoderModel, path: str | Path) -> None:
-    Path(path).write_bytes(encoder_to_bytes(model))
-
-
-def encoder_from_bytes(data: bytes, source: str = "<bytes>") -> EncoderModel:
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise CheckpointError(f"{source}: truncated checkpoint")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    if take(4) != _MAGIC:
-        raise CheckpointError(f"{source}: not an encoder checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise CheckpointError(f"{source}: unsupported checkpoint version {version}")
-    d, max_len, ln_eps, init_scale = struct.unpack("<IIdd", take(24))
-    try:
-        config = EncoderConfig(d=d, max_len=max_len, ln_eps=ln_eps, init_scale=init_scale)
-    except ValueError as exc:
-        raise CheckpointError(f"{source}: {exc}") from exc
-    (n_tokens,) = struct.unpack("<I", take(4))
-    tokens = []
-    for _ in range(n_tokens):
-        (ln,) = struct.unpack("<I", take(4))
-        tokens.append(take(ln).decode("utf-8"))
-    vocab = Vocab(tokens)
-    (n_params,) = struct.unpack("<I", take(4))
-    params = {}
-    for _ in range(n_params):
-        (ln,) = struct.unpack("<I", take(4))
-        name = take(ln).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-        params[name] = Tensor(arr, requires_grad=True)
-    if off != len(data):
-        raise CheckpointError(f"{source}: trailing bytes after checkpoint data")
-    if set(params) != set(EncoderModel.PARAM_SHAPES):
-        raise CheckpointError(f"{source}: unexpected parameter set")
-    for name, shape in EncoderModel.param_shapes(vocab, config).items():
-        if params[name].data.shape != shape:
-            raise CheckpointError(
-                f"{source}: parameter {name} has shape {params[name].data.shape}, "
-                f"expected {shape}"
-            )
-    for name, param in params.items():
-        if not np.isfinite(param.data).all():
-            raise CheckpointError(f"{source}: parameter {name} holds a NaN or inf")
-    return EncoderModel(vocab, config, params)
+    w = binfmt.Writer()
+    write_encoder(w, model)
+    binfmt.save(path, KENC, w)
 
 
 def load_encoder(path: str | Path) -> EncoderModel:
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    return encoder_from_bytes(data, source=str(path))
+    r = binfmt.load(path, KENC)
+    model = read_encoder(r)
+    r.done()
+    return model

@@ -25,13 +25,13 @@ share this path.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import binfmt
 from .autodiff import SGD, Tensor, cross_entropy, no_grad
 from .datasets import McqDataset, McqItem
 from .encoder import (
@@ -39,10 +39,10 @@ from .encoder import (
     EncoderModel,
     TrainConfig,
     build_sequence,
-    encoder_from_bytes,
-    encoder_to_bytes,
     pad_batch,
+    read_encoder,
     require_finite,
+    write_encoder,
 )
 from .external import ExternalVectorStore
 
@@ -53,6 +53,9 @@ _NEG_INF = -1e30  # added to padded passage slots; its exponential is exactly 0.
 
 class FusionError(ValueError):
     pass
+
+
+KFUS = binfmt.Kind(b"KFUS", 2, "model", "train", CheckpointError)
 
 
 @dataclass(frozen=True)
@@ -345,98 +348,35 @@ def save_predictions(model: FusionModel, dataset: McqDataset, path: str | Path) 
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"KFUS"
-_VERSION = 1
-
-
 def save_model(model: FusionModel, path: str | Path) -> None:
-    """Write head kind, head parameters, and the embedded encoder.
+    """Write head kind, tied flag, the encoder's fields, then the head parameters.
 
     Store-backed models cannot be checkpointed: the vectors live in their
     own interchange file and the head would be meaningless without them.
     """
     if isinstance(model.encoder, ExternalVectorStore):
         raise FusionError("cannot checkpoint a model backed by an external vector store")
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    raw_head = model.head.encode("utf-8")
-    out += struct.pack("<I", len(raw_head)) + raw_head
-    out += struct.pack("<I", int(model.tied))
-    params = model.parameters()
-    out += struct.pack("<I", len(params))
-    for name in sorted(params):
-        raw = name.encode("utf-8")
-        data = params[name].data
-        out += struct.pack("<I", len(raw)) + raw
-        out += struct.pack("<I", data.ndim)
-        out += struct.pack(f"<{data.ndim}I", *data.shape)
-        out += np.ascontiguousarray(data, dtype="<f8").tobytes()
-    blob = encoder_to_bytes(model.encoder)
-    out += struct.pack("<I", len(blob)) + blob
-    Path(path).write_bytes(bytes(out))
+    w = binfmt.Writer()
+    w.strings([model.head])
+    w.u32(int(model.tied))
+    write_encoder(w, model.encoder)
+    w.tensors({name: t.data for name, t in model.parameters().items()})
+    binfmt.save(path, KFUS, w)
 
 
 def load_model(path: str | Path) -> FusionModel:
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(data):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    if take(4) != _MAGIC:
-        raise CheckpointError(f"{path}: not a fusion-model checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
-    if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (head_len,) = struct.unpack("<I", take(4))
-    head = take(head_len).decode("utf-8")
+    r = binfmt.load(path, KFUS)
+    heads = r.strings()
+    head = heads[0] if len(heads) == 1 else heads
     if head not in HEADS:
-        raise CheckpointError(f"{path}: unknown head kind {head!r}")
-    (tied,) = struct.unpack("<I", take(4))
-    (n_params,) = struct.unpack("<I", take(4))
-    params = {}
-    for _ in range(n_params):
-        (ln,) = struct.unpack("<I", take(4))
-        name = take(ln).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-        params[name] = Tensor(arr, requires_grad=True)
-    (blob_len,) = struct.unpack("<I", take(4))
-    encoder = encoder_from_bytes(take(blob_len), source=f"{path} (embedded encoder)")
-    if off != len(data):
-        raise CheckpointError(f"{path}: trailing bytes after checkpoint data")
-
-    expected = {"score_w", "score_b"}
-    if head == "weighted-sum" and not tied:
-        expected |= {"weight_w", "weight_b"}
-    if set(params) != expected:
-        raise CheckpointError(f"{path}: unexpected head parameter set {sorted(params)}")
-    d = encoder.config.d
-    for name, tensor in params.items():
-        want = (d, 1) if name.endswith("_w") else (1,)
-        if tensor.data.shape != want:
-            raise CheckpointError(
-                f"{path}: head parameter {name} has shape {tensor.data.shape}, expected {want}"
-            )
-        if not np.isfinite(tensor.data).all():
-            raise CheckpointError(f"{path}: head parameter {name} holds a NaN or inf")
-    score_w, score_b = params["score_w"], params["score_b"]
-    weight_w = weight_b = None
-    if head == "weighted-sum":
-        if tied:
-            weight_w, weight_b = score_w, score_b
-        else:
-            weight_w, weight_b = params["weight_w"], params["weight_b"]
-    return FusionModel(encoder, head, score_w, score_b, weight_w, weight_b, tied=bool(tied))
+        raise r.error(f"unknown head kind {head!r}")
+    tied = r.u32()
+    if tied > (head == "weighted-sum"):
+        raise r.error(f"tied flag {tied} for a {head} head (only weighted-sum may be tied, with 1)")
+    # a fresh model of the stored kind names the head parameters and their shapes
+    model = FusionModel.init(read_encoder(r), head, tied=bool(tied))
+    params = model.parameters()
+    for name, data in r.tensors({n: t.shape for n, t in params.items()}, "head parameter").items():
+        params[name].data = data
+    r.done()
+    return model

@@ -17,26 +17,24 @@ of that term's block, so its length is the term's document frequency.
 A search hit carries the document's position, so a caller reads the
 corpus's columns by position and needs no id lookup.
 
-A KIIX v2 file is little-endian and columnar::
+An index file is a :mod:`kiqa.binfmt` frame, magic ``KIIX``, version 3,
+whose payload is columnar::
 
-    "KIIX"  version u32 (2)  k1 f64  b f64  corpus sha256 (32 bytes)
-    doc count u32   doc id column       doc lengths <u4[doc count]
-    term count u32  term column         dfs <u4[term count]
+    k1 f64  b f64  corpus sha256 u1[32]
+    doc id strings    doc lengths <u4[doc count]
+    term strings      dfs <u4[term count]
     postings: sum(dfs) (pos, tf) records, term after term
 
-A string column is the ``<u4`` UTF-8 byte length of every string followed
-by the strings' concatenated UTF-8 bytes; terms are sorted.  Saving and
-loading thus take a few array calls per column.  The sha256 is the corpus's
-:attr:`~kiqa.corpus.KnowledgeCorpus.digest` over its id and text
-columns: an index pins the corpus it was built over, and attaching with
-any other corpus, even one with the same ids, is rejected.  Version 1
-files are rejected with a request to rebuild the index.
+Terms are sorted, so saving and loading take a few array calls per column.
+The sha256 is the corpus's :attr:`~kiqa.corpus.KnowledgeCorpus.digest`
+over its id and text columns: an index pins the corpus it was built over,
+and attaching with any other corpus, even one with the same ids, is
+rejected.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import count
@@ -45,17 +43,19 @@ from typing import Sequence
 
 import numpy as np
 
+from . import binfmt
 from .corpus import KnowledgeCorpus
 from .textnorm import word_tokens
 
-_MAGIC = b"KIIX"
-_VERSION = 2
 POSTING = np.dtype([("pos", "<u4"), ("tf", "<u4")])
 _U4 = np.dtype("<u4")
 
 
 class IndexFormatError(ValueError):
     """Raised when an index file is unreadable or malformed."""
+
+
+KIIX = binfmt.Kind(b"KIIX", 3, "index", "index-build", IndexFormatError)
 
 
 @dataclass(frozen=True)
@@ -174,103 +174,46 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
 
 
 # ---------------------------------------------------------------------------
-# Binary serialization (KIIX v2, see the module docstring)
+# Binary serialization (the KIIX v3 payload, see the module docstring)
 # ---------------------------------------------------------------------------
-
-def _string_column(strings: Sequence[str]) -> bytes:
-    raw = [s.encode("utf-8", "surrogatepass") for s in strings]
-    return np.array(list(map(len, raw)), dtype=_U4).tobytes() + b"".join(raw)
-
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     terms = sorted(index.postings)
     blocks = [index.postings[t] for t in terms]
-    parts = [
-        _MAGIC,
-        struct.pack("<Idd", _VERSION, index.params.k1, index.params.b),
-        index.corpus_digest,
-        struct.pack("<I", index.doc_count),
-        _string_column(index.doc_ids),
-        index.doc_lengths.astype(_U4).tobytes(),
-        struct.pack("<I", len(terms)),
-        _string_column(terms),
-        np.array(list(map(len, blocks)), dtype=_U4).tobytes(),
-        *(block.tobytes() for block in blocks),
-    ]
-    Path(path).write_bytes(b"".join(parts))
-
-
-class _Reader:
-    def __init__(self, data: bytes, path: Path):
-        self.data = data
-        self.offset = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise IndexFormatError(f"{self.path}: truncated index file")
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u32s(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(n * _U4.itemsize), _U4)
-
-    def strings(self, n: int) -> list[str]:
-        """A string column of ``n`` entries."""
-        ends = np.cumsum(self.u32s(n), dtype=np.int64).tolist()
-        blob = self.take(ends[-1] if ends else 0)
-        starts = [0, *ends[:-1]]
-        try:
-            text = blob.decode("utf-8", "surrogatepass")
-            if len(text) == len(blob):  # all ASCII: byte offsets are character offsets
-                return list(map(text.__getitem__, map(slice, starts, ends)))
-            return [blob[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(starts, ends)]
-        except UnicodeDecodeError:
-            raise IndexFormatError(f"{self.path}: a string column is not valid UTF-8") from None
+    w = binfmt.Writer()
+    w.f64(index.params.k1)
+    w.f64(index.params.b)
+    w.array(np.frombuffer(index.corpus_digest, np.uint8), np.uint8)
+    w.strings(index.doc_ids)
+    w.array(index.doc_lengths, _U4)
+    w.strings(terms)
+    w.array(list(map(len, blocks)), _U4)
+    for block in blocks:
+        w.array(block, POSTING)
+    binfmt.save(path, KIIX, w)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    path = Path(path)
+    r = binfmt.load(path, KIIX)
     try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise IndexFormatError(f"cannot read {path}: {exc}") from exc
-    r = _Reader(data, path)
-    if r.take(4) != _MAGIC:
-        raise IndexFormatError(f"{path}: not an index file (bad magic)")
-    version = r.u32()
-    if version != _VERSION:
-        raise IndexFormatError(
-            f"{path}: unsupported index version {version} (this version reads {_VERSION}); "
-            f"rebuild the index with index-build"
-        )
-    k1, b = struct.unpack("<dd", r.take(16))
-    try:
-        params = Bm25Params(k1=k1, b=b)
+        params = Bm25Params(k1=r.f64(), b=r.f64())
     except ValueError as exc:
-        raise IndexFormatError(f"{path}: {exc}") from None
-    corpus_digest = r.take(32)
-    doc_count = r.u32()
-    doc_ids = r.strings(doc_count)
-    doc_lengths = r.u32s(doc_count)
-    term_count = r.u32()
-    terms = r.strings(term_count)
-    counts = r.u32s(term_count)
-    records = np.frombuffer(r.take(int(counts.sum(dtype=np.int64)) * POSTING.itemsize), POSTING)
-    if r.offset != len(data):
-        raise IndexFormatError(f"{path}: trailing bytes after index data")
+        raise r.error(str(exc)) from None
+    corpus_digest = r.array(np.uint8, 32).tobytes()
+    doc_ids = r.strings()
+    doc_lengths = r.array(_U4, len(doc_ids))
+    terms = r.strings()
+    counts = r.array(_U4, len(terms))
+    records = r.array(POSTING, int(counts.sum(dtype=np.int64)))
+    r.done()
     if len(set(terms)) != len(terms):
-        raise IndexFormatError(f"{path}: a term has more than one posting list")
-    _check_postings(records, counts, terms, doc_count, path)
+        raise r.error("a term has more than one posting list")
+    _check_postings(records, counts, terms, len(doc_ids), r)
     return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
                          postings=_blocks(terms, counts, records), corpus_digest=corpus_digest)
 
 
-def _check_postings(records, counts, terms, doc_count, path) -> None:
+def _check_postings(records, counts, terms, doc_count, r: binfmt.Reader) -> None:
     """Every position is in range and ascends within its block; every tf >= 1."""
     counts = counts.astype(np.int64)
     starts = np.cumsum(counts) - counts
@@ -282,7 +225,7 @@ def _check_postings(records, counts, terms, doc_count, path) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         term = terms[int(np.searchsorted(starts, i, side="right")) - 1]
-        raise IndexFormatError(
-            f"{path}: posting ({records['pos'][i]}, {records['tf'][i]}) of term {term!r} "
+        raise r.error(
+            f"posting ({records['pos'][i]}, {records['tf'][i]}) of term {term!r} "
             f"is out of range or out of order for {doc_count} documents"
         )

@@ -17,6 +17,7 @@ import string
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 from test_fusion import store_model
 from test_index import bm25_brute_force
@@ -127,6 +128,7 @@ def test_criterion_2_rerank_matches_oracle():
 # 3. Analytic gradients match central finite differences
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_gradient_checks():
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
     vocab = Vocab.from_texts([" ".join(words)])
@@ -295,6 +297,7 @@ def _masked_eval_loss(model, corpus, mask_seed=0, mask_prob=0.15):
     return mlm_batch_loss(model, ids, mask).item()
 
 
+@pytest.mark.slow
 def test_criterion_7_revision():
     # (a) pretraining halves the masked-token loss on a 100-sentence KB
     kb, _ = make_planted_evidence_task(n_items=50, seed=1)

@@ -271,13 +271,6 @@ def test_constants_are_not_tracked():
     assert x.grad is None
 
 
-def test_detach_cuts_the_graph():
-    x = Tensor(np.array([3.0]), requires_grad=True)
-    y = (x.detach() * x).sum()  # only the tracked use contributes
-    y.backward()
-    assert x.grad[0] == pytest.approx(3.0)
-
-
 # --- optimizer ----------------------------------------------------------------------
 
 def test_sgd_momentum_hand_computed():

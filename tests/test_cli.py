@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line pipeline driver."""
 
+import contextlib
+import io
 import json
 import os
 import struct
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kiqa
 from kiqa.autodiff import Tensor
@@ -19,6 +23,8 @@ from kiqa.encoder import load_encoder, save_encoder
 from kiqa.fusion import load_model, save_model
 from kiqa.index import build_index, load_index, save_index
 from kiqa.toytasks import make_planted_evidence_task, route_premises
+
+from frames import patched, unframe
 
 RAW_LINES = (
     "the sky is blue today\n"
@@ -42,6 +48,7 @@ def artifacts(tmp_path_factory):
     )
     (d / "attach.cfg").write_text("m = 2\nlambda = 0.5\n", encoding="utf-8")
     (d / "train.cfg").write_text('head = "concat"\nd = 8\nepochs = 2\n', encoding="utf-8")
+    (d / "revise.cfg").write_text("d = 8\nepochs = 1\n", encoding="utf-8")
     steps = [
         ["corpus-prep", "--input", str(d / "raw.txt"), "--out", str(d / "corpus.jsonl")],
         ["index-build", "--corpus", str(d / "corpus.jsonl"), "--out", str(d / "index.kiix")],
@@ -50,6 +57,8 @@ def artifacts(tmp_path_factory):
          "--out", str(d / "attached.jsonl")],
         ["train", "--dataset", str(d / "attached.jsonl"), "--config", str(d / "train.cfg"),
          "--out", str(d / "model.bin")],
+        ["revise", "--corpus", str(d / "corpus.jsonl"), "--config", str(d / "revise.cfg"),
+         "--out", str(d / "encoder.kenc")],
     ]
     for argv in steps:
         assert main(argv) == 0
@@ -90,6 +99,26 @@ def test_index_build_rejects_params_outside_the_bm25_range(artifacts, tmp_path, 
                  "--config", str(cfg), "--out", str(tmp_path / "i.kiix")]) == 1
     assert "k1 >= 0" in one_error_line(capsys)
     assert not (tmp_path / "i.kiix").exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, record",
+    [
+        ("titled-paragraphs", {"title": 5, "text": "A b. C d."}),
+        ("titled-paragraphs", {"title": "T", "text": 7}),
+        ("atomic-events", {"event": "PersonX eats", "dimension": "xWant", "inference": ["x"]}),
+    ],
+)
+def test_corpus_prep_with_a_non_string_field_exits_1(tmp_path, capsys, fmt, record):
+    good = {"title": "T", "text": "A b."} if fmt == "titled-paragraphs" else {
+        "event": "PersonX eats", "dimension": "xWant", "inference": "food"}
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    rc = main(["corpus-prep", "--input", str(raw), "--format", fmt, "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys).startswith(f"error: {raw}:2: ")
+    assert not out.exists()
 
 
 def test_attach_bounds_premises_by_m(artifacts):
@@ -307,21 +336,59 @@ def one_error_line(capsys) -> str:
 
 @pytest.mark.parametrize("posting", [(99, 1), (0, 0)])
 def test_index_with_out_of_range_posting_exits_1(artifacts, tmp_path, capsys, posting):
-    # KIIX v2 ends with the (pos, tf) records of every term, in sorted term
-    # order. "sky" occurs in one sentence, so its block is one record.
+    # The KIIX v3 payload ends with the (pos, tf) records of every term, in
+    # sorted term order. "sky" occurs in one sentence, so its block is one record.
     data = (artifacts / "index.kiix").read_bytes()
     postings = load_index(artifacts / "index.kiix").postings
     terms = sorted(postings)
     after = sum(len(postings[t]) for t in terms[terms.index("sky"):])
     assert len(postings["sky"]) == 1
-    at = len(data) - after * 8
-    bad = data[:at] + struct.pack("<II", *posting) + data[at + 8:]
-    (tmp_path / "bad.idx").write_bytes(bad)
+    at = len(unframe(data)[2]) - after * 8
+    (tmp_path / "bad.idx").write_bytes(patched(data, at, struct.pack("<II", *posting)))
     rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
                "--corpus", str(artifacts / "corpus.jsonl"),
                "--index", str(tmp_path / "bad.idx"), "--out", str(tmp_path / "a.jsonl")])
     assert rc == 1
     assert "posting" in one_error_line(capsys)
+
+
+# The stage that loads each binary artifact, with the corrupted copy and an output path.
+LOADING_STAGES = {
+    "index.kiix": lambda d, bad, out: [
+        "attach", "--dataset", d / "qs.jsonl", "--corpus", d / "corpus.jsonl",
+        "--index", bad, "--out", out],
+    "encoder.kenc": lambda d, bad, out: [
+        "revise", "--corpus", d / "corpus.jsonl", "--encoder", bad,
+        "--config", d / "revise.cfg", "--out", out],
+    "model.bin": lambda d, bad, out: [
+        "eval", "--model", bad, "--dataset", d / "attached.jsonl", "--out", out],
+}
+
+
+@settings(max_examples=90, deadline=None)
+@given(artifact=st.sampled_from(sorted(LOADING_STAGES)), data=st.data())
+def test_truncated_or_bit_flipped_artifact_exits_1(artifacts, artifact, data):
+    raw = (artifacts / artifact).read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        corrupt = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bits = data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4,
+                                  unique=True), label="flipped bits")
+        flipped = bytearray(raw)
+        for bit in bits:
+            flipped[bit // 8] ^= 1 << (bit % 8)
+        corrupt = bytes(flipped)
+    (artifacts / "fuzz").mkdir(exist_ok=True)
+    bad, out = artifacts / "fuzz" / artifact, artifacts / "fuzz" / "out"
+    bad.write_bytes(corrupt)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in LOADING_STAGES[artifact](artifacts, bad, out)])
+    assert rc == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}"), lines
+    assert not out.exists()
 
 
 def test_encoder_with_wrong_parameter_shape_exits_1(artifacts, tmp_path, capsys):
@@ -348,9 +415,9 @@ def test_encoder_with_nan_weight_exits_1(artifacts, tmp_path, capsys):
 
 def test_encoder_with_nan_layer_norm_epsilon_exits_1(artifacts, tmp_path, capsys):
     save_encoder(load_model(artifacts / "model.bin").encoder, tmp_path / "bad.bin")
-    raw = bytearray((tmp_path / "bad.bin").read_bytes())
-    raw[16:24] = struct.pack("<d", np.nan)  # ln_eps follows magic, version, d, max_len
-    (tmp_path / "bad.bin").write_bytes(bytes(raw))
+    raw = (tmp_path / "bad.bin").read_bytes()
+    # ln_eps follows d and max_len in the payload
+    (tmp_path / "bad.bin").write_bytes(patched(raw, 8, struct.pack("<d", np.nan)))
     rc = main(["revise", "--corpus", str(artifacts / "corpus.jsonl"),
                "--encoder", str(tmp_path / "bad.bin"), "--out", str(tmp_path / "e.bin")])
     assert rc == 1

@@ -38,6 +38,8 @@ from kiqa.encoder import (
     save_encoder,
 )
 
+from frames import patched
+
 
 # ---------------------------------------------------------------------------
 # Independent forward oracle
@@ -587,6 +589,14 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(loaded.encode_ids(ids).data, model.encode_ids(ids).data)
 
 
+def test_checkpoint_save_load_save_reproduces_the_file(tmp_path):
+    model = small_model(seed=31)
+    revision_train(model, toy_corpus(), TrainConfig(seed=0, lr=0.05, epochs=1))
+    save_encoder(model, tmp_path / "a.bin")
+    save_encoder(load_encoder(tmp_path / "a.bin"), tmp_path / "b.bin")
+    assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     model = small_model(seed=31)
     save_encoder(model, tmp_path / "a.bin")
@@ -609,6 +619,13 @@ def test_checkpoint_bad_version(tmp_path):
     raw[4:8] = (99).to_bytes(4, "little")
     p.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
+        load_encoder(p)
+
+
+def test_checkpoint_v1_rejected_with_rebuild_hint(tmp_path):
+    p = tmp_path / "v1.bin"
+    p.write_bytes(b"KENC" + struct.pack("<IIIdd", 1, 8, 256, 1e-12, 0.1))
+    with pytest.raises(CheckpointError, match="version 1.*rebuild the encoder with revise"):
         load_encoder(p)
 
 
@@ -641,14 +658,15 @@ def test_checkpoint_non_finite_parameter_names_it(tmp_path, name, bad):
         load_encoder(tmp_path / "n.bin")
 
 
-@pytest.mark.parametrize("offset, value", [(16, float("nan")), (16, -1.0), (24, float("inf"))])
-def test_checkpoint_bad_config_float(tmp_path, offset, value):
-    # header: magic, version, d, max_len, then ln_eps and init_scale as <f8
+@pytest.mark.parametrize(
+    "field, value", [("ln_eps", float("nan")), ("ln_eps", -1.0), ("init_scale", float("inf"))]
+)
+def test_checkpoint_bad_config_float(tmp_path, field, value):
+    # the payload starts with d and max_len as <u4, then ln_eps and init_scale as <f8
     p = tmp_path / "c.bin"
     save_encoder(small_model(), p)
-    raw = bytearray(p.read_bytes())
-    raw[offset : offset + 8] = struct.pack("<d", value)
-    p.write_bytes(bytes(raw))
+    at = {"ln_eps": 8, "init_scale": 16}[field]
+    p.write_bytes(patched(p.read_bytes(), at, struct.pack("<d", value)))
     with pytest.raises(CheckpointError, match=re.escape(str(p)) + ": .* must be finite"):
         load_encoder(p)
 

@@ -9,6 +9,7 @@ the oracle on random vector stores.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from kiqa.fusion import (
     train,
 )
 from kiqa.toytasks import make_planted_evidence_task, route_premises, training_vocab
+
+from frames import patched, unframe
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +734,47 @@ def test_model_checkpoint_round_trip(head, tied, tmp_path):
     np.testing.assert_array_equal(
         loaded.encoder.params["emb"].data, enc.params["emb"].data
     )
+
+
+@pytest.mark.parametrize("head,tied", ALL_VARIANTS)
+def test_model_save_load_save_reproduces_the_file(head, tied, tmp_path):
+    ds = separable_dataset(n_items=2)
+    enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_model(FusionModel.init(enc, head, seed=1, tied=tied), first)
+    save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("head,flag", [("weighted-sum", 2), ("concat", 1)])
+def test_model_checkpoint_rejects_a_bad_tied_flag(head, flag, tmp_path):
+    # the payload starts with the head column (count, length, bytes), then the flag
+    ds = separable_dataset(n_items=2)
+    enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
+    path = tmp_path / "m.bin"
+    save_model(FusionModel.init(enc, head, seed=1), path)
+    path.write_bytes(patched(path.read_bytes(), 8 + len(head), flag.to_bytes(4, "little")))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: tied flag {flag}")):
+        load_model(path)
+
+
+def test_model_checkpoint_rejects_a_vocab_without_special_tokens(tmp_path):
+    ds = separable_dataset(n_items=2)
+    enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
+    path = tmp_path / "m.bin"
+    save_model(FusionModel.init(enc, "concat", seed=1), path)
+    at = unframe(path.read_bytes())[2].index(b"<pad>")
+    path.write_bytes(patched(path.read_bytes(), at, b"<PAD>"))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: vocabulary must start with the special tokens")):
+        load_model(path)
+
+
+def test_model_checkpoint_v1_rejected_with_rebuild_hint(tmp_path):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"KFUS" + (1).to_bytes(4, "little") + (6).to_bytes(4, "little") + b"concat")
+    with pytest.raises(CheckpointError, match="version 1.*rebuild the model with train"):
+        load_model(path)
 
 
 def test_model_checkpoint_tied_shares_storage(tmp_path):

@@ -13,6 +13,8 @@ from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.index import Bm25Params, build_index, load_index, save_index, search, IndexFormatError
 from kiqa.textnorm import word_tokens
 
+from frames import frame
+
 
 # --- oracle -----------------------------------------------------------------
 # Straight-line re-derivation: score every document directly from token
@@ -226,28 +228,33 @@ def test_save_load_save_reproduces_the_file(tmp_path, texts):
 
 def _column(strings):
     raw = [s.encode("utf-8") for s in strings]
-    return struct.pack(f"<{len(raw)}I", *map(len, raw)) + b"".join(raw)
+    return struct.pack(f"<{len(raw) + 1}I", len(raw), *map(len, raw)) + b"".join(raw)
 
 
-def pack_v2(docs, terms, k1=1.2, b=0.75, digest=bytes(range(32))):
-    """KIIX v2 laid out field by field.
+def payload_v3(docs, terms, k1=1.2, b=0.75, digest=bytes(range(32))):
+    """The KIIX v3 payload laid out field by field.
 
     ``docs`` lists (id, length) pairs and ``terms`` (term, [(pos, tf), ...])
-    pairs, both in file order: magic, version, k1, b, the corpus digest,
-    the id column and the lengths, the term column and the dfs, then the
-    postings term after term.
+    pairs, both in file order: k1, b, the corpus digest, the id column and
+    the lengths, the term column and the dfs, then the postings term after
+    term.  A column is its count, each string's byte length, then the bytes.
     """
-    data = b"KIIX" + struct.pack("<Idd", 2, k1, b) + digest
-    data += struct.pack("<I", len(docs)) + _column([d for d, _ in docs])
-    data += struct.pack(f"<{len(docs)}I", *(n for _, n in docs))
-    data += struct.pack("<I", len(terms)) + _column([t for t, _ in terms])
+    data = struct.pack("<dd", k1, b) + digest
+    data += _column([d for d, _ in docs]) + struct.pack(f"<{len(docs)}I", *(n for _, n in docs))
+    data += _column([t for t, _ in terms])
     data += struct.pack(f"<{len(terms)}I", *(len(p) for _, p in terms))
     data += b"".join(struct.pack("<II", *rec) for _, p in terms for rec in p)
     return data
 
 
+def pack_v3(*args, **kwargs):
+    """A whole KIIX v3 file around :func:`payload_v3`."""
+    return frame(b"KIIX", 3, payload_v3(*args, **kwargs))
+
+
 def test_hand_packed_v2_file_loads(tmp_path):
-    data = pack_v2([("d0", 3), ("d1", 2)],
+    # Packs the current (version 3) layout; the name predates it.
+    data = pack_v3([("d0", 3), ("d1", 2)],
                    [("cat", [(0, 2), (1, 1)]), ("sat", [(0, 1)])])
     path = tmp_path / "hand.idx"
     path.write_bytes(data)
@@ -278,21 +285,25 @@ def test_non_ascii_ids_and_terms_round_trip(tmp_path):
 
 
 def test_v1_file_rejected_with_rebuild_hint(tmp_path):
-    # The previous layout: a header without the corpus digest, then each
-    # document's length-prefixed id and length, each term with its postings.
-    data = b"KIIX" + struct.pack("<IddI", 1, 1.2, 0.75, 1)
-    data += struct.pack("<I", 2) + b"d0" + struct.pack("<I", 1)
-    data += struct.pack("<I", 1) + struct.pack("<I", 3) + b"cat" + struct.pack("<III", 1, 0, 1)
-    path = tmp_path / "v1.idx"
-    path.write_bytes(data)
-    with pytest.raises(IndexFormatError, match="version 1.*rebuild the index with index-build"):
-        load_index(path)
+    # Version 1: a header without the corpus digest, then each document's
+    # length-prefixed id and length, each term with its postings.
+    v1 = b"KIIX" + struct.pack("<IddI", 1, 1.2, 0.75, 1)
+    v1 += struct.pack("<I", 2) + b"d0" + struct.pack("<I", 1)
+    v1 += struct.pack("<I", 1) + struct.pack("<I", 3) + b"cat" + struct.pack("<III", 1, 0, 1)
+    # Version 2: the same columns (here an empty index) with no frame or checksum.
+    v2 = b"KIIX" + struct.pack("<Idd", 2, 1.2, 0.75) + bytes(32) + struct.pack("<I", 0) * 2
+    for version, data in [(1, v1), (2, v2)]:
+        path = tmp_path / f"v{version}.idx"
+        path.write_bytes(data)
+        with pytest.raises(IndexFormatError,
+                           match=f"version {version}.*rebuild the index with index-build"):
+            load_index(path)
 
 
 def test_string_column_that_is_not_utf8_rejected(tmp_path):
-    data = pack_v2([("d0", 1)], [("cat", [(0, 1)])])
+    data = payload_v3([("d0", 1)], [("cat", [(0, 1)])])
     path = tmp_path / "bad.idx"
-    path.write_bytes(data.replace(b"cat", b"c\xffa"))
+    path.write_bytes(frame(b"KIIX", 3, data.replace(b"cat", b"c\xffa")))
     with pytest.raises(IndexFormatError, match="UTF-8"):
         load_index(path)
 
@@ -307,7 +318,7 @@ def test_string_column_that_is_not_utf8_rejected(tmp_path):
     ],
 )
 def test_bad_posting_rejected(tmp_path, cat_postings):
-    data = pack_v2([("d0", 3), ("d1", 2)], [("a", [(0, 1)]), ("cat", cat_postings)])
+    data = pack_v3([("d0", 3), ("d1", 2)], [("a", [(0, 1)]), ("cat", cat_postings)])
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     with pytest.raises(IndexFormatError, match="'cat'"):
@@ -315,7 +326,7 @@ def test_bad_posting_rejected(tmp_path, cat_postings):
 
 
 def test_repeated_term_rejected(tmp_path):
-    data = pack_v2([("d0", 1)], [("cat", [(0, 1)]), ("cat", [(0, 1)])])
+    data = pack_v3([("d0", 1)], [("cat", [(0, 1)]), ("cat", [(0, 1)])])
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     with pytest.raises(IndexFormatError, match="more than one"):
@@ -329,7 +340,7 @@ def test_params_outside_the_bm25_range_rejected(tmp_path, k1, b):
     with pytest.raises(ValueError, match="k1 >= 0"):
         Bm25Params(k1=k1, b=b)
     path = tmp_path / "bad.idx"
-    path.write_bytes(pack_v2([], [], k1=k1, b=b))
+    path.write_bytes(pack_v3([], [], k1=k1, b=b))
     with pytest.raises(IndexFormatError, match="k1 >= 0"):
         load_index(path)
 
