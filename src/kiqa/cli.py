@@ -41,8 +41,15 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import KnowledgeCorpus, KnowledgeSentence, load_corpus, load_jsonl, save_jsonl
-from .datasets import attach_premises, load_mcq, save_mcq_jsonl
+from .corpus import (
+    FORMATS,
+    KnowledgeCorpus,
+    KnowledgeSentence,
+    load_corpus,
+    load_jsonl,
+    save_jsonl,
+)
+from .datasets import SCHEMA_TAGS, attach_premises, load_mcq, save_mcq_jsonl
 from .encoder import (
     EncoderConfig,
     EncoderModel,
@@ -66,9 +73,6 @@ from .pfqa import assign_splits, generate_questions, load_facts, render_fact, to
 from .querygen import QueryGenConfig
 from .rerank import RerankConfig, SimilarityFn, load_embedding_table
 from .toytasks import training_vocab
-
-RAW_FORMATS = ("plain-lines", "titled-paragraphs", "atomic-events", "prepared-jsonl")
-SCHEMAS = ("generic", "anli", "piqa", "socialiqa", "pfqa")
 
 
 class CliError(ValueError):
@@ -134,7 +138,7 @@ class Config:
         if unknown:
             raise CliError(
                 f"unknown config keys: {', '.join(unknown)} "
-                f"(this command accepts: {', '.join(sorted(allowed))})"
+                f"(this command accepts: {_key_list(sorted(allowed))})"
             )
         self._values = values
 
@@ -164,9 +168,14 @@ class Config:
         return key in self._values
 
 
-def _load_config(args, allowed: tuple[str, ...]) -> Config:
+def _key_list(keys) -> str:
+    return ", ".join(keys) or "none"
+
+
+def _load_config(args) -> Config:
+    """The ``--config`` file, checked against the keys the subparser declared."""
     values = parse_config_file(_input(args.config)) if args.config else {}
-    return Config(values, allowed)
+    return Config(values, args.config_keys)
 
 
 def _input(path_str: str | Path) -> Path:
@@ -205,7 +214,7 @@ def _train_config(cfg: Config, seed: int, prefix: str = "", mask: bool = False) 
 
 
 def _cmd_corpus_prep(args) -> int:
-    cfg = _load_config(args, ("source_tag",))
+    cfg = _load_config(args)
     tag = cfg.get("source_tag", None, str)
     if args.format == "prepared-jsonl":
         corpus = load_jsonl(_input(args.input))
@@ -217,7 +226,7 @@ def _cmd_corpus_prep(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
-    cfg = _load_config(args, ("k1", "b"))
+    cfg = _load_config(args)
     corpus = load_jsonl(_input(args.corpus))
     params = Bm25Params(k1=cfg.get("k1", 1.2, float), b=cfg.get("b", 0.75, float))
     index = build_index(corpus, params)
@@ -237,18 +246,17 @@ def _similarity(cfg: Config, embeddings_path) -> SimilarityFn:
 
 
 def _cmd_attach(args) -> int:
-    cfg = _load_config(args, ("m", "lambda", "retrieve_k", "pos_filter", "similarity"))
+    cfg = _load_config(args)
     dataset = load_mcq(_input(args.dataset), args.schema, schema_map=args.schema_map)
     corpus = load_jsonl(_input(args.corpus))
     index = load_index(_input(args.index)) if args.index else build_index(corpus)
-    qg_config = QueryGenConfig(pos_filter=cfg.get("pos_filter", False, bool))
     rr_config = RerankConfig(
         m=cfg.get("m", 10, int),
         lambda_=cfg.get("lambda", 1.0, float),
         similarity=_similarity(cfg, args.embeddings),
     )
     attached = attach_premises(
-        dataset, corpus, index, qg_config, rr_config,
+        dataset, corpus, index, QueryGenConfig(), rr_config,
         retrieve_k=cfg.get("retrieve_k", 50, int),
     )
     save_mcq_jsonl(attached, args.out)
@@ -257,7 +265,7 @@ def _cmd_attach(args) -> int:
 
 
 def _cmd_pfqa_gen(args) -> int:
-    cfg = _load_config(args, ())
+    _load_config(args)
     facts = load_facts(_input(args.facts))
     questions = generate_questions(facts, seed=args.seed)
     train_q, dev_q, test_q = assign_splits(questions, seed=args.seed)
@@ -280,7 +288,7 @@ def _cmd_pfqa_gen(args) -> int:
 
 
 def _cmd_revise(args) -> int:
-    cfg = _load_config(args, ENCODER_KEYS + SGD_KEYS + ("mask_prob",))
+    cfg = _load_config(args)
     corpus = load_jsonl(_input(args.corpus))
     if args.encoder:
         encoder = load_encoder(_input(args.encoder))
@@ -300,7 +308,7 @@ TRAIN_KEYS = ENCODER_KEYS + SGD_KEYS + (
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args, TRAIN_KEYS)
+    cfg = _load_config(args)
     dataset = load_mcq(_input(args.dataset), args.schema)
     corpus = load_jsonl(_input(args.corpus)) if args.corpus else None
 
@@ -336,7 +344,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_config(args, ())
+    _load_config(args)
     model = load_model(_input(args.model))
     dataset = load_mcq(_input(args.dataset), args.schema)
     report = evaluate(
@@ -351,11 +359,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep_m(args) -> int:
-    cfg = _load_config(
-        args,
-        SGD_KEYS + ("m_values", "lambda", "retrieve_k", "retrain",
-                    "freeze_encoder", "similarity"),
-    )
+    cfg = _load_config(args)
     m_values = cfg.int_list("m_values", None)
     if m_values is None:
         raise CliError("sweep-m needs m_values in the config, e.g. m_values = [1, 2, 5]")
@@ -373,7 +377,6 @@ def _cmd_sweep_m(args) -> int:
             similarity=_similarity(cfg, args.embeddings),
         ),
         train_config=_train_config(cfg, args.seed + 2) if retrain else None,
-        retrain=retrain,
         retrieve_k=cfg.get("retrieve_k", 50, int),
         freeze_encoder=cfg.get("freeze_encoder", False, bool),
     )
@@ -383,7 +386,7 @@ def _cmd_sweep_m(args) -> int:
 
 
 def _cmd_weight_report(args) -> int:
-    cfg = _load_config(args, ())
+    _load_config(args)
     model = load_model(_input(args.model))
     dataset = load_mcq(_input(args.dataset), args.schema)
     rows = weight_overlap_report(model, dataset)
@@ -401,10 +404,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _add_common(sub, out_help: str):
+def _add_common(sub, out_help: str, config_keys: tuple[str, ...] = ()):
     sub.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-    sub.add_argument("--config", help="TOML-style key = value configuration file")
+    sub.add_argument(
+        "--config",
+        help=f"TOML-style key = value configuration file (config keys: {_key_list(config_keys)})",
+    )
     sub.add_argument("--out", required=True, help=out_help)
+    sub.set_defaults(config_keys=config_keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,25 +423,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--input", required=True, help="raw knowledge source file")
     sub.add_argument(
-        "--format", choices=RAW_FORMATS, default="plain-lines",
-        help="input layout (default plain-lines; config: source_tag)",
+        "--format", choices=(*FORMATS, "prepared-jsonl"), default="plain-lines",
+        help="input layout (default plain-lines)",
     )
-    _add_common(sub, "prepared corpus JSONL")
+    _add_common(sub, "prepared corpus JSONL", ("source_tag",))
     sub.set_defaults(run=_cmd_corpus_prep)
 
     sub = commands.add_parser("index-build", help="build the retrieval index for a corpus")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
-    _add_common(sub, "binary KIIX index file (config: k1, b)")
+    _add_common(sub, "binary KIIX index file", ("k1", "b"))
     sub.set_defaults(run=_cmd_index_build)
 
     sub = commands.add_parser("attach", help="retrieve and attach premises to a dataset")
     sub.add_argument("--dataset", required=True, help="question file")
-    sub.add_argument("--schema", choices=SCHEMAS, default="generic", help="question file schema")
+    sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="question file schema")
     sub.add_argument("--schema-map", help="JSON field-name overrides for off-spec dumps")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
     sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
     sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
-    _add_common(sub, "attached dataset JSONL (config: m, lambda, retrieve_k, pos_filter, similarity)")
+    _add_common(sub, "attached dataset JSONL", ("m", "lambda", "retrieve_k", "similarity"))
     sub.set_defaults(run=_cmd_attach)
 
     sub = commands.add_parser("pfqa-gen", help="generate the synthetic family-relations dataset")
@@ -445,22 +452,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("revise", help="pretrain an encoder on a corpus (masked tokens)")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
     sub.add_argument("--encoder", help="existing encoder checkpoint to continue from")
-    _add_common(sub, "encoder checkpoint (config: d, max_len, lr, epochs, batch_size, momentum, mask_prob)")
+    _add_common(sub, "encoder checkpoint", ENCODER_KEYS + SGD_KEYS + ("mask_prob",))
     sub.set_defaults(run=_cmd_revise)
 
     sub = commands.add_parser("train", help="train a fusion model on an attached dataset")
     sub.add_argument("--dataset", required=True, help="attached dataset JSONL")
-    sub.add_argument("--schema", choices=SCHEMAS, default="generic", help="dataset schema")
+    sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
     sub.add_argument("--corpus", help="prepared corpus JSONL (needed when revision = true)")
     sub.add_argument("--encoder", help="pretrained encoder checkpoint to start from")
-    _add_common(sub, "model checkpoint (config: head, tied, openbook, revision, d, max_len, "
-                     "lr, epochs, batch_size, momentum, freeze_encoder, rev_*)")
+    _add_common(sub, "model checkpoint", TRAIN_KEYS)
     sub.set_defaults(run=_cmd_train)
 
     sub = commands.add_parser("eval", help="evaluate a model and write the accuracy report")
     sub.add_argument("--model", required=True, help="model checkpoint")
     sub.add_argument("--dataset", required=True, help="labelled dataset JSONL")
-    sub.add_argument("--schema", choices=SCHEMAS, default="generic", help="dataset schema")
+    sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
     sub.add_argument("--predictions", help="also write per-item predictions JSONL here")
     _add_common(sub, "evaluation report JSON")
     sub.set_defaults(run=_cmd_eval)
@@ -469,18 +475,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True, help="model checkpoint to start each point from")
     sub.add_argument("--train", required=True, help="training dataset (raw; premises are re-attached)")
     sub.add_argument("--eval", required=True, help="evaluation dataset (raw)")
-    sub.add_argument("--schema", choices=SCHEMAS, default="generic", help="dataset schema")
+    sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
     sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
     sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
-    _add_common(sub, "CSV of (m, accuracy) rows (config: m_values, retrain, lambda, retrieve_k, "
-                     "lr, epochs, batch_size, momentum, freeze_encoder, similarity)")
+    _add_common(sub, "CSV of (m, accuracy) rows", SGD_KEYS + (
+        "m_values", "retrain", "lambda", "retrieve_k", "freeze_encoder", "similarity",
+    ))
     sub.set_defaults(run=_cmd_sweep_m)
 
     sub = commands.add_parser("weight-report", help="per-passage weights vs. token overlap")
     sub.add_argument("--model", required=True, help="weighted-sum model checkpoint")
     sub.add_argument("--dataset", required=True, help="attached dataset JSONL")
-    sub.add_argument("--schema", choices=SCHEMAS, default="generic", help="dataset schema")
+    sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
     _add_common(sub, "CSV of (item, option, passage, weight, overlap) rows")
     sub.set_defaults(run=_cmd_weight_report)
 

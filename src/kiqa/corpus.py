@@ -249,25 +249,13 @@ def prepare_titled(
     return out, ranges
 
 
-# Connective templates, one per inference dimension.  Shipped as a data file
-# so downstream users can swap the wording; this mapping is the fallback.
-_DEFAULT_ATOMIC_TEMPLATES = {
-    "xneed": "{event}. Before, {x} needed {inference}.",
-    "xattr": "{event}, so {x} is seen as {inference}.",
-    "xreact": "{event}, as a result {x} feels {inference}.",
-    "xwant": "{event}, as a result {x} wants {inference}.",
-    "xintent": "{event}, because {x} wanted {inference}.",
-    "xeffect": "{event}, as a result {x} {inference}.",
-    "oreact": "{event}, as a result others feel {inference}.",
-    "owant": "{event}, as a result others want {inference}.",
-}
-
 _PERSON_X_RE = re.compile(r"\bPersonX\b")
 _PERSON_Y_RE = re.compile(r"\bPersonY\b")
 _BLANK_RE = re.compile(r"_{2,}")
 
 
 def load_atomic_templates(path: str | Path | None = None) -> dict[str, str]:
+    """Connective templates, one per inference dimension, from a swappable data file."""
     if path is None:
         path = Path(__file__).parent / "data" / "atomic_templates.json"
     with open(path, encoding="utf-8") as fh:

@@ -136,13 +136,13 @@ def load_mcq(
     mapping = dict(_DEFAULT_MAPS.get(schema_tag, {}))
     if schema_map is not None:
         if isinstance(schema_map, (str, Path)):
-            with open(schema_map, encoding="utf-8") as fh:
-                mapping.update(json.load(fh))
-        else:
-            mapping.update(schema_map)
+            schema_map = _load_schema_map(Path(schema_map))
+        mapping.update(schema_map)
 
     items = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    # split at "\n" only: str.splitlines also breaks at U+2028, U+0085 and
+    # other separators, which save_mcq_jsonl writes raw inside JSON strings
+    for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -161,6 +161,18 @@ def load_mcq(
     if not items:
         raise DatasetError(f"empty dataset: {path}")
     return McqDataset(items=items, schema_tag=schema_tag)
+
+
+def _load_schema_map(path: Path) -> dict:
+    try:
+        overrides = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{path}: invalid schema map: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise DatasetError(
+            f"{path}: schema map must be a JSON object, got {type(overrides).__name__}"
+        )
+    return overrides
 
 
 def _item_from_mapped(rec: dict, schema_tag: str, mapping: dict, lineno: int) -> McqItem:
@@ -191,6 +203,17 @@ def _item_from_mapped(rec: dict, schema_tag: str, mapping: dict, lineno: int) ->
 
 
 def _item_from_generic(rec: dict) -> McqItem:
+    if not isinstance(rec, dict):
+        raise TypeError(f"record must be a JSON object, got {type(rec).__name__}")
+    for key in ("id", "question"):
+        if not isinstance(rec.get(key), str):
+            raise TypeError(f"{key!r} must be a string, got {type(rec.get(key)).__name__}")
+    options = rec.get("options")
+    if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+        raise TypeError("'options' must be a list of strings")
+    gold = rec.get("gold")
+    if gold is not None and (not isinstance(gold, int) or isinstance(gold, bool)):
+        raise TypeError(f"'gold' must be an integer or absent, got {type(gold).__name__}")
     premises = None
     if rec.get("premises") is not None:
         premises = [
@@ -206,10 +229,10 @@ def _item_from_generic(rec: dict) -> McqItem:
             for plist in rec["premises"]
         ]
     return McqItem(
-        id=str(rec["id"]),
-        question=str(rec["question"]),
-        options=[str(o) for o in rec["options"]],
-        gold=rec.get("gold"),
+        id=rec["id"],
+        question=rec["question"],
+        options=options,
+        gold=gold,
         context=rec.get("context"),
         premises=premises,
         knowledge=[str(s) for s in rec.get("knowledge", [])],
@@ -259,9 +282,8 @@ def attach_premises(
     the index was built over, which is checked by the corpus digest the
     index records (a sha256 of the corpus's ids and texts).  Hits carry
     document positions, so candidates are read from the corpus's columns.
-    Options whose query comes back empty retry with the part-of-speech
-    filter off; if retrieval still finds nothing the option gets an empty
-    premise list.
+    An option whose query is all stopwords, or whose query retrieves
+    nothing, gets an empty premise list.
     """
     if index.corpus_digest != corpus.digest:
         raise DatasetError(
@@ -276,11 +298,8 @@ def attach_premises(
             try:
                 query = generate_query(item, opt_ix, qg_config)
             except EmptyQueryError:
-                try:
-                    query = generate_query(item, opt_ix, replace(qg_config, pos_filter=False))
-                except EmptyQueryError:
-                    premises.append([])
-                    continue
+                premises.append([])
+                continue
             hits = search(index, query.terms, k=retrieve_k)
             if not hits:
                 premises.append([])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import binfmt
-from .autodiff import SGD, Tensor, cross_entropy, no_grad
+from .autodiff import SGD, Tensor, cross_entropy
 from .corpus import KnowledgeCorpus
 
 PAD, START, SEP, MASK, UNK = "<pad>", "<s>", "<sep>", "<mask>", "<unk>"
@@ -225,19 +225,6 @@ class EncoderModel:
     def encode_ids(self, ids: np.ndarray) -> Tensor:
         """(B, L) int ids -> (B, d) pooled first-position vectors."""
         return self.hidden_states(ids)[:, 0, :]
-
-    def encode(self, tokens: list[str]) -> np.ndarray:
-        """Single-sequence pooled vector; forward only."""
-        if not tokens:
-            raise ValueError("empty token sequence")
-        if tokens[0] != START:
-            raise ValueError(f"sequence must begin with {START!r}")
-        if len(tokens) > self.config.max_len:
-            # keep the start marker and the tail: the knowledge span sits
-            # directly after the start token, so it is dropped first
-            tokens = [tokens[0]] + tokens[-(self.config.max_len - 1):]
-        with no_grad():
-            return self.encode_ids(self.vocab.encode(tokens)[None, :]).data[0]
 
 
 def build_sequence(

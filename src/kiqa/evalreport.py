@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Tensor
 from .corpus import KnowledgeCorpus
 from .datasets import McqDataset, attach_premises
 from .encoder import EncoderModel, TrainConfig
@@ -18,6 +19,7 @@ from .external import ExternalVectorStore
 from .fusion import (
     FusionModel,
     FusionError,
+    _passages,
     question_text,
     score_item,
     train,
@@ -107,33 +109,17 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 # Retrieval-depth sweep
 # ---------------------------------------------------------------------------
 
-def _clone_encoder(enc: EncoderModel) -> EncoderModel:
-    from .autodiff import Tensor
-
-    params = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in enc.params.items()}
-    return EncoderModel(enc.vocab, enc.config, params)
-
-
 def _clone_model(model: FusionModel) -> FusionModel:
-    from .autodiff import Tensor
-
-    encoder = (
-        model.encoder
-        if isinstance(model.encoder, ExternalVectorStore)
-        else _clone_encoder(model.encoder)
-    )
-    score_w = Tensor(model.score_w.data.copy(), requires_grad=True)
-    score_b = Tensor(model.score_b.data.copy(), requires_grad=True)
-    if model.head != "weighted-sum":
-        return FusionModel(encoder, model.head, score_w, score_b)
-    if model.tied:
-        return FusionModel(encoder, model.head, score_w, score_b, score_w, score_b,
-                           tied=True)
-    return FusionModel(
-        encoder, model.head, score_w, score_b,
-        Tensor(model.weight_w.data.copy(), requires_grad=True),
-        Tensor(model.weight_b.data.copy(), requires_grad=True),
-    )
+    """A trainable copy; like ``load_model``, ``FusionModel.init`` wires the head."""
+    encoder = model.encoder
+    if not isinstance(encoder, ExternalVectorStore):
+        params = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in encoder.params.items()}
+        encoder = EncoderModel(encoder.vocab, encoder.config, params)
+    clone = FusionModel.init(encoder, model.head, tied=model.tied)
+    source = model.parameters()
+    for name, param in clone.parameters().items():
+        param.data = source[name].data.copy()
+    return clone
 
 
 def sweep_m(
@@ -143,10 +129,8 @@ def sweep_m(
     corpus: KnowledgeCorpus,
     index: InvertedIndex,
     m_values: list[int],
-    qg_config: QueryGenConfig | None = None,
     rr_config: RerankConfig | None = None,
     train_config: TrainConfig | None = None,
-    retrain: bool = True,
     retrieve_k: int = 50,
     freeze_encoder: bool = False,
 ) -> list[tuple[int, float]]:
@@ -156,16 +140,15 @@ def sweep_m(
     depth takes the first m of every option's list.  The greedy re-rank
     picks in the same order whatever its m, which only bounds how many
     picks it makes, so that prefix is exactly what attaching at m gives.
-    With ``retrain`` a fresh copy of the model is fitted per depth;
-    otherwise the given model is only re-evaluated at each depth.
+    With a ``train_config`` a fresh copy of the model is fitted per depth;
+    without one the given model is only re-evaluated at each depth.
     """
     if not m_values or any(m < 1 for m in m_values):
         raise EvalError("m values must be positive")
     if list(m_values) != sorted(m_values):
         raise EvalError("m values must be ascending")
-    if retrain and train_config is None:
-        raise EvalError("retrain sweep needs a train config")
-    qg_config = qg_config or QueryGenConfig()
+    retrain = train_config is not None
+    qg_config = QueryGenConfig()
     rr = replace(rr_config or RerankConfig(), m=m_values[-1])
     eval_full = attach_premises(eval_set, corpus, index, qg_config, rr, retrieve_k)
     if retrain:
@@ -218,10 +201,7 @@ def weight_overlap_report(
         out = score_item(model, item)
         for i in range(item.n):
             qa = f"{question_text(item)} {item.options[i]}"
-            texts = [p.text for p in item.premises[i]] if item.premises else []
-            if not texts:
-                texts = [""]  # the empty-knowledge placeholder the head scored
-            for j, text in enumerate(texts):
+            for j, (_, text) in enumerate(_passages(model.head, item, i)):
                 rows.append(
                     (item.id, i, j, out.weights[i][j], normalized_overlap(text, qa))
                 )

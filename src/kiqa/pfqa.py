@@ -18,7 +18,6 @@ the same split.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,19 +172,6 @@ def render_fact(fact: ParentFact) -> str:
     return f"The parent of {fact.child} is {fact.parent}."
 
 
-_FACT_RE = re.compile(r"^The parent of (.+) is (.+)\.$")
-
-
-def parse_knowledge(sentences) -> list[ParentFact]:
-    facts = []
-    for sentence in sentences:
-        match = _FACT_RE.match(sentence)
-        if match is None:
-            raise FactsError(f"not a parent-fact sentence: {sentence!r}")
-        facts.append(ParentFact(child=match.group(1), parent=match.group(2)))
-    return facts
-
-
 def _supporting_facts(
     person: str, qtype: str, gold_first: str, parents: dict, children: dict
 ) -> list[str]:
@@ -207,18 +193,6 @@ def _supporting_facts(
                     facts.append(ParentFact(person, p))
                     facts.append(ParentFact(c, p))
     return list(dict.fromkeys(render_fact(f) for f in facts))
-
-
-def knowledge_supports(question: PfqaQuestion) -> bool:
-    """Re-derive the answer set from the question's own knowledge sentences.
-
-    True when the gold option is reachable using only those facts — the
-    check that gold answers never rely on information the model cannot see.
-    """
-    facts = parse_knowledge(question.knowledge)
-    parents, children = _adjacency(facts)
-    answers = _true_answers(question.person, question.qtype, parents, children)
-    return question.options[question.gold] in {first_name(a) for a in answers}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Retrieval query generation from a question and one answer option.
 
 The query is the token bag of context + question + option with stopwords
-removed, optionally narrowed to content words (verb/adjective/adverb/noun)
-by a static part-of-speech lexicon.  Words missing from the lexicon are
-kept: erring toward recall beats silently dropping informative terms.
+removed.
 """
 
 from __future__ import annotations
@@ -17,16 +15,9 @@ from .textnorm import word_tokens
 if TYPE_CHECKING:  # pragma: no cover
     from .datasets import McqItem
 
-POS_TAGS = frozenset({"VERB", "ADJ", "ADV", "NOUN", "OTHER"})
-CONTENT_TAGS = frozenset({"VERB", "ADJ", "ADV", "NOUN"})
-
 
 class EmptyQueryError(ValueError):
-    """No terms survived filtering; callers may retry with pos_filter off."""
-
-
-class LexiconFormatError(ValueError):
-    pass
+    """No terms survived stopword removal; the option retrieves nothing."""
 
 
 @dataclass(frozen=True)
@@ -34,41 +25,6 @@ class Query:
     terms: tuple[str, ...]  # ordered bag: duplicates carry weight
     item_id: str
     option_index: int
-
-
-class PosLexicon:
-    """Case-insensitive word → coarse POS tag-set lookup."""
-
-    def __init__(self, tags: dict[str, frozenset[str]]):
-        self._tags = {w.lower(): frozenset(t) for w, t in tags.items()}
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._tags
-
-    def tags(self, word: str) -> frozenset[str]:
-        return self._tags.get(word.lower(), frozenset())
-
-    def __len__(self) -> int:
-        return len(self._tags)
-
-
-def load_pos_lexicon(path: str | Path) -> PosLexicon:
-    """TSV with one ``word<TAB>tag`` pair per line; repeats accumulate."""
-    tags: dict[str, set[str]] = {}
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip():
-                raise LexiconFormatError(f"{path}:{lineno}: expected word<TAB>tag")
-            word, tag = parts[0].strip().lower(), parts[1].strip().upper()
-            if tag not in POS_TAGS:
-                raise LexiconFormatError(f"{path}:{lineno}: unknown tag {parts[1]!r}")
-            tags.setdefault(word, set()).add(tag)
-    return PosLexicon({w: frozenset(t) for w, t in tags.items()})
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -81,15 +37,12 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
 @dataclass
 class QueryGenConfig:
     stopwords: frozenset[str] = field(default_factory=load_stopwords)
-    pos_lexicon: PosLexicon | None = None
-    pos_filter: bool = False
 
 
 def generate_query(item: "McqItem", option_index: int, config: QueryGenConfig) -> Query:
     """Build the retrieval query for one (item, option) pair.
 
-    Raises :class:`EmptyQueryError` when nothing survives filtering, so the
-    caller can fall back to stopword-only filtering.
+    Raises :class:`EmptyQueryError` when no token survives stopword removal.
     """
     if not 0 <= option_index < len(item.options):
         raise IndexError(
@@ -98,9 +51,6 @@ def generate_query(item: "McqItem", option_index: int, config: QueryGenConfig) -
     parts = [item.context or "", item.question, item.options[option_index]]
     tokens = word_tokens(" ".join(p for p in parts if p))
     terms = [t for t in tokens if t not in config.stopwords]
-    if config.pos_filter and config.pos_lexicon is not None:
-        lex = config.pos_lexicon
-        terms = [t for t in terms if t not in lex or lex.tags(t) & CONTENT_TAGS]
     if not terms:
         raise EmptyQueryError(f"empty query for item {item.id!r} option {option_index}")
     return Query(terms=tuple(terms), item_id=item.id, option_index=option_index)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import kiqa
 from kiqa.autodiff import Tensor
 from kiqa.cli import CliError, main, parse_config_file
-from kiqa.corpus import KnowledgeCorpus, load_jsonl, save_jsonl
+from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, load_jsonl, save_jsonl
 from kiqa.datasets import load_mcq, save_mcq_jsonl
 from kiqa.encoder import load_encoder, save_encoder
 from kiqa.fusion import load_model, save_model
@@ -591,6 +592,102 @@ def test_attach_with_non_finite_embedding_exits_1(artifacts, tmp_path, capsys, c
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["train", "--help"]) == 0
+
+
+def test_attach_rejects_pos_filter_as_an_unknown_key(artifacts, tmp_path, capsys):
+    cfg = tmp_path / "attach.cfg"
+    cfg.write_text("m = 2\npos_filter = true\n", encoding="utf-8")
+    out = tmp_path / "a.jsonl"
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"), "--index", str(artifacts / "index.kiix"),
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "unknown config keys: pos_filter" in one_error_line(capsys)
+    assert not out.exists()
+
+
+# Each command's required inputs; none has to exist, the config is checked first.
+REQUIRED_ARGS = {
+    "corpus-prep": ["--input", "x"],
+    "index-build": ["--corpus", "x"],
+    "attach": ["--dataset", "x", "--corpus", "x"],
+    "pfqa-gen": ["--facts", "x"],
+    "revise": ["--corpus", "x"],
+    "train": ["--dataset", "x"],
+    "eval": ["--model", "x", "--dataset", "x"],
+    "sweep-m": ["--model", "x", "--train", "x", "--eval", "x", "--corpus", "x"],
+    "weight-report": ["--model", "x", "--dataset", "x"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+def test_help_names_exactly_the_config_keys_a_command_accepts(tmp_path, capsys, command):
+    assert main([command, "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    listed = re.search(r"\(config keys: ([^)]*)\)", help_text).group(1)
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text("no_such_key = 1\n", encoding="utf-8")
+    rc = main([command, *REQUIRED_ARGS[command], "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    accepted = re.search(r"this command accepts: (.*)\)$", one_error_line(capsys)).group(1)
+    assert sorted(listed.split(", ")) == accepted.split(", ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"id": "q2", "question": "q", "options": ["a", "b"], "gold": 1.5}',
+        '{"id": "q2", "question": "q", "options": ["a", "b"], "gold": true}',
+        '{"id": "q2", "question": "q", "options": "blue"}',
+        '{"id": "q2", "question": "q", "options": ["a", 2]}',
+        '{"id": "q2", "question": 5, "options": ["a", "b"]}',
+        '{"id": 2, "question": "q", "options": ["a", "b"]}',
+        '["q2", "q", ["a", "b"]]',
+    ],
+)
+def test_generic_record_with_a_wrong_type_exits_1(tmp_path, capsys, line):
+    path = tmp_path / "qs.jsonl"
+    path.write_text(json.dumps(QUESTIONS[0]) + "\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "model.bin"
+    assert main(["train", "--dataset", str(path), "--out", str(out)]) == 1
+    assert one_error_line(capsys).startswith(f"error: {path}:2: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "not json", '"fields"'])
+def test_attach_with_a_bad_schema_map_exits_1(artifacts, tmp_path, capsys, text):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "a.jsonl"
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"), "--schema", "piqa",
+               "--schema-map", str(map_path), "--corpus", str(artifacts / "corpus.jsonl"),
+               "--out", str(out)])
+    assert rc == 1
+    assert one_error_line(capsys).startswith(f"error: {map_path}: ")
+    assert not out.exists()
+
+
+def test_attach_then_train_with_unicode_line_separators(tmp_path):
+    # attach writes these raw inside JSON strings; train must read them back
+    corpus = KnowledgeCorpus(sentences=[
+        KnowledgeSentence(id="s0", text="the sky is blue\u2028today"),
+        KnowledgeSentence(id="s1", text="the grass is green\u2029here"),
+    ])
+    save_jsonl(corpus, tmp_path / "corpus.jsonl")
+    questions = [dict(QUESTIONS[0], question="what colour\u0085is the sky"), QUESTIONS[1]]
+    (tmp_path / "qs.jsonl").write_text(
+        "".join(json.dumps(q, ensure_ascii=False) + "\n" for q in questions), encoding="utf-8"
+    )
+    (tmp_path / "train.cfg").write_text("d = 8\nepochs = 1\n", encoding="utf-8")
+    assert main(["attach", "--dataset", str(tmp_path / "qs.jsonl"),
+                 "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--out", str(tmp_path / "attached.jsonl")]) == 0
+    attached = load_mcq(tmp_path / "attached.jsonl", "generic")
+    assert attached.items[0].premises[0][0].text == "the sky is blue\u2028today"
+    assert main(["train", "--dataset", str(tmp_path / "attached.jsonl"),
+                 "--config", str(tmp_path / "train.cfg"),
+                 "--out", str(tmp_path / "model.bin")]) == 0
 
 
 # ---------------------------------------------------------------------------

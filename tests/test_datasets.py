@@ -15,7 +15,7 @@ from kiqa.datasets import (
     save_mcq_jsonl,
 )
 from kiqa.index import build_index
-from kiqa.querygen import PosLexicon, QueryGenConfig
+from kiqa.querygen import QueryGenConfig
 from kiqa.rerank import RerankConfig
 
 
@@ -174,6 +174,24 @@ def test_generic_round_trip(tmp_path):
     assert back.items == ds.items
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_round_trip_keeps_unicode_line_separators(tmp_path, sep):
+    # written raw (ensure_ascii=False), so only "\n" may end a record
+    premise = KnowledgeSentence(id="k1", text=f"Fact{sep}one.", source_tag="plain")
+    items = [
+        McqItem(
+            id=f"i{sep}1", question=f"Who{sep}?", options=[f"a{sep}", "b"], gold=0,
+            context=f"Story{sep}.", premises=[[premise], []], knowledge=[f"K{sep}"],
+            extras={"note": f"x{sep}y"},
+        ),
+        McqItem(id="i2", question="q", options=["c", "d"]),
+    ]
+    path = tmp_path / "ds.jsonl"
+    save_mcq_jsonl(McqDataset(items=items), path)
+    assert path.read_text(encoding="utf-8").count("\n") == 2
+    assert load_mcq(path, "generic").items == items
+
+
 def test_save_is_deterministic(tmp_path):
     items = [McqItem(id="i1", question="q", options=["a", "b"], gold=0)]
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -272,16 +290,6 @@ def test_attach_unmatched_option_gets_empty_list():
     ds = McqDataset(items=[McqItem(id="a", question="xylophone", options=["quasar", "nebula"])])
     out = attach_premises(ds, corpus, build_index(corpus), QueryGenConfig(), RerankConfig())
     assert out.items[0].premises == [[], []]
-
-
-def test_attach_falls_back_when_pos_filter_empties_query():
-    corpus = make_corpus(["quasar light bends", "nebula dust glows"])
-    ds = McqDataset(items=[McqItem(id="a", question="about", options=["quasar", "nebula"])])
-    # lexicon tags every in-play word OTHER, so the filtered query is empty
-    lexicon = PosLexicon({w: frozenset({"OTHER"}) for w in ["about", "quasar", "nebula"]})
-    cfg = QueryGenConfig(pos_lexicon=lexicon, pos_filter=True)
-    out = attach_premises(ds, corpus, build_index(corpus), cfg, RerankConfig())
-    assert [p[0].id for p in out.items[0].premises] == ["00000000", "00000001"]
 
 
 def test_attach_all_stopwords_option_gets_empty_list():

@@ -22,7 +22,6 @@ from kiqa.encoder import (
     SEP,
     SPECIAL_TOKENS,
     START,
-    UNK,
     CheckpointError,
     DivergenceError,
     EncoderConfig,
@@ -193,39 +192,6 @@ def test_d1_forward_collapses_to_shift():
     for ids in ([[1, 5]], [[1, 6, 7, 8, 2]]):
         out = model.encode_ids(np.array(ids)).data
         np.testing.assert_array_equal(out, np.full((1, 1), 0.625))
-
-
-def test_encode_single_sequence():
-    model = small_model(seed=5)
-    tokens = [START, "alpha", "beta", SEP]
-    vec = model.encode(tokens)
-    assert vec.shape == (model.config.d,)
-    ids = model.vocab.encode(tokens)[None, :]
-    assert np.array_equal(vec, model.encode_ids(ids).data[0])
-
-
-def test_encode_unknown_words_hit_unk():
-    model = small_model(seed=5)
-    a = model.encode([START, "zzz", SEP])
-    b = model.encode([START, UNK, SEP])
-    assert np.array_equal(a, b)
-
-
-def test_encode_overlong_keeps_start_and_tail():
-    model = small_model(seed=6)
-    vocab_words = ["alpha", "beta", "gamma", "delta"] * 5
-    tokens = [START, *vocab_words, SEP]  # 22 > max_len 16
-    vec = model.encode(tokens)
-    want = model.encode([START] + tokens[-15:])
-    assert np.array_equal(vec, want)
-
-
-def test_encode_requires_start_token():
-    model = small_model()
-    with pytest.raises(ValueError):
-        model.encode(["alpha", "beta"])
-    with pytest.raises(ValueError):
-        model.encode([])
 
 
 def test_hidden_states_rejects_bad_shapes():

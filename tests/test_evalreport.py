@@ -267,8 +267,7 @@ def test_sweep_m_row_structure():
     ds, corpus, index, vocab = decisive_pipeline()
     enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=0)
     model = FusionModel.init(enc, "concat", seed=1)
-    rows = sweep_m(model, ds, ds, corpus, index, [1, 2, 3],
-                   retrain=False)
+    rows = sweep_m(model, ds, ds, corpus, index, [1, 2, 3])
     assert [m for m, _ in rows] == [1, 2, 3]
     assert all(0.0 <= acc <= 1.0 for _, acc in rows)
 
@@ -278,11 +277,9 @@ def test_sweep_m_validation():
     enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=0)
     model = FusionModel.init(enc, "concat", seed=1)
     with pytest.raises(EvalError, match="positive"):
-        sweep_m(model, ds, ds, corpus, index, [0, 1], retrain=False)
+        sweep_m(model, ds, ds, corpus, index, [0, 1])
     with pytest.raises(EvalError, match="ascending"):
-        sweep_m(model, ds, ds, corpus, index, [3, 1], retrain=False)
-    with pytest.raises(EvalError, match="train config"):
-        sweep_m(model, ds, ds, corpus, index, [1], retrain=True)
+        sweep_m(model, ds, ds, corpus, index, [3, 1])
 
 
 def test_sweep_m_retrain_leaves_original_model_untouched():
@@ -295,6 +292,34 @@ def test_sweep_m_retrain_leaves_original_model_untouched():
             train_config=TrainConfig(seed=0, lr=0.1, epochs=2, batch_size=4))
     assert np.array_equal(before, model.score_w.data)
     assert np.array_equal(enc_before, enc.params["emb"].data)
+
+
+@pytest.mark.parametrize("head,tied", [
+    ("concat", False), ("weighted-sum", False), ("weighted-sum", True),
+])
+@pytest.mark.parametrize("store", [False, True])
+def test_clone_model_copies_parameters_and_wiring(head, tied, store):
+    if store:
+        encoder = ExternalVectorStore({("q", 0, None): np.ones(4)})
+    else:
+        encoder = EncoderModel.init(Vocab.from_texts(["a b"]), EncoderConfig(d=4), seed=0)
+    model = FusionModel.init(encoder, head, seed=1, tied=tied)
+    clone = _clone_model(model)
+    assert (clone.head, clone.tied) == (head, tied)
+    assert (clone.weight_w is clone.score_w) == tied
+    for name, param in model.parameters().items():
+        twin = clone.parameters()[name]
+        assert twin is not param and twin.requires_grad
+        assert np.array_equal(twin.data, param.data)
+        twin.data += 1.0
+        assert not np.array_equal(twin.data, param.data)
+    if store:
+        assert clone.encoder is encoder
+    else:
+        assert clone.encoder is not encoder
+        for name, param in encoder.params.items():
+            assert np.array_equal(clone.encoder.params[name].data, param.data)
+            assert clone.encoder.params[name] is not param
 
 
 def test_sweep_m_deterministic():
@@ -339,7 +364,7 @@ def test_sweep_m_rows_equal_attaching_at_each_m():
     ms = [1, 2, 3, 4]
 
     rows = sweep_m(model, dataset, dataset, corpus, index, ms,
-                   rr_config=RerankConfig(lambda_=0.5), retrain=False, retrieve_k=20)
+                   rr_config=RerankConfig(lambda_=0.5), retrieve_k=20)
     assert rows == [(m, evaluate(model, attach(m)).accuracy) for m in ms]
     assert len({acc for _, acc in rows}) > 1  # the depths do score differently
 
@@ -362,7 +387,7 @@ def test_concat_accuracy_does_not_improve_with_noise_passages():
     qg, rr = QueryGenConfig(), RerankConfig(m=1)
     train_1 = attach_premises(ds, corpus, index, qg, rr)
     train(model, train_1, TrainConfig(seed=2, lr=0.3, epochs=40, batch_size=6))
-    rows = sweep_m(model, ds, ds, corpus, index, [1, 2, 4], retrain=False)
+    rows = sweep_m(model, ds, ds, corpus, index, [1, 2, 4])
     accs = [acc for _, acc in rows]
     assert accs[0] >= 0.9
     assert accs[0] >= accs[1] >= accs[2]

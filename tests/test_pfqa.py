@@ -1,6 +1,7 @@
 """Family-relations generator: distances, distractors, graphs, splits."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,15 +17,36 @@ from kiqa.pfqa import (
     edit_distance,
     first_name,
     generate_questions,
-    knowledge_supports,
     load_facts,
-    parse_knowledge,
     select_distractors,
     to_dataset,
 )
 
 
-# --- oracle -----------------------------------------------------------------
+# --- oracles ----------------------------------------------------------------
+# Answer-set checker: re-derive the answers from a question's own knowledge
+# sentences, so gold answers never rely on facts the model cannot see.
+
+_FACT_RE = re.compile(r"^The parent of (.+) is (.+)\.$")
+
+
+def parse_knowledge(sentences):
+    facts = []
+    for sentence in sentences:
+        match = _FACT_RE.match(sentence)
+        if match is None:
+            raise FactsError(f"not a parent-fact sentence: {sentence!r}")
+        facts.append(ParentFact(child=match.group(1), parent=match.group(2)))
+    return facts
+
+
+def knowledge_supports(question):
+    """True when the gold option is reachable using only the question's facts."""
+    parents, children = pfqa._adjacency(parse_knowledge(question.knowledge))
+    answers = pfqa._true_answers(question.person, question.qtype, parents, children)
+    return question.options[question.gold] in {first_name(a) for a in answers}
+
+
 # Textbook full-matrix Levenshtein, no shared code with the two-row version.
 
 def levenshtein_oracle(a, b):

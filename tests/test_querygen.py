@@ -1,4 +1,4 @@
-"""Query generation: stopword removal, POS narrowing, error paths."""
+"""Query generation: stopword removal and error paths."""
 
 from collections import Counter
 
@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from kiqa.datasets import McqItem
 from kiqa.querygen import (
     EmptyQueryError,
-    LexiconFormatError,
-    PosLexicon,
     Query,
     QueryGenConfig,
     generate_query,
-    load_pos_lexicon,
     load_stopwords,
 )
 
@@ -54,55 +51,6 @@ def test_option_index_out_of_range():
         generate_query(item("q", ["a", "b"]), 2, cfg)
 
 
-# Hand-applied filter over a fixed 20-word input and a fixed lexicon:
-# stopwords knock out {the, over, a, it}, the lexicon drops OTHER-only
-# words {near, across}, and words absent from the lexicon survive.
-def test_pos_filter_golden():
-    lexicon = PosLexicon(
-        {
-            "quick": frozenset({"ADJ"}),
-            "brown": frozenset({"ADJ"}),
-            "fox": frozenset({"NOUN"}),
-            "jumps": frozenset({"VERB"}),
-            "lazy": frozenset({"ADJ"}),
-            "dog": frozenset({"NOUN"}),
-            "near": frozenset({"OTHER"}),
-            "river": frozenset({"NOUN"}),
-            "bank": frozenset({"NOUN", "VERB"}),
-            "swims": frozenset({"VERB"}),
-            "across": frozenset({"OTHER"}),
-            "cold": frozenset({"ADJ"}),
-            "water": frozenset({"NOUN"}),
-        }
-    )
-    cfg = QueryGenConfig(pos_lexicon=lexicon, pos_filter=True)
-    q = generate_query(
-        item(
-            "The quick brown fox jumps over the lazy dog near a sunny river bank",
-            ["it swims swiftly across cold water", "other choice"],
-        ),
-        0,
-        cfg,
-    )
-    assert q.terms == (
-        "quick", "brown", "fox", "jumps", "lazy", "dog", "sunny", "river",
-        "bank", "swims", "swiftly", "cold", "water",
-    )
-
-
-def test_pos_filter_needs_lexicon_to_act():
-    cfg = QueryGenConfig(stopwords=frozenset(), pos_filter=True, pos_lexicon=None)
-    q = generate_query(item("strange word", ["here", "there"]), 0, cfg)
-    assert q.terms == ("strange", "word", "here")
-
-
-def test_unknown_words_survive_pos_filter():
-    lexicon = PosLexicon({"near": frozenset({"OTHER"})})
-    cfg = QueryGenConfig(stopwords=frozenset(), pos_lexicon=lexicon, pos_filter=True)
-    q = generate_query(item("flibber near gork", ["zorp", "x"]), 0, cfg)
-    assert q.terms == ("flibber", "gork", "zorp")
-
-
 @given(st.lists(st.sampled_from(["Cat", "DOG", "the", "IS", "tree"]), min_size=1, max_size=12))
 def test_casing_and_whitespace_invariance(words):
     cfg = QueryGenConfig(stopwords=frozenset({"the", "is"}))
@@ -137,32 +85,8 @@ def test_query_is_hashable_value():
 
 
 # ---------------------------------------------------------------------------
-# File formats
+# Stopword file
 # ---------------------------------------------------------------------------
-
-def test_load_pos_lexicon_accumulates_tags(tmp_path):
-    path = tmp_path / "lex.tsv"
-    path.write_text("Bank\tNOUN\nbank\tverb\nrun\tVERB\n", encoding="utf-8")
-    lex = load_pos_lexicon(path)
-    assert lex.tags("BANK") == frozenset({"NOUN", "VERB"})
-    assert lex.tags("run") == frozenset({"VERB"})
-    assert "bank" in lex and "walk" not in lex
-    assert len(lex) == 2
-
-
-def test_lexicon_bad_tag_reports_line(tmp_path):
-    path = tmp_path / "lex.tsv"
-    path.write_text("run\tVERB\nodd\tNOPE\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=r":2:.*NOPE"):
-        load_pos_lexicon(path)
-
-
-def test_lexicon_bad_shape_reports_line(tmp_path):
-    path = tmp_path / "lex.tsv"
-    path.write_text("just-one-column\n", encoding="utf-8")
-    with pytest.raises(LexiconFormatError, match=r":1:"):
-        load_pos_lexicon(path)
-
 
 def test_default_stopword_file_loads():
     stop = load_stopwords()
