@@ -37,7 +37,6 @@ with identical inputs, config, and seed writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -72,6 +71,7 @@ from .index import Bm25Params, build_index, load_index, save_index
 from .pfqa import assign_splits, generate_questions, load_facts, render_fact, to_dataset
 from .querygen import QueryGenConfig
 from .rerank import RerankConfig, SimilarityFn, load_embedding_table
+from .textio import loads, read_text
 from .toytasks import training_vocab
 
 
@@ -87,7 +87,7 @@ def parse_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` file; see the module docstring for the syntax."""
     path = Path(path)
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path, CliError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -111,10 +111,7 @@ def _parse_value(text: str, path: Path, lineno: int):
     if not text:
         raise CliError(f"{path}:{lineno}: missing value")
     if text.startswith(('"', '[')):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}:{lineno}: malformed value {text!r}: {exc}") from None
+        return loads(text, f"{path}:{lineno}: malformed value", CliError)
     if text == "true":
         return True
     if text == "false":
@@ -247,7 +244,8 @@ def _similarity(cfg: Config, embeddings_path) -> SimilarityFn:
 
 def _cmd_attach(args) -> int:
     cfg = _load_config(args)
-    dataset = load_mcq(_input(args.dataset), args.schema, schema_map=args.schema_map)
+    schema_map = _input(args.schema_map) if args.schema_map else None
+    dataset = load_mcq(_input(args.dataset), args.schema, schema_map=schema_map)
     corpus = load_jsonl(_input(args.corpus))
     index = load_index(_input(args.index)) if args.index else build_index(corpus)
     rr_config = RerankConfig(

@@ -10,15 +10,18 @@ Three raw formats are supported:
   record is rendered through a per-dimension connective template.
 
 Prepared corpora are exchanged between pipeline stages as JSON lines
-(one sentence record per line, see :func:`save_jsonl`).
+(one sentence record per line, see :func:`save_jsonl`).  Every source is
+read through :mod:`kiqa.textio`, so an unreadable or non-UTF-8 file, or a
+line of invalid JSON, is a :class:`CorpusError` naming the file and line.
 
 A :class:`KnowledgeCorpus` is a column store: parallel lists of ids,
 texts, source tags and titles.  The plain-lines and JSONL loaders fill the
 columns directly and :func:`save_jsonl` writes from them, so no
 per-sentence object is made on the way; :class:`KnowledgeSentence`
 objects are built only when ``sentences`` or ``get`` asks for them.
-Records are the ``\\n``-separated lines of a JSON-lines file, so a U+2028
-or U+0085 inside a string value stays part of its record.
+Plain lines end at any line boundary ``str.splitlines`` knows; JSON-lines
+records are the ``\\n``-separated lines, so a U+2028 or U+0085 inside a
+string value stays part of its record.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from json.decoder import JSONDecoder
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable
+
+from .textio import json_lines, loads, read_text
 
 
 class CorpusError(ValueError):
@@ -258,16 +262,14 @@ def load_atomic_templates(path: str | Path | None = None) -> dict[str, str]:
     """Connective templates, one per inference dimension, from a swappable data file."""
     if path is None:
         path = Path(__file__).parent / "data" / "atomic_templates.json"
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = loads(read_text(path, CorpusError), str(path), CorpusError)
     return {k.lower(): v for k, v in raw.items()}
 
 
 def load_name_pool(path: str | Path | None = None) -> list[str]:
     if path is None:
         path = Path(__file__).parent / "data" / "neutral_names.txt"
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [name for name in map(str.strip, read_text(path, CorpusError).split("\n")) if name]
 
 
 def prepare_atomic(
@@ -337,31 +339,24 @@ def load_corpus(
     file twice yields an identical corpus.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
-
     if format == "plain-lines":
         # _normalize_ws on every line, as C-level maps
-        texts = [text for text in map(" ".join, map(str.split, raw.splitlines())) if text]
+        lines = read_text(path, CorpusError).splitlines()
+        texts = [text for text in map(" ".join, map(str.split, lines)) if text]
         n = len(texts)
         corpus = KnowledgeCorpus.from_columns(
             list(map(_make_id, range(n))), texts, [source_tag or "plain"] * n, [None] * n
         )
     elif format == "titled-paragraphs":
-        records = _parse_jsonl(raw, path, required=("title", "text"))
-        pairs = [(rec["title"], rec["text"]) for rec, _ in records]
+        records = _parse_jsonl(path, required=("title", "text"))
+        pairs = [(rec["title"], rec["text"]) for rec in records]
         sentences, paragraphs = prepare_titled(pairs, source_tag=source_tag or "wikihow")
         corpus = KnowledgeCorpus(sentences, paragraphs=paragraphs)
     elif format == "atomic-events":
-        records = _parse_jsonl(raw, path, required=("event", "dimension", "inference"))
+        records = _parse_jsonl(path, required=("event", "dimension", "inference"))
         pool = name_pool if name_pool is not None else load_name_pool()
-        corpus = KnowledgeCorpus(prepare_atomic(
-            [rec for rec, _ in records], pool, seed, source_tag=source_tag or "atomic"
-        ))
+        sentences = prepare_atomic(records, pool, seed, source_tag=source_tag or "atomic")
+        corpus = KnowledgeCorpus(sentences)
     else:
         raise CorpusError(f"unknown corpus format {format!r}")
 
@@ -370,21 +365,15 @@ def load_corpus(
     return corpus
 
 
-def _parse_jsonl(raw: str, path: Path, required: tuple[str, ...]) -> list[tuple[dict, int]]:
+def _parse_jsonl(path: Path, required: tuple[str, ...]) -> list[dict]:
     records = []
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        rec = _loads(line, path, lineno)
+    for lineno, rec in json_lines(path, CorpusError):
         if not isinstance(rec, dict) or any(not isinstance(rec.get(k), str) for k in required):
             raise CorpusError(
                 f"{path}:{lineno}: record must have string fields {', '.join(required)}"
             )
-        records.append((rec, lineno))
+        records.append(rec)
     return records
-
-
-_SCAN = JSONDecoder().scan_once
 
 
 def save_jsonl(corpus: KnowledgeCorpus, path: str | Path) -> None:
@@ -414,48 +403,22 @@ def load_jsonl(path: str | Path) -> KnowledgeCorpus:
     ``"generic"`` and ``title`` to null.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
-    lines = raw.split("\n")
-    del raw
     ids, texts, tags, titles = [], [], [], []
     paragraphs, paragraphs_line = None, 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, rec in json_lines(path, CorpusError):
         try:
-            rec, end = _SCAN(line, 0)  # what json.loads returns when the line has no padding
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):
-            if not line.strip():
-                continue
-            rec = _loads(line, path, lineno)
-        try:
-            sid, text = rec["id"], rec["text"]
-            tag, title = rec.get("source", "generic"), rec.get("title")
-        except (TypeError, KeyError):  # not an object, or no id or text
-            if type(rec) is not dict:
-                raise CorpusError(f"{path}:{lineno}: record must be a JSON object") from None
-            if "id" in rec or "paragraphs" not in rec:
-                missing = "id" if "id" not in rec else "text"
-                raise CorpusError(f"{path}:{lineno}: missing field {missing!r}") from None
+            sid, text, tag, title = _sentence_fields(rec)
+        except CorpusError as exc:
+            if type(rec) is not dict or "id" in rec or "paragraphs" not in rec:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
             if paragraphs is not None:
                 raise CorpusError(f"{path}:{lineno}: second paragraphs record") from None
             paragraphs, paragraphs_line = rec["paragraphs"], lineno
             continue
-        if not (type(sid) is str and type(text) is str and type(tag) is str
-                and (title is None or type(title) is str)):
-            raise CorpusError(
-                f"{path}:{lineno}: id, text and source must be strings and title a string or null"
-            )
         ids.append(sid)
         texts.append(text)
         tags.append(tag)
         titles.append(title)
-    del lines
     if not ids:
         raise CorpusError(f"empty corpus: {path}")
     if paragraphs is not None:
@@ -466,11 +429,20 @@ def load_jsonl(path: str | Path) -> KnowledgeCorpus:
         raise CorpusError(f"{path}: {exc}") from None
 
 
-def _loads(line: str, path: Path, lineno: int):
+def _sentence_fields(rec) -> tuple[str, str, str, str | None]:
+    """id, text, source (default ``"generic"``) and title (default null) of a
+    sentence record: a prepared corpus's line, or a premise in a question file."""
     try:
-        return json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        sid, text = rec["id"], rec["text"]
+        tag, title = rec.get("source", "generic"), rec.get("title")
+    except (TypeError, KeyError):  # not an object, or no id or text
+        if type(rec) is not dict:
+            raise CorpusError("record must be a JSON object") from None
+        raise CorpusError(f"missing field {'id' if 'id' not in rec else 'text'!r}") from None
+    if not (type(sid) is str and type(text) is str and type(tag) is str
+            and (title is None or type(title) is str)):
+        raise CorpusError("id, text and source must be strings and title a string or null")
+    return sid, text, tag, title
 
 
 def _paragraph_ranges(value, n: int, path: Path, lineno: int) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 """Unified multiple-choice dataset model, schema loaders, premise attachment.
 
-Supported input schemas (JSON lines):
+Supported input schemas (JSON lines, one record per ``\\n``-separated line,
+read through :mod:`kiqa.textio`):
 
 * ``anli``: abductive pairs — ``obs1``/``obs2`` become the context, the two
   hypotheses become the options, and the question is a fixed prompt since
@@ -13,7 +14,8 @@ Supported input schemas (JSON lines):
   "premises"?, "extras"?}``.
 
 Field names can be overridden with a small JSON schema-mapping file for
-off-spec dumps of the same shape.
+off-spec dumps of the same shape.  Field types are checked, not coerced;
+a bad record or file is a :class:`DatasetError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import KnowledgeCorpus, KnowledgeSentence
+from .corpus import CorpusError, KnowledgeCorpus, KnowledgeSentence, _sentence_fields
 from .index import InvertedIndex, search
 from .querygen import EmptyQueryError, QueryGenConfig, generate_query
 from .rerank import RerankConfig, rerank
+from .textio import json_lines, loads, read_text
 
 ANLI_QUESTION = "What is the most plausible explanation?"
 
@@ -128,116 +131,100 @@ def load_mcq(
     if schema_tag not in SCHEMA_TAGS:
         raise DatasetError(f"unknown schema tag {schema_tag!r}")
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-
     mapping = dict(_DEFAULT_MAPS.get(schema_tag, {}))
-    if schema_map is not None:
-        if isinstance(schema_map, (str, Path)):
-            schema_map = _load_schema_map(Path(schema_map))
-        mapping.update(schema_map)
+    if isinstance(schema_map, (str, Path)):
+        where = str(schema_map)
+        schema_map = loads(read_text(where, DatasetError), where, DatasetError)
+        if not isinstance(schema_map, dict):
+            raise DatasetError(
+                f"{where}: schema map must be a JSON object, got {type(schema_map).__name__}"
+            )
+    mapping.update(schema_map or {})
 
     items = []
-    # split at "\n" only: str.splitlines also breaks at U+2028, U+0085 and
-    # other separators, which save_mcq_jsonl writes raw inside JSON strings
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
+    for lineno, rec in json_lines(path, DatasetError):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
+            if type(rec) is not dict:
+                raise TypeError(f"record must be a JSON object, got {type(rec).__name__}")
             if schema_tag in ("pfqa", "generic"):
                 items.append(_item_from_generic(rec))
             else:
                 items.append(_item_from_mapped(rec, schema_tag, mapping, lineno))
-        except DatasetError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:  # McqItem's DatasetError is one too
+            raise DatasetError(f"{path}:{lineno}: malformed record: {exc}") from None
     if not items:
         raise DatasetError(f"empty dataset: {path}")
-    return McqDataset(items=items, schema_tag=schema_tag)
-
-
-def _load_schema_map(path: Path) -> dict:
     try:
-        overrides = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"{path}: invalid schema map: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise DatasetError(
-            f"{path}: schema map must be a JSON object, got {type(overrides).__name__}"
-        )
-    return overrides
+        return McqDataset(items=items, schema_tag=schema_tag)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _item_from_mapped(rec: dict, schema_tag: str, mapping: dict, lineno: int) -> McqItem:
-    fields = [str(rec[name]) for name in mapping["fields"]]
+    fields = [rec[name] for name in mapping["fields"]]
+    for name, value in zip(mapping["fields"], fields):
+        if type(value) is not str:
+            raise TypeError(f"{name!r} must be a string, got {type(value).__name__}")
     if schema_tag == "anli":
-        context = f"{fields[0]} {fields[1]}"
-        question = ANLI_QUESTION
-        options = fields[2:]
+        context, question, options = f"{fields[0]} {fields[1]}", ANLI_QUESTION, fields[2:]
     elif schema_tag == "piqa":
-        context = None
-        question = fields[0]
-        options = fields[1:]
+        context, question, options = None, fields[0], fields[1:]
     else:  # socialiqa
-        context = fields[0]
-        question = fields[1]
-        options = fields[2:]
+        context, question, options = fields[0], fields[1], fields[2:]
 
     gold = None
     label_field = mapping.get("label")
-    if label_field and label_field in rec and rec[label_field] is not None:
-        gold = int(rec[label_field]) - int(mapping.get("label_base", 0))
+    if label_field and rec.get(label_field) is not None:
+        label = rec[label_field]
+        if type(label) is str:  # SocialIQA ships its labels as strings
+            label = int(label)
+        if type(label) is not int:
+            raise TypeError(f"label must be an integer or null, got {type(label).__name__}")
+        gold = label - int(mapping.get("label_base", 0))
         if not 0 <= gold < len(options):
-            raise DatasetError(f"line {lineno}: label {rec[label_field]!r} out of range")
+            raise ValueError(f"label {rec[label_field]!r} out of range")
 
     id_field = mapping.get("id")
-    item_id = str(rec[id_field]) if id_field and id_field in rec else f"{schema_tag}-{lineno:06d}"
+    item_id = rec[id_field] if id_field and id_field in rec else f"{schema_tag}-{lineno:06d}"
+    if type(item_id) is not str:
+        raise TypeError(f"{id_field!r} must be a string, got {type(item_id).__name__}")
     return McqItem(id=item_id, question=question, options=options, gold=gold, context=context)
 
 
+def _is_str_list(value) -> bool:
+    return type(value) is list and all(type(v) is str for v in value)
+
+
 def _item_from_generic(rec: dict) -> McqItem:
-    if not isinstance(rec, dict):
-        raise TypeError(f"record must be a JSON object, got {type(rec).__name__}")
+    """A canonical record; ``premises`` are checked as a prepared corpus's records are."""
     for key in ("id", "question"):
         if not isinstance(rec.get(key), str):
             raise TypeError(f"{key!r} must be a string, got {type(rec.get(key)).__name__}")
     options = rec.get("options")
-    if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+    if not _is_str_list(options):
         raise TypeError("'options' must be a list of strings")
     gold = rec.get("gold")
     if gold is not None and (not isinstance(gold, int) or isinstance(gold, bool)):
         raise TypeError(f"'gold' must be an integer or absent, got {type(gold).__name__}")
-    premises = None
-    if rec.get("premises") is not None:
-        premises = [
-            [
-                KnowledgeSentence(
-                    id=p["id"],
-                    text=p["text"],
-                    source_tag=p.get("source", "generic"),
-                    title=p.get("title"),
-                )
-                for p in plist
+    context = rec.get("context")
+    if context is not None and type(context) is not str:
+        raise TypeError(f"'context' must be a string or null, got {type(context).__name__}")
+    knowledge, extras = rec.get("knowledge", []), rec.get("extras", {})
+    if not _is_str_list(knowledge):
+        raise TypeError("'knowledge' must be a list of strings")
+    if type(extras) is not dict or not _is_str_list(list(extras.values())):
+        raise TypeError("'extras' must be an object of strings")
+    premises = rec.get("premises")
+    if premises is not None:
+        if type(premises) is not list or not all(type(p) is list for p in premises):
+            raise TypeError("'premises' must be a list of lists")
+        try:
+            premises = [
+                [KnowledgeSentence(*_sentence_fields(p)) for p in plist] for plist in premises
             ]
-            for plist in rec["premises"]
-        ]
-    return McqItem(
-        id=rec["id"],
-        question=rec["question"],
-        options=options,
-        gold=gold,
-        context=rec.get("context"),
-        premises=premises,
-        knowledge=[str(s) for s in rec.get("knowledge", [])],
-        extras={str(k): str(v) for k, v in rec.get("extras", {}).items()},
-    )
+        except CorpusError as exc:
+            raise TypeError(f"premise: {exc}") from None
+    return McqItem(rec["id"], rec["question"], options, gold, context, premises, knowledge, extras)
 
 
 def save_mcq_jsonl(dataset: McqDataset, path: str | Path) -> None:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .textio import json_lines
+
 Key = tuple[str, int, "int | None"]
 
 
@@ -54,46 +56,30 @@ def _sort_key(key: Key):
     return (item, option, passage is not None, passage if passage is not None else 0)
 
 
-def _check_passage(value, path, lineno):
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < -1:
-        raise ExternalVectorError(
-            f"{path}:{lineno}: passage must be null, -1, or a premise index"
-        )
-    return value
-
-
 def load_external_vectors(path: str | Path) -> ExternalVectorStore:
-    path = Path(path)
     vectors: dict[Key, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ExternalVectorError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                item, option, vec = rec["item"], rec["option"], rec["vec"]
-            except (KeyError, TypeError):
-                raise ExternalVectorError(
-                    f"{path}:{lineno}: record needs item, option, passage, vec"
-                ) from None
-            if "passage" not in rec:
-                raise ExternalVectorError(f"{path}:{lineno}: record is missing a passage field")
-            key = (str(item), int(option), _check_passage(rec["passage"], path, lineno))
-            if key in vectors:
-                raise ExternalVectorError(f"{path}:{lineno}: duplicate key {key}")
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ExternalVectorError(f"{path}:{lineno}: vec must be a non-empty flat list")
-            if vectors and arr.shape != next(iter(vectors.values())).shape:
-                raise ExternalVectorError(
-                    f"{path}:{lineno}: vector dimension {arr.size} does not match the rest"
-                )
-            vectors[key] = arr
+    for lineno, rec in json_lines(path, ExternalVectorError):
+        at = f"{path}:{lineno}"
+        try:
+            item, option, vec = rec["item"], rec["option"], rec["vec"]
+        except (KeyError, TypeError):
+            raise ExternalVectorError(f"{at}: record needs item, option, passage, vec") from None
+        if "passage" not in rec:
+            raise ExternalVectorError(f"{at}: record is missing a passage field")
+        passage = rec["passage"]
+        if type(item) is not str or type(option) is not int:
+            raise ExternalVectorError(f"{at}: item must be a string and option an integer")
+        if passage is not None and (type(passage) is not int or passage < -1):
+            raise ExternalVectorError(f"{at}: passage must be null, -1, or a premise index")
+        key = (item, option, passage)
+        if key in vectors:
+            raise ExternalVectorError(f"{at}: duplicate key {key}")
+        if type(vec) is not list or not vec or not all(type(x) in (int, float) for x in vec):
+            raise ExternalVectorError(f"{at}: vec must be a non-empty flat list of numbers")
+        arr = np.asarray(vec, dtype=np.float64)
+        if vectors and arr.shape != next(iter(vectors.values())).shape:
+            raise ExternalVectorError(f"{at}: vector dimension {arr.size} does not match the rest")
+        vectors[key] = arr
     return ExternalVectorStore(vectors)
 
 

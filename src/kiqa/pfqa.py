@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .datasets import McqDataset, McqItem
+from .textio import read_text
 
 QTYPES = ("parent", "grandparent", "sibling")
 
@@ -69,11 +70,7 @@ def load_facts(path: str | Path) -> list[ParentFact]:
     path = Path(path)
     facts: list[ParentFact] = []
     seen: set[tuple[str, str]] = set()
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FactsError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, FactsError).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

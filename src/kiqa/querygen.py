@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .textio import read_text
 from .textnorm import word_tokens
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,8 +31,8 @@ class Query:
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         path = Path(__file__).parent / "data" / "stopwords.txt"
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
+    words = map(str.strip, read_text(path, ValueError).split("\n"))
+    return frozenset(word.lower() for word in words if word)
 
 
 @dataclass

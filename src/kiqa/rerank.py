@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import KnowledgeSentence
+from .textio import read_text
 from .textnorm import token_set, word_tokens
 
 
@@ -50,30 +51,27 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
     """
     table: dict[str, tuple[float, ...]] = {}
     dim: int | None = None
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            word = parts[0].lower()
-            try:
-                vec = tuple(float(x) for x in parts[1:])
-            except ValueError as exc:
-                raise EmbeddingTableError(f"{path}:{lineno}: bad vector component") from exc
-            if not vec:
-                raise EmbeddingTableError(f"{path}:{lineno}: no vector components")
-            if not all(map(math.isfinite, vec)):
-                raise EmbeddingTableError(f"{path}:{lineno}: non-finite vector component")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise EmbeddingTableError(
-                    f"{path}:{lineno}: dimension {len(vec)} != {dim}"
-                )
-            if word in table:
-                raise EmbeddingTableError(f"{path}:{lineno}: duplicate word {word!r}")
-            table[word] = vec
+    lines = read_text(path, EmbeddingTableError).split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        word = parts[0].lower()
+        try:
+            vec = tuple(float(x) for x in parts[1:])
+        except ValueError as exc:
+            raise EmbeddingTableError(f"{path}:{lineno}: bad vector component") from exc
+        if not vec:
+            raise EmbeddingTableError(f"{path}:{lineno}: no vector components")
+        if not all(map(math.isfinite, vec)):
+            raise EmbeddingTableError(f"{path}:{lineno}: non-finite vector component")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise EmbeddingTableError(f"{path}:{lineno}: dimension {len(vec)} != {dim}")
+        if word in table:
+            raise EmbeddingTableError(f"{path}:{lineno}: duplicate word {word!r}")
+        table[word] = vec
     return table
 
 

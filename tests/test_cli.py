@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -37,6 +38,7 @@ QUESTIONS = [
     {"id": "q1", "question": "what colour is the sky", "options": ["blue", "green"], "gold": 0},
     {"id": "q2", "question": "what colour is the grass", "options": ["yellow", "green"], "gold": 1},
 ]
+FACTS = "Alice\tBob\nBob\tCarol\nCarol\tDave\nDave\tEve\nEve\tFrank\nFrank\tGrace\n"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,15 @@ def artifacts(tmp_path_factory):
     (d / "attach.cfg").write_text("m = 2\nlambda = 0.5\n", encoding="utf-8")
     (d / "train.cfg").write_text('head = "concat"\nd = 8\nepochs = 2\n', encoding="utf-8")
     (d / "revise.cfg").write_text("d = 8\nepochs = 1\n", encoding="utf-8")
+    # text inputs that only the text-input tests read
+    (d / "piqa.jsonl").write_text(json.dumps(
+        {"goal": "what colour is the sky", "sol1": "blue", "sol2": "green", "label": 0}) + "\n",
+        encoding="utf-8")
+    (d / "map.json").write_text(json.dumps(
+        {"id": "id", "fields": ["goal", "sol1", "sol2"], "label": "label", "label_base": 0}),
+        encoding="utf-8")
+    (d / "emb.txt").write_text("sky 0.5 1.0\nblue 1.0 0.0\ngrass 0.0 1.0\n", encoding="utf-8")
+    (d / "facts.tsv").write_text(FACTS, encoding="utf-8")
     steps = [
         ["corpus-prep", "--input", str(d / "raw.txt"), "--out", str(d / "corpus.jsonl")],
         ["index-build", "--corpus", str(d / "corpus.jsonl"), "--out", str(d / "index.kiix")],
@@ -140,10 +151,7 @@ def test_attach_inline_index_matches_prebuilt(artifacts, tmp_path):
 
 def test_pfqa_gen_writes_knowledge_and_splits(tmp_path):
     facts = tmp_path / "facts.tsv"
-    facts.write_text(
-        "Alice\tBob\nBob\tCarol\nCarol\tDave\nDave\tEve\nEve\tFrank\nFrank\tGrace\n",
-        encoding="utf-8",
-    )
+    facts.write_text(FACTS, encoding="utf-8")
     out = tmp_path / "pfqa"
     assert main(["pfqa-gen", "--facts", str(facts), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
@@ -688,6 +696,99 @@ def test_attach_then_train_with_unicode_line_separators(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "attached.jsonl"),
                  "--config", str(tmp_path / "train.cfg"),
                  "--out", str(tmp_path / "model.bin")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Text inputs: every one that cannot be decoded or parsed is named
+# ---------------------------------------------------------------------------
+
+def _attach(d, out, *extra, dataset=None):
+    return ["attach", "--dataset", dataset or d / "qs.jsonl", "--corpus", d / "corpus.jsonl",
+            "--index", d / "index.kiix", *extra, "--out", out]
+
+
+# The stage that reads each text input of the fixture, given the input to read instead.
+TEXT_STAGES = {
+    "qs.jsonl": lambda d, src, out: _attach(d, out, dataset=src),
+    "piqa.jsonl": lambda d, src, out: _attach(d, out, "--schema", "piqa", dataset=src),
+    "attached.jsonl": lambda d, src, out: [
+        "train", "--dataset", src, "--config", d / "train.cfg", "--out", out],
+    "corpus.jsonl": lambda d, src, out: ["index-build", "--corpus", src, "--out", out],
+    "attach.cfg": lambda d, src, out: _attach(d, out, "--config", src),
+    "map.json": lambda d, src, out: _attach(
+        d, out, "--schema", "piqa", "--schema-map", src, dataset=d / "piqa.jsonl"),
+    "emb.txt": lambda d, src, out: _attach(d, out, "--embeddings", src),
+    "facts.tsv": lambda d, src, out: ["pfqa-gen", "--facts", src, "--out", out],
+}
+
+
+def run_stage(artifacts, name, src, out):
+    """Exit code and stderr lines of the stage reading ``src`` as input ``name``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in TEXT_STAGES[name](artifacts, src, out)])
+    return rc, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_STAGES))
+def test_text_stage_reads_its_fixture_input(artifacts, tmp_path, name):
+    assert run_stage(artifacts, name, artifacts / name, tmp_path / "out") == (0, [])
+
+
+DEEP = b"[" * 100_000
+
+
+@pytest.mark.parametrize("name, content", [
+    pytest.param("qs.jsonl", b'{"id": "q1", "question": "sky \xff", "options": ["a", "b"]}\n',
+                 id="dataset-not-utf8"),
+    pytest.param("emb.txt", b"sky 0.5 \xff\n", id="embeddings-not-utf8"),
+    pytest.param("attach.cfg", b"m = \xff\n", id="config-not-utf8"),
+    pytest.param("facts.tsv", b"Alice\tB\xffob\n", id="facts-not-utf8"),
+    pytest.param("qs.jsonl", DEEP + b"\n", id="dataset-deep"),
+    pytest.param("attach.cfg", b"m = " + DEEP + b"\n", id="config-deep"),
+    pytest.param("map.json", DEEP, id="schema-map-deep"),
+    pytest.param("piqa.jsonl", b'{"goal": ["sky", "x"], "sol1": "blue", "sol2": "green", '
+                 b'"label": true}\n', id="piqa-list-goal"),
+    pytest.param("qs.jsonl", b'{"id": "q1", "question": "sky", "options": ["a", "b"], '
+                 b'"extras": [1]}\n', id="extras-list"),
+    pytest.param("attached.jsonl", b'{"id": "q1", "question": "sky", "options": ["a", "b"], '
+                 b'"premises": [[{"id": 5, "text": ["x"]}], []]}\n', id="premise-list-text"),
+])
+def test_bad_text_input_exits_1_naming_the_file(artifacts, tmp_path, name, content):
+    bad, out = tmp_path / name, tmp_path / "out"
+    bad.write_bytes(content)
+    rc, lines = run_stage(artifacts, name, bad, out)
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}"), lines
+    assert not out.exists()
+
+
+@settings(max_examples=160, deadline=None)
+@given(name=st.sampled_from(sorted(TEXT_STAGES)), data=st.data())
+def test_corrupted_text_input_exits_cleanly(artifacts, name, data):
+    raw = (artifacts / name).read_bytes()
+    how = data.draw(st.sampled_from(["truncate", "flip", "0xff"]), label="how")
+    if how == "truncate":
+        corrupt = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    elif how == "flip":
+        corrupt = bytearray(raw)
+        for at in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4,
+                                     unique=True), label="flipped bytes"):
+            corrupt[at] ^= data.draw(st.integers(1, 255), label="xor")
+    else:
+        at = data.draw(st.integers(0, len(raw)), label="position")
+        corrupt = raw[:at] + b"\xff" + raw[at:]
+    (artifacts / "textfuzz").mkdir(exist_ok=True)
+    bad, out = artifacts / "textfuzz" / name, artifacts / "textfuzz" / "out"
+    bad.write_bytes(bytes(corrupt))
+    shutil.rmtree(out, ignore_errors=True)
+    out.unlink(missing_ok=True)
+    rc, lines = run_stage(artifacts, name, bad, out)
+    assert rc in (0, 1, 2)
+    assert not any("Traceback" in line for line in lines)
+    if rc:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

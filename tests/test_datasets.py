@@ -148,6 +148,42 @@ def test_schema_map_from_file(tmp_path):
     assert ds.items[0].options == ["one", "two"]
 
 
+PIQA = {"id": "p1", "goal": "g", "sol1": "a", "sol2": "b", "label": 0}
+GENERIC = {"id": "q1", "question": "q", "options": ["a", "b"]}
+
+
+@pytest.mark.parametrize("schema, record, message", [
+    ("piqa", dict(PIQA, goal=["sky", "x"]), "'goal' must be a string"),
+    ("piqa", dict(PIQA, sol2=2), "'sol2' must be a string"),
+    ("piqa", dict(PIQA, id=7), "'id' must be a string"),
+    ("piqa", dict(PIQA, label=True), "label must be an integer"),
+    ("piqa", dict(PIQA, label=0.0), "label must be an integer"),
+    ("piqa", dict(PIQA, label="x"), "invalid literal"),
+    ("generic", dict(GENERIC, context=5), "'context' must be a string or null"),
+    ("generic", dict(GENERIC, knowledge="fact"), "'knowledge' must be a list of strings"),
+    ("generic", dict(GENERIC, knowledge=None), "'knowledge' must be a list of strings"),
+    ("generic", dict(GENERIC, extras=[1]), "'extras' must be an object of strings"),
+    ("generic", dict(GENERIC, extras={"k": 1}), "'extras' must be an object of strings"),
+    ("generic", dict(GENERIC, premises="k1"), "'premises' must be a list of lists"),
+    ("generic", dict(GENERIC, premises=[[{"id": "k1"}], []]), "premise: missing field 'text'"),
+    ("generic", dict(GENERIC, premises=[[{"id": 5, "text": ["x"]}], []]), "premise: id, text"),
+    ("generic", dict(GENERIC, premises=[["k1"], []]), "premise: record must be a JSON object"),
+    ("generic", dict(GENERIC, gold=2), "item 'q1': gold index 2 out of range"),
+])
+def test_record_with_a_wrong_field_type_names_its_line(tmp_path, schema, record, message):
+    path = tmp_path / "bad.jsonl"
+    write_jsonl(path, [PIQA if schema == "piqa" else GENERIC, record])
+    with pytest.raises(DatasetError, match=f"bad.jsonl:2: malformed record: {message}"):
+        load_mcq(path, schema)
+
+
+def test_dataset_level_error_names_the_file(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    write_jsonl(path, [GENERIC, GENERIC])
+    with pytest.raises(DatasetError, match="dup.jsonl: duplicate item id 'q1'"):
+        load_mcq(path, "generic")
+
+
 def test_generic_round_trip(tmp_path):
     premises = [
         [KnowledgeSentence(id="k1", text="Fact one.", source_tag="plain")],

@@ -126,6 +126,10 @@ def test_load_skips_blank_lines(tmp_path):
         ('{"item": "x", "option": 0, "passage": true, "vec": [1.0]}', "passage must be"),
         ('{"item": "x", "option": 0, "passage": null, "vec": []}', "non-empty flat"),
         ('{"item": "x", "option": 0, "passage": null, "vec": [[1.0]]}', "non-empty flat"),
+        ('{"item": "x", "option": 0, "passage": null, "vec": ["1.0"]}', "non-empty flat"),
+        ('{"item": true, "option": 0, "passage": null, "vec": [1.0]}', "item must be a string"),
+        ('{"item": "x", "option": 3.7, "passage": null, "vec": [1.0]}', "option an integer"),
+        ('{"item": "x", "option": true, "passage": null, "vec": [1.0]}', "option an integer"),
     ],
 )
 def test_load_rejects_malformed_lines(tmp_path, line, message):
