@@ -394,8 +394,12 @@ def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Optimizer
+# Optimizer and training loop
 # ---------------------------------------------------------------------------
+
+class DivergenceError(ValueError):
+    """A training loss went non-finite; the parameters are no longer usable."""
+
 
 class SGD:
     """Gradient descent with classical momentum; update order is fixed."""
@@ -421,3 +425,28 @@ class SGD:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+
+def sgd_epoch(opt: SGD, order, batch_size: int, batch_loss, loss_log: list[float] | None = None):
+    """One pass of minibatch SGD over ``order``, in slices of ``batch_size``.
+
+    ``batch_loss(slice)`` builds one minibatch's loss, or returns None to
+    skip it.  A non-finite loss raises DivergenceError before the optimizer
+    steps, so no parameter or velocity takes it in; each finite loss is
+    appended to ``loss_log``.  A diverging run overflows before its loss
+    goes non-finite, so numpy's overflow warnings would only repeat the
+    DivergenceError and are silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(order), batch_size):
+            loss = batch_loss(order[lo : lo + batch_size])
+            if loss is None:
+                continue
+            value = loss.item()
+            if not np.isfinite(value):
+                raise DivergenceError(f"training loss became {value!r}; lower the learning rate")
+            if loss_log is not None:
+                loss_log.append(value)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()

@@ -13,14 +13,18 @@ read through :mod:`kiqa.textio`):
   ``{"id", "context"?, "question", "options", "gold"?, "knowledge"?,
   "premises"?, "extras"?}``.
 
-Field names can be overridden with a small JSON schema-mapping file for
-off-spec dumps of the same shape.  Field types are checked, not coerced;
-a bad record or file is a :class:`DatasetError` naming the file and line.
+Field names of the ``anli``, ``piqa`` and ``socialiqa`` schemas can be
+overridden with a small JSON schema map for off-spec dumps of the same
+shape; the map is checked before any record is read, and a bad one is a
+:class:`DatasetError` naming the map.  Field types are checked, not
+coerced; a bad record or file is a :class:`DatasetError` naming the file
+and line.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -125,21 +129,24 @@ def load_mcq(
 ) -> McqDataset:
     """Load one JSON-lines file into the unified model.
 
-    ``schema_map`` overrides the default field names for the tag (a dict or
-    a path to a JSON file with the same keys as the built-in mappings).
+    ``schema_map`` overrides the default field names of an ``anli``,
+    ``piqa`` or ``socialiqa`` load (a dict or a path to a JSON file).  It
+    is checked before any record is read: its keys must be among the
+    built-in mapping's, ``id`` and ``label`` a field name or null,
+    ``label_base`` an integer, and ``fields`` the tag's number of field
+    names.
     """
     if schema_tag not in SCHEMA_TAGS:
         raise DatasetError(f"unknown schema tag {schema_tag!r}")
     path = Path(path)
     mapping = dict(_DEFAULT_MAPS.get(schema_tag, {}))
-    if isinstance(schema_map, (str, Path)):
-        where = str(schema_map)
-        schema_map = loads(read_text(where, DatasetError), where, DatasetError)
-        if not isinstance(schema_map, dict):
-            raise DatasetError(
-                f"{where}: schema map must be a JSON object, got {type(schema_map).__name__}"
-            )
-    mapping.update(schema_map or {})
+    if schema_map is not None:
+        where = "schema map"
+        if isinstance(schema_map, (str, Path)):
+            name = str(schema_map)
+            schema_map = loads(read_text(name, DatasetError), name, DatasetError)
+            where = f"{name}: schema map"
+        mapping.update(_check_schema_map(schema_map, schema_tag, where))
 
     items = []
     for lineno, rec in json_lines(path, DatasetError):
@@ -158,6 +165,30 @@ def load_mcq(
         return McqDataset(items=items, schema_tag=schema_tag)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
+
+
+def _check_schema_map(schema_map, schema_tag: str, where: str) -> dict:
+    """``schema_map`` once every key and value fits ``schema_tag``'s mapping."""
+    if schema_tag not in _DEFAULT_MAPS:
+        raise DatasetError(f"{where} applies only to {', '.join(_DEFAULT_MAPS)}, not {schema_tag}")
+    if type(schema_map) is not dict:
+        raise DatasetError(f"{where} must be a JSON object, got {type(schema_map).__name__}")
+    n_fields = len(_DEFAULT_MAPS[schema_tag]["fields"])
+    for key, value in schema_map.items():
+        if key in ("id", "label"):
+            ok, want = value is None or type(value) is str, "a field name or null"
+        elif key == "label_base":
+            ok, want = type(value) is int, "an integer"
+        elif key == "fields":
+            ok = _is_str_list(value) and len(value) == n_fields
+            want = f"a list of {n_fields} field names"
+        else:
+            raise DatasetError(
+                f"{where}: unknown key {key!r} (expected id, fields, label, label_base)"
+            )
+        if not ok:
+            raise DatasetError(f"{where}: {key!r} must be {want}, got {reprlib.repr(value)}")
+    return schema_map
 
 
 def _item_from_mapped(rec: dict, schema_tag: str, mapping: dict, lineno: int) -> McqItem:

@@ -40,18 +40,6 @@ class CheckpointError(ValueError):
 KENC = binfmt.Kind(b"KENC", 2, "encoder", "revise", CheckpointError)
 
 
-class DivergenceError(ValueError):
-    """A training loss went non-finite; the parameters are no longer usable."""
-
-
-def require_finite(loss: Tensor) -> float:
-    """The loss value, or DivergenceError before it can reach an optimizer step."""
-    value = loss.item()
-    if not np.isfinite(value):
-        raise DivergenceError(f"training loss became {value!r}; lower the learning rate")
-    return value
-
-
 def encoder_tokens(text: str) -> list[str]:
     """Whitespace tokenization, lowercased; the toy encoder's word pieces."""
     return text.lower().split()
@@ -300,7 +288,9 @@ def revision_train(
     with no masked position are skipped.  When the corpus carries
     paragraph structure, an adjacent-sentence objective runs alongside:
     a throwaway linear probe classifies whether two sentences were
-    neighbors, and its parameters are discarded afterwards.
+    neighbors, and its parameters are discarded afterwards.  Both
+    objectives take their passes through :func:`kiqa.autodiff.sgd_epoch`,
+    so a loss gone non-finite stops the run with DivergenceError.
     """
     rng = np.random.default_rng(config.seed)
     vocab = model.vocab
@@ -317,31 +307,20 @@ def revision_train(
         }
     opt = SGD({**model.params, **nsp_params}, lr=config.lr, momentum=config.momentum)
 
-    # As in fusion.train: require_finite reports a diverging run, not numpy.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            order = rng.permutation(len(sequences))
-            for lo in range(0, len(order), config.batch_size):
-                chunk = [sequences[i] for i in order[lo : lo + config.batch_size]]
-                ids = pad_batch(chunk, vocab.pad_id)
-                maskable = ids >= vocab.first_word_id
-                mask = (rng.random(ids.shape) < config.mask_prob) & maskable
-                loss = mlm_batch_loss(model, ids, mask)
-                if loss is None:
-                    continue
-                value = require_finite(loss)
-                if loss_log is not None:
-                    loss_log.append(value)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            if pairs:
-                _nsp_epoch(model, corpus, sequences, pairs, nsp_params, opt, rng, config)
+    def mlm_loss(batch: np.ndarray) -> Tensor | None:
+        ids = pad_batch([sequences[i] for i in batch], vocab.pad_id)
+        mask = (rng.random(ids.shape) < config.mask_prob) & (ids >= vocab.first_word_id)
+        return mlm_batch_loss(model, ids, mask)
+
+    for _ in range(config.epochs):
+        ad.sgd_epoch(opt, rng.permutation(len(sequences)), config.batch_size, mlm_loss, loss_log)
+        if pairs:
+            _nsp_epoch(model, sequences, pairs, nsp_params, opt, rng, config)
     return model
 
 
-def _nsp_epoch(model, corpus, sequences, pairs, nsp_params, opt, rng, config):
-    n = len(corpus)
+def _nsp_epoch(model, sequences, pairs, nsp_params, opt, rng, config):
+    n = len(sequences)
     examples = []
     for a, b in pairs:
         examples.append((a, b, 1))
@@ -351,22 +330,19 @@ def _nsp_epoch(model, corpus, sequences, pairs, nsp_params, opt, rng, config):
         while j in (a, a + 1):
             j = int(rng.integers(n))
         examples.append((a, j, 0))
-    order = rng.permutation(len(examples))
-    for lo in range(0, len(order), config.batch_size):
-        batch = [examples[i] for i in order[lo : lo + config.batch_size]]
+
+    def nsp_loss(rows: np.ndarray) -> Tensor:
+        batch = [examples[i] for i in rows]
         seqs = [
             np.concatenate([sequences[a], sequences[b][1:]])[: model.config.max_len]
             for a, b, _ in batch
         ]
-        ids = pad_batch(seqs, model.vocab.pad_id)
-        pooled = model.encode_ids(ids)
+        pooled = model.encode_ids(pad_batch(seqs, model.vocab.pad_id))
         z = pooled @ nsp_params["nsp_w"] + nsp_params["nsp_b"]  # (B, 1)
         logits = ad.concat([Tensor(np.zeros_like(z.data)), z], axis=1)
-        loss = cross_entropy(logits, np.array([y for _, _, y in batch]))
-        require_finite(loss)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
+        return cross_entropy(logits, np.array([y for _, _, y in batch]))
+
+    ad.sgd_epoch(opt, rng.permutation(len(examples)), config.batch_size, nsp_loss)
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,14 @@ share this path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import binfmt
-from .autodiff import SGD, Tensor, cross_entropy, no_grad
+from .autodiff import SGD, Tensor, cross_entropy, no_grad, sgd_epoch
 from .datasets import McqDataset, McqItem
 from .encoder import (
     CheckpointError,
@@ -41,7 +41,6 @@ from .encoder import (
     build_sequence,
     pad_batch,
     read_encoder,
-    require_finite,
     write_encoder,
 )
 from .external import ExternalVectorStore
@@ -226,6 +225,15 @@ def _batch_loss(model: FusionModel, batch: list[McqItem], frozen: bool) -> Tenso
     return cross_entropy(scores, np.array([it.gold for it in batch]))
 
 
+def _trainable(model: FusionModel, frozen: bool) -> dict[str, Tensor]:
+    """The head parameters, and the encoder's under ``enc.`` names unless it
+    is frozen or a vector store."""
+    params = dict(model.parameters())
+    if isinstance(model.encoder, EncoderModel) and not frozen:
+        params.update({f"enc.{k}": v for k, v in model.encoder.params.items()})
+    return params
+
+
 def train(
     model: FusionModel,
     dataset: McqDataset,
@@ -236,33 +244,24 @@ def train(
     """Fit the head (and, unless frozen, the encoder) in place.
 
     Loss is cross-entropy of the softmax over each item's option scores
-    against its gold index.
+    against its gold index.  Each epoch is one shuffled pass of
+    :func:`kiqa.autodiff.sgd_epoch`, so a loss gone non-finite stops the
+    run with DivergenceError.
     """
     missing = [it.id for it in dataset.items if it.gold is None]
     if missing:
         raise FusionError(f"items without gold labels: {missing[:3]}")
     if isinstance(model.encoder, ExternalVectorStore) and not freeze_encoder:
         raise FusionError("precomputed vectors cannot receive gradients; freeze the encoder")
-    params = dict(model.parameters())
-    if isinstance(model.encoder, EncoderModel) and not freeze_encoder:
-        params.update({f"enc.{k}": v for k, v in model.encoder.params.items()})
-    opt = SGD(params, lr=config.lr, momentum=config.momentum)
+    opt = SGD(_trainable(model, freeze_encoder), lr=config.lr, momentum=config.momentum)
     rng = np.random.default_rng(config.seed)
     items = dataset.items
-    # A diverging run overflows before its loss goes non-finite; require_finite
-    # stops it there, so numpy's overflow warnings would only repeat that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            order = rng.permutation(len(items))
-            for lo in range(0, len(order), config.batch_size):
-                batch = [items[i] for i in order[lo : lo + config.batch_size]]
-                loss = _batch_loss(model, batch, freeze_encoder)
-                value = require_finite(loss)
-                if loss_log is not None:
-                    loss_log.append(value)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
+
+    def loss(batch: np.ndarray) -> Tensor:
+        return _batch_loss(model, [items[i] for i in batch], freeze_encoder)
+
+    for _ in range(config.epochs):
+        sgd_epoch(opt, rng.permutation(len(items)), config.batch_size, loss, loss_log)
     return model
 
 
@@ -284,19 +283,12 @@ def grad_check(model: FusionModel, item: McqItem, step: float = 1e-6) -> float:
     would otherwise report pure noise as error, while any genuine backward
     bug still shows up orders of magnitude above the floor.
     """
-    gold = item.gold if item.gold is not None else 0
-    probe = McqItem(
-        id=item.id, question=item.question, options=item.options, gold=gold,
-        context=item.context, premises=item.premises,
-        knowledge=item.knowledge, extras=item.extras,
-    )
+    probe = replace(item, gold=item.gold if item.gold is not None else 0)
 
     def loss_value() -> Tensor:
         return _batch_loss(model, [probe], frozen=False)
 
-    params = dict(model.parameters())
-    if isinstance(model.encoder, EncoderModel):
-        params.update({f"enc.{k}": v for k, v in model.encoder.params.items()})
+    params = _trainable(model, frozen=False)
     loss = loss_value()
     if not np.isfinite(loss.item()):
         raise FusionError(f"non-finite loss {loss.item()!r}")

@@ -1,8 +1,12 @@
 """Every differentiation rule is checked against central finite differences."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kiqa
 from kiqa import autodiff as ad
 from kiqa.autodiff import SGD, Tensor, concat, cross_entropy, log_softmax, no_grad, softmax
 
@@ -303,3 +307,81 @@ def test_sgd_skips_parameters_without_grads():
 def test_sgd_rejects_negative_lr():
     with pytest.raises(ValueError, match="learning rate"):
         SGD({}, lr=-0.1)
+
+
+# --- the training loop ----------------------------------------------------------------
+
+def test_sgd_epoch_visits_order_in_slices():
+    seen = []
+    ad.sgd_epoch(SGD({}, lr=0.1), np.array([4, 2, 0, 3, 1]), 2, lambda b: seen.append(b.tolist()))
+    assert seen == [[4, 2], [0, 3], [1]]
+
+
+def test_sgd_epoch_steps_on_each_loss_and_skips_none():
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    opt = SGD({"p": p}, lr=0.1, momentum=0.9)
+    log = []
+    ad.sgd_epoch(opt, np.arange(3), 1, lambda b: None if b[0] == 1 else (p * p).sum(), log)
+    # p = 1 -> 0.8 (v = -0.2); the skipped batch must not step on the stale gradient
+    assert log == [1.0, pytest.approx(0.64)]
+    assert p.data[0] == pytest.approx(0.46)  # v = 0.9 * -0.2 - 0.1 * 1.6 = -0.34
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sgd_epoch_stops_on_non_finite_loss_before_stepping(bad):
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    opt = SGD({"p": p}, lr=0.1, momentum=0.9)
+
+    def loss(batch):
+        return (p * p).sum() if batch[0] == 0 else (p * p * Tensor(bad)).sum()
+
+    log = []
+    ad.sgd_epoch(opt, np.array([0]), 1, loss, log)  # a finite step: the velocity is not 0
+    data, velocity = p.data.copy(), opt.velocity["p"].copy()
+    with pytest.raises(ad.DivergenceError, match="nan|inf"):
+        ad.sgd_epoch(opt, np.array([1, 0]), 1, loss, log)
+    assert p.data.tobytes() == data.tobytes()
+    assert opt.velocity["p"].tobytes() == velocity.tobytes()
+    assert log == [1.0]  # neither the bad loss nor the batch after it
+
+
+# --- guard: one training loop in the package ------------------------------------------
+
+def training_calls(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each ``errstate`` or ``seterr`` call and each ``.step()``
+    method call."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("errstate", "seterr", "step"):
+            found.append((node.lineno, func.attr))
+        elif isinstance(func, ast.Name) and func.id in ("errstate", "seterr"):
+            found.append((node.lineno, func.id))
+    return sorted(found)
+
+
+def test_only_autodiff_sets_errstate_or_steps_an_optimizer():
+    src = Path(kiqa.__file__).parent
+    found = {
+        path.name: [what for _, what in training_calls(ast.parse(path.read_text(encoding="utf-8")))]
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "autodiff.py": ["errstate", "step"]  # both inside sgd_epoch
+    }
+
+
+def test_the_training_guard_sees_every_call():
+    code = "\n".join([
+        "np.errstate(all='ignore')",     # 1
+        "numpy.errstate()",              # 2
+        "errstate(over='ignore')",       # 3: from numpy import errstate
+        "opt.step()",                    # 4
+        "self.opt.step()",               # 5
+        "np.seterr(all='ignore')",       # 6
+        "step()",                        # a function, not an optimizer's method
+        "opt.steps()",
+    ])
+    assert [line for line, _ in training_calls(ast.parse(code))] == [1, 2, 3, 4, 5, 6]

@@ -663,12 +663,17 @@ def test_generic_record_with_a_wrong_type_exits_1(tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "not json", '"fields"'])
+@pytest.mark.parametrize("text", [
+    "[1, 2]", "not json", '"fields"',
+    # each of these used to pass, or to be blamed on the dataset
+    '{"label_base": true}', '{"label": 5}', '{"fieldz": ["goal", "sol1", "sol2"]}',
+    '{"id": 3}', '{"fields": "goal"}', '{"fields": ["goal", "sol1"]}',
+])
 def test_attach_with_a_bad_schema_map_exits_1(artifacts, tmp_path, capsys, text):
     map_path = tmp_path / "map.json"
     map_path.write_text(text, encoding="utf-8")
     out = tmp_path / "a.jsonl"
-    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"), "--schema", "piqa",
+    rc = main(["attach", "--dataset", str(artifacts / "piqa.jsonl"), "--schema", "piqa",
                "--schema-map", str(map_path), "--corpus", str(artifacts / "corpus.jsonl"),
                "--out", str(out)])
     assert rc == 1

@@ -1,6 +1,7 @@
 """Schema loaders, the unified model, and premise attachment."""
 
 import json
+import re
 
 import pytest
 
@@ -146,6 +147,29 @@ def test_schema_map_from_file(tmp_path):
     map_path.write_text(json.dumps({"fields": ["g", "a", "b"]}), encoding="utf-8")
     ds = load_mcq(path, "piqa", schema_map=map_path)
     assert ds.items[0].options == ["one", "two"]
+
+
+def test_schema_map_null_id_and_label_make_ids_and_drop_gold(tmp_path):
+    path = tmp_path / "piqa.jsonl"
+    write_jsonl(path, [{"id": "p1", "goal": "g", "sol1": "a", "sol2": "b", "label": 1}])
+    ds = load_mcq(path, "piqa", schema_map={"id": None, "label": None})
+    assert (ds.items[0].id, ds.items[0].gold) == ("piqa-000001", None)
+
+
+@pytest.mark.parametrize("schema, schema_map, message", [
+    ("generic", {}, "applies only to anli, piqa, socialiqa, not generic"),
+    ("pfqa", {"id": "id"}, "not pfqa"),
+    ("socialiqa", {"fields": ["c", "q", "a", "b"]}, "'fields' must be a list of 5 field names"),
+    ("anli", {"fields": ["o1", "o2", "h1", 4]}, "'fields' must be a list of 4 field names"),
+    ("anli", {"label_base": None}, "'label_base' must be an integer, got None"),
+    ("piqa", {"label": ["label"]}, "'label' must be a field name or null"),
+    ("piqa", {"gold": "label"}, "unknown key 'gold'"),
+])
+def test_bad_schema_map_is_refused_before_any_record_is_read(tmp_path, schema, schema_map,
+                                                            message):
+    never_opened = tmp_path / "missing.jsonl"
+    with pytest.raises(DatasetError, match=f"^schema map.*{re.escape(message)}"):
+        load_mcq(never_opened, schema, schema_map=schema_map)
 
 
 PIQA = {"id": "p1", "goal": "g", "sol1": "a", "sol2": "b", "label": 0}

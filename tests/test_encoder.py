@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa.autodiff import Tensor, log_softmax, no_grad
+from kiqa.autodiff import SGD, DivergenceError, Tensor, concat, cross_entropy, log_softmax, no_grad
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.encoder import (
     MASK,
@@ -23,7 +23,6 @@ from kiqa.encoder import (
     SPECIAL_TOKENS,
     START,
     CheckpointError,
-    DivergenceError,
     EncoderConfig,
     EncoderModel,
     TrainConfig,
@@ -486,6 +485,93 @@ def test_revision_train_discards_probe_parameters():
     model = small_model(seed=22)
     revision_train(model, toy_corpus(paragraphs=True), TrainConfig(seed=3, lr=0.05, epochs=1))
     assert set(model.params) == set(EncoderModel.PARAM_SHAPES)
+
+
+def oracle_revision_train(model, corpus, config, loss_log=None):
+    """``revision_train`` with its own masked-token and neighbour loops, from
+    before ``autodiff.sgd_epoch``: the reference."""
+    rng = np.random.default_rng(config.seed)
+    vocab = model.vocab
+    sequences = [
+        vocab.encode([START, *encoder_tokens(text), SEP][: model.config.max_len])
+        for text in corpus.texts
+    ]
+    pairs = [(i, i + 1) for lo, hi in corpus.paragraphs or () for i in range(lo, hi - 1)]
+    nsp_params = {}
+    if pairs:
+        nsp_params = {
+            "nsp_w": Tensor(rng.normal(0.0, 0.1, size=(model.config.d, 1)), requires_grad=True),
+            "nsp_b": Tensor(np.zeros(1), requires_grad=True),
+        }
+    opt = SGD({**model.params, **nsp_params}, lr=config.lr, momentum=config.momentum)
+
+    def finite(loss):
+        value = loss.item()
+        if not np.isfinite(value):
+            raise DivergenceError(f"training loss became {value!r}")
+        return value
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(len(sequences))
+            for lo in range(0, len(order), config.batch_size):
+                chunk = [sequences[i] for i in order[lo : lo + config.batch_size]]
+                ids = pad_batch(chunk, vocab.pad_id)
+                maskable = ids >= vocab.first_word_id
+                mask = (rng.random(ids.shape) < config.mask_prob) & maskable
+                loss = mlm_batch_loss(model, ids, mask)
+                if loss is None:
+                    continue
+                value = finite(loss)
+                if loss_log is not None:
+                    loss_log.append(value)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+            if not pairs:
+                continue
+            n = len(corpus)
+            examples = []
+            for a, b in pairs:
+                examples.append((a, b, 1))
+                if n <= 2:
+                    continue
+                j = int(rng.integers(n))
+                while j in (a, a + 1):
+                    j = int(rng.integers(n))
+                examples.append((a, j, 0))
+            order = rng.permutation(len(examples))
+            for lo in range(0, len(order), config.batch_size):
+                batch = [examples[i] for i in order[lo : lo + config.batch_size]]
+                seqs = [
+                    np.concatenate([sequences[a], sequences[b][1:]])[: model.config.max_len]
+                    for a, b, _ in batch
+                ]
+                pooled = model.encode_ids(pad_batch(seqs, vocab.pad_id))
+                z = pooled @ nsp_params["nsp_w"] + nsp_params["nsp_b"]
+                logits = concat([Tensor(np.zeros_like(z.data)), z], axis=1)
+                loss = cross_entropy(logits, np.array([y for _, _, y in batch]))
+                finite(loss)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+    return model
+
+
+@pytest.mark.parametrize("paragraphs", [False, True])
+def test_revision_train_matches_oracle_loops(paragraphs):
+    # a low mask rate over short sentences leaves some batches with nothing
+    # masked, so the skipped-batch path runs too
+    config = TrainConfig(seed=3, lr=0.05, epochs=4, batch_size=4, mask_prob=0.08)
+    runs = []
+    for fit in (revision_train, oracle_revision_train):
+        model, log = small_model(seed=22), []
+        fit(model, toy_corpus(paragraphs=paragraphs), config, loss_log=log)
+        runs.append(({k: t.data.tobytes() for k, t in model.params.items()}, log))
+    (params, log), (oracle_params, oracle_log) = runs
+    assert 0 < len(log) < config.epochs * 2  # two batches per epoch, some skipped
+    assert log == oracle_log
+    assert params == oracle_params
 
 
 def test_train_config_validation():

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa.autodiff import Tensor
+from kiqa.autodiff import SGD, DivergenceError, Tensor
 from kiqa.datasets import DatasetError, McqDataset, McqItem
 from kiqa.corpus import KnowledgeSentence
-from kiqa.encoder import DivergenceError, EncoderConfig, EncoderModel, TrainConfig, Vocab
+from kiqa.encoder import EncoderConfig, EncoderModel, TrainConfig, Vocab
 from kiqa.external import ExternalVectorError, ExternalVectorStore
 from kiqa.encoder import CheckpointError
 from kiqa.evalreport import evaluate
@@ -666,6 +666,80 @@ def test_train_loss_decreases():
     log = []
     train(model, ds, TrainConfig(seed=0, lr=0.2, epochs=20, batch_size=12), loss_log=log)
     assert log[-1] < log[0]
+
+
+def oracle_train(model, dataset, config, freeze_encoder=False, loss_log=None):
+    """``train``'s own minibatch loop from before ``autodiff.sgd_epoch``: the reference."""
+    params = dict(model.parameters())
+    if isinstance(model.encoder, EncoderModel) and not freeze_encoder:
+        params.update({f"enc.{k}": v for k, v in model.encoder.params.items()})
+    opt = SGD(params, lr=config.lr, momentum=config.momentum)
+    rng = np.random.default_rng(config.seed)
+    items = dataset.items
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(len(items))
+            for lo in range(0, len(order), config.batch_size):
+                batch = [items[i] for i in order[lo : lo + config.batch_size]]
+                loss = _batch_loss(model, batch, freeze_encoder)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise DivergenceError(f"training loss became {value!r}")
+                if loss_log is not None:
+                    loss_log.append(value)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+    return model
+
+
+def all_parameters(model):
+    params = {k: t.data.copy() for k, t in model.parameters().items()}
+    if isinstance(model.encoder, EncoderModel):
+        params.update({f"enc.{k}": t.data.copy() for k, t in model.encoder.params.items()})
+    return params
+
+
+def assert_same_training(make_model, dataset, config, frozen):
+    """``train`` and ``oracle_train`` leave bitwise-equal parameters and loss logs."""
+    runs = []
+    for fit in (train, oracle_train):
+        model, log = make_model(), []
+        fit(model, dataset, config, freeze_encoder=frozen, loss_log=log)
+        runs.append((all_parameters(model), log))
+    (params, log), (oracle_params, oracle_log) = runs
+    assert log == oracle_log
+    assert len(log) == config.epochs * math.ceil(len(dataset) / config.batch_size)
+    assert params.keys() == oracle_params.keys()
+    for k in params:
+        assert params[k].tobytes() == oracle_params[k].tobytes(), k
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_train_matches_oracle_loop_encoder_backed(frozen):
+    ds = separable_dataset(n_items=12)
+    vocab = dataset_vocab(ds)
+
+    def make_model():
+        enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=2)
+        return FusionModel.init(enc, "weighted-sum", seed=3)
+
+    # 12 items in batches of 5: the last batch of each epoch is ragged
+    assert_same_training(make_model, ds, TrainConfig(seed=5, lr=0.1, epochs=3, batch_size=5),
+                         frozen)
+
+
+def test_train_matches_oracle_loop_store_backed():
+    rng = np.random.default_rng(4)
+    items, vectors = [], {}
+    for k in range(7):
+        pooled = rng.normal(size=(2, 2, 3)).tolist()
+        items.append(ragged_item(pooled, item_id=f"it-{k}", gold=k % 2))
+        vectors.update(store_vectors(pooled, f"it-{k}"))
+    store = ExternalVectorStore(vectors)
+    assert_same_training(lambda: FusionModel.init(store, "weighted-sum", seed=1),
+                         McqDataset(items=items),
+                         TrainConfig(seed=6, lr=0.3, epochs=4, batch_size=3), frozen=True)
 
 
 # ---------------------------------------------------------------------------
