@@ -6,6 +6,14 @@ checks can certify.  Tensors wrap ndarrays; operations on tensors that
 require gradients record a backward closure, and ``backward()`` replays
 the tape in reverse topological order.
 
+Elementary primitives (arithmetic, matmul, tanh, reductions, gather,
+reshaping) each have their own rule.  The fused primitives (``softmax``,
+``attention_softmax``, ``layer_norm``, ``cross_entropy``) are one node in
+place of a small graph of elementary ones: the backward does that graph's
+numpy operations in the tape's order, so values and gradients are bitwise
+the composed graph's, signed zeros and overflow included, with fewer nodes
+and arrays on the tape.  The tests keep the composed graphs as oracles.
+
 Broadcasting follows numpy; gradients of broadcast operands are summed
 back down to the operand's shape.
 """
@@ -130,9 +138,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
 
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
-
     def __getitem__(self, key):
         return take(self, key)
 
@@ -140,9 +145,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims=False):
         return tmax(self, axis=axis, keepdims=keepdims)
@@ -233,34 +235,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def pow_const(a: Tensor, exponent: float) -> Tensor:
-    out = _node(a.data**exponent, (a,))
-    if out.requires_grad:
-        def backward(grad):
-            a._accumulate(grad * exponent * a.data ** (exponent - 1))
-        out._backward = backward
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    value = np.exp(a.data)
-    out = _node(value, (a,))
-    if out.requires_grad:
-        def backward(grad):
-            a._accumulate(grad * value)
-        out._backward = backward
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = _node(np.log(a.data), (a,))
-    if out.requires_grad:
-        def backward(grad):
-            a._accumulate(grad / a.data)
-        out._backward = backward
-    return out
-
-
 def tanh(a: Tensor) -> Tensor:
     value = np.tanh(a.data)
     out = _node(value, (a,))
@@ -279,21 +253,6 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        out._backward = backward
-    return out
-
-
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in np.atleast_1d(axis)]
-    )
-    out = _node(a.data.mean(axis=axis, keepdims=keepdims), (a,))
-    if out.requires_grad:
-        def backward(grad):
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape) / count)
         out._backward = backward
     return out
 
@@ -367,30 +326,107 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Composites
+# Fused primitives: each backward replays its composed graph's operations
+# in the tape's order (see the module docstring)
 # ---------------------------------------------------------------------------
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    # subtracting the detached max is a constant shift: values and
-    # gradients are exact, large logits cannot overflow
-    shifted = a - Tensor(a.data.max(axis=axis, keepdims=True))
-    e = exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Softmax along ``axis``: e = exp(a - max), out = e / e.sum(axis).
+
+    The max is detached: subtracting it is a constant shift, so values and
+    gradients are exact and large logits cannot overflow.
+    """
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    s = e.sum(axis=axis, keepdims=True)
+    out = _node(e / s, (a,))
+    if out.requires_grad:
+        def backward(grad):
+            # e / s, then the sum's broadcast, then exp
+            ds = _unbroadcast(-grad * e / (s * s), s.shape)
+            a._accumulate((grad / s + ds) * e)
+        out._backward = backward
+    return out
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a - Tensor(a.data.max(axis=axis, keepdims=True))
-    return shifted - log(exp(shifted).sum(axis=axis, keepdims=True))
+def attention_softmax(scores: Tensor, pad: np.ndarray) -> Tensor:
+    """Softmax over the last axis of ``scores + pad``, for attention rows.
+
+    ``pad`` is additive: -1e30 at padded keys, whose exponentials underflow
+    to exactly 0.0, and 0.0 elsewhere.  The denominator is a product with a
+    ones column instead of ndarray.sum: a BLAS product is bitwise-stable
+    under trailing zero terms where sum's pairwise accumulation is not, so
+    padded and unpadded encodings of the same content are bitwise equal.
+    """
+    masked = scores.data + pad
+    e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+    ones = np.ones((scores.data.shape[-1], 1))
+    den = e @ ones
+    out = _node(e / den, (scores,))
+    if out.requires_grad:
+        def backward(grad):
+            # as in softmax, with den's gradient taken back through the ones
+            dden = _unbroadcast(-grad * e / (den * den), den.shape)
+            scores._accumulate((grad / den + dden @ ones.swapaxes(-1, -2)) * e)
+        out._backward = backward
+    return out
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Post-norm over the last axis: with c = x - mean(x) and var = mean(c * c),
+    out = c * (var + eps) ** -0.5 * gamma + beta."""
+    count = x.data.shape[-1]
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var_eps = (centered * centered).mean(axis=-1, keepdims=True) + eps
+    rstd = var_eps**-0.5
+    normed = centered * rstd
+    out = _node(normed * gamma.data + beta.data, (x, gamma, beta))
+    if out.requires_grad:
+        def backward(grad):
+            if beta.requires_grad:
+                beta._accumulate(_unbroadcast(grad, beta.data.shape))
+            if gamma.requires_grad:
+                gamma._accumulate(_unbroadcast(grad * normed, gamma.data.shape))
+            if not x.requires_grad:
+                return
+            dnormed = grad * gamma.data
+            # c * rstd, the power, the mean; c * c hands dsq to both operands
+            drstd = _unbroadcast(dnormed * centered, rstd.shape)
+            dvar = drstd * -0.5 * var_eps**-1.5
+            dsq = (dvar / count) * centered
+            dcentered = dnormed * rstd + dsq + dsq
+            # c = x - mu, then mu = mean(x)
+            dmu = _unbroadcast(-dcentered, dvar.shape)
+            x._accumulate(dcentered + dmu / count)
+        out._backward = backward
+    return out
 
 
 def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of ``gold`` class ids; logits (B, n).
 
-    The gold log-probabilities are gathered with ``take``; no one-hot of
-    the logits' size is built.
+    Log-probabilities are formed at the gold entries only; no one-hot and
+    no log-softmax of the logits' size is built.
     """
-    logp = log_softmax(logits, axis=-1)
-    return -logp[np.arange(len(gold)), gold].sum() / len(gold)
+    n = len(gold)
+    rows = np.arange(n)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=-1, keepdims=True)
+    picked = shifted[rows, gold] - np.log(s)[rows, 0]
+    out = _node(picked.sum() * -1.0 / n, (logits,))
+    if out.requires_grad:
+        def backward(grad):
+            # / n, negation and sum give each gold entry c; the gather puts
+            # c into zeros, and log, the sum's broadcast and exp add
+            # (-c / s) * e.  (The graph's 0.0 + c and row sum of -c differ
+            # only in a zero's sign, which that addition erases.)
+            c = grad / n * -1.0
+            dlogits = np.zeros_like(e)
+            dlogits[rows, gold] = c
+            dlogits += -c / s * e
+            logits._accumulate(dlogits)
+        out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------

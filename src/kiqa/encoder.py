@@ -7,11 +7,8 @@ No position information is used: the scoring heads only consume pooled
 summaries where token identity, not order, carries the signal.
 
 Padded and unpadded encodings of the same content are bitwise identical:
-padded keys get an additive -1e30 before the attention softmax (their
-exponentials underflow to exactly 0.0), and the softmax denominator is
-computed as a matrix product with a ones column because BLAS products are
-bitwise-stable under zero padding where ndarray.sum's pairwise
-accumulation is not.
+padded keys get an additive -1e30 before the attention softmax, which
+:func:`kiqa.autodiff.attention_softmax` makes exact.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import binfmt
-from .autodiff import SGD, Tensor, cross_entropy
+from .autodiff import SGD, Tensor, attention_softmax, cross_entropy, layer_norm
 from .corpus import KnowledgeCorpus
 
 PAD, START, SEP, MASK, UNK = "<pad>", "<s>", "<sep>", "<mask>", "<unk>"
@@ -134,13 +131,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch size >= 1")
 
 
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * ((var + eps) ** -0.5) * gamma + beta
-
-
 class EncoderModel:
     def __init__(self, vocab: Vocab, config: EncoderConfig, params: dict[str, Tensor]):
         self.vocab = vocab
@@ -199,16 +189,12 @@ class EncoderModel:
         v = x @ p["att_wv"]
         scores = (q @ k.swap_last_axes()) * (1.0 / np.sqrt(d))
         pad_mask = np.where(ids == self.vocab.pad_id, _NEG_INF, 0.0)
-        scores = scores + Tensor(pad_mask[:, None, :])  # mask keys per query row
-        shifted = scores - Tensor(scores.data.max(axis=-1, keepdims=True))
-        e = ad.exp(shifted)
-        # ones-column matmul keeps the denominator bitwise-stable under padding
-        attn = e / (e @ Tensor(np.ones((ids.shape[1], 1))))
-        x = _layer_norm(
+        attn = attention_softmax(scores, pad_mask[:, None, :])  # mask keys per query row
+        x = layer_norm(
             x + (attn @ v) @ p["att_wo"], p["ln1_gamma"], p["ln1_beta"], self.config.ln_eps
         )
         ffn = ad.tanh(x @ p["ffn_w1"] + p["ffn_b1"]) @ p["ffn_w2"] + p["ffn_b2"]
-        return _layer_norm(x + ffn, p["ln2_gamma"], p["ln2_beta"], self.config.ln_eps)
+        return layer_norm(x + ffn, p["ln2_gamma"], p["ln2_beta"], self.config.ln_eps)
 
     def encode_ids(self, ids: np.ndarray) -> Tensor:
         """(B, L) int ids -> (B, d) pooled first-position vectors."""

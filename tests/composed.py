@@ -1,0 +1,128 @@
+"""The fused autodiff primitives, written out as graphs of small ops.
+
+These are the forms kiqa computed before softmax, attention softmax,
+layer norm and cross-entropy became single tape nodes, kept as oracles
+(the ``.mean`` and ``**`` sugar they used is spelled as calls): each
+fused primitive must give the same values and the same gradients, bit
+for bit.  ``exp``, ``log``, ``pow_const`` and ``tmean`` are
+the elementary ops only these graphs use, with their differentiation rules.
+``composed_graphs()`` swaps the composed forms in where kiqa calls the
+fused ones, so whole training runs can be compared.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from kiqa import autodiff as ad
+from kiqa import encoder, fusion
+from kiqa.autodiff import Tensor, _node
+
+
+def exp(a: Tensor) -> Tensor:
+    value = np.exp(a.data)
+    out = _node(value, (a,))
+    if out.requires_grad:
+        def backward(grad):
+            a._accumulate(grad * value)
+        out._backward = backward
+    return out
+
+
+def pow_const(a: Tensor, exponent: float) -> Tensor:
+    out = _node(a.data**exponent, (a,))
+    if out.requires_grad:
+        def backward(grad):
+            a._accumulate(grad * exponent * a.data ** (exponent - 1))
+        out._backward = backward
+    return out
+
+
+def log(a: Tensor) -> Tensor:
+    out = _node(np.log(a.data), (a,))
+    if out.requires_grad:
+        def backward(grad):
+            a._accumulate(grad / a.data)
+        out._backward = backward
+    return out
+
+
+def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    count = a.data.size if axis is None else np.prod(
+        [a.data.shape[ax] for ax in np.atleast_1d(axis)]
+    )
+    out = _node(a.data.mean(axis=axis, keepdims=keepdims), (a,))
+    if out.requires_grad:
+        def backward(grad):
+            g = grad
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(g, a.data.shape) / count)
+        out._backward = backward
+    return out
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    # subtracting the detached max is a constant shift: values and
+    # gradients are exact, large logits cannot overflow
+    shifted = a - Tensor(a.data.max(axis=axis, keepdims=True))
+    e = exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    shifted = a - Tensor(a.data.max(axis=axis, keepdims=True))
+    return shifted - log(exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of ``gold`` class ids; logits (B, n)."""
+    logp = log_softmax(logits, axis=-1)
+    return -logp[np.arange(len(gold)), gold].sum() / len(gold)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    mu = tmean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = tmean(centered * centered, axis=-1, keepdims=True)
+    return centered * pow_const(var + eps, -0.5) * gamma + beta
+
+
+def attention_softmax(scores: Tensor, pad: np.ndarray) -> Tensor:
+    scores = scores + Tensor(pad)
+    shifted = scores - Tensor(scores.data.max(axis=-1, keepdims=True))
+    e = exp(shifted)
+    # ones-column matmul keeps the denominator bitwise-stable under padding
+    return e / (e @ Tensor(np.ones((scores.shape[-1], 1))))
+
+
+@contextmanager
+def composed_graphs():
+    """Inside the block kiqa builds the composed graphs wherever it would
+    call a fused primitive."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "softmax", softmax)  # fusion calls ad.softmax
+        mp.setattr(encoder, "attention_softmax", attention_softmax)
+        mp.setattr(encoder, "layer_norm", layer_norm)
+        mp.setattr(encoder, "cross_entropy", cross_entropy)
+        mp.setattr(fusion, "cross_entropy", cross_entropy)
+        yield
+
+
+def fused_and_composed(run):
+    """``run()``'s result with the fused primitives, then with the composed graphs."""
+    fused = run()
+    with composed_graphs():
+        return fused, run()
+
+
+def tape(loss: Tensor) -> list[Tensor]:
+    """Every node reachable from ``loss``, parameters included."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())

@@ -8,7 +8,10 @@ import pytest
 
 import kiqa
 from kiqa import autodiff as ad
-from kiqa.autodiff import SGD, Tensor, concat, cross_entropy, log_softmax, no_grad, softmax
+from kiqa.autodiff import SGD, Tensor, concat, cross_entropy, no_grad, softmax
+
+import composed
+from composed import log_softmax
 
 RNG = np.random.default_rng(42)
 
@@ -30,6 +33,10 @@ def numeric_grad(loss_fn, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return np.linalg.norm(a - b) / denom
+
+
+def sum_of_squares(t: Tensor) -> Tensor:
+    return (t * t).sum()
 
 
 def check_grads(build_loss, *arrays):
@@ -76,7 +83,13 @@ def test_scalar_operands():
 
 @pytest.mark.parametrize(
     "fn",
-    [ad.tanh, ad.exp, lambda t: ad.log(t + 3.0), lambda t: t**2, lambda t: t**0.5],
+    [
+        ad.tanh,
+        composed.exp,
+        lambda t: composed.log(t + 3.0),
+        lambda t: composed.pow_const(t, 2),
+        lambda t: composed.pow_const(t, 0.5),
+    ],
     ids=["tanh", "exp", "log", "square", "sqrt"],
 )
 def test_unary_ops(fn):
@@ -95,7 +108,7 @@ def test_matmul_batched_times_params():
     # (B, L, d) @ (d, d): the parameter gradient must sum over the batch
     x = RNG.normal(size=(2, 5, 3))
     w = RNG.normal(size=(3, 3))
-    check_grads(lambda a, b: ((a @ b) ** 2).sum(), x, w)
+    check_grads(lambda a, b: sum_of_squares(a @ b), x, w)
 
 
 def test_matmul_batched_both():
@@ -119,8 +132,8 @@ def test_sum_axis_keepdims():
 
 def test_mean_axes():
     a = RNG.normal(size=(3, 4))
-    check_grads(lambda x: x.mean(), a)
-    check_grads(lambda x: (x.mean(axis=-1) ** 2).sum(), a)
+    check_grads(lambda x: composed.tmean(x), a)
+    check_grads(lambda x: sum_of_squares(composed.tmean(x, axis=-1)), a)
 
 
 def test_max_axis():
@@ -139,27 +152,27 @@ def test_max_ties_route_to_first():
 
 def test_reshape():
     a = RNG.normal(size=(2, 6))
-    check_grads(lambda x: (x.reshape(3, 4) ** 2).sum(), a)
+    check_grads(lambda x: sum_of_squares(x.reshape(3, 4)), a)
 
 
 def test_getitem_slice():
     a = RNG.normal(size=(3, 4, 5))
-    check_grads(lambda x: (x[:, 0, :] ** 2).sum(), a)
+    check_grads(lambda x: sum_of_squares(x[:, 0, :]), a)
 
 
 def test_gather_with_duplicate_rows():
     # embedding-style lookup where the same row appears twice
     table = RNG.normal(size=(6, 3))
     ids = np.array([[1, 4, 1], [0, 0, 5]])
-    check_grads(lambda t: (t[ids] ** 2).sum(), table)
+    check_grads(lambda t: sum_of_squares(t[ids]), table)
 
 
 def test_concat():
     a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(4, 3))
-    check_grads(lambda x, y: (concat([x, y], axis=0) ** 2).sum(), a, b)
+    check_grads(lambda x, y: sum_of_squares(concat([x, y], axis=0)), a, b)
 
 
-# --- composites -------------------------------------------------------------------
+# --- softmax and cross-entropy ------------------------------------------------------
 
 def test_softmax_grad_and_normalization():
     a = RNG.normal(size=(3, 5)) * 3
@@ -222,6 +235,127 @@ def test_cross_entropy_gradient_equals_one_hot_formula(shape):
     assert (grads[0] == grads[1]).all()
     want = onehot_cross_entropy(Tensor(logits), gold).item()
     assert cross_entropy(Tensor(logits), gold).item() == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# --- fused primitives against their composed graphs -----------------------------------
+#
+# Values and input gradients must be the composed graph's bit for bit, so
+# they are compared as bytes: a -0.0 where the graph gives +0.0 fails.
+
+UPSTREAM = ("positive", "negative", "mixed", "+0.0", "-0.0")
+
+
+def upstream(kind: str, shape, rng) -> np.ndarray:
+    """A gradient arriving at a primitive's output, of the given sign."""
+    if kind in ("+0.0", "-0.0"):
+        return np.full(shape, float(kind))
+    size = rng.uniform(0.5, 2.0, size=shape)
+    return {"positive": size, "negative": -size, "mixed": rng.normal(size=shape)}[kind]
+
+
+def value_and_grad_bytes(fn, arrays, up) -> list[bytes]:
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*tensors)
+    (out * Tensor(up)).sum().backward()  # out's gradient is exactly ``up``
+    assert all(t.grad is not None for t in tensors)
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in tensors]
+
+
+def assert_bitwise_composed(fused, oracle, arrays, out_shape, rng):
+    for kind in UPSTREAM:
+        up = upstream(kind, out_shape, rng)
+        got = value_and_grad_bytes(fused, arrays, up)
+        assert got == value_and_grad_bytes(oracle, arrays, up), kind
+
+
+SHAPES = [(1, 1), (1, 7), (3, 5), (2, 4, 6)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_softmax_is_bitwise_its_composed_graph(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    a = rng.normal(scale=3.0, size=shape)
+    for axis in range(-len(shape), 0):
+        assert_bitwise_composed(lambda x: softmax(x, axis=axis),
+                                lambda x: composed.softmax(x, axis=axis), [a], shape, rng)
+
+
+def key_pad(rng, batch: int, keys: int) -> np.ndarray:
+    """(batch, 1, keys) additive mask: key 0 is always real, and the last row
+    masks every key but that one."""
+    pad = np.where(rng.random((batch, 1, keys)) < 0.4, -1e30, 0.0)
+    pad[:, :, 0] = 0.0
+    pad[-1, :, 1:] = -1e30
+    return pad
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 7), (3, 5, 5), (2, 3, 6)], ids=str)
+def test_attention_softmax_is_bitwise_its_composed_graph(shape):
+    rng = np.random.default_rng(shape[-1])
+    scores = rng.normal(scale=3.0, size=shape)
+    pad = key_pad(rng, shape[0], shape[-1])
+    assert_bitwise_composed(lambda x: ad.attention_softmax(x, pad),
+                            lambda x: composed.attention_softmax(x, pad), [scores], shape, rng)
+    out = ad.attention_softmax(Tensor(scores), pad).data
+    assert np.all(out[np.broadcast_to(pad, shape) < 0] == 0.0)
+    assert np.array_equal(out[-1, :, 0], np.ones(shape[1]))  # one real key: weight 1
+
+
+def test_attention_softmax_ignores_padded_keys_bitwise():
+    rng = np.random.default_rng(3)
+    scores = rng.normal(size=(2, 4, 4))
+    for extra in (1, 3, 9):
+        padded = np.concatenate([scores, rng.normal(size=(2, 4, extra))], axis=-1)
+        pad = np.concatenate([np.zeros((2, 1, 4)), np.full((2, 1, extra), -1e30)], axis=-1)
+        for fn in (ad.attention_softmax, composed.attention_softmax):
+            short = fn(Tensor(scores), np.zeros((2, 1, 4))).data
+            long = fn(Tensor(padded), pad).data
+            assert long[..., :4].tobytes() == short.tobytes()
+            assert np.all(long[..., 4:] == 0.0)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+def test_layer_norm_is_bitwise_its_composed_graph(shape, scale):
+    rng = np.random.default_rng(shape[-1])
+    x = rng.normal(scale=scale, size=shape)
+    gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    for eps in (1e-12, 1e-5):
+        assert_bitwise_composed(lambda *t: ad.layer_norm(*t, eps),
+                                lambda *t: composed.layer_norm(*t, eps),
+                                [x, gamma, beta], shape, rng)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 3), (9, 40)], ids=str)
+@pytest.mark.parametrize("scale", [3.0, 1e3])  # at 1e3 most exponentials underflow to 0.0
+def test_cross_entropy_is_bitwise_its_composed_graph(shape, scale):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    logits = rng.normal(scale=scale, size=shape)
+    gold = rng.integers(shape[1], size=shape[0])
+    assert_bitwise_composed(lambda x: cross_entropy(x, gold),
+                            lambda x: composed.cross_entropy(x, gold), [logits], (), rng)
+
+
+PAD_4 = np.array([[0.0, 0.0, -1e30, 0.0]])
+GAMMA_4, BETA_4 = RNG.normal(size=4), RNG.normal(size=4)
+FUSED_FD = {  # each a scalar loss of one (3, 4) input
+    "softmax": lambda x: (softmax(x, axis=0) * RNG_WEIGHTS_2).sum(),
+    "attention_softmax": lambda x: (ad.attention_softmax(x, PAD_4) * RNG_WEIGHTS_2).sum(),
+    "layer_norm": lambda x: (ad.layer_norm(x, Tensor(GAMMA_4), Tensor(BETA_4), 1e-5)
+                             * RNG_WEIGHTS_2).sum(),
+    "cross_entropy": lambda x: cross_entropy(x, np.array([3, 0, 3])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_FD))
+def test_fused_primitive_gradients_match_finite_differences(name):
+    check_grads(FUSED_FD[name], RNG.normal(size=(3, 4)))
+
+
+def test_layer_norm_gradients_reach_gain_and_shift():
+    x, gamma, beta = RNG.normal(size=(2, 3, 4)), RNG.normal(size=4), RNG.normal(size=4)
+    weights = RNG.normal(size=(2, 3, 4))
+    check_grads(lambda a, g, b: (ad.layer_norm(a, g, b, 1e-5) * weights).sum(), x, gamma, beta)
 
 
 # --- graph mechanics -----------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa.autodiff import SGD, DivergenceError, Tensor, concat, cross_entropy, log_softmax, no_grad
+from kiqa.autodiff import SGD, DivergenceError, Tensor, concat, cross_entropy, no_grad
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.encoder import (
     MASK,
@@ -36,6 +36,7 @@ from kiqa.encoder import (
     save_encoder,
 )
 
+from composed import composed_graphs, fused_and_composed, log_softmax, tape
 from frames import patched
 
 
@@ -334,16 +335,6 @@ def test_mlm_loss_matches_dense_one_hot_oracle(seed):
         np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
 
 
-def _tape(loss):
-    nodes, stack = {}, [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    return list(nodes.values())
-
-
 def test_mlm_tape_holds_logits_only_at_masked_positions():
     model = small_model(seed=5, d=4, extra_words=tuple(f"w{i}" for i in range(60)))
     V = len(model.vocab)
@@ -351,11 +342,88 @@ def test_mlm_tape_holds_logits_only_at_masked_positions():
     B, L = ids.shape
     M = int(mask.sum())
     assert M not in (0, model.config.d)
-    nodes = _tape(mlm_batch_loss(model, ids, mask))
+    nodes = tape(mlm_batch_loss(model, ids, mask))
     assert all(node.data.size != B * L * V for node in nodes)
     # the logits are the product with the transposed (d, V) embeddings
     logits = [n for n in nodes if any(p.shape == (model.config.d, V) for p in n._parents)]
     assert [n.shape for n in logits] == [(M, V)]
+
+
+def test_mlm_tape_keeps_its_fused_size():
+    # 13 parameters and 23 operations; attention softmax, both layer norms
+    # and the loss are one node each.  The composed graphs take 64.
+    model = small_model(seed=5, d=4, extra_words=tuple(f"w{i}" for i in range(60)))
+    ids, mask = _ragged_masked_batch(np.random.default_rng(8), model.vocab)
+    assert len(tape(mlm_batch_loss(model, ids, mask))) <= 36
+    with composed_graphs():
+        assert len(tape(mlm_batch_loss(model, ids, mask))) == 64
+
+
+# ---------------------------------------------------------------------------
+# The fused autodiff primitives against the composed graphs they replaced
+# ---------------------------------------------------------------------------
+
+def grad_bytes(params):
+    return {name: p.grad.tobytes() for name, p in params.items() if p.grad is not None}
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 5, 6, 7, 2], [1, 8, 6, 5, 2]],
+    # padded rows, the last with every key but the first masked
+    [[1, 5, 6, 7, 2], [1, 8, 2, 0, 0], [1, 0, 0, 0, 0]],
+], ids=["unpadded", "padded"])
+def test_hidden_states_are_bitwise_the_composed_graphs(rows):
+    ids = np.array(rows)
+    probe = np.random.default_rng(0).normal(size=(*ids.shape, 4))  # upstream of both signs
+
+    def run():
+        model = small_model(seed=13, d=4)
+        hidden = model.hidden_states(ids)
+        (hidden * Tensor(probe)).sum().backward()
+        return hidden.data.tobytes(), grad_bytes(model.params)
+
+    fused, oracle = fused_and_composed(run)
+    assert fused == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mlm_batch_loss_is_bitwise_the_composed_graphs(seed):
+    def run():
+        rng = np.random.default_rng(seed)
+        words = tuple(f"w{i}" for i in range(int(rng.integers(1, 30))))
+        model = small_model(seed=seed % 97, d=int(rng.integers(1, 6)), extra_words=words)
+        loss = mlm_batch_loss(model, *_ragged_masked_batch(rng, model.vocab))
+        loss.backward()
+        return loss.data.tobytes(), grad_bytes(model.params)
+
+    fused, oracle = fused_and_composed(run)
+    assert fused == oracle
+
+
+@pytest.mark.parametrize("paragraphs", [False, True])
+def test_revision_train_is_bitwise_the_composed_graphs(paragraphs):
+    def run():
+        model, log = small_model(seed=22), []
+        revision_train(model, toy_corpus(paragraphs=paragraphs),
+                       TrainConfig(seed=3, lr=0.05, epochs=4, batch_size=4), loss_log=log)
+        return log, {k: t.data.tobytes() for k, t in model.params.items()}
+
+    fused, oracle = fused_and_composed(run)
+    assert fused == oracle
+
+
+def test_diverging_revision_stops_where_the_composed_graphs_stop():
+    # the run overflows within a few steps; the replayed arithmetic must too
+    def run():
+        model, log = small_model(seed=22), []
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as caught:
+            revision_train(model, toy_corpus(), TrainConfig(seed=3, lr=1e50, epochs=5),
+                           loss_log=log)
+        return str(caught.value), log, {k: t.data.tobytes() for k, t in model.params.items()}
+
+    fused, oracle = fused_and_composed(run)
+    assert fused == oracle
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from kiqa.fusion import (
 )
 from kiqa.toytasks import make_planted_evidence_task, route_premises, training_vocab
 
+from composed import composed_graphs, fused_and_composed, tape
 from frames import patched, unframe
 
 
@@ -740,6 +741,54 @@ def test_train_matches_oracle_loop_store_backed():
     assert_same_training(lambda: FusionModel.init(store, "weighted-sum", seed=1),
                          McqDataset(items=items),
                          TrainConfig(seed=6, lr=0.3, epochs=4, batch_size=3), frozen=True)
+
+
+# ---------------------------------------------------------------------------
+# The fused autodiff primitives against the composed graphs they replaced
+# ---------------------------------------------------------------------------
+
+def test_weighted_sum_tape_keeps_its_fused_size():
+    # 17 parameters and 32 operations; the composed graphs take 80
+    ds = separable_dataset()
+    enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=2)
+    model = FusionModel.init(enc, "weighted-sum", seed=3)
+    assert len(tape(_batch_loss(model, ds.items[:5], frozen=False))) <= 49
+    with composed_graphs():
+        assert len(tape(_batch_loss(model, ds.items[:5], frozen=False))) == 80
+
+
+@pytest.mark.parametrize("head,tied", [(h, False) for h in HEADS] + [("weighted-sum", True)])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_train_is_bitwise_the_composed_graphs(head, tied, frozen):
+    ds = separable_dataset(n_items=12)
+    vocab = dataset_vocab(ds)
+
+    def run():
+        enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=2)
+        model, log = FusionModel.init(enc, head, seed=3, tied=tied), []
+        train(model, ds, TrainConfig(seed=5, lr=0.1, epochs=2, batch_size=5),
+              freeze_encoder=frozen, loss_log=log)
+        return log, {k: v.tobytes() for k, v in all_parameters(model).items()}
+
+    fused, oracle = fused_and_composed(run)
+    assert fused == oracle
+
+
+def test_diverging_train_stops_where_the_composed_graphs_stop():
+    corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
+    attached = route_premises(dataset, corpus, m=1)
+    vocab = training_vocab(attached)
+
+    def run():
+        model, log = FusionModel.init(EncoderModel.init(vocab, EncoderConfig(d=8), seed=0),
+                                      "concat", seed=1), []
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as caught:
+            train(model, attached, TrainConfig(seed=2, lr=1e50, epochs=3, batch_size=8),
+                  loss_log=log)
+        return str(caught.value), log
+
+    fused, oracle = fused_and_composed(run)
+    assert fused == oracle
 
 
 # ---------------------------------------------------------------------------
