@@ -434,7 +434,15 @@ def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class DivergenceError(ValueError):
-    """A training loss went non-finite; the parameters are no longer usable."""
+    """A training loss went non-finite or an update dwarfed the parameters;
+    the parameters are no longer usable."""
+
+
+# ‖Δθ‖ / max(‖θ‖, 1) of one SGD update past which training has diverged.  A
+# healthy run stays far below it: at most 0.68 in the tests that train, and
+# 0.1 on the benchmark workloads.  A learning rate that collapses the loss
+# instead of overflowing it shows only here (1e47 at lr = 1e50).
+MAX_UPDATE_RATIO = 1e3
 
 
 class SGD:
@@ -449,14 +457,19 @@ class SGD:
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
     def step(self) -> None:
-        for name in sorted(self.params):
-            p = self.params[name]
-            if p.grad is None:
-                continue
-            v = self.velocity[name]
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data += v
+        """Applies one update, or raises DivergenceError and changes nothing
+        when the update is more than MAX_UPDATE_RATIO times the parameters' norm."""
+        updates = {name: self.velocity[name] * self.momentum - self.lr * p.grad
+                   for name, p in sorted(self.params.items()) if p.grad is not None}
+        size = np.sqrt(sum(np.vdot(v, v) for v in updates.values()))
+        norm = np.sqrt(sum(np.vdot(p.data, p.data) for p in self.params.values()))
+        ratio = size / max(norm, 1.0)
+        if ratio > MAX_UPDATE_RATIO:
+            raise DivergenceError(f"an SGD update was {ratio:.3g} times the parameters' norm "
+                                  f"(more than {MAX_UPDATE_RATIO:g}); lower the learning rate")
+        for name, v in updates.items():
+            self.velocity[name] = v
+            self.params[name].data += v
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -31,6 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .textio import replacing
+
 _HEADER = struct.Struct("<4sIQ")
 _DIGEST = 32
 _U4 = np.dtype("<u4")
@@ -66,6 +68,10 @@ class Writer:
         self.parts.append(b"".join(raw))
 
     def tensors(self, tensors: dict[str, np.ndarray]) -> None:
+        """Refuses a non-finite value, as :meth:`Reader.tensors` would."""
+        for name in sorted(tensors):
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError(f"tensor {name} holds a NaN or inf; it is not written")
         self.strings(sorted(tensors))
         for name in sorted(tensors):
             self.u32(tensors[name].ndim)
@@ -135,7 +141,7 @@ def save(path: str | Path, kind: Kind, writer: Writer) -> None:
     header = _HEADER.pack(kind.magic, kind.version, len(payload))
     digest = hashlib.sha256(header)
     digest.update(payload)
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(header)
         fh.write(payload)
         fh.write(digest.digest())

@@ -30,8 +30,8 @@ Seeds are derived from the global ``--seed`` (default 0): encoder init
 uses ``seed``, head init ``seed+1``, supervised training ``seed+2``, and
 revision ``seed+3``, so stages stay reproducible independently.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.  Every command
-with identical inputs, config, and seed writes byte-identical outputs.
+Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
+Every command with identical inputs, config, and seed writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -500,6 +500,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         code = exc.code
         return code if isinstance(code, int) else 0
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable
 
-from .textio import json_lines, loads, read_text
+from .textio import json_lines, loads, read_text, replacing
 
 
 class CorpusError(ValueError):
@@ -385,7 +385,7 @@ def save_jsonl(corpus: KnowledgeCorpus, path: str | Path) -> None:
     line follows when the corpus has paragraph ranges.
     """
     enc = encode_basestring
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.writelines(
             f'{{"id": {enc(sid)}, "text": {enc(text)}, "source": {enc(tag)}, '
             f'"title": {"null" if title is None else enc(title)}}}\n'

@@ -23,7 +23,6 @@ and line.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .corpus import CorpusError, KnowledgeCorpus, KnowledgeSentence, _sentence_f
 from .index import InvertedIndex, search
 from .querygen import EmptyQueryError, QueryGenConfig, generate_query
 from .rerank import RerankConfig, rerank
-from .textio import json_lines, loads, read_text
+from .textio import json_lines, loads, read_text, write_json_lines
 
 ANLI_QUESTION = "What is the most plausible explanation?"
 
@@ -260,26 +259,28 @@ def _item_from_generic(rec: dict) -> McqItem:
 
 def save_mcq_jsonl(dataset: McqDataset, path: str | Path) -> None:
     """Canonical generic JSON-lines with premises embedded; fixed key order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in dataset.items:
-            rec: dict = {"id": item.id, "question": item.question, "options": item.options}
-            if item.gold is not None:
-                rec["gold"] = item.gold
-            if item.context is not None:
-                rec["context"] = item.context
-            if item.knowledge:
-                rec["knowledge"] = item.knowledge
-            if item.premises is not None:
-                rec["premises"] = [
-                    [
-                        {"id": p.id, "text": p.text, "source": p.source_tag, "title": p.title}
-                        for p in plist
-                    ]
-                    for plist in item.premises
-                ]
-            if item.extras:
-                rec["extras"] = item.extras
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_json_lines(path, map(_mcq_record, dataset.items))
+
+
+def _mcq_record(item: McqItem) -> dict:
+    rec: dict = {"id": item.id, "question": item.question, "options": item.options}
+    if item.gold is not None:
+        rec["gold"] = item.gold
+    if item.context is not None:
+        rec["context"] = item.context
+    if item.knowledge:
+        rec["knowledge"] = item.knowledge
+    if item.premises is not None:
+        rec["premises"] = [
+            [
+                {"id": p.id, "text": p.text, "source": p.source_tag, "title": p.title}
+                for p in plist
+            ]
+            for plist in item.premises
+        ]
+    if item.extras:
+        rec["extras"] = item.extras
+    return rec
 
 
 # ---------------------------------------------------------------------------

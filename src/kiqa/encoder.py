@@ -121,8 +121,8 @@ class TrainConfig:
     mask_prob: float = 0.15
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if not 0.0 < self.mask_prob < 1.0:

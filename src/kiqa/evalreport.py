@@ -27,6 +27,7 @@ from .fusion import (
 from .index import InvertedIndex
 from .querygen import QueryGenConfig
 from .rerank import RerankConfig
+from .textio import replacing
 from .textnorm import token_set
 
 
@@ -101,8 +102,8 @@ def save_report(report: EvalReport, path: str | Path) -> None:
             {"item": i, "predicted": p, "gold": g} for i, p, g in report.predictions
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                          encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +172,12 @@ def _first_premises(dataset: McqDataset, m: int) -> McqDataset:
 
 
 def write_sweep_csv(rows: list[tuple[int, float]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "accuracy"])
-        for m, acc in rows:
-            writer.writerow([m, repr(float(acc))])
+    _write_csv(path, [["m", "accuracy"], *([m, repr(float(acc))] for m, acc in rows)])
+
+
+def _write_csv(path: str | Path, rows: list[list]) -> None:
+    with replacing(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +213,6 @@ def weight_overlap_report(
 def write_weight_report_csv(
     rows: list[tuple[str, int, int, float, float]], path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item", "option", "passage", "weight", "overlap"])
-        for item, option, passage, weight, overlap in rows:
-            writer.writerow([item, option, passage, repr(float(weight)), repr(float(overlap))])
+    _write_csv(path, [["item", "option", "passage", "weight", "overlap"], *(
+        [item, option, passage, repr(float(weight)), repr(float(overlap))]
+        for item, option, passage, weight, overlap in rows)])

@@ -10,12 +10,11 @@ concatenation head consumes).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .textio import json_lines
+from .textio import json_lines, write_json_lines
 
 Key = tuple[str, int, "int | None"]
 
@@ -77,6 +76,8 @@ def load_external_vectors(path: str | Path) -> ExternalVectorStore:
         if type(vec) is not list or not vec or not all(type(x) in (int, float) for x in vec):
             raise ExternalVectorError(f"{at}: vec must be a non-empty flat list of numbers")
         arr = np.asarray(vec, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ExternalVectorError(f"{at}: non-finite vector component")
         if vectors and arr.shape != next(iter(vectors.values())).shape:
             raise ExternalVectorError(f"{at}: vector dimension {arr.size} does not match the rest")
         vectors[key] = arr
@@ -84,12 +85,8 @@ def load_external_vectors(path: str | Path) -> ExternalVectorStore:
 
 
 def save_external_vectors(store: ExternalVectorStore, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item, option, passage in store.keys():
-            rec = {
-                "item": item,
-                "option": option,
-                "passage": passage,
-                "vec": store.get(item, option, passage).tolist(),
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_json_lines(path, (
+        {"item": item, "option": option, "passage": passage,
+         "vec": store.get(item, option, passage).tolist()}
+        for item, option, passage in store.keys()
+    ))

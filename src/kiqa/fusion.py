@@ -24,7 +24,6 @@ share this path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -44,6 +43,7 @@ from .encoder import (
     write_encoder,
 )
 from .external import ExternalVectorStore
+from .textio import write_json_lines
 
 HEADS = ("baseline", "concat", "parallel-max", "simple-sum", "weighted-sum")
 
@@ -323,17 +323,16 @@ def grad_check(model: FusionModel, item: McqItem, step: float = 1e-6) -> float:
 # ---------------------------------------------------------------------------
 
 def save_predictions(model: FusionModel, dataset: McqDataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in dataset.items:
-            out = score_item(model, item)
-            rec = {
-                "item": item.id,
-                "scores": list(out.scores),
-                "weights": [list(w) for w in out.weights] if out.weights else None,
-                "predicted": out.predicted,
-                "gold": item.gold,
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_json_lines(path, (
+        {
+            "item": item.id,
+            "scores": list(out.scores),
+            "weights": [list(w) for w in out.weights] if out.weights else None,
+            "predicted": out.predicted,
+            "gold": item.gold,
+        }
+        for item, out in ((it, score_item(model, it)) for it in dataset.items)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import hashlib
 import struct
 
 HEADER = struct.Struct("<4sIQ")  # magic, version, payload length
+MARK = 1234.5678  # a finite value no saved parameter holds by chance
 
 
 def frame(magic: bytes, version: int, payload: bytes) -> bytes:
@@ -28,3 +29,15 @@ def patched(data: bytes, at: int, new: bytes) -> bytes:
     """A valid frame whose payload has ``new`` written at offset ``at``."""
     magic, version, payload = unframe(data)
     return frame(magic, version, payload[:at] + new + payload[at + len(new) :])
+
+
+def replace_f8(path, old: float, new: float) -> None:
+    """Rewrite the frame at ``path`` with each ``<f8`` ``old`` of its payload as ``new``.
+
+    The writer refuses a NaN or inf, so a test saves a finite marker
+    value and swaps it for the non-finite one here.
+    """
+    magic, version, payload = unframe(path.read_bytes())
+    old_bytes = struct.pack("<d", old)
+    assert old_bytes in payload
+    path.write_bytes(frame(magic, version, payload.replace(old_bytes, struct.pack("<d", new))))

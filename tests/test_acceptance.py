@@ -479,6 +479,8 @@ def test_criterion_9_stage_determinism(tmp_path):
         ]
         for out_name, argv in stages:
             assert cli_main(argv + ["--out", str(d / out_name)]) == 0
+            hidden = [p.name for p in d.rglob(".*")]  # an output's temporary file is hidden
+            assert not hidden, f"criterion 9: FAIL — {argv[0]} left {hidden}"
         artifacts = {}
         for path in sorted(d.rglob("*")):
             if path.is_file():

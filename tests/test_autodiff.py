@@ -443,6 +443,72 @@ def test_sgd_rejects_negative_lr():
         SGD({}, lr=-0.1)
 
 
+def in_place_step(opt):
+    """``SGD.step``'s arithmetic before it measured the update: the reference."""
+    for name in sorted(opt.params):
+        p = opt.params[name]
+        if p.grad is not None:
+            v = opt.velocity[name]
+            v *= opt.momentum
+            v -= opt.lr * p.grad
+            p.data += v
+
+
+def test_sgd_step_is_bitwise_the_in_place_update():
+    def run(step):
+        rng = np.random.default_rng(5)
+        params = {k: Tensor(rng.normal(size=shape), requires_grad=True)
+                  for k, shape in (("a", (3, 4)), ("b", (4,)), ("c", (2, 2)))}
+        opt = SGD(params, lr=0.3, momentum=0.9)
+        for i in range(5):
+            for name, p in params.items():
+                p.grad = None if name == "c" and i % 2 else rng.normal(size=p.data.shape)
+            step(opt)
+        return [(p.data.tobytes(), opt.velocity[k].tobytes()) for k, p in params.items()]
+
+    assert run(SGD.step) == run(in_place_step)
+
+
+@pytest.mark.parametrize("grad, stops", [(-1000.0, False), (-1000.5, True)])
+def test_sgd_step_bound_is_on_the_update_over_the_floored_norm(grad, stops):
+    # |theta| = 0.5 is floored to 1, so the bound is an update of 1e3
+    p = Tensor(np.array([0.5]), requires_grad=True)
+    opt = SGD({"p": p}, lr=1.0, momentum=0.0)
+    p.grad = np.array([grad])
+    if stops:
+        with pytest.raises(ad.DivergenceError, match="1e\\+03 times the parameters' norm"):
+            opt.step()
+    else:
+        opt.step()
+        assert p.data[0] == 1000.5
+
+
+def test_sgd_step_norm_counts_parameters_without_grads():
+    def step(params):
+        params["a"].grad = np.array([-2000.0])
+        SGD(params, lr=1.0, momentum=0.0).step()
+
+    # b has no gradient but is part of theta: 2000 / 10 = 200 passes
+    step({"a": Tensor(np.zeros(1), requires_grad=True),
+          "b": Tensor(np.array([10.0]), requires_grad=True)})
+    with pytest.raises(ad.DivergenceError):
+        step({"a": Tensor(np.zeros(1), requires_grad=True)})  # 2000 / 1
+
+
+def test_sgd_step_that_diverges_changes_nothing():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    q = Tensor(np.array([3.0]), requires_grad=True)
+    opt = SGD({"p": p, "q": q}, lr=0.1, momentum=0.9)
+    p.grad, q.grad = np.array([1.0, 1.0]), np.array([-1.0])
+    opt.step()  # a normal step: the velocity is not 0
+    before = {k: (t.data.tobytes(), opt.velocity[k].tobytes()) for k, t in opt.params.items()}
+    p.grad, q.grad = np.array([1.0, 1.0]), np.array([-1e6])
+    with pytest.raises(ad.DivergenceError, match="lower the learning rate"):
+        opt.step()
+    assert {k: (t.data.tobytes(), opt.velocity[k].tobytes())
+            for k, t in opt.params.items()} == before
+
+
 # --- the training loop ----------------------------------------------------------------
 
 def test_sgd_epoch_visits_order_in_slices():

@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kiqa
+import kiqa.corpus
 from kiqa.autodiff import Tensor
 from kiqa.cli import CliError, main, parse_config_file
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, load_jsonl, save_jsonl
@@ -26,7 +28,7 @@ from kiqa.fusion import load_model, save_model
 from kiqa.index import build_index, load_index, save_index
 from kiqa.toytasks import make_planted_evidence_task, route_premises
 
-from frames import patched, unframe
+from frames import MARK, patched, replace_f8, unframe
 
 RAW_LINES = (
     "the sky is blue today\n"
@@ -52,6 +54,7 @@ def artifacts(tmp_path_factory):
     (d / "attach.cfg").write_text("m = 2\nlambda = 0.5\n", encoding="utf-8")
     (d / "train.cfg").write_text('head = "concat"\nd = 8\nepochs = 2\n', encoding="utf-8")
     (d / "revise.cfg").write_text("d = 8\nepochs = 1\n", encoding="utf-8")
+    (d / "sweep.cfg").write_text("m_values = [1]\nretrain = false\n", encoding="utf-8")
     # text inputs that only the text-input tests read
     (d / "piqa.jsonl").write_text(json.dumps(
         {"goal": "what colour is the sky", "sol1": "blue", "sol2": "green", "label": 0}) + "\n",
@@ -288,6 +291,49 @@ def test_unwritable_output_exits_2(artifacts, tmp_path, capsys):
     assert rc == 2
 
 
+def test_interrupted_stage_exits_130_and_keeps_the_old_output(
+        artifacts, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "corpus.jsonl"
+    out.write_bytes(b"the old corpus\n")
+    fields = iter(range(5))
+
+    def interrupted(text):  # Ctrl-C partway through the second record
+        if next(fields, None) is None:
+            raise KeyboardInterrupt
+        return encode_basestring(text)
+
+    monkeypatch.setattr(kiqa.corpus, "encode_basestring", interrupted)
+    assert main(["corpus-prep", "--input", str(artifacts / "raw.txt"), "--out", str(out)]) == 130
+    assert one_error_line(capsys) == "error: interrupted"
+    assert out.read_bytes() == b"the old corpus\n"
+    assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
+# Each stage that writes one --out file, with the inputs it reads from the fixture.
+OUT_STAGES = {
+    "corpus-prep": lambda d: ["--input", d / "raw.txt"],
+    "index-build": lambda d: ["--corpus", d / "corpus.jsonl"],
+    "attach": lambda d: ["--dataset", d / "qs.jsonl", "--corpus", d / "corpus.jsonl",
+                         "--index", d / "index.kiix", "--config", d / "attach.cfg"],
+    "revise": lambda d: ["--corpus", d / "corpus.jsonl", "--config", d / "revise.cfg"],
+    "train": lambda d: ["--dataset", d / "attached.jsonl", "--config", d / "train.cfg"],
+    "eval": lambda d: ["--model", d / "model.bin", "--dataset", d / "attached.jsonl"],
+    "sweep-m": lambda d: ["--model", d / "model.bin", "--train", d / "qs.jsonl",
+                          "--eval", d / "qs.jsonl", "--corpus", d / "corpus.jsonl",
+                          "--index", d / "index.kiix", "--config", d / "sweep.cfg"],
+}
+
+
+@pytest.mark.parametrize("where", ["nodir/out", "adir"])
+@pytest.mark.parametrize("stage", sorted(OUT_STAGES))
+def test_out_that_cannot_be_written_exits_2_naming_it(artifacts, tmp_path, capsys, stage, where):
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / where
+    assert main([stage, *map(str, OUT_STAGES[stage](artifacts)), "--out", str(out)]) == 2
+    assert one_error_line(capsys).endswith(f": {str(out)!r}")
+    assert os.listdir(tmp_path) == ["adir"] and os.listdir(tmp_path / "adir") == []
+
+
 def test_unknown_flag_exits_1(artifacts, tmp_path, capsys):
     rc = main(["index-build", "--corpus", str(artifacts / "corpus.jsonl"),
                "--out", str(tmp_path / "i.json"), "--bogus"])
@@ -412,8 +458,9 @@ def test_encoder_with_wrong_parameter_shape_exits_1(artifacts, tmp_path, capsys)
 
 def test_encoder_with_nan_weight_exits_1(artifacts, tmp_path, capsys):
     encoder = load_model(artifacts / "model.bin").encoder
-    encoder.params["ffn_w1"].data[0, 0] = np.nan
+    encoder.params["ffn_w1"].data[0, 0] = MARK
     save_encoder(encoder, tmp_path / "bad.bin")
+    replace_f8(tmp_path / "bad.bin", MARK, np.nan)
     rc = main(["revise", "--corpus", str(artifacts / "corpus.jsonl"),
                "--encoder", str(tmp_path / "bad.bin"), "--out", str(tmp_path / "e.bin")])
     assert rc == 1
@@ -449,8 +496,9 @@ def test_model_with_wrong_head_shape_exits_1(artifacts, tmp_path, capsys):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_model_with_non_finite_head_parameter_exits_1(artifacts, tmp_path, capsys, value):
     model = load_model(artifacts / "model.bin")
-    model.score_w.data[:] = value
+    model.score_w.data[:] = MARK
     save_model(model, tmp_path / "bad.bin")
+    replace_f8(tmp_path / "bad.bin", MARK, value)
     rc = main(["eval", "--model", str(tmp_path / "bad.bin"),
                "--dataset", str(artifacts / "attached.jsonl"),
                "--out", str(tmp_path / "r.json")])
@@ -501,8 +549,39 @@ def test_diverging_train_exits_1_without_checkpoint(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "training loss" in proc.stderr
+    # the first update, 1e47 times the parameters, stops it before the loss overflows
+    assert "times the parameters' norm" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("head", ["baseline", "concat"])
+def test_collapsed_train_exits_1_without_checkpoint(artifacts, tmp_path, capsys, head):
+    # On the 2-item fixture these heads saturate instead of overflowing: the loss
+    # stays finite and the gradient goes to 0, so only the update's size shows it.
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(f'head = "{head}"\nd = 8\nlr = 1e50\nepochs = 10\n', encoding="utf-8")
+    out = tmp_path / "m.bin"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--dataset", str(artifacts / "attached.jsonl"),
+                   "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "times the parameters' norm" in one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", [("train", "lr"), ("train", "rev_lr"), ("revise", "lr")])
+def test_non_finite_learning_rate_exits_1(artifacts, tmp_path, capsys, command, key, lr):
+    cfg = tmp_path / "lr.cfg"
+    revision = "revision = true\n" if key == "rev_lr" else ""
+    cfg.write_text(f"d = 8\nepochs = 1\n{revision}{key} = {lr}\n", encoding="utf-8")
+    out = tmp_path / "out.bin"
+    source = ["--dataset", str(artifacts / "attached.jsonl")] if command == "train" else []
+    rc = main([command, *source, "--corpus", str(artifacts / "corpus.jsonl"),
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "learning rate must be finite" in one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_index_of_another_corpus_exits_1(artifacts, tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kiqa import autodiff as ad
 from kiqa.autodiff import SGD, DivergenceError, Tensor, concat, cross_entropy, no_grad
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.encoder import (
@@ -37,7 +38,7 @@ from kiqa.encoder import (
 )
 
 from composed import composed_graphs, fused_and_composed, log_softmax, tape
-from frames import patched
+from frames import MARK, patched, replace_f8
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +414,11 @@ def test_revision_train_is_bitwise_the_composed_graphs(paragraphs):
     assert fused == oracle
 
 
-def test_diverging_revision_stops_where_the_composed_graphs_stop():
-    # the run overflows within a few steps; the replayed arithmetic must too
+def test_diverging_revision_stops_where_the_composed_graphs_stop(monkeypatch):
+    # with the update-size stop off, the run overflows within a few steps;
+    # the replayed arithmetic must too
+    monkeypatch.setattr(ad, "MAX_UPDATE_RATIO", np.inf)
+
     def run():
         model, log = small_model(seed=22), []
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as caught:
@@ -670,7 +674,8 @@ def test_train_config_rejects_momentum_outside_unit_interval(momentum):
     TrainConfig(momentum=0.0)  # plain gradient descent stays allowed
 
 
-def test_revision_train_stops_on_non_finite_loss():
+def test_revision_train_stops_on_non_finite_loss(monkeypatch):
+    monkeypatch.setattr(ad, "MAX_UPDATE_RATIO", np.inf)  # so lr=1e50 reaches the overflow
     model = small_model(seed=22)
     log = []
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="nan|inf"):
@@ -771,11 +776,22 @@ def test_checkpoint_trailing_garbage(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_checkpoint_non_finite_parameter_names_it(tmp_path, name, bad):
     model = small_model()
-    model.params[name].data.reshape(-1)[-1] = bad
-    model.params["ln2_gamma"].data[0] = bad  # the last parameter in file order
+    model.params[name].data.reshape(-1)[-1] = MARK
+    model.params["ln2_gamma"].data[0] = MARK  # the last parameter in file order
     save_encoder(model, tmp_path / "n.bin")
+    replace_f8(tmp_path / "n.bin", MARK, bad)
     with pytest.raises(CheckpointError, match=f"parameter {name} holds a NaN or inf"):
         load_encoder(tmp_path / "n.bin")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_save_refuses_a_non_finite_parameter(tmp_path, bad):
+    # the loader would reject the file, so the writer does not write it
+    model = small_model()
+    model.params["att_wk"].data[1, 0] = bad
+    with pytest.raises(ValueError, match="att_wk holds a NaN or inf"):
+        save_encoder(model, tmp_path / "n.bin")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -160,3 +160,15 @@ def test_load_rejects_dimension_drift(tmp_path):
     )
     with pytest.raises(ExternalVectorError, match=":2: vector dimension 1"):
         load_external_vectors(path)
+
+
+@pytest.mark.parametrize("component", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_non_finite_components(tmp_path, component):
+    # Python's json parses these tokens, so the loader has to refuse them itself
+    path = tmp_path / "vecs.jsonl"
+    path.write_text(
+        '{"item": "x", "option": 0, "passage": null, "vec": [1.0, 2.0]}\n'
+        f'{{"item": "y", "option": 0, "passage": null, "vec": [{component}, 1.0]}}\n'
+    )
+    with pytest.raises(ExternalVectorError, match=r"vecs\.jsonl:2: non-finite vector component"):
+        load_external_vectors(path)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kiqa import autodiff as ad
 from kiqa.autodiff import SGD, DivergenceError, Tensor
 from kiqa.datasets import DatasetError, McqDataset, McqItem
 from kiqa.corpus import KnowledgeSentence
@@ -648,7 +649,9 @@ def test_separable_task_reaches_95_percent(head, tied):
     assert best >= 0.95, f"{head} tied={tied}: best accuracy {best}"
 
 
-def test_train_stops_on_non_finite_loss():
+def test_train_stops_on_non_finite_loss(monkeypatch):
+    # with the update-size stop off, lr=1e50 runs on until the loss overflows
+    monkeypatch.setattr(ad, "MAX_UPDATE_RATIO", np.inf)
     corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
     attached = route_premises(dataset, corpus, m=1)
     enc = EncoderModel.init(training_vocab(attached), EncoderConfig(d=8), seed=0)
@@ -658,6 +661,20 @@ def test_train_stops_on_non_finite_loss():
         train(model, attached, TrainConfig(seed=2, lr=1e50, epochs=3, batch_size=8),
               loss_log=log)
     assert log and all(np.isfinite(log))
+
+
+def test_train_stops_on_an_update_that_dwarfs_the_parameters():
+    corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
+    attached = route_premises(dataset, corpus, m=1)
+    enc = EncoderModel.init(training_vocab(attached), EncoderConfig(d=8), seed=0)
+    model = FusionModel.init(enc, "concat", seed=1)
+    before = {k: v.tobytes() for k, v in all_parameters(model).items()}
+    log = []
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="parameters' norm"):
+        train(model, attached, TrainConfig(seed=2, lr=1e50, epochs=3, batch_size=8),
+              loss_log=log)
+    assert len(log) == 1  # the first step stops it, before the loss overflows
+    assert {k: v.tobytes() for k, v in all_parameters(model).items()} == before
 
 
 def test_train_loss_decreases():
@@ -774,7 +791,8 @@ def test_train_is_bitwise_the_composed_graphs(head, tied, frozen):
     assert fused == oracle
 
 
-def test_diverging_train_stops_where_the_composed_graphs_stop():
+def test_diverging_train_stops_where_the_composed_graphs_stop(monkeypatch):
+    monkeypatch.setattr(ad, "MAX_UPDATE_RATIO", np.inf)  # so the run overflows
     corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
     attached = route_premises(dataset, corpus, m=1)
     vocab = training_vocab(attached)
