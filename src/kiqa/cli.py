@@ -37,6 +37,8 @@ Every command with identical inputs, config, and seed writes byte-identical outp
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -180,6 +182,18 @@ def _input(path_str: str | Path) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"cannot read {path}: no such file")
     return path
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """Raise what writing would raise for an output in a missing directory or naming one.
+
+    A stage with several outputs checks them all before it writes any.
+    """
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +357,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _load_config(args)
+    _check_outputs(args.out, args.predictions)
     model = load_model(_input(args.model))
     dataset = load_mcq(_input(args.dataset), args.schema)
     report = evaluate(

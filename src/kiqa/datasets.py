@@ -302,7 +302,9 @@ def attach_premises(
     index records (a sha256 of the corpus's ids and texts).  Hits carry
     document positions, so candidates are read from the corpus's columns.
     An option whose query is all stopwords, or whose query retrieves
-    nothing, gets an empty premise list.
+    nothing, gets an empty premise list.  Re-rank features are prepared
+    once per distinct text in one memo, which is dropped when the call
+    returns.
     """
     if index.corpus_digest != corpus.digest:
         raise DatasetError(
@@ -311,6 +313,7 @@ def attach_premises(
             f"rebuild it with index-build"
         )
     out_items = []
+    prepared: dict[str, object] = {}  # re-rank features by text, for this call only
     for item in dataset.items:
         premises: list[list[KnowledgeSentence]] = []
         for opt_ix in range(item.n):
@@ -324,6 +327,7 @@ def attach_premises(
                 premises.append([])
                 continue
             candidates = [corpus.at(h.pos) for h in hits]
-            premises.append(rerank(candidates, " ".join(query.terms), rr_config))
+            query_text = " ".join(query.terms)
+            premises.append(rerank(candidates, query_text, rr_config, prepared=prepared))
         out_items.append(replace(item, premises=premises))
     return McqDataset(items=out_items, schema_tag=dataset.schema_tag)

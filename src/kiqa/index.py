@@ -9,7 +9,9 @@ frequency ``df``, term frequency ``tf`` and length normalizer
 
 Queries are bags: each distinct term is added once, weighted by its count,
 in first-occurrence order.  Documents with zero score are omitted; ties
-are broken by sentence id ascending.
+are broken by sentence id ascending.  Searching an index fills two lazy
+caches on it: each queried term's positions as ``intp`` and, when the ids
+do not already ascend by position, each document's place in id order.
 
 Postings live in one flat array of little-endian ``(pos <u4, tf <u4)``
 records sorted by (term, document position); ``postings[term]`` is a view
@@ -35,8 +37,10 @@ rejected.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count
 from pathlib import Path
 from typing import Sequence
@@ -87,6 +91,7 @@ class InvertedIndex:
     corpus_digest: bytes  # KnowledgeCorpus.digest of the corpus it was built over
     avg_doc_length: float = field(init=False)
     length_norm: np.ndarray = field(init=False, repr=False)  # k1*(1 - b + b*len/avg)
+    _positions: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.doc_lengths = np.asarray(self.doc_lengths, dtype=np.int64)
@@ -105,6 +110,27 @@ class InvertedIndex:
         df = len(self.postings.get(term, ()))
         n = self.doc_count
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+
+    def positions(self, term: str) -> np.ndarray | None:
+        """The term's posting positions as ``intp``, converted on first use; None if unseen."""
+        pos = self._positions.get(term)
+        if pos is None and term in self.postings:
+            pos = self._positions[term] = self.postings[term]["pos"].astype(np.intp)
+        return pos
+
+    @cached_property
+    def id_rank(self) -> np.ndarray | None:
+        """Each document's place in sentence-id order; None when that is its position.
+
+        Ids that ascend by position (every corpus ``corpus-prep`` writes) need
+        no sort.  Equal ids keep position order, as a stable sort by id would.
+        """
+        ids = self.doc_ids
+        if all(map(operator.le, ids, ids[1:])):
+            return None
+        rank = np.empty(len(ids), dtype=np.intp)
+        rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        return rank
 
 
 def _blocks(terms: list[str], counts: Sequence[int], records: np.ndarray) -> dict[str, np.ndarray]:
@@ -145,31 +171,34 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
     Each term's contributions are scatter-added into a dense score vector,
     term by term, so every document's sum takes the same float operations
     in the same order as a per-document loop would.  The top ``k`` come
-    from a partition; every document tied with the k-th score is kept and
-    only those are sorted by (-score, sentence id).
+    from a partition of that vector; every document tied with the k-th
+    score is kept, and one ``np.lexsort`` on (-score,
+    :attr:`~InvertedIndex.id_rank`) orders them, so equal scores go to
+    the smaller sentence id.  Hits are made for the ``k`` returned only.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     k1 = index.params.k1
     scores = np.zeros(index.doc_count)
     for term, count in Counter(query_terms).items():
-        block = index.postings.get(term)
-        if block is None:
+        pos = index.positions(term)
+        if pos is None:
             continue
         w_idf = index.idf(term) * count
-        pos, tf = block["pos"], block["tf"]
+        tf = index.postings[term]["tf"]
         scores[pos] += w_idf * tf * (k1 + 1.0) / (tf + index.length_norm[pos])
-    hit = np.flatnonzero(scores)
+    # No score is negative, so a positive k-th largest score keeps at least
+    # k documents with every tie of the k-th; a zero one keeps every hit.
+    n = index.doc_count
+    kth = np.partition(scores, n - k)[n - k] if n > k else 0.0
+    hit = np.flatnonzero(scores >= kth) if kth > 0 else np.flatnonzero(scores)
     vals = scores[hit]
-    if len(hit) > k:
-        kth = np.partition(vals, len(vals) - k)[len(vals) - k]
-        keep = vals >= kth
-        hit, vals = hit[keep], vals[keep]
+    rank = index.id_rank
+    order = np.lexsort((hit if rank is None else rank[hit], -vals))[:k]
     doc_ids = index.doc_ids
-    ranked = sorted(zip(hit.tolist(), vals.tolist()), key=lambda ps: (-ps[1], doc_ids[ps[0]]))
     return [
         SearchHit(sentence_id=doc_ids[p], score=s, rank=r, pos=p)
-        for r, (p, s) in enumerate(ranked[:k], start=1)
+        for r, (p, s) in enumerate(zip(hit[order].tolist(), vals[order].tolist()), start=1)
     ]
 
 

@@ -6,11 +6,18 @@ near-duplicates.  The re-ranker greedily picks the sentence with the best
 sentences are chosen, trading relevance against redundancy with what is
 already selected.
 
-Each call prepares every distinct text once (the query and the
-candidates, deduplicated by text) and then compares prepared features
-for every pair it scores: a token set for token overlap, a mean word
-vector for embedding cosine.  A similarity called on two strings is the
-same comparison of the two texts' prepared features.
+Features are prepared once per distinct text and then compared for every
+pair scored: a token set for token overlap, a mean word vector for
+embedding cosine.  A similarity called on two strings is the same
+comparison of the two texts' prepared features.  One call prepares its
+query and candidates, deduplicated by text; :func:`kiqa.datasets.attach_premises`
+passes one memo of prepared features to every call it makes, so a corpus
+sentence retrieved by many queries is prepared once per attach.  The memo
+lives only as long as that attach.
+
+A call of ``m`` picks from ``n`` candidates makes ``n`` query compares and,
+after each pick but the last, one redundancy compare per candidate left:
+``n + sum(n - j for j in 1..min(m, n) - 1)`` in all.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ def token_jaccard(a: str | set[str], b: str | set[str]) -> float:
         return 1.0
     if not sa or not sb:
         return 0.0
-    return len(sa & sb) / len(sa | sb)
+    inter = len(sa & sb)
+    return inter / (len(sa) + len(sb) - inter)
 
 
 class EmbeddingTableError(ValueError):
@@ -143,34 +151,43 @@ def rerank(
     candidates: Sequence[KnowledgeSentence],
     query_text: str,
     config: RerankConfig,
+    prepared: dict[str, object] | None = None,
 ) -> list[KnowledgeSentence]:
     """Greedy diverse selection of min(m, n) sentences, in pick order.
 
-    Ties go to the earlier candidate in the input order.
+    Ties go to the earlier candidate in the input order.  ``prepared`` maps
+    a text to its feature under ``config.similarity``; texts missing from it
+    are prepared and added, so calls that share one dict (and one
+    similarity) prepare each distinct text once between them.
     """
     if not candidates:
         raise ValueError("empty candidate list")
     sim = config.similarity
-    distinct = dict.fromkeys([query_text, *(c.text for c in candidates)])
-    prepared = {text: sim.prepare(text) for text in distinct}
+    if prepared is None:
+        prepared = {}
+    for text in (query_text, *(c.text for c in candidates)):
+        if text not in prepared:  # a None mean vector is a prepared feature too
+            prepared[text] = sim.prepare(text)
     features = [prepared[c.text] for c in candidates]
     query_sim = [sim.compare(f, prepared[query_text]) for f in features]
     n = len(candidates)
+    picks = min(config.m, n)
     selected: list[int] = []
     # redundancy[i] tracks max similarity to anything already selected
     redundancy = [0.0] * n
     remaining = list(range(n))
-    for _ in range(min(config.m, n)):
+    while True:
         best = remaining[0]
-        best_gain = query_sim[best] - config.lambda_ * (redundancy[best] if selected else 0.0)
+        best_gain = query_sim[best] - config.lambda_ * redundancy[best]
         for i in remaining[1:]:
-            gain = query_sim[i] - config.lambda_ * (redundancy[i] if selected else 0.0)
+            gain = query_sim[i] - config.lambda_ * redundancy[i]
             if gain > best_gain:
                 best, best_gain = i, gain
         selected.append(best)
+        if len(selected) == picks:
+            return [candidates[i] for i in selected]
         remaining.remove(best)
         for i in remaining:
             s = sim.compare(features[i], features[best])
             if s > redundancy[i]:
                 redundancy[i] = s
-    return [candidates[i] for i in selected]

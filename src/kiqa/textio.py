@@ -62,8 +62,10 @@ def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     text with no newline translation, or for bytes.  On success it is
     renamed over ``path`` (``os.replace``); on any exception, an interrupt
     included, it is removed and ``path`` keeps its old content.  A new file
-    gets the mode ``open`` would give it (0o666 less the umask).  Errors of
-    the file system name ``path``, not the temporary file.
+    gets the mode ``open`` would give it (0o666 less the umask); a file that
+    replaces another keeps the permission bits of the one it replaces (not
+    its owner or ACLs).  Errors of the file system name ``path``, not the
+    temporary file.
     """
     tmp = Path(path).parent / f".{Path(path).name}.{os.urandom(4).hex()}.tmp"
     try:
@@ -74,6 +76,10 @@ def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
         with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         try:
+            try:
+                os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+            except FileNotFoundError:  # a new file keeps the mode it was created with
+                pass
             os.replace(tmp, path)
         except OSError as exc:
             raise type(exc)(exc.errno, exc.strerror, str(path)) from None

@@ -334,6 +334,20 @@ def test_out_that_cannot_be_written_exits_2_naming_it(artifacts, tmp_path, capsy
     assert os.listdir(tmp_path) == ["adir"] and os.listdir(tmp_path / "adir") == []
 
 
+@pytest.mark.parametrize("where", ["nodir/p.jsonl", "adir"])
+def test_eval_checks_both_outputs_before_writing_either(artifacts, tmp_path, capsys, where):
+    (tmp_path / "adir").mkdir()
+    report, preds = tmp_path / "r.json", tmp_path / where
+    report.write_bytes(b"the old report\n")
+    assert main(["eval", "--model", str(artifacts / "model.bin"),
+                 "--dataset", str(artifacts / "attached.jsonl"),
+                 "--predictions", str(preds), "--out", str(report)]) == 2
+    assert one_error_line(capsys).endswith(f": {str(preds)!r}")
+    assert report.read_bytes() == b"the old report\n"
+    assert sorted(os.listdir(tmp_path)) == ["adir", "r.json"]
+    assert os.listdir(tmp_path / "adir") == []
+
+
 def test_unknown_flag_exits_1(artifacts, tmp_path, capsys):
     rc = main(["index-build", "--corpus", str(artifacts / "corpus.jsonl"),
                "--out", str(tmp_path / "i.json"), "--bogus"])

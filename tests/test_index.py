@@ -179,7 +179,7 @@ def test_matches_brute_force_any_params(docs, query, k1, b):
     data=st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_top_k_cuts_tie_groups_like_brute_force(docs, copies, query, data):
+def test_top_k_cuts_tie_groups_like_brute_force(tmp_path_factory, docs, copies, query, data):
     # Few words and repeated documents make large groups of equal scores;
     # a k drawn below len(docs) cuts through them.
     docs = docs * copies
@@ -189,13 +189,17 @@ def test_top_k_cuts_tie_groups_like_brute_force(docs, copies, query, data):
     corpus = KnowledgeCorpus(
         [KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in zip(ids, docs)]
     )
-    index = build_index(corpus)
-    hits = search(index, query, k=k)
     expected = bm25_brute_force([(s.id, s.text) for s in corpus], query)[:k]
-    assert [(h.sentence_id, h.score) for h in hits] == expected
-    assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
-    assert [h.pos for h in hits] == [index.doc_ids.index(h.sentence_id) for h in hits]
-    assert all(corpus.texts[h.pos] == corpus.get(h.sentence_id).text for h in hits)
+    # a reloaded index ranks its ids anew, so it must order ties the same way
+    path = tmp_path_factory.getbasetemp() / "ties.kiix"
+    built = build_index(corpus)
+    save_index(built, path)
+    for index in (built, load_index(path)):
+        hits = search(index, query, k=k)
+        assert [(h.sentence_id, h.score) for h in hits] == expected
+        assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
+        assert [h.pos for h in hits] == [index.doc_ids.index(h.sentence_id) for h in hits]
+        assert all(corpus.texts[h.pos] == corpus.get(h.sentence_id).text for h in hits)
 
 
 # --- serialization -----------------------------------------------------------

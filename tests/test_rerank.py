@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kiqa.rerank
-from kiqa.corpus import KnowledgeSentence
+from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
+from kiqa.datasets import McqDataset, McqItem, attach_premises
+from kiqa.index import build_index
+from kiqa.querygen import QueryGenConfig
 from kiqa.rerank import (
     EmbeddingTableError,
     RerankConfig,
@@ -321,3 +324,54 @@ def test_similarity_call_is_compare_of_prepared():
             assert fn(a, b) == fn.compare(fn.prepare(a), fn.prepare(b))
     assert SimilarityFn().prepare("The CAT, the cat") == {"the", "cat"}
     assert SimilarityFn(kind="embedding-cosine", table=_TABLE).prepare("moss rain") is None
+
+
+def test_a_shared_memo_prepares_each_text_once_over_calls(monkeypatch):
+    # Some texts have no table word: their mean vector is None, and that
+    # None is a prepared feature, not a missing one.
+    fn = SimilarityFn(kind="embedding-cosine", table=_TABLE)
+    calls_in = [_retrieval_sized_call(seed) for seed in range(4)]
+    want = [rerank_oracle(cands, query, 10, 1.0, lambda a, b: embedding_cosine(a, b, _TABLE))
+            for cands, query in calls_in]
+    calls = _counting(monkeypatch, "_mean_vector")
+    prepared = {}
+    got = [rerank(cands, query, RerankConfig(m=10, similarity=fn), prepared=prepared)
+           for cands, query in calls_in]
+    assert [[s.id for s in g] for g in got] == [[s.id for s in w] for w in want]
+    texts = {c.text for cands, _ in calls_in for c in cands} | {q for _, q in calls_in}
+    assert sorted(calls) == sorted(texts)
+    assert prepared.keys() == texts
+    assert any(prepared[t] is None for t in texts)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (5, 3), (5, 5), (5, 9), (50, 2), (50, 10)])
+def test_no_compare_after_the_last_pick(monkeypatch, n, m):
+    cands, query = _retrieval_sized_call(n + m)
+    calls = _counting(monkeypatch, "token_jaccard")
+    rerank(cands[:n], query, RerankConfig(m=m))
+    picks = min(m, n)
+    # n query compares, then one per candidate left after each pick but the last
+    assert len(calls) == n + sum(n - j for j in range(1, picks))
+
+
+def test_attach_prepares_each_text_once_per_call(monkeypatch):
+    corpus = KnowledgeCorpus([
+        KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in enumerate(
+            ["cats chase mice", "dogs chase cats", "mice eat cheese", "dogs eat bones"])
+    ])
+    dataset = McqDataset(items=[
+        McqItem(id="a", question="chase", options=["cats", "dogs"]),
+        McqItem(id="b", question="eat", options=["mice", "dogs"]),
+    ])
+    index = build_index(corpus)
+    calls = _counting(monkeypatch, "token_set")
+    out = attach_premises(dataset, corpus, index, QueryGenConfig(), RerankConfig(m=2))
+    first = list(calls)
+    # the options share sentences, so a per-call preparation repeats texts
+    picked = [p.text for item in out.items for plist in item.premises for p in plist]
+    assert len(picked) > len(set(picked))
+    assert len(first) == len(set(first))
+    assert set(corpus.texts) <= set(first)
+    calls.clear()
+    attach_premises(dataset, corpus, index, QueryGenConfig(), RerankConfig(m=2))
+    assert calls == first  # the memo does not outlive its call

@@ -186,6 +186,21 @@ def test_a_new_file_gets_the_mode_open_would_give_it(tmp_path, umask):
     assert (tmp_path / "x.txt").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o444])
+def test_a_replaced_file_keeps_its_permission_bits(tmp_path, mode):
+    path = tmp_path / "x.txt"
+    path.write_text("old", encoding="utf-8")
+    path.chmod(mode)
+    old = os.umask(0o022)
+    try:
+        with replacing(path) as fh:
+            fh.write("new")
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o7777 == mode
+    assert path.read_text(encoding="utf-8") == "new"
+
+
 @pytest.mark.parametrize("target, exc", [
     ("nodir/x.jsonl", FileNotFoundError),
     ("adir", IsADirectoryError),
