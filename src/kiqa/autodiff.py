@@ -348,25 +348,27 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def attention_softmax(scores: Tensor, pad: np.ndarray) -> Tensor:
-    """Softmax over the last axis of ``scores + pad``, for attention rows.
+def attention_softmax(scores: Tensor, pad: np.ndarray, scale: float) -> Tensor:
+    """Softmax over the last axis of ``scores * scale + pad``, for attention rows.
 
-    ``pad`` is additive: -1e30 at padded keys, whose exponentials underflow
-    to exactly 0.0, and 0.0 elsewhere.  The denominator is a product with a
-    ones column instead of ndarray.sum: a BLAS product is bitwise-stable
-    under trailing zero terms where sum's pairwise accumulation is not, so
-    padded and unpadded encodings of the same content are bitwise equal.
+    ``scale`` is the 1/√d of scaled dot-product attention.  ``pad`` is
+    additive: -1e30 at padded keys, whose exponentials underflow to exactly
+    0.0, and 0.0 elsewhere.  The denominator is a product with a ones
+    column instead of ndarray.sum: a BLAS product is bitwise-stable under
+    trailing zero terms where sum's pairwise accumulation is not, so padded
+    and unpadded encodings of the same content are bitwise equal.
     """
-    masked = scores.data + pad
+    masked = scores.data * scale + pad
     e = np.exp(masked - masked.max(axis=-1, keepdims=True))
     ones = np.ones((scores.data.shape[-1], 1))
     den = e @ ones
     out = _node(e / den, (scores,))
     if out.requires_grad:
         def backward(grad):
-            # as in softmax, with den's gradient taken back through the ones
+            # as in softmax, with den's gradient taken back through the
+            # ones, then through the scaling
             dden = _unbroadcast(-grad * e / (den * den), den.shape)
-            scores._accumulate((grad / den + dden @ ones.swapaxes(-1, -2)) * e)
+            scores._accumulate((grad / den + dden @ ones.swapaxes(-1, -2)) * e * scale)
         out._backward = backward
     return out
 

@@ -184,12 +184,12 @@ def _input(path_str: str | Path) -> Path:
     return path
 
 
-def _check_outputs(*paths: str | None) -> None:
+def _check_outputs(*paths: str | Path | None) -> None:
     """Raise what writing would raise for an output in a missing directory or naming one.
 
     A stage with several outputs checks them all before it writes any.
     """
-    for path in filter(None, paths):
+    for path in map(str, filter(None, paths)):
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if Path(path).is_dir():
@@ -283,6 +283,9 @@ def _cmd_pfqa_gen(args) -> int:
     train_q, dev_q, test_q = assign_splits(questions, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    splits = {out_dir / f"{name}.jsonl": split
+              for name, split in (("train", train_q), ("dev", dev_q), ("test", test_q))}
+    _check_outputs(out_dir / "knowledge.jsonl", *splits)
     knowledge = KnowledgeCorpus(
         sentences=[
             KnowledgeSentence(id=f"pfqa-k-{n:06d}", text=render_fact(f), source_tag="pfqa")
@@ -290,8 +293,8 @@ def _cmd_pfqa_gen(args) -> int:
         ]
     )
     save_jsonl(knowledge, out_dir / "knowledge.jsonl")
-    for name, split in (("train", train_q), ("dev", dev_q), ("test", test_q)):
-        save_mcq_jsonl(to_dataset(split), out_dir / f"{name}.jsonl")
+    for path, split in splits.items():
+        save_mcq_jsonl(to_dataset(split), path)
     print(
         f"wrote {len(knowledge)} knowledge sentences and "
         f"{len(train_q)}/{len(dev_q)}/{len(test_q)} train/dev/test questions to {out_dir}"

@@ -6,6 +6,16 @@ feed-forward, both with post-norm residuals, over learned embeddings.
 No position information is used: the scoring heads only consume pooled
 summaries where token identity, not order, carries the signal.
 
+The block has a key/value side and a query side.  The embedding gather
+and the key and value projections run at every position, since every
+output attends to all of them.  The rest (query projection, attention
+row, output projection, residuals, both layer norms and the
+feed-forward) runs only at the query columns whose output is read:
+column 0 for the pooled vector, the masked columns for the masked-token
+loss.  An output column depends on the other positions only through
+their keys and values, so its vector is the same as in a block run at
+every position, up to the rounding of the smaller products.
+
 Padded and unpadded encodings of the same content are bitwise identical:
 padded keys get an additive -1e30 before the attention softmax, which
 :func:`kiqa.autodiff.attention_softmax` makes exact.
@@ -174,22 +184,37 @@ class EncoderModel:
 
     # -- forward --------------------------------------------------------
 
-    def hidden_states(self, ids: np.ndarray) -> Tensor:
-        """(B, L) int ids -> (B, L, d) final-layer vectors."""
+    def hidden_states(self, ids: np.ndarray, queries: np.ndarray) -> Tensor:
+        """(B, L) int ids -> (B, Q, d) final-layer vectors at the (B, Q) query columns.
+
+        Keys and values are projected at all L positions; everything after
+        them runs at the queried columns only.  A column may be queried more
+        than once.
+        Padding never reaches an output's bits: padded keys get exactly zero
+        attention weight, the sums over keys (the softmax denominator and
+        the weighted values) are BLAS products, which trailing zero terms
+        leave bitwise unchanged, and every product after them has Q rows
+        per sequence however long the padding makes L.
+        """
         if ids.ndim != 2 or ids.shape[1] == 0:
             raise ValueError("ids must be a non-empty (batch, length) array")
         if ids.shape[1] > self.config.max_len:
             raise ValueError(f"sequence length {ids.shape[1]} exceeds {self.config.max_len}")
+        if not (
+            queries.ndim == 2 and queries.shape[0] == ids.shape[0] and queries.shape[1] > 0
+            and 0 <= queries.min() and queries.max() < ids.shape[1]
+        ):
+            raise ValueError("queries must be a non-empty (batch, count) array of columns of ids")
         p = self.params
-        d = self.config.d
         x = p["emb"][ids]  # (B, L, d)
-
-        q = x @ p["att_wq"]
         k = x @ p["att_wk"]
         v = x @ p["att_wv"]
-        scores = (q @ k.swap_last_axes()) * (1.0 / np.sqrt(d))
+        x = x[np.arange(len(ids))[:, None], queries]  # (B, Q, d)
+
         pad_mask = np.where(ids == self.vocab.pad_id, _NEG_INF, 0.0)
-        attn = attention_softmax(scores, pad_mask[:, None, :])  # mask keys per query row
+        scores = (x @ p["att_wq"]) @ k.swap_last_axes()  # (B, Q, L)
+        # mask keys per query row
+        attn = attention_softmax(scores, pad_mask[:, None, :], 1.0 / np.sqrt(self.config.d))
         x = layer_norm(
             x + (attn @ v) @ p["att_wo"], p["ln1_gamma"], p["ln1_beta"], self.config.ln_eps
         )
@@ -198,7 +223,7 @@ class EncoderModel:
 
     def encode_ids(self, ids: np.ndarray) -> Tensor:
         """(B, L) int ids -> (B, d) pooled first-position vectors."""
-        return self.hidden_states(ids)[:, 0, :]
+        return self.hidden_states(ids, np.zeros((len(ids), 1), dtype=np.intp))[:, 0, :]
 
 
 def build_sequence(
@@ -242,15 +267,20 @@ def mlm_batch_loss(
     """Cross-entropy at masked positions; None when nothing is masked.
 
     ``mask`` flags the positions to hide; inputs get the mask token there
-    and the model must recover the original ids.  Logits exist only at the
-    M masked positions: their hidden states are gathered first and then
-    go through the projection tied to the embeddings, so the logits are
-    (M, V), never (B, L, V).
+    and the model must recover the original ids.  The block's query side
+    runs only at the masked columns: each row queries its own, left-aligned
+    and padded with column 0 to the row with the most.  The M real ones
+    are gathered and go through the projection tied to the embeddings, so
+    the logits are (M, V), never (B, L, V).
     """
     if not mask.any():
         return None
-    rows, cols = np.nonzero(mask)
-    hidden = model.hidden_states(np.where(mask, model.vocab.mask_id, ids))[rows, cols]
+    rows, cols = np.nonzero(mask)  # row-major, so each row's columns are adjacent
+    counts = mask.sum(axis=1)
+    slots = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    queries = np.zeros((len(ids), counts.max()), dtype=np.intp)
+    queries[rows, slots] = cols
+    hidden = model.hidden_states(np.where(mask, model.vocab.mask_id, ids), queries)[rows, slots]
     return cross_entropy(hidden @ model.params["emb"].swap_last_axes(), ids[rows, cols])
 
 

@@ -8,6 +8,10 @@ for bit.  ``exp``, ``log``, ``pow_const`` and ``tmean`` are
 the elementary ops only these graphs use, with their differentiation rules.
 ``composed_graphs()`` swaps the composed forms in where kiqa calls the
 fused ones, so whole training runs can be compared.
+
+``full_hidden_states`` is the encoder block before its query side was
+split off: every sublayer at every position.  It is the oracle for the
+query-only block, whose rows must match its gathered rows.
 """
 
 from contextlib import contextmanager
@@ -89,12 +93,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return centered * pow_const(var + eps, -0.5) * gamma + beta
 
 
-def attention_softmax(scores: Tensor, pad: np.ndarray) -> Tensor:
-    scores = scores + Tensor(pad)
+def attention_softmax(scores: Tensor, pad: np.ndarray, scale: float) -> Tensor:
+    scores = scores * scale + Tensor(pad)
     shifted = scores - Tensor(scores.data.max(axis=-1, keepdims=True))
     e = exp(shifted)
     # ones-column matmul keeps the denominator bitwise-stable under padding
     return e / (e @ Tensor(np.ones((scores.shape[-1], 1))))
+
+
+def full_hidden_states(model: encoder.EncoderModel, ids: np.ndarray) -> Tensor:
+    """(B, L) ids -> (B, L, d): the encoder block as kiqa ran it before its
+    query side was split off, every sublayer at every position, written
+    with the composed graphs."""
+    p = model.params
+    x = p["emb"][ids]
+    q = x @ p["att_wq"]
+    k = x @ p["att_wk"]
+    v = x @ p["att_wv"]
+    pad = np.where(ids == model.vocab.pad_id, -1e30, 0.0)[:, None, :]
+    attn = attention_softmax(q @ k.swap_last_axes(), pad, 1.0 / np.sqrt(model.config.d))
+    eps = model.config.ln_eps
+    x = layer_norm(x + (attn @ v) @ p["att_wo"], p["ln1_gamma"], p["ln1_beta"], eps)
+    ffn = ad.tanh(x @ p["ffn_w1"] + p["ffn_b1"]) @ p["ffn_w2"] + p["ffn_b2"]
+    return layer_norm(x + ffn, p["ln2_gamma"], p["ln2_beta"], eps)
 
 
 @contextmanager

@@ -294,11 +294,13 @@ def test_attention_softmax_is_bitwise_its_composed_graph(shape):
     rng = np.random.default_rng(shape[-1])
     scores = rng.normal(scale=3.0, size=shape)
     pad = key_pad(rng, shape[0], shape[-1])
-    assert_bitwise_composed(lambda x: ad.attention_softmax(x, pad),
-                            lambda x: composed.attention_softmax(x, pad), [scores], shape, rng)
-    out = ad.attention_softmax(Tensor(scores), pad).data
-    assert np.all(out[np.broadcast_to(pad, shape) < 0] == 0.0)
-    assert np.array_equal(out[-1, :, 0], np.ones(shape[1]))  # one real key: weight 1
+    for scale in (1.0, 1.0 / np.sqrt(3), 1e-8):
+        assert_bitwise_composed(lambda x: ad.attention_softmax(x, pad, scale),
+                                lambda x: composed.attention_softmax(x, pad, scale),
+                                [scores], shape, rng)
+        out = ad.attention_softmax(Tensor(scores), pad, scale).data
+        assert np.all(out[np.broadcast_to(pad, shape) < 0] == 0.0)
+        assert np.array_equal(out[-1, :, 0], np.ones(shape[1]))  # one real key: weight 1
 
 
 def test_attention_softmax_ignores_padded_keys_bitwise():
@@ -308,8 +310,8 @@ def test_attention_softmax_ignores_padded_keys_bitwise():
         padded = np.concatenate([scores, rng.normal(size=(2, 4, extra))], axis=-1)
         pad = np.concatenate([np.zeros((2, 1, 4)), np.full((2, 1, extra), -1e30)], axis=-1)
         for fn in (ad.attention_softmax, composed.attention_softmax):
-            short = fn(Tensor(scores), np.zeros((2, 1, 4))).data
-            long = fn(Tensor(padded), pad).data
+            short = fn(Tensor(scores), np.zeros((2, 1, 4)), 0.5).data
+            long = fn(Tensor(padded), pad, 0.5).data
             assert long[..., :4].tobytes() == short.tobytes()
             assert np.all(long[..., 4:] == 0.0)
 
@@ -340,7 +342,7 @@ PAD_4 = np.array([[0.0, 0.0, -1e30, 0.0]])
 GAMMA_4, BETA_4 = RNG.normal(size=4), RNG.normal(size=4)
 FUSED_FD = {  # each a scalar loss of one (3, 4) input
     "softmax": lambda x: (softmax(x, axis=0) * RNG_WEIGHTS_2).sum(),
-    "attention_softmax": lambda x: (ad.attention_softmax(x, PAD_4) * RNG_WEIGHTS_2).sum(),
+    "attention_softmax": lambda x: (ad.attention_softmax(x, PAD_4, 0.7) * RNG_WEIGHTS_2).sum(),
     "layer_norm": lambda x: (ad.layer_norm(x, Tensor(GAMMA_4), Tensor(BETA_4), 1e-5)
                              * RNG_WEIGHTS_2).sum(),
     "cross_entropy": lambda x: cross_entropy(x, np.array([3, 0, 3])),

@@ -171,6 +171,22 @@ def test_pfqa_gen_writes_knowledge_and_splits(tmp_path):
     assert len(load_mcq(out / "train.jsonl", "generic")) == sizes[0]
 
 
+def test_pfqa_gen_checks_all_outputs_before_writing_any(tmp_path, capsys):
+    facts = tmp_path / "facts.tsv"
+    facts.write_text(FACTS, encoding="utf-8")
+    out = tmp_path / "pfqa"
+    out.mkdir()
+    old = {name: f"the old {name}\n".encode() for name in ("knowledge", "train", "dev")}
+    for name, data in old.items():
+        (out / f"{name}.jsonl").write_bytes(data)
+    (out / "test.jsonl").mkdir()
+    assert main(["pfqa-gen", "--facts", str(facts), "--out", str(out)]) == 2
+    assert one_error_line(capsys).endswith(f": {str(out / 'test.jsonl')!r}")
+    for name, data in old.items():
+        assert (out / f"{name}.jsonl").read_bytes() == data
+    assert sorted(os.listdir(out)) == ["dev.jsonl", "knowledge.jsonl", "test.jsonl", "train.jsonl"]
+
+
 def test_revise_writes_loadable_encoder(artifacts, tmp_path):
     cfg = tmp_path / "rev.cfg"
     cfg.write_text("d = 8\nepochs = 2\nlr = 0.05\n", encoding="utf-8")

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kiqa import autodiff as ad
@@ -37,7 +37,7 @@ from kiqa.encoder import (
     save_encoder,
 )
 
-from composed import composed_graphs, fused_and_composed, log_softmax, tape
+from composed import composed_graphs, full_hidden_states, fused_and_composed, log_softmax, tape
 from frames import MARK, patched, replace_f8
 
 
@@ -92,6 +92,11 @@ def naive_encode(params, ids, pad_id, eps):
 def small_model(seed=0, d=4, extra_words=("alpha", "beta", "gamma", "delta")):
     vocab = Vocab(list(SPECIAL_TOKENS) + list(extra_words))
     return EncoderModel.init(vocab, EncoderConfig(d=d, max_len=16), seed=seed)
+
+
+def every_column(ids):
+    """(B, L) query columns that ask ``hidden_states`` for every position."""
+    return np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,7 @@ def test_hidden_states_are_normalized_at_init():
     # position's vector has mean 0 and variance 1 (up to the tiny epsilon)
     model = small_model(seed=4, d=16)
     ids = np.array([[1, 5, 6, 7, 8, 2], [1, 8, 5, 2, 0, 0]])
-    h = model.hidden_states(ids).data
+    h = model.hidden_states(ids, every_column(ids)).data
     np.testing.assert_allclose(h.mean(axis=-1), 0.0, atol=1e-9)
     np.testing.assert_allclose(h.var(axis=-1), 1.0, atol=1e-9)
 
@@ -198,9 +203,10 @@ def test_d1_forward_collapses_to_shift():
 def test_hidden_states_rejects_bad_shapes():
     model = small_model()
     with pytest.raises(ValueError):
-        model.hidden_states(np.zeros((2, 0), dtype=np.int64))
+        model.hidden_states(np.zeros((2, 0), dtype=np.int64), np.zeros((2, 1), dtype=np.intp))
     with pytest.raises(ValueError):
-        model.hidden_states(np.zeros((1, 17), dtype=np.int64))
+        ids = np.zeros((1, 17), dtype=np.int64)
+        model.hidden_states(ids, every_column(ids))
 
 
 def test_forward_is_deterministic():
@@ -288,7 +294,7 @@ def dense_mlm_loss(model, ids, mask):
     """Oracle: the masked-token loss as first written, with (B, L, V) logits
     and a one-hot of the same size picking the gold log-probabilities."""
     masked_ids = np.where(mask, model.vocab.mask_id, ids)
-    logits = model.hidden_states(masked_ids) @ model.params["emb"].swap_last_axes()
+    logits = full_hidden_states(model, masked_ids) @ model.params["emb"].swap_last_axes()
     logp = log_softmax(logits, axis=-1)
     onehot = np.zeros((*ids.shape, len(model.vocab)))
     rows, cols = np.nonzero(mask)
@@ -351,13 +357,84 @@ def test_mlm_tape_holds_logits_only_at_masked_positions():
 
 
 def test_mlm_tape_keeps_its_fused_size():
-    # 13 parameters and 23 operations; attention softmax, both layer norms
-    # and the loss are one node each.  The composed graphs take 64.
+    # 13 parameters and 23 operations; attention softmax (with its scaling),
+    # both layer norms and the loss are one node each.  The composed graphs
+    # take 65: 64 for the block at every position, plus the query gather.
     model = small_model(seed=5, d=4, extra_words=tuple(f"w{i}" for i in range(60)))
     ids, mask = _ragged_masked_batch(np.random.default_rng(8), model.vocab)
     assert len(tape(mlm_batch_loss(model, ids, mask))) <= 36
     with composed_graphs():
-        assert len(tape(mlm_batch_loss(model, ids, mask))) == 64
+        assert len(tape(mlm_batch_loss(model, ids, mask))) == 65
+
+
+# ---------------------------------------------------------------------------
+# The query side against the block run at every position
+# ---------------------------------------------------------------------------
+
+@st.composite
+def query_batches(draw):
+    """(d, row lengths, (B, Q) query columns, seed): ragged rows padded to
+    the longest, queries that repeat and that land on padding."""
+    d = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    width = draw(st.integers(1, 4))
+    column = st.integers(0, max(lengths) - 1)
+    row = st.lists(column, min_size=width, max_size=width)
+    queries = draw(st.lists(row, min_size=len(lengths), max_size=len(lengths)))
+    return d, lengths, np.array(queries), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(query_batches())
+@example((1, [3, 1], np.array([[2, 0, 2], [1, 1, 0]]), 0))  # d = 1; padded and repeated
+@example((3, [1, 1], np.array([[0], [0]]), 1))  # L = 1
+def test_query_side_matches_the_full_position_block(batch):
+    d, lengths, queries, seed = batch
+    rng = np.random.default_rng(seed)
+    model = small_model(seed=seed % 97, d=d)
+    vocab = model.vocab
+    ids = pad_batch([np.concatenate([[vocab.start_id],
+                                     rng.integers(vocab.mask_id, len(vocab), size=n - 1)])
+                     for n in lengths], vocab.pad_id)
+    probe = Tensor(rng.normal(size=(*queries.shape, d)))
+
+    def value_and_grads(hidden_states):
+        for p in model.params.values():
+            p.zero_grad()
+        hidden = hidden_states()
+        (hidden * probe).sum().backward()
+        return hidden.data, {name: p.grad for name, p in model.params.items()}
+
+    got, got_grads = value_and_grads(lambda: model.hidden_states(ids, queries))
+    want, want_grads = value_and_grads(
+        lambda: full_hidden_states(model, ids)[np.arange(len(ids))[:, None], queries])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_query_side_tapes_hold_no_full_width_feed_forward():
+    # the feed-forward's (d -> 4d) activations exist at the queried columns
+    # only: column 0 for the pooled vector, the masked columns for the loss
+    model = small_model(seed=5, d=4, extra_words=tuple(f"w{i}" for i in range(60)))
+    ids, mask = _ragged_masked_batch(np.random.default_rng(8), model.vocab)
+    (B, L), h = ids.shape, 4 * model.config.d
+    widest = int(mask.sum(axis=1).max())
+    assert 1 < widest < L
+    pooled = (model.encode_ids(ids) * Tensor(_probe(ids, model.config.d))).sum()
+    for loss, queried in ((pooled, 1), (mlm_batch_loss(model, ids, mask), widest)):
+        shapes = [node.shape for node in tape(loss)]
+        assert (B, L, h) not in shapes
+        assert (B, queried, h) in shapes
+
+
+def test_hidden_states_rejects_bad_queries():
+    model = small_model()
+    ids = np.array([[1, 5, 6, 2], [1, 7, 2, 0]])
+    assert model.hidden_states(ids, np.array([[3], [0]])).shape == (2, 1, model.config.d)
+    for queries in ([[0, 1]], [0, 1], [[], []], [[0], [4]], [[-1], [0]]):
+        with pytest.raises(ValueError, match="queries"):
+            model.hidden_states(ids, np.array(queries, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +456,7 @@ def test_hidden_states_are_bitwise_the_composed_graphs(rows):
 
     def run():
         model = small_model(seed=13, d=4)
-        hidden = model.hidden_states(ids)
+        hidden = model.hidden_states(ids, every_column(ids))
         (hidden * Tensor(probe)).sum().backward()
         return hidden.data.tobytes(), grad_bytes(model.params)
 

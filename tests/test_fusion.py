@@ -765,13 +765,14 @@ def test_train_matches_oracle_loop_store_backed():
 # ---------------------------------------------------------------------------
 
 def test_weighted_sum_tape_keeps_its_fused_size():
-    # 17 parameters and 32 operations; the composed graphs take 80
+    # 17 parameters and 32 operations; the composed graphs take 81: 80 for
+    # the block at every position, plus the query gather
     ds = separable_dataset()
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=2)
     model = FusionModel.init(enc, "weighted-sum", seed=3)
     assert len(tape(_batch_loss(model, ds.items[:5], frozen=False))) <= 49
     with composed_graphs():
-        assert len(tape(_batch_loss(model, ds.items[:5], frozen=False))) == 80
+        assert len(tape(_batch_loss(model, ds.items[:5], frozen=False))) == 81
 
 
 @pytest.mark.parametrize("head,tied", [(h, False) for h in HEADS] + [("weighted-sum", True)])
