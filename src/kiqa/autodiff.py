@@ -120,21 +120,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
 
@@ -184,18 +169,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _node(a.data - b.data, (a, b))
-    if out.requires_grad:
-        def backward(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-grad, b.data.shape))
-        out._backward = backward
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _node(a.data * b.data, (a, b))
     if out.requires_grad:
@@ -204,18 +177,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 a._accumulate(_unbroadcast(grad * b.data, a.data.shape))
             if b.requires_grad:
                 b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
-        out._backward = backward
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = _node(a.data / b.data, (a, b))
-    if out.requires_grad:
-        def backward(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-grad * a.data / (b.data * b.data), b.data.shape))
         out._backward = backward
     return out
 

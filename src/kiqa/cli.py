@@ -30,7 +30,8 @@ Seeds are derived from the global ``--seed`` (default 0): encoder init
 uses ``seed``, head init ``seed+1``, supervised training ``seed+2``, and
 revision ``seed+3``, so stages stay reproducible independently.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
+Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error,
+130 interrupted.
 Every command with identical inputs, config, and seed writes byte-identical outputs.
 """
 
@@ -524,6 +525,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -146,9 +146,6 @@ class KnowledgeCorpus:
         """The sentence at position ``pos``."""
         return KnowledgeSentence(self.ids[pos], self.texts[pos], self.tags[pos], self.titles[pos])
 
-    def get(self, sentence_id: str) -> KnowledgeSentence:
-        return self.at(self._pos[sentence_id])
-
     def __contains__(self, sentence_id: str) -> bool:
         return sentence_id in self._pos
 
@@ -227,7 +224,6 @@ def split_sentences(paragraph: str) -> list[str]:
 def prepare_titled(
     paragraphs: list[tuple[str, str]],
     source_tag: str = "wikihow",
-    start_id: int = 0,
 ) -> tuple[list[KnowledgeSentence], list[tuple[int, int]]]:
     """Split titled paragraphs into sentences, prefixing each with its title.
 
@@ -236,7 +232,6 @@ def prepare_titled(
     """
     out: list[KnowledgeSentence] = []
     ranges: list[tuple[int, int]] = []
-    counter = start_id
     for title, body in paragraphs:
         title = _normalize_ws(title)
         first = len(out)
@@ -244,10 +239,9 @@ def prepare_titled(
             text = f"{title} . {sent}" if title else sent
             out.append(
                 KnowledgeSentence(
-                    id=_make_id(counter), text=text, source_tag=source_tag, title=title or None
+                    id=_make_id(len(out)), text=text, source_tag=source_tag, title=title or None
                 )
             )
-            counter += 1
         if len(out) > first:
             ranges.append((first, len(out)))
     return out, ranges
@@ -276,9 +270,7 @@ def prepare_atomic(
     events: list[dict],
     name_pool: list[str],
     seed: int,
-    templates: dict[str, str] | None = None,
     source_tag: str = "atomic",
-    start_id: int = 0,
 ) -> list[KnowledgeSentence]:
     """Render event records into declarative sentences.
 
@@ -289,11 +281,9 @@ def prepare_atomic(
     """
     if not name_pool:
         raise CorpusError("empty name pool")
-    if templates is None:
-        templates = load_atomic_templates()
+    templates = load_atomic_templates()
     rng = random.Random(seed)
     out: list[KnowledgeSentence] = []
-    counter = start_id
     for record in events:
         event = _normalize_ws(str(record["event"]))
         dimension = str(record["dimension"]).lower()
@@ -311,10 +301,7 @@ def prepare_atomic(
             event = _PERSON_Y_RE.sub(name_y, event)
         event = _PERSON_X_RE.sub(name_x, event)
         text = templates[dimension].format(event=event, x=name_x, inference=inference)
-        out.append(
-            KnowledgeSentence(id=_make_id(counter), text=text, source_tag=source_tag)
-        )
-        counter += 1
+        out.append(KnowledgeSentence(id=_make_id(len(out)), text=text, source_tag=source_tag))
     return out
 
 

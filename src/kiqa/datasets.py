@@ -88,10 +88,6 @@ class McqDataset:
     def __iter__(self):
         return iter(self.items)
 
-    @property
-    def n_options(self) -> int:
-        return self.items[0].n if self.items else 0
-
 
 # ---------------------------------------------------------------------------
 # Loading

@@ -85,20 +85,8 @@ class Vocab:
         return 0
 
     @property
-    def start_id(self) -> int:
-        return 1
-
-    @property
-    def sep_id(self) -> int:
-        return 2
-
-    @property
     def mask_id(self) -> int:
         return 3
-
-    @property
-    def unk_id(self) -> int:
-        return 4
 
     @property
     def first_word_id(self) -> int:

@@ -146,8 +146,8 @@ def sweep_m(
     """
     if not m_values or any(m < 1 for m in m_values):
         raise EvalError("m values must be positive")
-    if list(m_values) != sorted(m_values):
-        raise EvalError("m values must be ascending")
+    if any(a >= b for a, b in zip(m_values, m_values[1:])):
+        raise EvalError(f"m values must be strictly ascending, got {list(m_values)}")
     retrain = train_config is not None
     qg_config = QueryGenConfig()
     rr = replace(rr_config or RerankConfig(), m=m_values[-1])

@@ -78,7 +78,6 @@ class Bm25Params:
 class SearchHit:
     sentence_id: str
     score: float
-    rank: int  # 1-based
     pos: int  # the document's position in the corpus and in ``doc_ids``
 
 
@@ -197,8 +196,8 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
     order = np.lexsort((hit if rank is None else rank[hit], -vals))[:k]
     doc_ids = index.doc_ids
     return [
-        SearchHit(sentence_id=doc_ids[p], score=s, rank=r, pos=p)
-        for r, (p, s) in enumerate(zip(hit[order].tolist(), vals[order].tolist()), start=1)
+        SearchHit(sentence_id=doc_ids[p], score=s, pos=p)
+        for p, s in zip(hit[order].tolist(), vals[order].tolist())
     ]
 
 

@@ -24,8 +24,6 @@ class EmptyQueryError(ValueError):
 @dataclass(frozen=True)
 class Query:
     terms: tuple[str, ...]  # ordered bag: duplicates carry weight
-    item_id: str
-    option_index: int
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -54,4 +52,4 @@ def generate_query(item: "McqItem", option_index: int, config: QueryGenConfig) -
     terms = [t for t in tokens if t not in config.stopwords]
     if not terms:
         raise EmptyQueryError(f"empty query for item {item.id!r} option {option_index}")
-    return Query(terms=tuple(terms), item_id=item.id, option_index=option_index)
+    return Query(terms=tuple(terms))

@@ -83,11 +83,6 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
     return table
 
 
-def embedding_cosine(a: str, b: str, table: dict[str, tuple[float, ...]]) -> float:
-    """Cosine of mean word vectors; sentences with no known word score 0."""
-    return _vector_cosine(_mean_vector(a, table), _mean_vector(b, table))
-
-
 def _vector_cosine(va: list[float] | None, vb: list[float] | None) -> float:
     if va is None or vb is None:
         return 0.0
@@ -108,7 +103,8 @@ def _mean_vector(text: str, table: dict[str, tuple[float, ...]]) -> list[float] 
 
 @dataclass(frozen=True)
 class SimilarityFn:
-    """Pluggable sentence similarity: token overlap or embedding cosine."""
+    """Pluggable sentence similarity: token overlap, or the cosine of mean word
+    vectors, where a text with no word in the table scores 0."""
 
     kind: str = "token-jaccard"
     table: dict[str, tuple[float, ...]] | None = None

@@ -2,10 +2,11 @@
 
 These are the forms kiqa computed before softmax, attention softmax,
 layer norm and cross-entropy became single tape nodes, kept as oracles
-(the ``.mean`` and ``**`` sugar they used is spelled as calls): each
-fused primitive must give the same values and the same gradients, bit
-for bit.  ``exp``, ``log``, ``pow_const`` and ``tmean`` are
-the elementary ops only these graphs use, with their differentiation rules.
+(the ``-``, ``/``, ``.mean`` and ``**`` sugar they used is spelled as
+calls): each fused primitive must give the same values and the same
+gradients, bit for bit.  ``sub``, ``div``, ``neg``, ``exp``, ``log``,
+``pow_const`` and ``tmean`` are the elementary ops only these graphs use,
+with their differentiation rules.
 ``composed_graphs()`` swaps the composed forms in where kiqa calls the
 fused ones, so whole training runs can be compared.
 
@@ -21,7 +22,35 @@ import pytest
 
 from kiqa import autodiff as ad
 from kiqa import encoder, fusion
-from kiqa.autodiff import Tensor, _node
+from kiqa.autodiff import Tensor, _node, _unbroadcast
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    out = _node(a.data - b.data, (a, b))
+    if out.requires_grad:
+        def backward(grad):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(grad, a.data.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(-grad, b.data.shape))
+        out._backward = backward
+    return out
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    out = _node(a.data / b.data, (a, b))
+    if out.requires_grad:
+        def backward(grad):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(grad / b.data, a.data.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(-grad * a.data / (b.data * b.data), b.data.shape))
+        out._backward = backward
+    return out
+
+
+def neg(a: Tensor) -> Tensor:
+    return ad.mul(a, Tensor(-1.0))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -70,35 +99,35 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     # subtracting the detached max is a constant shift: values and
     # gradients are exact, large logits cannot overflow
-    shifted = a - Tensor(a.data.max(axis=axis, keepdims=True))
+    shifted = sub(a, Tensor(a.data.max(axis=axis, keepdims=True)))
     e = exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return div(e, e.sum(axis=axis, keepdims=True))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a - Tensor(a.data.max(axis=axis, keepdims=True))
-    return shifted - log(exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = sub(a, Tensor(a.data.max(axis=axis, keepdims=True)))
+    return sub(shifted, log(exp(shifted).sum(axis=axis, keepdims=True)))
 
 
 def cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of ``gold`` class ids; logits (B, n)."""
     logp = log_softmax(logits, axis=-1)
-    return -logp[np.arange(len(gold)), gold].sum() / len(gold)
+    return div(neg(logp[np.arange(len(gold)), gold].sum()), Tensor(len(gold)))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     mu = tmean(x, axis=-1, keepdims=True)
-    centered = x - mu
+    centered = sub(x, mu)
     var = tmean(centered * centered, axis=-1, keepdims=True)
     return centered * pow_const(var + eps, -0.5) * gamma + beta
 
 
 def attention_softmax(scores: Tensor, pad: np.ndarray, scale: float) -> Tensor:
     scores = scores * scale + Tensor(pad)
-    shifted = scores - Tensor(scores.data.max(axis=-1, keepdims=True))
+    shifted = sub(scores, Tensor(scores.data.max(axis=-1, keepdims=True)))
     e = exp(shifted)
     # ones-column matmul keeps the denominator bitwise-stable under padding
-    return e / (e @ Tensor(np.ones((scores.shape[-1], 1))))
+    return div(e, e @ Tensor(np.ones((scores.shape[-1], 1))))
 
 
 def full_hidden_states(model: encoder.EncoderModel, ids: np.ndarray) -> Tensor:

@@ -11,7 +11,7 @@ from kiqa import autodiff as ad
 from kiqa.autodiff import SGD, Tensor, concat, cross_entropy, no_grad, softmax
 
 import composed
-from composed import log_softmax
+from composed import div, log_softmax, neg, sub
 
 RNG = np.random.default_rng(42)
 
@@ -61,7 +61,7 @@ def test_add_broadcast():
 
 def test_sub_and_neg():
     a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3))
-    check_grads(lambda x, y: ((x - y) * 2.0 + (-x)).sum(), a, b)
+    check_grads(lambda x, y: (sub(x, y) * 2.0 + neg(x)).sum(), a, b)
 
 
 def test_mul_broadcast():
@@ -73,12 +73,12 @@ def test_mul_broadcast():
 def test_div():
     a = RNG.normal(size=(3, 3))
     b = RNG.uniform(1.0, 2.0, size=(3, 3))
-    check_grads(lambda x, y: (x / y).sum(), a, b)
+    check_grads(lambda x, y: div(x, y).sum(), a, b)
 
 
 def test_scalar_operands():
     a = RNG.normal(size=(4,))
-    check_grads(lambda x: (2.0 * x + 1.0 - x / 3.0).sum(), a)
+    check_grads(lambda x: sub(2.0 * x + 1.0, div(x, Tensor(3.0))).sum(), a)
 
 
 @pytest.mark.parametrize(
@@ -218,7 +218,7 @@ def onehot_cross_entropy(logits: Tensor, gold: np.ndarray) -> Tensor:
     """Oracle: the gold log-probabilities picked by a one-hot product."""
     onehot = np.zeros_like(logits.data)
     onehot[np.arange(len(gold)), gold] = 1.0
-    return -(log_softmax(logits) * Tensor(onehot)).sum() / len(gold)
+    return div(neg((log_softmax(logits) * Tensor(onehot)).sum()), Tensor(len(gold)))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 3), (7, 60)])

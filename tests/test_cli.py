@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import kiqa
 import kiqa.corpus
+import kiqa.encoder
 from kiqa.autodiff import Tensor
 from kiqa.cli import CliError, main, parse_config_file
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, load_jsonl, save_jsonl
@@ -276,6 +277,19 @@ def test_sweep_m_requires_m_values(artifacts, tmp_path, capsys):
     assert "m_values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m_values", ["[1, 1]", "[2, 1]"])
+def test_sweep_m_rejects_depths_not_strictly_ascending(artifacts, tmp_path, capsys, m_values):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"m_values = {m_values}\nretrain = false\n", encoding="utf-8")
+    rc = main(["sweep-m", "--model", str(artifacts / "model.bin"),
+               "--train", str(artifacts / "qs.jsonl"), "--eval", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"),
+               "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert one_error_line(capsys) == f"error: m values must be strictly ascending, got {m_values}"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_weight_report_writes_rows(artifacts, tmp_path):
     cfg = tmp_path / "w.cfg"
     cfg.write_text('head = "weighted-sum"\nd = 8\nepochs = 1\n', encoding="utf-8")
@@ -323,6 +337,22 @@ def test_interrupted_stage_exits_130_and_keeps_the_old_output(
     assert one_error_line(capsys) == "error: interrupted"
     assert out.read_bytes() == b"the old corpus\n"
     assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+
+def test_out_of_memory_exits_1_and_keeps_the_old_output(artifacts, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "encoder.kenc"
+    out.write_bytes(b"the old encoder")
+
+    def init(*args, **kwargs):  # what numpy raises for d = 100000
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(kiqa.encoder.EncoderModel, "init", init)
+    assert main(["revise", "--corpus", str(artifacts / "corpus.jsonl"),
+                 "--config", str(artifacts / "revise.cfg"), "--out", str(out)]) == 1
+    assert one_error_line(capsys) == "error: out of memory: Unable to allocate 74.5 GiB " \
+        "for an array with shape (100000, 100000)"
+    assert out.read_bytes() == b"the old encoder"
+    assert os.listdir(tmp_path) == ["encoder.kenc"]
 
 
 # Each stage that writes one --out file, with the inputs it reads from the fixture.

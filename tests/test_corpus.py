@@ -351,7 +351,7 @@ def test_stats_and_lookup():
         ]
     )
     assert len(kc) == 2
-    assert kc.get("b").text == "Ice melts."
+    assert kc.at(1).text == "Ice melts."
     assert "a" in kc and "z" not in kc
 
 
@@ -507,7 +507,7 @@ def test_columns_make_no_sentence_objects(tmp_path, monkeypatch):
     again = corpus.load_jsonl(tmp_path / "c.jsonl")
     build_index(again)
     assert made == [] and again.texts == ["Water boils.", "Ice melts."]
-    assert again.get("00000001").text == "Ice melts." and len(made) == 1
+    assert again.at(1).text == "Ice melts." and len(made) == 1
 
 
 def test_digest_pins_ids_and_texts_only():

@@ -50,7 +50,7 @@ def test_load_anli(tmp_path):
         ],
     )
     ds = load_mcq(path, "anli")
-    assert ds.schema_tag == "anli" and len(ds) == 2 and ds.n_options == 2
+    assert ds.schema_tag == "anli" and len(ds) == 2 and ds.items[0].n == 2
     first = ds.items[0]
     assert first.id == "s1"
     assert first.context == "It rained all night. The street was dry."
@@ -70,7 +70,7 @@ def test_load_piqa(tmp_path):
         ],
     )
     ds = load_mcq(path, "piqa")
-    assert ds.n_options == 2
+    assert ds.items[0].n == 2
     assert ds.items[0].context is None
     assert ds.items[0].question == "keep bread fresh"
     assert ds.items[0].id == "piqa-000001"  # no id field: generated from line number
@@ -93,7 +93,7 @@ def test_load_socialiqa(tmp_path):
         ],
     )
     ds = load_mcq(path, "socialiqa")
-    assert ds.n_options == 3
+    assert ds.items[0].n == 3
     item = ds.items[0]
     assert item.context == "Remy hosted a party."
     assert item.gold == 1

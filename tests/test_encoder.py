@@ -23,6 +23,7 @@ from kiqa.encoder import (
     SEP,
     SPECIAL_TOKENS,
     START,
+    UNK,
     CheckpointError,
     EncoderConfig,
     EncoderModel,
@@ -37,7 +38,15 @@ from kiqa.encoder import (
     save_encoder,
 )
 
-from composed import composed_graphs, full_hidden_states, fused_and_composed, log_softmax, tape
+from composed import (
+    composed_graphs,
+    div,
+    full_hidden_states,
+    fused_and_composed,
+    log_softmax,
+    neg,
+    tape,
+)
 from frames import MARK, patched, replace_f8
 
 
@@ -107,12 +116,12 @@ def test_vocab_from_texts_sorts_words():
     v = Vocab.from_texts(["the cat", "a cat sat"])
     assert v.tokens == list(SPECIAL_TOKENS) + ["a", "cat", "sat", "the"]
     assert v.id_of("cat") == v.first_word_id + 1
-    assert v.id_of("zebra") == v.unk_id
+    assert v.id_of("zebra") == v.id_of(UNK)
 
 
 def test_vocab_special_ids_fixed():
     v = Vocab.from_texts(["x"])
-    assert (v.pad_id, v.start_id, v.sep_id, v.mask_id, v.unk_id) == (0, 1, 2, 3, 4)
+    assert (v.pad_id, v.id_of(START), v.id_of(SEP), v.mask_id, v.id_of(UNK)) == (0, 1, 2, 3, 4)
     assert v.tokens[v.mask_id] == MASK
 
 
@@ -299,7 +308,7 @@ def dense_mlm_loss(model, ids, mask):
     onehot = np.zeros((*ids.shape, len(model.vocab)))
     rows, cols = np.nonzero(mask)
     onehot[rows, cols, ids[rows, cols]] = 1.0
-    return -(logp * Tensor(onehot)).sum() / len(rows)
+    return div(neg((logp * Tensor(onehot)).sum()), Tensor(len(rows)))
 
 
 def _loss_and_grads(loss_fn, model, ids, mask):
@@ -313,9 +322,9 @@ def _loss_and_grads(loss_fn, model, ids, mask):
 def _ragged_masked_batch(rng, vocab, max_words=6):
     """Padded [start] words [sep] rows of random lengths; at least one masked word."""
     seqs = [
-        np.concatenate([[vocab.start_id],
+        np.concatenate([[vocab.id_of(START)],
                         rng.integers(vocab.first_word_id, len(vocab), size=n),
-                        [vocab.sep_id]])
+                        [vocab.id_of(SEP)]])
         for n in rng.integers(1, max_words + 1, size=rng.integers(1, 5))
     ]
     ids = pad_batch(seqs, vocab.pad_id)
@@ -393,7 +402,7 @@ def test_query_side_matches_the_full_position_block(batch):
     rng = np.random.default_rng(seed)
     model = small_model(seed=seed % 97, d=d)
     vocab = model.vocab
-    ids = pad_batch([np.concatenate([[vocab.start_id],
+    ids = pad_batch([np.concatenate([[vocab.id_of(START)],
                                      rng.integers(vocab.mask_id, len(vocab), size=n - 1)])
                      for n in lengths], vocab.pad_id)
     probe = Tensor(rng.normal(size=(*queries.shape, d)))

@@ -278,8 +278,9 @@ def test_sweep_m_validation():
     model = FusionModel.init(enc, "concat", seed=1)
     with pytest.raises(EvalError, match="positive"):
         sweep_m(model, ds, ds, corpus, index, [0, 1])
-    with pytest.raises(EvalError, match="ascending"):
-        sweep_m(model, ds, ds, corpus, index, [3, 1])
+    for m_values in ([3, 1], [1, 1]):
+        with pytest.raises(EvalError, match="strictly ascending"):
+            sweep_m(model, ds, ds, corpus, index, m_values)
 
 
 def test_sweep_m_retrain_leaves_original_model_untouched():

@@ -41,7 +41,7 @@ from kiqa.fusion import (
 )
 from kiqa.toytasks import make_planted_evidence_task, route_premises, training_vocab
 
-from composed import composed_graphs, fused_and_composed, tape
+from composed import composed_graphs, fused_and_composed, sub, tape
 from frames import patched, unframe
 
 
@@ -517,7 +517,7 @@ def test_symmetric_options_have_exactly_zero_score_difference_gradient():
                    premises=[[KnowledgeSentence(id=f"{i}{j}", text=t)
                               for j, t in enumerate(o)] for i, o in enumerate(texts)])
     scores, _, _ = _batch_scores(model, [item], frozen=False)
-    diff = scores[0:1, 0:1] - scores[0:1, 1:2]
+    diff = sub(scores[0:1, 0:1], scores[0:1, 1:2])
     for p in model.parameters().values():
         p.zero_grad()
     for p in enc.params.values():

@@ -358,7 +358,7 @@ def test_to_dataset_round_trips_through_generic_schema(tmp_path):
     questions = generate_questions(FAMILY, seed=0)
     ds = to_dataset(questions)
     assert ds.schema_tag == "pfqa"
-    assert ds.n_options == 4
+    assert ds.items[0].n == 4
     for item, q in zip(ds.items, questions):
         assert item.extras == {"person": q.person, "qtype": q.qtype}
         assert item.knowledge == list(q.knowledge)

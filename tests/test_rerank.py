@@ -16,7 +16,6 @@ from kiqa.rerank import (
     EmbeddingTableError,
     RerankConfig,
     SimilarityFn,
-    embedding_cosine,
     load_embedding_table,
     rerank,
     token_jaccard,
@@ -85,38 +84,39 @@ def test_jaccard_takes_texts_or_token_sets(a, b):
     assert token_jaccard(sa, sb) == want
 
 
-# --- embedding_cosine -------------------------------------------------------
+# --- embedding cosine -------------------------------------------------------
 
 TABLE = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 0.0), "gamma": (0.0, 0.0, 1.0)}
+COSINE = SimilarityFn("embedding-cosine", TABLE)
 
 
 def test_cosine_identical_sentences():
-    assert embedding_cosine("alpha beta", "alpha beta", TABLE) == pytest.approx(1.0, abs=1e-9)
+    assert COSINE("alpha beta", "alpha beta") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cosine_orthogonal_words():
-    assert embedding_cosine("alpha", "beta", TABLE) == 0.0
+    assert COSINE("alpha", "beta") == 0.0
 
 
 def test_cosine_hand_computed():
     # means: (0.5, 0.5, 0) and (0, 0.5, 0.5); cos = 0.25 / 0.5 = 0.5
-    got = embedding_cosine("alpha beta", "beta gamma", TABLE)
+    got = COSINE("alpha beta", "beta gamma")
     assert got == pytest.approx(0.25 / (math.sqrt(0.5) * math.sqrt(0.5)), abs=1e-12)
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
 def test_cosine_skips_unknown_words():
-    assert embedding_cosine("alpha zzz", "alpha", TABLE) == pytest.approx(1.0, abs=1e-9)
+    assert COSINE("alpha zzz", "alpha") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cosine_no_known_words_scores_zero():
-    assert embedding_cosine("zzz yyy", "alpha", TABLE) == 0.0
-    assert embedding_cosine("alpha", "zzz", TABLE) == 0.0
+    assert COSINE("zzz yyy", "alpha") == 0.0
+    assert COSINE("alpha", "zzz") == 0.0
 
 
 def test_cosine_zero_vector_scores_zero():
     table = {"null": (0.0, 0.0), "one": (1.0, 0.0)}
-    assert embedding_cosine("null", "one", table) == 0.0
+    assert SimilarityFn("embedding-cosine", table)("null", "one") == 0.0
 
 
 def test_load_embedding_table(tmp_path):
@@ -275,7 +275,7 @@ def test_retrieval_sized_call_matches_string_oracle(kind, lam):
         fn, oracle_sim = SimilarityFn(), token_jaccard
     else:
         fn = SimilarityFn(kind="embedding-cosine", table=_TABLE)
-        oracle_sim = lambda a, b: embedding_cosine(a, b, _TABLE)  # noqa: E731
+        oracle_sim = SimilarityFn("embedding-cosine", _TABLE)
     for seed in range(6):
         cands, query = _retrieval_sized_call(seed)
         got = rerank(cands, query, RerankConfig(m=10, lambda_=lam, similarity=fn))
@@ -331,7 +331,7 @@ def test_a_shared_memo_prepares_each_text_once_over_calls(monkeypatch):
     # None is a prepared feature, not a missing one.
     fn = SimilarityFn(kind="embedding-cosine", table=_TABLE)
     calls_in = [_retrieval_sized_call(seed) for seed in range(4)]
-    want = [rerank_oracle(cands, query, 10, 1.0, lambda a, b: embedding_cosine(a, b, _TABLE))
+    want = [rerank_oracle(cands, query, 10, 1.0, SimilarityFn("embedding-cosine", _TABLE))
             for cands, query in calls_in]
     calls = _counting(monkeypatch, "_mean_vector")
     prepared = {}
