@@ -16,6 +16,12 @@ and arrays on the tape.  The tests keep the composed graphs as oracles.
 
 Broadcasting follows numpy; gradients of broadcast operands are summed
 back down to the operand's shape.
+
+A gather's gradient is one ``np.bincount`` over the flat positions its key
+read: it adds from 0.0 in key order, as ``np.add.at`` into zeros does.  The
+weight gradient of one-row products, (B, 1, k) @ (k, n) with k·n > 1, is one
+``einsum`` over contiguous rows: it adds the B outer products in the order
+of the batched product's sum over B (at k = n = 1 einsum reduces with SIMD).
 """
 
 from __future__ import annotations
@@ -189,9 +195,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 ga = grad @ b.data.swapaxes(-1, -2)
                 a._accumulate(_unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = a.data.swapaxes(-1, -2) @ grad
-                b._accumulate(_unbroadcast(gb, b.data.shape))
+            if not b.requires_grad:
+                return
+            if a.data.shape[1:-1] == (1,) and b.data.ndim == 2 and b.data.size > 1:
+                rows = (np.ascontiguousarray(t[:, 0]) for t in (a.data, grad))  # one-row products
+                b._accumulate(np.einsum("bi,bj->ij", *rows))
+            else:
+                b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ grad, b.data.shape))
         out._backward = backward
     return out
 
@@ -245,9 +255,9 @@ def take(a: Tensor, key) -> Tensor:
     out = _node(a.data[key], (a,))
     if out.requires_grad:
         def backward(grad):
-            full = np.zeros_like(a.data)
-            np.add.at(full, key, grad)
-            a._accumulate(full)
+            flat = np.arange(a.data.size).reshape(a.data.shape)[key].ravel()
+            full = np.bincount(flat, weights=grad.ravel(), minlength=a.data.size)
+            a._accumulate(full.astype(np.float64, copy=False).reshape(a.data.shape))  # int if empty
         out._backward = backward
     return out
 

@@ -18,8 +18,8 @@ Scoring runs on one padded minibatch: every (item, option, passage)
 sequence is encoded in a single call, gathered into a (B, n, m_max, d)
 tensor, and each head is a masked reduction over the passage axis — a
 max or softmax with -1e30 added at padded slots, or a sum over zeroed
-ones.  Training, gradient checks and `score_item` (a batch of one) all
-share this path.
+ones.  Training, gradient checks and `score_item` (a batch of one) share
+this path; `train` tokenizes each item once, not once per epoch.
 """
 
 from __future__ import annotations
@@ -147,40 +147,44 @@ def _passages(head: str, item: McqItem, option: int) -> list[tuple[int | None, s
     return list(enumerate(texts))
 
 
+def _encoder_inputs(model: FusionModel, item: McqItem) -> list[list[np.ndarray]]:
+    """Per option, what the encoder reads for each passage in ``_passages``
+    order: the token ids of its sequence, or a vector store's stored vector."""
+    enc = model.encoder
+    if isinstance(enc, ExternalVectorStore):
+        return [[enc.get(item.id, i, key) for key, _ in _passages(model.head, item, i)]
+                for i in range(item.n)]
+    max_len, question = enc.config.max_len, question_text(item)
+    return [[enc.vocab.encode(build_sequence(text, question, option, max_len=max_len))
+             for _, text in _passages(model.head, item, i)]
+            for i, option in enumerate(item.options)]
+
+
 def _batch_scores(
-    model: FusionModel, items: list[McqItem], frozen: bool
+    model: FusionModel, items: list[McqItem], frozen: bool, inputs: list | None = None
 ) -> tuple[Tensor, Tensor | None, np.ndarray]:
-    """Differentiable (B, n) option scores for a minibatch of items.
+    """Differentiable (B, n) option scores for a minibatch of items, read from
+    their :func:`_encoder_inputs` (``inputs``, made here when not given).
 
     Also returns the weighted-sum head's (B, n, m_max, 1) passage weights
     (None for the other heads) and the (B, n) real passage counts; padded
     passage slots carry zero vectors and zero weight.
     """
-    per_option = [[_passages(model.head, it, i) for i in range(it.n)] for it in items]
-    counts = np.array([[len(ps) for ps in row] for row in per_option])
+    if inputs is None:
+        inputs = [_encoder_inputs(model, it) for it in items]
+    counts = np.array([[len(ps) for ps in row] for row in inputs])
     mask = np.arange(counts.max()) < counts[..., None]  # (B, n, m_max)
     # flat row of every real passage, in (item, option, passage) order;
     # padded slots read row 0 and are zeroed by the mask
     rows = np.zeros(mask.shape, dtype=np.int64)
     rows[mask] = np.arange(counts.sum())
-    flat = [
-        (it, i, key, text)
-        for it, row in zip(items, per_option)
-        for i, ps in enumerate(row)
-        for key, text in ps
-    ]
+    flat = [x for row in inputs for ps in row for x in ps]
 
     enc = model.encoder
     if isinstance(enc, ExternalVectorStore):
-        pooled = Tensor(np.stack([enc.get(it.id, i, key) for it, i, key, _ in flat]))
+        pooled = Tensor(np.stack(flat))
     else:
-        seqs = [
-            enc.vocab.encode(
-                build_sequence(text, question_text(it), it.options[i], max_len=enc.config.max_len)
-            )
-            for it, i, _, text in flat
-        ]
-        ids = pad_batch(seqs, enc.vocab.pad_id)
+        ids = pad_batch(flat, enc.vocab.pad_id)
         if frozen:
             with no_grad():
                 pooled = Tensor(enc.encode_ids(ids).data)
@@ -220,8 +224,8 @@ def score_item(model: FusionModel, item: McqItem) -> OptionScores:
 # Training
 # ---------------------------------------------------------------------------
 
-def _batch_loss(model: FusionModel, batch: list[McqItem], frozen: bool) -> Tensor:
-    scores, _, _ = _batch_scores(model, batch, frozen)
+def _batch_loss(model: FusionModel, batch: list[McqItem], frozen: bool, inputs=None) -> Tensor:
+    scores, _, _ = _batch_scores(model, batch, frozen, inputs)
     return cross_entropy(scores, np.array([it.gold for it in batch]))
 
 
@@ -256,9 +260,11 @@ def train(
     opt = SGD(_trainable(model, freeze_encoder), lr=config.lr, momentum=config.momentum)
     rng = np.random.default_rng(config.seed)
     items = dataset.items
+    inputs = [_encoder_inputs(model, it) for it in items]
 
     def loss(batch: np.ndarray) -> Tensor:
-        return _batch_loss(model, [items[i] for i in batch], freeze_encoder)
+        return _batch_loss(model, [items[i] for i in batch], freeze_encoder,
+                           [inputs[i] for i in batch])
 
     for _ in range(config.epochs):
         sgd_epoch(opt, rng.permutation(len(items)), config.batch_size, loss, loss_log)
@@ -284,9 +290,10 @@ def grad_check(model: FusionModel, item: McqItem, step: float = 1e-6) -> float:
     bug still shows up orders of magnitude above the floor.
     """
     probe = replace(item, gold=item.gold if item.gold is not None else 0)
+    inputs = [_encoder_inputs(model, probe)]
 
     def loss_value() -> Tensor:
-        return _batch_loss(model, [probe], frozen=False)
+        return _batch_loss(model, [probe], False, inputs)
 
     params = _trainable(model, frozen=False)
     loss = loss_value()

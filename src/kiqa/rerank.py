@@ -15,9 +15,9 @@ passes one memo of prepared features to every call it makes, so a corpus
 sentence retrieved by many queries is prepared once per attach.  The memo
 lives only as long as that attach.
 
-A call of ``m`` picks from ``n`` candidates makes ``n`` query compares and,
-after each pick but the last, one redundancy compare per candidate left:
-``n + sum(n - j for j in 1..min(m, n) - 1)`` in all.
+A call of ``m`` picks from ``n`` candidates makes ``n`` query compares, and
+at lambda > 0, after each pick but the last, one redundancy compare per
+candidate left: ``n + sum(n - j for j in 1..min(m, n) - 1)`` in all.
 """
 
 from __future__ import annotations
@@ -183,6 +183,8 @@ def rerank(
         if len(selected) == picks:
             return [candidates[i] for i in selected]
         remaining.remove(best)
+        if not config.lambda_:
+            continue  # the gain is the query similarity alone
         for i in remaining:
             s = sim.compare(features[i], features[best])
             if s > redundancy[i]:

@@ -13,6 +13,11 @@ fused ones, so whole training runs can be compared.
 ``full_hidden_states`` is the encoder block before its query side was
 split off: every sublayer at every position.  It is the oracle for the
 query-only block, whose rows must match its gathered rows.
+
+``add_at_gather_grad`` and ``batched_weight_grad`` are the backward
+expressions ``take`` and ``matmul`` used before the gather's gradient
+became one ``bincount`` and the one-row weight gradient one ``einsum``;
+the new rules must give the same bits.
 """
 
 from contextlib import contextmanager
@@ -128,6 +133,18 @@ def attention_softmax(scores: Tensor, pad: np.ndarray, scale: float) -> Tensor:
     e = exp(shifted)
     # ones-column matmul keeps the denominator bitwise-stable under padding
     return div(e, e @ Tensor(np.ones((scores.shape[-1], 1))))
+
+
+def add_at_gather_grad(data: np.ndarray, key, grad: np.ndarray) -> np.ndarray:
+    """The gradient of ``data[key]``: ``grad`` added into zeros with ``np.add.at``."""
+    full = np.zeros_like(data)
+    np.add.at(full, key, grad)
+    return full
+
+
+def batched_weight_grad(a: np.ndarray, grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of ``b`` in ``a @ b``: the batched product, summed down to ``shape``."""
+    return _unbroadcast(a.swapaxes(-1, -2) @ grad, shape)
 
 
 def full_hidden_states(model: encoder.EncoderModel, ids: np.ndarray) -> Tensor:

@@ -5,13 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kiqa
 from kiqa import autodiff as ad
 from kiqa.autodiff import SGD, Tensor, concat, cross_entropy, no_grad, softmax
 
 import composed
-from composed import div, log_softmax, neg, sub
+from composed import add_at_gather_grad, batched_weight_grad, div, log_softmax, neg, sub
 
 RNG = np.random.default_rng(42)
 
@@ -165,6 +168,85 @@ def test_gather_with_duplicate_rows():
     table = RNG.normal(size=(6, 3))
     ids = np.array([[1, 4, 1], [0, 0, 5]])
     check_grads(lambda t: sum_of_squares(t[ids]), table)
+
+
+# The gather's gradient and the one-row weight gradient against the expressions
+# they replaced (composed.py), bit for bit: values, signed zeros and infinities.
+
+def assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_EDGES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
+_FLOATS = st.one_of(_EDGES, st.floats(allow_nan=False, width=64))
+
+
+@st.composite
+def gather_keys(draw):
+    """(array shape, key): every kind of key kiqa gathers with, and more."""
+    n, m, d = draw(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 3)))
+    kind = draw(st.sampled_from(["ints", "table", "mask", "rows", "slices", "query", "mixed"]))
+    ints = lambda size, hi: draw(hnp.arrays(np.int64, size, elements=st.integers(-hi, hi - 1)))
+    if kind == "ints":  # repeated and negative indices
+        return (n, d), ints(draw(st.integers(0, 3 * n)), n)
+    if kind == "table":  # an embedding lookup of (B, L) ids
+        return (n, d), ints((draw(st.integers(1, 3)), draw(st.integers(1, 4))), n)
+    if kind == "mask":
+        return (n, m, d), draw(hnp.arrays(np.bool_, (n, m, d)))
+    if kind == "rows":
+        return (n, m, d), draw(hnp.arrays(np.bool_, n))
+    if kind == "slices":
+        bounds = st.one_of(st.none(), st.integers(-6, 6))
+        steps = st.one_of(st.none(), st.sampled_from([-2, -1, 1, 2]))
+        return (n, m, d), (slice(draw(bounds), draw(bounds), draw(steps)), draw(st.integers(0, m - 1)))
+    if kind == "query":  # the encoder's (arange[:, None], queries) gather
+        queries = draw(hnp.arrays(np.int64, (n, draw(st.integers(1, 4))),
+                                  elements=st.integers(0, m - 1)))
+        return (n, m, d), (np.arange(n)[:, None], queries)
+    return (n, m, d), (slice(None), ints(draw(st.integers(1, 6)), m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gather_keys(), st.data())
+def test_gather_gradient_is_bitwise_add_at_into_zeros(shape_key, data):
+    shape, key = shape_key
+    a = Tensor(np.zeros(shape), requires_grad=True)
+    out = ad.take(a, key)
+    grad = data.draw(hnp.arrays(np.float64, out.shape, elements=_FLOATS))
+    out._backward(grad)
+    assert_bitwise(a.grad, add_at_gather_grad(a.data, key, grad))
+
+
+def _signed_zeros(rng, shape, share):
+    x = rng.normal(size=shape)
+    zero = rng.random(shape) < share
+    x[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 256),
+    st.sampled_from([1, 2, 16, 64]),
+    st.sampled_from([1, 2, 16, 64]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from(["C", "F", "strided"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_row_weight_gradient_is_bitwise_the_batched_product(batch, k, n, zeros, layout,
+                                                                seed):
+    rng = np.random.default_rng(seed)
+    x, grad = _signed_zeros(rng, (batch, 1, k), zeros), _signed_zeros(rng, (batch, 1, n), zeros)
+    if layout == "F":
+        x, grad = np.asfortranarray(x), np.asfortranarray(grad)
+    elif layout == "strided":
+        grad = _signed_zeros(rng, (batch, 1, 2 * n), zeros)[..., ::2]
+    w = Tensor(rng.normal(size=(k, n)), requires_grad=True)
+    out = ad.matmul(Tensor(x), w)
+    out._backward(grad)
+    assert_bitwise(w.grad, batched_weight_grad(x, grad, (k, n)))
 
 
 def test_concat():

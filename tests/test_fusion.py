@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiqa import autodiff as ad
+from kiqa import fusion
 from kiqa.autodiff import SGD, DivergenceError, Tensor
 from kiqa.datasets import DatasetError, McqDataset, McqItem
 from kiqa.corpus import KnowledgeSentence
@@ -31,6 +32,7 @@ from kiqa.fusion import (
     OptionScores,
     _batch_loss,
     _batch_scores,
+    _passages,
     grad_check,
     load_model,
     question_text,
@@ -758,6 +760,50 @@ def test_train_matches_oracle_loop_store_backed():
     assert_same_training(lambda: FusionModel.init(store, "weighted-sum", seed=1),
                          McqDataset(items=items),
                          TrainConfig(seed=6, lr=0.3, epochs=4, batch_size=3), frozen=True)
+
+
+def counting_build_sequence(monkeypatch) -> list:
+    """Record every call of the ``build_sequence`` that fusion looks up."""
+    calls, real = [], fusion.build_sequence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "build_sequence", counted)
+    return calls
+
+
+def sequence_count(head, items):
+    return sum(len(_passages(head, it, i)) for it in items for i in range(it.n))
+
+
+@pytest.mark.parametrize("head", ["concat", "parallel-max"])
+def test_train_encodes_each_sequence_once_per_call(monkeypatch, head):
+    corpus, dataset = make_planted_evidence_task(n_items=12, seed=0)
+    attached = route_premises(dataset, corpus, m=3)
+    vocab = training_vocab(attached)
+
+    def run():
+        model = FusionModel.init(EncoderModel.init(vocab, EncoderConfig(d=4), seed=0), head,
+                                 seed=1)
+        train(model, attached, TrainConfig(seed=2, lr=0.1, epochs=3, batch_size=5))
+        return {k: v.tobytes() for k, v in all_parameters(model).items()}
+
+    with monkeypatch.context() as mp:
+        calls = counting_build_sequence(mp)
+        counted = run()
+    # every (item, option, passage) sequence once, not once per epoch
+    assert len(calls) == sequence_count(head, attached.items)
+    assert counted == run()
+
+
+def test_grad_check_encodes_its_probe_once(monkeypatch):
+    model = FusionModel.init(tiny_encoder(seed=7, d=4), "parallel-max", seed=11)
+    item = encoder_item(m=2)
+    calls = counting_build_sequence(monkeypatch)
+    assert grad_check(model, item, step=1e-6) < 1e-5
+    assert len(calls) == sequence_count("parallel-max", [item]) == 4
 
 
 # ---------------------------------------------------------------------------

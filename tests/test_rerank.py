@@ -354,6 +354,53 @@ def test_no_compare_after_the_last_pick(monkeypatch, n, m):
     assert len(calls) == n + sum(n - j for j in range(1, picks))
 
 
+def full_greedy(candidates, query_text, config):
+    """``rerank``'s greedy loop with a redundancy update after every pick but
+    the last, at every lambda: the loop before lambda = 0 skipped them."""
+    sim = config.similarity
+    features = [sim.prepare(c.text) for c in candidates]
+    query_sim = [sim.compare(f, sim.prepare(query_text)) for f in features]
+    redundancy = [0.0] * len(candidates)
+    remaining, selected = list(range(len(candidates))), []
+    while len(selected) < min(config.m, len(candidates)):
+        best = remaining[0]
+        for i in remaining[1:]:
+            gain = query_sim[i] - config.lambda_ * redundancy[i]
+            if gain > query_sim[best] - config.lambda_ * redundancy[best]:
+                best = i
+        selected.append(best)
+        remaining.remove(best)
+        for i in remaining:
+            redundancy[i] = max(redundancy[i], sim.compare(features[i], features[best]))
+    return [candidates[i] for i in selected]
+
+
+@given(
+    texts=st.lists(st.one_of(_CAND_TEXT, st.sampled_from(["moss rain", "sun", ""])),
+                   min_size=1, max_size=14),
+    query=_CAND_TEXT,
+    m=st.integers(1, 14),
+    kind=st.sampled_from(["token-jaccard", "embedding-cosine"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_lambda_zero_picks_as_the_full_greedy_loop(texts, query, m, kind):
+    fn = SimilarityFn() if kind == "token-jaccard" else SimilarityFn(kind, _TABLE)
+    cands = sents(*texts)
+    config = RerankConfig(m=m, lambda_=0.0, similarity=fn)
+    assert [s.id for s in rerank(cands, query, config)] == \
+        [s.id for s in full_greedy(cands, query, config)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 0.3])
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (5, 3), (5, 5), (5, 9), (50, 2), (50, 10)])
+def test_redundancy_compares_run_only_at_positive_lambda(monkeypatch, n, m, lam):
+    cands, query = _retrieval_sized_call(n + m)
+    calls = _counting(monkeypatch, "token_jaccard")
+    rerank(cands[:n], query, RerankConfig(m=m, lambda_=lam))
+    redundancy = sum(n - j for j in range(1, min(m, n))) if lam else 0
+    assert len(calls) == n + redundancy
+
+
 def test_attach_prepares_each_text_once_per_call(monkeypatch):
     corpus = KnowledgeCorpus([
         KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in enumerate(
