@@ -323,8 +323,8 @@ def attention_softmax(scores: Tensor, pad: np.ndarray, scale: float) -> Tensor:
     """Softmax over the last axis of ``scores * scale + pad``, for attention rows.
 
     ``scale`` is the 1/√d of scaled dot-product attention.  ``pad`` is
-    additive: -1e30 at padded keys, whose exponentials underflow to exactly
-    0.0, and 0.0 elsewhere.  The denominator is a product with a ones
+    additive: ``encoder.NEG_INF`` at padded keys, whose exponentials
+    underflow to exactly 0.0, and 0.0 elsewhere.  The denominator is a product with a ones
     column instead of ndarray.sum: a BLAS product is bitwise-stable under
     trailing zero terms where sum's pairwise accumulation is not, so padded
     and unpadded encodings of the same content are bitwise equal.

@@ -16,8 +16,11 @@ stage's artifact can be cached, inspected, or swapped out:
 Configuration comes from ``--config``, a flat TOML-style file of
 ``key = value`` lines (strings bare or double-quoted, ``true``/``false``
 booleans, numbers, and ``[1, 2, 3]`` lists; ``#`` starts a comment; no
-sections).  Unknown keys are rejected so typos cannot silently fall back
-to defaults.
+sections).  Each command declares its keys and their types once.  Unknown
+keys are rejected so typos cannot silently fall back to defaults.  Every
+key the file sets is type-checked when the config loads and range-checked
+by the library object it feeds, even where the run does not use it; a key
+it does not set takes the library's default.
 
 Training strategy is the config pair ``revision`` / ``openbook``:
 ``openbook`` controls whether attached premises reach the scoring head
@@ -130,42 +133,38 @@ def _parse_value(text: str, path: Path, lineno: int):
     return text
 
 
-class Config:
-    """Typed access to config values; every command rejects unknown keys."""
+class Config(dict):
+    """The config file's values, each checked against the type its command declares."""
 
-    def __init__(self, values: dict, allowed: tuple[str, ...]):
-        unknown = sorted(set(values) - set(allowed))
+    def __init__(self, values: dict, keys: dict[str, type]):
+        unknown = sorted(set(values) - set(keys))
         if unknown:
             raise CliError(
                 f"unknown config keys: {', '.join(unknown)} "
-                f"(this command accepts: {_key_list(sorted(allowed))})"
+                f"(this command accepts: {_key_list(sorted(keys))})"
             )
-        self._values = values
+        super().__init__({key: _checked(key, value, keys[key]) for key, value in values.items()})
 
-    def get(self, key: str, default, kind) -> object:
-        if key not in self._values:
-            return default
-        value = self._values[key]
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            return float(value)
-        if kind is not bool and isinstance(value, bool):
-            raise CliError(f"config key {key!r} must be a {kind.__name__}, got a boolean")
-        if not isinstance(value, kind):
-            raise CliError(f"config key {key!r} must be a {kind.__name__}, got {value!r}")
+    def pick(self, *keys: str, prefix: str = "", **renamed: str) -> dict:
+        """Keyword arguments from the keys the file sets: ``prefix + key`` as
+        ``key``, and ``renamed[name]`` as ``name``; the library has the defaults."""
+        wanted = {key: prefix + key for key in keys} | renamed
+        return {name: self[key] for name, key in wanted.items() if key in self}
+
+
+def _checked(key: str, value, kind: type):
+    """``value`` if it has the type declared for ``key``; an int reads as a float."""
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind is list:
+        if value and isinstance(value, list) and all(type(v) is int for v in value):
+            return value
+        raise CliError(f"config key {key!r} must be a non-empty list of integers")
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
-
-    def int_list(self, key: str, default):
-        if key not in self._values:
-            return default
-        value = self._values[key]
-        if not isinstance(value, list) or not value or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value
-        ):
-            raise CliError(f"config key {key!r} must be a non-empty list of integers")
-        return value
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
+    got = "a boolean" if isinstance(value, bool) else repr(value)
+    raise CliError(f"config key {key!r} must be {'an' if kind is int else 'a'} "
+                   f"{kind.__name__}, got {got}")
 
 
 def _key_list(keys) -> str:
@@ -201,37 +200,19 @@ def _check_outputs(*paths: str | Path | None) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-ENCODER_KEYS = ("d", "max_len")
-SGD_KEYS = ("lr", "epochs", "batch_size", "momentum")
-
-
-def _encoder_config(cfg: Config) -> EncoderConfig:
-    return EncoderConfig(
-        d=cfg.get("d", 32, int), max_len=cfg.get("max_len", 256, int)
-    )
-
-
-def _train_config(cfg: Config, seed: int, prefix: str = "", mask: bool = False) -> TrainConfig:
-    g = lambda key, default, kind: cfg.get(prefix + key, default, kind)
-    kwargs = dict(
-        seed=seed,
-        lr=g("lr", 0.1, float),
-        epochs=g("epochs", 10, int),
-        batch_size=g("batch_size", 32, int),
-        momentum=g("momentum", 0.9, float),
-    )
-    if mask:
-        kwargs["mask_prob"] = g("mask_prob", 0.15, float)
-    return TrainConfig(**kwargs)
+ENCODER_KEYS = {"d": int, "max_len": int}
+SGD_KEYS = {"lr": float, "epochs": int, "batch_size": int, "momentum": float}
+REVISION_KEYS = {**SGD_KEYS, "mask_prob": float}
 
 
 def _cmd_corpus_prep(args) -> int:
     cfg = _load_config(args)
-    tag = cfg.get("source_tag", None, str)
     if args.format == "prepared-jsonl":
         corpus = load_jsonl(_input(args.input))
     else:
-        corpus = load_corpus(_input(args.input), args.format, seed=args.seed, source_tag=tag)
+        corpus = load_corpus(
+            _input(args.input), args.format, seed=args.seed, **cfg.pick("source_tag")
+        )
     save_jsonl(corpus, args.out)
     print(f"wrote {len(corpus)} sentences to {args.out}")
     return 0
@@ -239,8 +220,8 @@ def _cmd_corpus_prep(args) -> int:
 
 def _cmd_index_build(args) -> int:
     cfg = _load_config(args)
+    params = Bm25Params(**cfg.pick("k1", "b"))
     corpus = load_jsonl(_input(args.corpus))
-    params = Bm25Params(k1=cfg.get("k1", 1.2, float), b=cfg.get("b", 0.75, float))
     index = build_index(corpus, params)
     save_index(index, args.out)
     print(f"indexed {len(corpus)} sentences to {args.out}")
@@ -248,13 +229,12 @@ def _cmd_index_build(args) -> int:
 
 
 def _similarity(cfg: Config, embeddings_path) -> SimilarityFn:
-    kind = cfg.get("similarity", "token-jaccard", str)
-    table = None
+    """The configured similarity; an embedding table makes embedding-cosine the default."""
+    settings = cfg.pick(kind="similarity")
     if embeddings_path is not None:
         table = load_embedding_table(_input(embeddings_path))
-        if "similarity" not in cfg:
-            kind = "embedding-cosine"
-    return SimilarityFn(kind=kind, table=table)
+        settings = {"kind": "embedding-cosine", **settings, "table": table}
+    return SimilarityFn(**settings)
 
 
 def _cmd_attach(args) -> int:
@@ -264,13 +244,10 @@ def _cmd_attach(args) -> int:
     corpus = load_jsonl(_input(args.corpus))
     index = load_index(_input(args.index)) if args.index else build_index(corpus)
     rr_config = RerankConfig(
-        m=cfg.get("m", 10, int),
-        lambda_=cfg.get("lambda", 1.0, float),
-        similarity=_similarity(cfg, args.embeddings),
+        **cfg.pick("m", lambda_="lambda"), similarity=_similarity(cfg, args.embeddings)
     )
     attached = attach_premises(
-        dataset, corpus, index, QueryGenConfig(), rr_config,
-        retrieve_k=cfg.get("retrieve_k", 50, int),
+        dataset, corpus, index, QueryGenConfig(), rr_config, **cfg.pick("retrieve_k")
     )
     save_mcq_jsonl(attached, args.out)
     print(f"attached premises for {len(attached)} items to {args.out}")
@@ -303,57 +280,57 @@ def _cmd_pfqa_gen(args) -> int:
     return 0
 
 
+def _load_encoder(cfg: Config, path) -> EncoderModel:
+    """The ``--encoder`` checkpoint; the encoder keys the config sets must match it."""
+    encoder = load_encoder(_input(path))
+    for key, value in cfg.pick(*ENCODER_KEYS).items():
+        if value != (has := getattr(encoder.config, key)):
+            raise CliError(f"config key {key!r} is {value!r} but the --encoder checkpoint "
+                           f"has {key} = {has!r}")
+    return encoder
+
+
 def _cmd_revise(args) -> int:
     cfg = _load_config(args)
+    encoder_config = EncoderConfig(**cfg.pick(*ENCODER_KEYS))
+    revision_config = TrainConfig(seed=args.seed + 3, **cfg.pick(*REVISION_KEYS))
     corpus = load_jsonl(_input(args.corpus))
     if args.encoder:
-        encoder = load_encoder(_input(args.encoder))
+        encoder = _load_encoder(cfg, args.encoder)
     else:
         vocab = Vocab.from_texts(corpus.texts)
-        encoder = EncoderModel.init(vocab, _encoder_config(cfg), seed=args.seed)
-    revision_train(encoder, corpus, _train_config(cfg, args.seed + 3, mask=True))
+        encoder = EncoderModel.init(vocab, encoder_config, seed=args.seed)
+    revision_train(encoder, corpus, revision_config)
     save_encoder(encoder, args.out)
     print(f"revised encoder on {len(corpus)} sentences to {args.out}")
     return 0
 
 
-TRAIN_KEYS = ENCODER_KEYS + SGD_KEYS + (
-    "head", "tied", "freeze_encoder", "openbook", "revision",
-    "rev_lr", "rev_epochs", "rev_batch_size", "rev_momentum", "rev_mask_prob",
-)
-
-
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
-    dataset = load_mcq(_input(args.dataset), args.schema)
-    corpus = load_jsonl(_input(args.corpus)) if args.corpus else None
-
-    openbook = cfg.get("openbook", True, bool)
-    revision = cfg.get("revision", False, bool)
-    head = cfg.get("head", "weighted-sum", str)
-    if not openbook:
+    encoder_config = EncoderConfig(**cfg.pick(*ENCODER_KEYS))
+    revision_config = TrainConfig(seed=args.seed + 3, **cfg.pick(*REVISION_KEYS, prefix="rev_"))
+    train_config = TrainConfig(seed=args.seed + 2, **cfg.pick(*SGD_KEYS))
+    revision = cfg.get("revision", False)
+    head = cfg.get("head", "weighted-sum")
+    if not cfg.get("openbook", True):
         if "head" in cfg and head != "baseline":
             raise CliError("openbook = false runs the baseline head; do not set head")
         head = "baseline"
-    if revision and corpus is None:
+    if revision and not args.corpus:
         raise CliError("revision = true needs --corpus to pretrain on")
+    dataset = load_mcq(_input(args.dataset), args.schema)
+    corpus = load_jsonl(_input(args.corpus)) if args.corpus else None
 
     if args.encoder:
-        encoder = load_encoder(_input(args.encoder))
+        encoder = _load_encoder(cfg, args.encoder)
     else:
         vocab = training_vocab(dataset, corpus if revision else None)
-        encoder = EncoderModel.init(vocab, _encoder_config(cfg), seed=args.seed)
+        encoder = EncoderModel.init(vocab, encoder_config, seed=args.seed)
     if revision:
-        revision_train(
-            encoder, corpus, _train_config(cfg, args.seed + 3, prefix="rev_", mask=True)
-        )
-    model = FusionModel.init(
-        encoder, head, seed=args.seed + 1, tied=cfg.get("tied", False, bool)
-    )
-    train(
-        model, dataset, _train_config(cfg, args.seed + 2),
-        freeze_encoder=cfg.get("freeze_encoder", False, bool),
-    )
+        revision_train(encoder, corpus, revision_config)
+    model = FusionModel.init(encoder, head, seed=args.seed + 1, **cfg.pick("tied"))
+    train(model, dataset, train_config, **cfg.pick("freeze_encoder"))
     save_model(model, args.out)
     print(f"trained {head} model on {len(dataset)} items to {args.out}")
     return 0
@@ -377,25 +354,23 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep_m(args) -> int:
     cfg = _load_config(args)
-    m_values = cfg.int_list("m_values", None)
-    if m_values is None:
+    if "m_values" not in cfg:
         raise CliError("sweep-m needs m_values in the config, e.g. m_values = [1, 2, 5]")
+    m_values = cfg["m_values"]
+    train_config = TrainConfig(seed=args.seed + 2, **cfg.pick(*SGD_KEYS))
     model = load_model(_input(args.model))
     train_set = load_mcq(_input(args.train), args.schema)
     eval_set = load_mcq(_input(args.eval), args.schema)
     corpus = load_jsonl(_input(args.corpus))
     index = load_index(_input(args.index)) if args.index else build_index(corpus)
-    retrain = cfg.get("retrain", True, bool)
     rows = sweep_m(
         model, train_set, eval_set, corpus, index, m_values,
         rr_config=RerankConfig(
-            m=m_values[0],
-            lambda_=cfg.get("lambda", 1.0, float),
+            m=m_values[0], **cfg.pick(lambda_="lambda"),
             similarity=_similarity(cfg, args.embeddings),
         ),
-        train_config=_train_config(cfg, args.seed + 2) if retrain else None,
-        retrieve_k=cfg.get("retrieve_k", 50, int),
-        freeze_encoder=cfg.get("freeze_encoder", False, bool),
+        train_config=train_config if cfg.get("retrain", True) else None,
+        **cfg.pick("retrieve_k", "freeze_encoder"),
     )
     write_sweep_csv(rows, args.out)
     print(f"swept m over {m_values} to {args.out}")
@@ -421,7 +396,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _add_common(sub, out_help: str, config_keys: tuple[str, ...] = ()):
+def _add_common(sub, out_help: str, config_keys: dict[str, type]):
     sub.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
     sub.add_argument(
         "--config",
@@ -443,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=(*FORMATS, "prepared-jsonl"), default="plain-lines",
         help="input layout (default plain-lines)",
     )
-    _add_common(sub, "prepared corpus JSONL", ("source_tag",))
+    _add_common(sub, "prepared corpus JSONL", {"source_tag": str})
     sub.set_defaults(run=_cmd_corpus_prep)
 
     sub = commands.add_parser("index-build", help="build the retrieval index for a corpus")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
-    _add_common(sub, "binary KIIX index file", ("k1", "b"))
+    _add_common(sub, "binary KIIX index file", {"k1": float, "b": float})
     sub.set_defaults(run=_cmd_index_build)
 
     sub = commands.add_parser("attach", help="retrieve and attach premises to a dataset")
@@ -458,18 +433,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
     sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
     sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
-    _add_common(sub, "attached dataset JSONL", ("m", "lambda", "retrieve_k", "similarity"))
+    _add_common(sub, "attached dataset JSONL",
+                {"m": int, "lambda": float, "retrieve_k": int, "similarity": str})
     sub.set_defaults(run=_cmd_attach)
 
     sub = commands.add_parser("pfqa-gen", help="generate the synthetic family-relations dataset")
     sub.add_argument("--facts", required=True, help="parent-facts file, one 'Child<TAB>Parent' per line")
-    _add_common(sub, "output directory for knowledge.jsonl and train/dev/test.jsonl")
+    _add_common(sub, "output directory for knowledge.jsonl and train/dev/test.jsonl", {})
     sub.set_defaults(run=_cmd_pfqa_gen)
 
     sub = commands.add_parser("revise", help="pretrain an encoder on a corpus (masked tokens)")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
     sub.add_argument("--encoder", help="existing encoder checkpoint to continue from")
-    _add_common(sub, "encoder checkpoint", ENCODER_KEYS + SGD_KEYS + ("mask_prob",))
+    _add_common(sub, "encoder checkpoint", {**ENCODER_KEYS, **REVISION_KEYS})
     sub.set_defaults(run=_cmd_revise)
 
     sub = commands.add_parser("train", help="train a fusion model on an attached dataset")
@@ -477,7 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
     sub.add_argument("--corpus", help="prepared corpus JSONL (needed when revision = true)")
     sub.add_argument("--encoder", help="pretrained encoder checkpoint to start from")
-    _add_common(sub, "model checkpoint", TRAIN_KEYS)
+    _add_common(sub, "model checkpoint", {
+        **ENCODER_KEYS, **SGD_KEYS, "head": str, "tied": bool, "freeze_encoder": bool,
+        "openbook": bool, "revision": bool,
+        **{"rev_" + key: kind for key, kind in REVISION_KEYS.items()},
+    })
     sub.set_defaults(run=_cmd_train)
 
     sub = commands.add_parser("eval", help="evaluate a model and write the accuracy report")
@@ -485,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dataset", required=True, help="labelled dataset JSONL")
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
     sub.add_argument("--predictions", help="also write per-item predictions JSONL here")
-    _add_common(sub, "evaluation report JSON")
+    _add_common(sub, "evaluation report JSON", {})
     sub.set_defaults(run=_cmd_eval)
 
     sub = commands.add_parser("sweep-m", help="accuracy as a function of premises per option")
@@ -496,16 +476,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
     sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
     sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
-    _add_common(sub, "CSV of (m, accuracy) rows", SGD_KEYS + (
-        "m_values", "retrain", "lambda", "retrieve_k", "freeze_encoder", "similarity",
-    ))
+    _add_common(sub, "CSV of (m, accuracy) rows", {
+        **SGD_KEYS, "m_values": list, "retrain": bool, "lambda": float, "retrieve_k": int,
+        "freeze_encoder": bool, "similarity": str,
+    })
     sub.set_defaults(run=_cmd_sweep_m)
 
     sub = commands.add_parser("weight-report", help="per-passage weights vs. token overlap")
     sub.add_argument("--model", required=True, help="weighted-sum model checkpoint")
     sub.add_argument("--dataset", required=True, help="attached dataset JSONL")
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
-    _add_common(sub, "CSV of (item, option, passage, weight, overlap) rows")
+    _add_common(sub, "CSV of (item, option, passage, weight, overlap) rows", {})
     sub.set_defaults(run=_cmd_weight_report)
 
     return parser

@@ -252,17 +252,15 @@ _PERSON_Y_RE = re.compile(r"\bPersonY\b")
 _BLANK_RE = re.compile(r"_{2,}")
 
 
-def load_atomic_templates(path: str | Path | None = None) -> dict[str, str]:
+def load_atomic_templates() -> dict[str, str]:
     """Connective templates, one per inference dimension, from a swappable data file."""
-    if path is None:
-        path = Path(__file__).parent / "data" / "atomic_templates.json"
+    path = Path(__file__).parent / "data" / "atomic_templates.json"
     raw = loads(read_text(path, CorpusError), str(path), CorpusError)
     return {k.lower(): v for k, v in raw.items()}
 
 
-def load_name_pool(path: str | Path | None = None) -> list[str]:
-    if path is None:
-        path = Path(__file__).parent / "data" / "neutral_names.txt"
+def load_name_pool() -> list[str]:
+    path = Path(__file__).parent / "data" / "neutral_names.txt"
     return [name for name in map(str.strip, read_text(path, CorpusError).split("\n")) if name]
 
 

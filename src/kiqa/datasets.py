@@ -33,6 +33,7 @@ from .querygen import EmptyQueryError, QueryGenConfig, generate_query
 from .rerank import RerankConfig, rerank
 from .textio import json_lines, loads, read_text, write_json_lines
 
+RETRIEVE_K = 50  # BM25 hits per option that the re-rank picks premises from
 ANLI_QUESTION = "What is the most plausible explanation?"
 
 
@@ -289,7 +290,7 @@ def attach_premises(
     index: InvertedIndex,
     qg_config: QueryGenConfig,
     rr_config: RerankConfig,
-    retrieve_k: int = 50,
+    retrieve_k: int = RETRIEVE_K,
 ) -> McqDataset:
     """Retrieve and re-rank knowledge for every (item, option) pair.
 

@@ -17,7 +17,7 @@ their keys and values, so its vector is the same as in a block run at
 every position, up to the rounding of the smaller products.
 
 Padded and unpadded encodings of the same content are bitwise identical:
-padded keys get an additive -1e30 before the attention softmax, which
+padded keys get an additive ``NEG_INF`` before the attention softmax, which
 :func:`kiqa.autodiff.attention_softmax` makes exact.
 """
 
@@ -37,7 +37,7 @@ from .corpus import KnowledgeCorpus
 PAD, START, SEP, MASK, UNK = "<pad>", "<s>", "<sep>", "<mask>", "<unk>"
 SPECIAL_TOKENS = (PAD, START, SEP, MASK, UNK)
 
-_NEG_INF = -1e30
+NEG_INF = -1e30  # additive mask of padded slots; its exponential is exactly 0.0
 
 
 class CheckpointError(ValueError):
@@ -199,7 +199,7 @@ class EncoderModel:
         v = x @ p["att_wv"]
         x = x[np.arange(len(ids))[:, None], queries]  # (B, Q, d)
 
-        pad_mask = np.where(ids == self.vocab.pad_id, _NEG_INF, 0.0)
+        pad_mask = np.where(ids == self.vocab.pad_id, NEG_INF, 0.0)
         scores = (x @ p["att_wq"]) @ k.swap_last_axes()  # (B, Q, L)
         # mask keys per query row
         attn = attention_softmax(scores, pad_mask[:, None, :], 1.0 / np.sqrt(self.config.d))

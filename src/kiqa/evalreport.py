@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .corpus import KnowledgeCorpus
-from .datasets import McqDataset, attach_premises
+from .datasets import RETRIEVE_K, McqDataset, attach_premises
 from .encoder import EncoderModel, TrainConfig
 from .external import ExternalVectorStore
 from .fusion import (
@@ -132,7 +132,7 @@ def sweep_m(
     m_values: list[int],
     rr_config: RerankConfig | None = None,
     train_config: TrainConfig | None = None,
-    retrieve_k: int = 50,
+    retrieve_k: int = RETRIEVE_K,
     freeze_encoder: bool = False,
 ) -> list[tuple[int, float]]:
     """Accuracy at each retrieval depth m.

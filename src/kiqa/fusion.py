@@ -17,7 +17,7 @@ against a single empty-knowledge placeholder so every head stays total.
 Scoring runs on one padded minibatch: every (item, option, passage)
 sequence is encoded in a single call, gathered into a (B, n, m_max, d)
 tensor, and each head is a masked reduction over the passage axis — a
-max or softmax with -1e30 added at padded slots, or a sum over zeroed
+max or softmax with ``NEG_INF`` added at padded slots, or a sum over zeroed
 ones.  Training, gradient checks and `score_item` (a batch of one) share
 this path; `train` tokenizes each item once, not once per epoch.
 """
@@ -34,6 +34,7 @@ from . import binfmt
 from .autodiff import SGD, Tensor, cross_entropy, no_grad, sgd_epoch
 from .datasets import McqDataset, McqItem
 from .encoder import (
+    NEG_INF,
     CheckpointError,
     EncoderModel,
     TrainConfig,
@@ -46,8 +47,6 @@ from .external import ExternalVectorStore
 from .textio import write_json_lines
 
 HEADS = ("baseline", "concat", "parallel-max", "simple-sum", "weighted-sum")
-
-_NEG_INF = -1e30  # added to padded passage slots; its exponential is exactly 0.0
 
 
 class FusionError(ValueError):
@@ -191,7 +190,7 @@ def _batch_scores(
         else:
             pooled = enc.encode_ids(ids)
     vecs = pooled[rows] * Tensor(mask[..., None].astype(np.float64))  # (B, n, m_max, d)
-    pad = Tensor(np.where(mask, 0.0, _NEG_INF)[..., None])  # additive score mask
+    pad = Tensor(np.where(mask, 0.0, NEG_INF)[..., None])  # additive score mask
 
     w, b = model.score_w, model.score_b
     weights = None

@@ -26,9 +26,8 @@ class Query:
     terms: tuple[str, ...]  # ordered bag: duplicates carry weight
 
 
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    if path is None:
-        path = Path(__file__).parent / "data" / "stopwords.txt"
+def load_stopwords() -> frozenset[str]:
+    path = Path(__file__).parent / "data" / "stopwords.txt"
     words = map(str.strip, read_text(path, ValueError).split("\n"))
     return frozenset(word.lower() for word in words if word)
 

@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line pipeline driver."""
 
+import collections
 import contextlib
+import functools
+import inspect
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -18,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kiqa
+import kiqa.cli
 import kiqa.corpus
 import kiqa.encoder
 from kiqa.autodiff import Tensor
-from kiqa.cli import CliError, main, parse_config_file
+from kiqa.cli import CliError, build_parser, main, parse_config_file
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, load_jsonl, save_jsonl
 from kiqa.datasets import load_mcq, save_mcq_jsonl
 from kiqa.encoder import load_encoder, save_encoder
@@ -986,6 +991,222 @@ def test_config_duplicate_key_rejected(tmp_path):
     cfg.write_text("m = 1\nm = 2\n", encoding="utf-8")
     with pytest.raises(CliError, match="duplicate key"):
         parse_config_file(cfg)
+
+
+# ---------------------------------------------------------------------------
+# Config keys
+# ---------------------------------------------------------------------------
+
+# Each command on the fixture's inputs, with the flags under which it reads every key it declares.
+KEY_STAGES = {
+    "corpus-prep": lambda d: ["--input", d / "raw.txt"],
+    "index-build": lambda d: ["--corpus", d / "corpus.jsonl"],
+    "attach": lambda d: ["--dataset", d / "qs.jsonl", "--corpus", d / "corpus.jsonl",
+                         "--index", d / "index.kiix"],
+    "pfqa-gen": lambda d: ["--facts", d / "facts.tsv"],
+    "revise": lambda d: ["--corpus", d / "corpus.jsonl"],
+    "train": lambda d: ["--dataset", d / "attached.jsonl", "--corpus", d / "corpus.jsonl"],
+    "eval": lambda d: ["--model", d / "model.bin", "--dataset", d / "attached.jsonl"],
+    "sweep-m": lambda d: ["--model", d / "model.bin", "--train", d / "qs.jsonl",
+                          "--eval", d / "qs.jsonl", "--corpus", d / "corpus.jsonl",
+                          "--index", d / "index.kiix"],
+    "weight-report": lambda d: ["--model", d / "model.bin", "--dataset", d / "attached.jsonl"],
+}
+# The optional input each command may also be given, which changes how it reads its keys.
+OPTIONAL_INPUT = {
+    "attach": lambda d: ["--embeddings", d / "emb.txt"],
+    "sweep-m": lambda d: ["--embeddings", d / "emb.txt"],
+    "revise": lambda d: ["--encoder", d / "encoder.kenc"],
+    "train": lambda d: ["--encoder", d / "encoder.kenc"],
+}
+
+
+def declared_keys(command: str) -> dict:
+    return build_parser().parse_args([command, *REQUIRED_ARGS[command], "--out", "x"]).config_keys
+
+
+def config_text(values: dict) -> str:
+    """``values`` as config lines; ``repr`` writes NaN and infinities as the parser reads them."""
+    def text(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return json.dumps(value) if isinstance(value, (str, list)) else repr(value)
+    return "".join(f"{key} = {text(value)}\n" for key, value in values.items())
+
+
+def run_quietly(argv) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of ``main(argv)``; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([str(a) for a in argv])
+    return rc, err.getvalue().splitlines()
+
+
+def test_a_key_has_one_type_in_every_command():
+    kinds = collections.defaultdict(set)
+    for command in KEY_STAGES:
+        for key, kind in declared_keys(command).items():
+            kinds[key].add(kind)
+    assert {key: k for key, k in kinds.items() if len(k) > 1} == {}
+
+
+@pytest.mark.parametrize("command, optional, config, message", [
+    ("sweep-m", False, 'm_values = [1]\nretrain = false\nlr = "fast"\n',
+     "config key 'lr' must be a float, got 'fast'"),
+    ("sweep-m", False, "m_values = [1]\nretrain = false\nepochs = -3\n",
+     "epochs must be >= 0 and batch size >= 1"),
+    ("train", False, 'rev_lr = "fast"\n', "config key 'rev_lr' must be a float, got 'fast'"),
+    ("train", False, "rev_epochs = true\n", "config key 'rev_epochs' must be an int, got a boolean"),
+    ("train", False, "rev_batch_size = 2.5\n", "config key 'rev_batch_size' must be an int, got 2.5"),
+    ("revise", True, 'd = "wide"\n', "config key 'd' must be an int, got 'wide'"),
+], ids=["sweep-m-lr", "sweep-m-epochs", "train-rev_lr", "train-rev_epochs",
+        "train-rev_batch_size", "revise-encoder-d"])
+def test_a_bad_key_exits_1_where_the_run_would_not_read_it(
+        artifacts, tmp_path, command, optional, config, message):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+    cfg.write_text(config, encoding="utf-8")
+    flags = OPTIONAL_INPUT[command](artifacts) if optional else []
+    rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts), *flags,
+                             "--config", cfg, "--out", out])
+    assert (rc, lines) == (1, [f"error: {message}"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["revise", "train"])
+@pytest.mark.parametrize("key, value, has", [("d", 64, 8), ("max_len", 16, 256)])
+def test_encoder_key_other_than_the_encoder_checkpoint_exits_1(
+        artifacts, tmp_path, command, key, value, has):
+    cfg, out = tmp_path / "enc.cfg", tmp_path / "out"
+    cfg.write_text(f"{key} = {value}\nepochs = 1\n", encoding="utf-8")
+    rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts),
+                             *OPTIONAL_INPUT[command](artifacts), "--config", cfg, "--out", out])
+    assert (rc, lines) == (1, [f"error: config key {key!r} is {value} but the --encoder "
+                               f"checkpoint has {key} = {has}"])
+    assert not out.exists()
+
+
+# The kiqa.cli names through which each key reaches the library.
+SPIED = ("load_corpus", "build_index", "attach_premises", "revision_train", "train", "sweep_m")
+# Small, fast settings each command runs under unless a case sets the key itself.
+BASE_CONFIG = {
+    "revise": {"d": 8, "epochs": 1},
+    "train": {"d": 8, "epochs": 1},
+    "sweep-m": {"m_values": [1], "epochs": 1},
+}
+SGD_CASES = [("lr", 0.05), ("epochs", 2), ("batch_size", 1), ("momentum", 0.5)]
+# (command, key, a non-default value, extra config, whether to give the optional input): the
+# spied call it must reach, the path to it in that call's arguments, and what is found there.
+ROUTES = [
+    ("corpus-prep", "source_tag", "t", {}, False, "load_corpus", "source_tag", "t"),
+    ("index-build", "k1", 0.9, {}, False, "build_index", "params.k1", 0.9),
+    ("index-build", "b", 0.5, {}, False, "build_index", "params.b", 0.5),
+    ("attach", "m", 3, {}, False, "attach_premises", "rr_config.m", 3),
+    ("attach", "lambda", 0.5, {}, False, "attach_premises", "rr_config.lambda_", 0.5),
+    ("attach", "retrieve_k", 7, {}, False, "attach_premises", "retrieve_k", 7),
+    # with an embedding table the default would be embedding-cosine
+    ("attach", "similarity", "token-jaccard", {}, True,
+     "attach_premises", "rr_config.similarity.kind", "token-jaccard"),
+    ("revise", "d", 6, {}, False, "revision_train", "model.config.d", 6),
+    ("revise", "max_len", 16, {}, False, "revision_train", "model.config.max_len", 16),
+    *[("revise", key, value, {}, False, "revision_train", f"config.{key}", value)
+      for key, value in [*SGD_CASES, ("mask_prob", 0.3)]],
+    ("train", "d", 6, {}, False, "train", "model.encoder.config.d", 6),
+    ("train", "max_len", 16, {}, False, "train", "model.encoder.config.max_len", 16),
+    *[("train", key, value, {}, False, "train", f"config.{key}", value) for key, value in SGD_CASES],
+    ("train", "head", "simple-sum", {}, False, "train", "model.head", "simple-sum"),
+    ("train", "tied", True, {}, False, "train", "model.tied", True),
+    ("train", "freeze_encoder", True, {}, False, "train", "freeze_encoder", True),
+    ("train", "openbook", False, {}, False, "train", "model.head", "baseline"),
+    # revision runs, on the revision seed (--seed 0 + 3)
+    ("train", "revision", True, {}, False, "revision_train", "config.seed", 3),
+    *[("train", "rev_" + key, value, {"revision": True}, False, "revision_train", f"config.{key}",
+       value) for key, value in [*SGD_CASES, ("mask_prob", 0.3)]],
+    *[("sweep-m", key, value, {}, False, "sweep_m", f"train_config.{key}", value)
+      for key, value in SGD_CASES],
+    ("sweep-m", "m_values", [1, 2], {}, False, "sweep_m", "m_values", [1, 2]),
+    ("sweep-m", "retrain", False, {}, False, "sweep_m", "train_config", None),
+    ("sweep-m", "lambda", 0.5, {}, False, "sweep_m", "rr_config.lambda_", 0.5),
+    ("sweep-m", "retrieve_k", 7, {}, False, "sweep_m", "retrieve_k", 7),
+    ("sweep-m", "freeze_encoder", True, {}, False, "sweep_m", "freeze_encoder", True),
+    ("sweep-m", "similarity", "token-jaccard", {}, True,
+     "sweep_m", "rr_config.similarity.kind", "token-jaccard"),
+]
+
+
+def test_every_declared_key_has_a_route():
+    declared = {(command, key) for command in KEY_STAGES for key in declared_keys(command)}
+    assert sorted({route[:2] for route in ROUTES}) == sorted(declared)
+
+
+@pytest.mark.parametrize("command, key, value, extra, optional, spied, path, arrives", ROUTES,
+                         ids=[f"{route[0]}-{route[1]}" for route in ROUTES])
+def test_a_set_key_reaches_its_setting(artifacts, tmp_path, monkeypatch,
+                                       command, key, value, extra, optional, spied, path, arrives):
+    calls = collections.defaultdict(list)
+    for name in SPIED:
+        real = getattr(kiqa.cli, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[_name].append(bound.arguments)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kiqa.cli, name, spy)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config_text({**BASE_CONFIG.get(command, {}), **extra, key: value}),
+                   encoding="utf-8")
+    flags = OPTIONAL_INPUT[command](artifacts) if optional else []
+    rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts), *flags,
+                             "--config", cfg, "--out", tmp_path / "out"])
+    assert (rc, lines) == (0, [])
+    first, *rest = path.split(".")
+    found = [functools.reduce(getattr, rest, arguments[first]) for arguments in calls[spied]]
+    assert found == [arrives]
+
+
+def _values_for(kind):
+    """Edge values of a declared type, and values of every other type."""
+    valid = {
+        int: st.integers(-1, 12),  # keeps d, max_len, epochs, batch sizes and depths cheap
+        float: st.sampled_from([0.0, -1.0, 0.5, 2, math.nan, math.inf, -math.inf, 1e300]),
+        bool: st.booleans(),
+        str: st.sampled_from(["", "x", "baseline", "concat", "weighted-sum",
+                              "token-jaccard", "embedding-cosine"]),
+        list: st.lists(st.integers(-1, 6), max_size=3),
+    }[kind]
+    other = st.sampled_from([0, -1, 1.5, math.nan, 1e300, True, "fast", [1]])
+    return st.one_of(valid, valid, other)  # two in three from the declared type
+
+
+@settings(max_examples=400, deadline=None)
+@given(command=st.sampled_from(sorted(KEY_STAGES)), data=st.data())
+def test_any_config_value_exits_cleanly(artifacts, command, data):
+    keys = declared_keys(command)
+    chosen = data.draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=4)
+                       if keys else st.just([]), label="keys")
+    values = {**BASE_CONFIG.get(command, {}),
+              **{key: data.draw(_values_for(keys[key]), label=key) for key in chosen}}
+    flags = OPTIONAL_INPUT.get(command, lambda d: [])(artifacts)
+    flags = flags if flags and data.draw(st.booleans(), label="optional input") else []
+    work = artifacts / "keyfuzz"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    cfg, out = work / "fuzz.cfg", work / "out"
+    cfg.write_text(config_text(values), encoding="utf-8")
+    if command == "pfqa-gen":  # writes a directory
+        out.mkdir()
+        (out / "train.jsonl").write_bytes(b"the old split\n")
+    else:
+        out.write_bytes(b"the old output\n")
+    before = {p: p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+    rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts), *flags,
+                             "--config", cfg, "--out", out])
+    assert rc in (0, 1, 2)
+    assert not any("Traceback" in line for line in lines)
+    if rc:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert {p: p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()} == before
 
 
 # ---------------------------------------------------------------------------
