@@ -40,10 +40,16 @@ Every command with identical inputs, config, and seed writes byte-identical outp
 
 from __future__ import annotations
 
+import sys
+
+if __name__ == "__main__":  # python -m kiqa.cli: the imports below run under the entry's guard
+    from kiqa.__main__ import main as _entry
+
+    sys.exit(_entry())
+
 import argparse
 import errno
 import os
-import sys
 from pathlib import Path
 
 from .corpus import (
@@ -73,7 +79,7 @@ from .evalreport import (
     write_weight_report_csv,
 )
 from .fusion import FusionModel, load_model, save_model, save_predictions, train
-from .index import Bm25Params, build_index, load_index, save_index
+from .index import Bm25Params, InvertedIndex, build_index, load_index, save_index
 from .pfqa import assign_splits, generate_questions, load_facts, render_fact, to_dataset
 from .querygen import QueryGenConfig
 from .rerank import RerankConfig, SimilarityFn, load_embedding_table
@@ -228,6 +234,22 @@ def _cmd_index_build(args) -> int:
     return 0
 
 
+def _corpus_and_index(args) -> tuple[KnowledgeCorpus, InvertedIndex]:
+    """The ``--corpus`` and its index: built here, or the ``--index`` file.
+
+    The index is loaded first, so a corpus file whose sha256 it records is
+    hashed instead of parsed, and only the rows the stage reads are parsed.
+    """
+    corpus_path = _input(args.corpus)
+    if not args.index:
+        corpus = load_jsonl(corpus_path)
+        return corpus, build_index(corpus)
+    index = load_index(_input(args.index))
+    corpus = load_jsonl(corpus_path, file_sha256=index.corpus_file_sha256,
+                        digest=index.corpus_digest, ids=index.doc_ids)
+    return corpus, index
+
+
 def _similarity(cfg: Config, embeddings_path) -> SimilarityFn:
     """The configured similarity; an embedding table makes embedding-cosine the default."""
     settings = cfg.pick(kind="similarity")
@@ -241,8 +263,7 @@ def _cmd_attach(args) -> int:
     cfg = _load_config(args)
     schema_map = _input(args.schema_map) if args.schema_map else None
     dataset = load_mcq(_input(args.dataset), args.schema, schema_map=schema_map)
-    corpus = load_jsonl(_input(args.corpus))
-    index = load_index(_input(args.index)) if args.index else build_index(corpus)
+    corpus, index = _corpus_and_index(args)
     rr_config = RerankConfig(
         **cfg.pick("m", lambda_="lambda"), similarity=_similarity(cfg, args.embeddings)
     )
@@ -361,8 +382,7 @@ def _cmd_sweep_m(args) -> int:
     model = load_model(_input(args.model))
     train_set = load_mcq(_input(args.train), args.schema)
     eval_set = load_mcq(_input(args.eval), args.schema)
-    corpus = load_jsonl(_input(args.corpus))
-    index = load_index(_input(args.index)) if args.index else build_index(corpus)
+    corpus, index = _corpus_and_index(args)
     rows = sweep_m(
         model, train_set, eval_set, corpus, index, m_values,
         rr_config=RerankConfig(
@@ -513,6 +533,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,10 +18,16 @@ A :class:`KnowledgeCorpus` is a column store: parallel lists of ids,
 texts, source tags and titles.  The plain-lines and JSONL loaders fill the
 columns directly and :func:`save_jsonl` writes from them, so no
 per-sentence object is made on the way; :class:`KnowledgeSentence`
-objects are built only when ``sentences`` or ``get`` asks for them.
+objects are built only when ``sentences`` or ``at`` asks for them.
 Plain lines end at any line boundary ``str.splitlines`` knows; JSON-lines
 records are the ``\\n``-separated lines, so a U+2028 or U+0085 inside a
 string value stays part of its record.
+
+A prepared corpus file whose first n lines are its n sentence records is
+pinned by the sha256 of its bytes, which an index built over it records.
+Given that pin, :func:`load_jsonl` hashes the file instead of parsing it,
+and the corpus it returns parses a row only when ``at`` asks for it: a
+stage that reads a few rows of a large corpus reads only those lines.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .textio import json_lines, loads, read_text, replacing
+from .textio import decode, json_line, json_lines, loads, read_bytes, read_text, replacing
 
 
 class CorpusError(ValueError):
@@ -62,13 +68,17 @@ class KnowledgeCorpus:
     and retrieval work on the columns, so a 50k-sentence corpus never
     becomes 50k objects: ``sentences`` builds the
     :class:`KnowledgeSentence` objects on first use and keeps them, and
-    ``get`` and ``at`` build one.
+    ``at`` builds one.
 
     ``paragraphs`` optionally records contiguous (start, end) index ranges of
     sentences that came from the same source paragraph; it is populated by
     the titled-paragraphs loader and lets training derive adjacent-sentence
     pairs.
     """
+
+    # sha256 of the file whose first lines are the rows, as load_jsonl reads
+    # it; zeros for a corpus that no file lays out that way
+    file_sha256: bytes = bytes(32)
 
     def __init__(
         self,
@@ -380,17 +390,45 @@ def save_jsonl(corpus: KnowledgeCorpus, path: str | Path) -> None:
             fh.write(json.dumps({"paragraphs": corpus.paragraphs}) + "\n")
 
 
-def load_jsonl(path: str | Path) -> KnowledgeCorpus:
+def load_jsonl(
+    path: str | Path,
+    *,
+    file_sha256: bytes | None = None,
+    digest: bytes = b"",
+    ids: Sequence[str] = (),
+) -> KnowledgeCorpus:
     """Read a corpus written by :func:`save_jsonl` into columns.
 
     Records are the ``\\n``-separated lines; each is parsed on its own, so a
     malformed one is reported with its line number.  ``source`` defaults to
-    ``"generic"`` and ``title`` to null.
+    ``"generic"`` and ``title`` to null.  The corpus's ``file_sha256`` is
+    the sha256 of the file's bytes when the file has no ``\\r`` byte and its
+    first n lines are its n sentence records (a paragraphs line may follow);
+    otherwise it stays zeros.
+
+    Given the ``file_sha256``, content ``digest`` and sentence ``ids`` that
+    an index records, a file whose sha256 matches is not parsed: the corpus
+    returned parses each row on demand (:class:`_PinnedRows`).  A file that
+    does not match is loaded in full.
     """
     path = Path(path)
+    data = read_bytes(path, CorpusError)
+    sha = hashlib.sha256(data).digest()
+    if sha == file_sha256:
+        lines = data.split(b"\n", len(ids))  # the n rows, then the rest of the file
+        if len(lines) > len(ids) or len(lines) == len(ids) and lines[-1]:  # it has n lines
+            return _PinnedRows(path, lines, sha, digest, ids)
+    corpus, last = _columns(path, decode(data, path, CorpusError))
+    if last == len(corpus) and b"\r" not in data:
+        corpus.file_sha256 = sha
+    return corpus
+
+
+def _columns(path: Path, content: str) -> tuple[KnowledgeCorpus, int]:
+    """The corpus a prepared file's text holds, and the line of its last sentence record."""
     ids, texts, tags, titles = [], [], [], []
-    paragraphs, paragraphs_line = None, 0
-    for lineno, rec in json_lines(path, CorpusError):
+    paragraphs, paragraphs_line, last = None, 0, 0
+    for lineno, rec in json_lines(path, CorpusError, content):
         try:
             sid, text, tag, title = _sentence_fields(rec)
         except CorpusError as exc:
@@ -404,14 +442,69 @@ def load_jsonl(path: str | Path) -> KnowledgeCorpus:
         texts.append(text)
         tags.append(tag)
         titles.append(title)
+        last = lineno
     if not ids:
         raise CorpusError(f"empty corpus: {path}")
     if paragraphs is not None:
         paragraphs = _paragraph_ranges(paragraphs, len(ids), path, paragraphs_line)
     try:
-        return KnowledgeCorpus.from_columns(ids, texts, tags, titles, paragraphs)
+        return KnowledgeCorpus.from_columns(ids, texts, tags, titles, paragraphs), last
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
+
+
+class _PinnedRows(KnowledgeCorpus):
+    """A prepared corpus file that an index pins by its sha256, parsed row by row.
+
+    ``at(pos)`` parses line ``pos + 1`` alone, by :func:`load_jsonl`'s
+    record rules and with its ``path:line`` errors, checks the id against
+    the index's, and keeps the sentence.  ``len`` is the index's document
+    count and ``digest`` the content digest it records, which the file's
+    sha256 proves.  The first read of a column (``ids``, ``texts``,
+    ``sentences``, ``paragraphs``, ``in`` and the rest) parses the whole
+    file once, as :func:`load_jsonl` does.
+    """
+
+    _COLUMNS = frozenset({"ids", "texts", "tags", "titles", "paragraphs", "_pos", "_sentences"})
+
+    def __init__(self, path: Path, lines: list[bytes], file_sha256: bytes, digest: bytes,
+                 ids: Sequence[str]):
+        self._path, self._lines, self._ids = path, lines, ids
+        self._rows: dict[int, KnowledgeSentence] = {}
+        self.file_sha256, self.digest = file_sha256, digest
+
+    def __getattr__(self, name: str):  # runs only while the columns are unset
+        if name not in self._COLUMNS:
+            raise AttributeError(name)
+        full, _ = _columns(self._path, decode(b"\n".join(self._lines), self._path, CorpusError))
+        vars(self).update((key, vars(full)[key]) for key in self._COLUMNS)
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def at(self, pos: int) -> KnowledgeSentence:
+        row = self._rows.get(pos)
+        if row is None:
+            row = self._rows[pos] = self._parse_row(pos)
+        return row
+
+    def _parse_row(self, pos: int) -> KnowledgeSentence:
+        where = f"{self._path}:{pos + 1}"
+        try:
+            line = self._lines[pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{where}: not valid UTF-8: {exc}") from None
+        rec = json_line(line, where, CorpusError)
+        try:
+            sid, text, tag, title = _sentence_fields(rec)
+            if not text.strip():
+                raise CorpusError(f"sentence {sid!r} is empty")
+            if sid != self._ids[pos]:
+                raise CorpusError(f"sentence id {sid!r} is not the index's {self._ids[pos]!r}")
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
+        return KnowledgeSentence(sid, text, tag, title)
 
 
 def _sentence_fields(rec) -> tuple[str, str, str, str | None]:

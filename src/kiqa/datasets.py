@@ -297,8 +297,9 @@ def attach_premises(
     The corpus provides sentence texts for re-ranking; it must be the one
     the index was built over, which is checked by the corpus digest the
     index records (a sha256 of the corpus's ids and texts).  Hits carry
-    document positions, so candidates are read from the corpus's columns.
-    An option whose query is all stopwords, or whose query retrieves
+    document positions, and candidates are read with ``corpus.at``, so a
+    corpus loaded pinned to the index (:func:`kiqa.corpus.load_jsonl`)
+    parses only the rows retrieved.  An option whose query is all stopwords, or whose query retrieves
     nothing, gets an empty premise list.  Re-rank features are prepared
     once per distinct text in one memo, which is dropped when the call
     returns.

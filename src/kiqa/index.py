@@ -9,20 +9,24 @@ frequency ``df``, term frequency ``tf`` and length normalizer
 
 Queries are bags: each distinct term is added once, weighted by its count,
 in first-occurrence order.  Documents with zero score are omitted; ties
-are broken by sentence id ascending.  Searching an index fills two lazy
-caches on it: each queried term's positions as ``intp`` and, when the ids
-do not already ascend by position, each document's place in id order.
+are broken by sentence id ascending.  Searching an index fills three lazy
+caches on it: each queried term's positions as ``intp``; each queried
+``(term, count)``'s BM25 contributions by posting, so a term that many
+queries share is scored once; and, when the ids do not already ascend by
+position, each document's place in id order.  The caches live as long as
+the index: for each count a term is queried with, its contributions take
+8 bytes a posting.
 
 Postings live in one flat array of little-endian ``(pos <u4, tf <u4)``
 records sorted by (term, document position); ``postings[term]`` is a view
 of that term's block, so its length is the term's document frequency.
 A search hit carries the document's position, so a caller reads the
-corpus's columns by position and needs no id lookup.
+corpus by position and needs no id lookup.
 
-An index file is a :mod:`kiqa.binfmt` frame, magic ``KIIX``, version 3,
+An index file is a :mod:`kiqa.binfmt` frame, magic ``KIIX``, version 4,
 whose payload is columnar::
 
-    k1 f64  b f64  corpus sha256 u1[32]
+    k1 f64  b f64  corpus sha256 u1[32]  corpus file sha256 u1[32]
     doc id strings    doc lengths <u4[doc count]
     term strings      dfs <u4[term count]
     postings: sum(dfs) (pos, tf) records, term after term
@@ -31,7 +35,11 @@ Terms are sorted, so saving and loading take a few array calls per column.
 The sha256 is the corpus's :attr:`~kiqa.corpus.KnowledgeCorpus.digest`
 over its id and text columns: an index pins the corpus it was built over,
 and attaching with any other corpus, even one with the same ids, is
-rejected.
+rejected.  The file sha256 is the corpus's
+:attr:`~kiqa.corpus.KnowledgeCorpus.file_sha256`, the sha256 of the
+prepared corpus file's bytes when its first lines are the rows, else
+zeros.  A stage given that very file checks it with one hash and parses
+only the rows it reads (:func:`kiqa.corpus.load_jsonl`).
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ class IndexFormatError(ValueError):
     """Raised when an index file is unreadable or malformed."""
 
 
-KIIX = binfmt.Kind(b"KIIX", 3, "index", "index-build", IndexFormatError)
+KIIX = binfmt.Kind(b"KIIX", 4, "index", "index-build", IndexFormatError)
 
 
 @dataclass(frozen=True)
@@ -88,9 +96,12 @@ class InvertedIndex:
     doc_lengths: np.ndarray  # int64, one token count per document
     postings: dict[str, np.ndarray]  # term -> block of POSTING records, by position
     corpus_digest: bytes  # KnowledgeCorpus.digest of the corpus it was built over
+    corpus_file_sha256: bytes  # and its KnowledgeCorpus.file_sha256
     avg_doc_length: float = field(init=False)
     length_norm: np.ndarray = field(init=False, repr=False)  # k1*(1 - b + b*len/avg)
     _positions: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
+    _contributions: dict[tuple[str, int], np.ndarray] = field(
+        init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.doc_lengths = np.asarray(self.doc_lengths, dtype=np.int64)
@@ -116,6 +127,17 @@ class InvertedIndex:
         if pos is None and term in self.postings:
             pos = self._positions[term] = self.postings[term]["pos"].astype(np.intp)
         return pos
+
+    def contributions(self, term: str, count: int) -> np.ndarray:
+        """BM25 contributions of ``count`` uses of a seen ``term`` to the documents
+        at its positions, computed on first use."""
+        out = self._contributions.get((term, count))
+        if out is None:
+            w_idf, k1 = self.idf(term) * count, self.params.k1
+            tf = self.postings[term]["tf"]
+            out = self._contributions[term, count] = (
+                w_idf * tf * (k1 + 1.0) / (tf + self.length_norm[self.positions(term)]))
+        return out
 
     @cached_property
     def id_rank(self) -> np.ndarray | None:
@@ -161,15 +183,17 @@ def build_index(corpus: KnowledgeCorpus, params: Bm25Params = Bm25Params()) -> I
     records["tf"] = tf
     df = np.bincount(keys // n, minlength=len(terms))
     return InvertedIndex(params=params, doc_ids=list(corpus.ids), doc_lengths=doc_lengths,
-                         postings=_blocks(terms, df, records), corpus_digest=corpus.digest)
+                         postings=_blocks(terms, df, records), corpus_digest=corpus.digest,
+                         corpus_file_sha256=corpus.file_sha256)
 
 
 def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> list[SearchHit]:
     """Top-``k`` documents by BM25 score for a tokenized query.
 
-    Each term's contributions are scatter-added into a dense score vector,
-    term by term, so every document's sum takes the same float operations
-    in the same order as a per-document loop would.  The top ``k`` come
+    Each term's contributions (cached on the index per term and count) are
+    scatter-added into a dense score vector, term by term, so every
+    document's sum takes the same float operations in the same order as a
+    per-document loop would.  The top ``k`` come
     from a partition of that vector; every document tied with the k-th
     score is kept, and one ``np.lexsort`` on (-score,
     :attr:`~InvertedIndex.id_rank`) orders them, so equal scores go to
@@ -177,15 +201,11 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    k1 = index.params.k1
     scores = np.zeros(index.doc_count)
     for term, count in Counter(query_terms).items():
         pos = index.positions(term)
-        if pos is None:
-            continue
-        w_idf = index.idf(term) * count
-        tf = index.postings[term]["tf"]
-        scores[pos] += w_idf * tf * (k1 + 1.0) / (tf + index.length_norm[pos])
+        if pos is not None:
+            scores[pos] += index.contributions(term, count)
     # No score is negative, so a positive k-th largest score keeps at least
     # k documents with every tie of the k-th; a zero one keeps every hit.
     n = index.doc_count
@@ -202,7 +222,7 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
 
 
 # ---------------------------------------------------------------------------
-# Binary serialization (the KIIX v3 payload, see the module docstring)
+# Binary serialization (the KIIX v4 payload, see the module docstring)
 # ---------------------------------------------------------------------------
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
@@ -212,6 +232,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     w.f64(index.params.k1)
     w.f64(index.params.b)
     w.array(np.frombuffer(index.corpus_digest, np.uint8), np.uint8)
+    w.array(np.frombuffer(index.corpus_file_sha256, np.uint8), np.uint8)
     w.strings(index.doc_ids)
     w.array(index.doc_lengths, _U4)
     w.strings(terms)
@@ -228,6 +249,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     except ValueError as exc:
         raise r.error(str(exc)) from None
     corpus_digest = r.array(np.uint8, 32).tobytes()
+    corpus_file_sha256 = r.array(np.uint8, 32).tobytes()
     doc_ids = r.strings()
     doc_lengths = r.array(_U4, len(doc_ids))
     terms = r.strings()
@@ -238,7 +260,8 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise r.error("a term has more than one posting list")
     _check_postings(records, counts, terms, len(doc_ids), r)
     return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
-                         postings=_blocks(terms, counts, records), corpus_digest=corpus_digest)
+                         postings=_blocks(terms, counts, records), corpus_digest=corpus_digest,
+                         corpus_file_sha256=corpus_file_sha256)
 
 
 def _check_postings(records, counts, terms, doc_count, r: binfmt.Reader) -> None:

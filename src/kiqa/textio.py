@@ -21,14 +21,26 @@ from typing import IO, Iterable, Iterator
 _SCAN = JSONDecoder().scan_once
 
 
-def read_text(path: str | Path, error: type[Exception]) -> str:
-    """The file's text, decoded as UTF-8."""
+def read_bytes(path: str | Path, error: type[Exception]) -> bytes:
+    """The file's bytes."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def decode(data: bytes, path: str | Path, error: type[Exception]) -> str:
+    """``path``'s bytes as ``Path.read_text`` gives them: UTF-8, universal newlines."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not valid UTF-8: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """The file's text, decoded as UTF-8."""
+    return decode(read_bytes(path, error), path, error)
 
 
 def loads(text: str, where: str, error: type[Exception]):
@@ -39,9 +51,14 @@ def loads(text: str, where: str, error: type[Exception]):
         raise error(f"{where}: invalid JSON: {exc}") from None
 
 
-def json_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, object]]:
-    """``(lineno, record)`` for each non-blank ``\\n``-separated line (a U+2028 stays inside)."""
-    lines = read_text(path, error).split("\n")
+def json_lines(
+    path: str | Path, error: type[Exception], text: str | None = None
+) -> Iterator[tuple[int, object]]:
+    """``(lineno, record)`` for each non-blank ``\\n``-separated line (a U+2028 stays inside).
+
+    ``text`` is the file's text when the caller has read it already.
+    """
+    lines = (read_text(path, error) if text is None else text).split("\n")
     for lineno, line in enumerate(lines, start=1):
         try:
             rec, end = _SCAN(line, 0)  # what json.loads returns when the line has no padding
@@ -52,6 +69,17 @@ def json_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
                 continue
             rec = loads(line, f"{path}:{lineno}", error)
         yield lineno, rec
+
+
+def json_line(line: str, where: str, error: type[Exception]):
+    """One line's record, parsed as :func:`json_lines` parses a non-blank line."""
+    try:
+        rec, end = _SCAN(line, 0)
+        if end == len(line):
+            return rec
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return loads(line, where, error)
 
 
 @contextmanager

@@ -11,6 +11,8 @@ command-line stage.
 
 import itertools
 import json
+import multiprocessing
+import os
 import random
 import re
 import string
@@ -296,9 +298,8 @@ def _masked_eval_loss(model, corpus, mask_seed=0, mask_prob=0.15):
     return mlm_batch_loss(model, ids, mask).item()
 
 
-@pytest.mark.slow
-def test_criterion_7_revision():
-    # (a) pretraining halves the masked-token loss on a 100-sentence KB
+def _revision_loss_ratio():
+    """(a) pretraining halves the masked-token loss on a 100-sentence KB."""
     kb, _ = make_planted_evidence_task(n_items=50, seed=1)
     assert len(kb) == 100
     vocab = Vocab.from_texts(s.text for s in kb.sentences)
@@ -309,32 +310,47 @@ def test_criterion_7_revision():
         TrainConfig(seed=3, lr=0.05, epochs=1000, batch_size=32, mask_prob=0.3),
     )
     after = _masked_eval_loss(encoder, kb)
-    ratio = after / before
+    return after / before
 
-    # (b) revised-then-trained beats unrevised on verdict paraphrase transfer
+
+def _revision_gap(seed):
+    """(b) revised-then-trained minus unrevised accuracy on verdict paraphrase transfer."""
     corpus, train_raw, eval_raw = make_paraphrase_transfer_task(seed=0)
     train_set = route_premises(train_raw, corpus, m=1)
     eval_set = route_premises(eval_raw, corpus, m=1)
     shared_vocab = training_vocab(train_set, corpus)
-    gaps = []
-    for seed in range(5):
-        accs = {}
-        for revised in (False, True):
-            enc = EncoderModel.init(shared_vocab, EncoderConfig(d=24), seed=seed)
-            if revised:
-                revision_train(
-                    enc, corpus,
-                    TrainConfig(seed=3000 + seed, lr=0.05, epochs=200,
-                                batch_size=32, mask_prob=0.3),
-                )
-            model = FusionModel.init(enc, "concat", seed=1000 + seed)
-            train(
-                model, train_set,
-                TrainConfig(seed=2000 + seed, lr=0.3, epochs=30, batch_size=32),
-                freeze_encoder=True,
+    accs = {}
+    for revised in (False, True):
+        enc = EncoderModel.init(shared_vocab, EncoderConfig(d=24), seed=seed)
+        if revised:
+            revision_train(
+                enc, corpus,
+                TrainConfig(seed=3000 + seed, lr=0.05, epochs=200,
+                            batch_size=32, mask_prob=0.3),
             )
-            accs[revised] = evaluate(model, eval_set).accuracy
-        gaps.append(accs[True] - accs[False])
+        model = FusionModel.init(enc, "concat", seed=1000 + seed)
+        train(
+            model, train_set,
+            TrainConfig(seed=2000 + seed, lr=0.3, epochs=30, batch_size=32),
+            freeze_encoder=True,
+        )
+        accs[revised] = evaluate(model, eval_set).accuracy
+    return accs[True] - accs[False]
+
+
+def _revision_run(seed):
+    """One of test 7's six independent runs: None is (a), a seed one run of (b)."""
+    return _revision_loss_ratio() if seed is None else _revision_gap(seed)
+
+
+@pytest.mark.slow
+def test_criterion_7_revision(monkeypatch):
+    # The six runs share nothing, so they run in a pool of up to two spawned
+    # processes, each started with one BLAS thread.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    with multiprocessing.get_context("spawn").Pool(min(2, os.cpu_count() or 1)) as pool:
+        ratio, *gaps = pool.map(_revision_run, [None, *range(5)], chunksize=1)
     mean_gap = sum(gaps) / len(gaps)
 
     ok = ratio <= 0.5 and mean_gap >= 0.05

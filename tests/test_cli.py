@@ -344,6 +344,68 @@ def test_interrupted_stage_exits_130_and_keeps_the_old_output(
     assert os.listdir(tmp_path) == ["corpus.jsonl"]
 
 
+# A sitecustomize that raises KeyboardInterrupt, as a Ctrl-C would, when the
+# child process starts importing one kiqa module.
+INTERRUPTING_SITECUSTOMIZE = """
+import sys
+
+class InterruptOnImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "kiqa.index":
+            raise KeyboardInterrupt
+        return None
+
+sys.meta_path.insert(0, InterruptOnImport())
+"""
+
+
+def _interrupted_at_import(tmp_path, *argv):
+    site = tmp_path / "site"
+    site.mkdir(exist_ok=True)
+    (site / "sitecustomize.py").write_text(INTERRUPTING_SITECUSTOMIZE, encoding="utf-8")
+    src = Path(kiqa.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": f"{site}{os.pathsep}{src}"}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _console_entry() -> list[str]:
+    """What the installed ``kiqa`` script runs, as ``python`` arguments."""
+    import tomllib
+
+    pyproject = Path(kiqa.__file__).parents[2] / "pyproject.toml"
+    entry = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["kiqa"]
+    module, _, function = entry.partition(":")
+    return ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"]
+
+
+@pytest.mark.parametrize("how", ["python -m kiqa.cli", "python -m kiqa", "console entry"])
+def test_interrupt_while_importing_exits_130(artifacts, tmp_path, how):
+    out = tmp_path / "index.kiix"
+    out.write_bytes(b"the old index")
+    argv = ["index-build", "--corpus", str(artifacts / "corpus.jsonl"), "--out", str(out)]
+    launch = _console_entry() if how == "console entry" else ["-m", how.split()[-1]]
+    proc = _interrupted_at_import(tmp_path, *launch, *argv)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (130, "error: interrupted\n", "")
+    assert out.read_bytes() == b"the old index"
+
+
+def test_interrupt_while_importing_kiqa_cli_as_a_library_still_raises(tmp_path):
+    proc = _interrupted_at_import(tmp_path, "-c", "import kiqa.cli")
+    assert proc.returncode not in (0, 1, 2, 130)
+    assert proc.stderr.splitlines()[-1] == "KeyboardInterrupt"
+
+
+def test_the_console_entry_runs_the_cli(artifacts, tmp_path):
+    src = Path(kiqa.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, *_console_entry(),
+         "index-build", "--corpus", str(artifacts / "corpus.jsonl"), "--out", str(tmp_path / "i")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "i").read_bytes() == (artifacts / "index.kiix").read_bytes()
+
+
 def test_out_of_memory_exits_1_and_keeps_the_old_output(artifacts, tmp_path, capsys, monkeypatch):
     out = tmp_path / "encoder.kenc"
     out.write_bytes(b"the old encoder")
@@ -456,7 +518,7 @@ def one_error_line(capsys) -> str:
 
 @pytest.mark.parametrize("posting", [(99, 1), (0, 0)])
 def test_index_with_out_of_range_posting_exits_1(artifacts, tmp_path, capsys, posting):
-    # The KIIX v3 payload ends with the (pos, tf) records of every term, in
+    # The KIIX v4 payload ends with the (pos, tf) records of every term, in
     # sorted term order. "sky" occurs in one sentence, so its block is one record.
     data = (artifacts / "index.kiix").read_bytes()
     postings = load_index(artifacts / "index.kiix").postings

@@ -1,6 +1,8 @@
 """Corpus preparation: splitting, templating, loading, serialization."""
 
+import hashlib
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -577,3 +579,99 @@ def test_duplicate_id_in_prepared_corpus_names_the_file(tmp_path):
     path.write_text('{"id": "a", "text": "A b."}\n{"id": "a", "text": "C d."}\n', encoding="utf-8")
     with pytest.raises(corpus.CorpusError, match="dup.jsonl: duplicate sentence id 'a'"):
         corpus.load_jsonl(path)
+
+
+# ---------------------------------------------------------------------------
+# A corpus file pinned by its sha256: rows parsed on demand
+# ---------------------------------------------------------------------------
+
+def _pinned(path, full):
+    return corpus.load_jsonl(path, file_sha256=full.file_sha256, digest=full.digest, ids=full.ids)
+
+
+@given(corpora())
+@settings(max_examples=150, deadline=None)
+def test_pinned_rows_equal_the_full_load(tmp_path_factory, kc):
+    path = tmp_path_factory.mktemp("pinned") / "c.jsonl"
+    corpus.save_jsonl(kc, path)
+    full = corpus.load_jsonl(path)
+    assert full.file_sha256 == hashlib.sha256(path.read_bytes()).digest()
+    with mock.patch.object(corpus, "_sentence_fields", wraps=corpus._sentence_fields) as parse:
+        pinned = _pinned(path, full)
+        assert (len(pinned), pinned.digest, pinned.file_sha256) == (
+            len(full), full.digest, full.file_sha256)
+        assert parse.call_count == 0
+        last = len(full) - 1
+        assert pinned.at(last) == full.at(last) and pinned.at(last) is pinned.at(last)
+        assert parse.call_count == 1
+        assert [pinned.at(pos) for pos in reversed(range(len(full)))] == full.sentences[::-1]
+        assert parse.call_count == len(full)
+        # any column parses the whole file, once
+        assert pinned.sentences == full.sentences and pinned.paragraphs == full.paragraphs
+        calls = parse.call_count
+        assert (pinned.ids, pinned.texts, pinned.tags, pinned.titles) == (
+            full.ids, full.texts, full.tags, full.titles)
+        assert full.ids[0] in pinned and parse.call_count == calls
+    assert pinned.digest == full.digest == corpus.KnowledgeCorpus(full.sentences).digest
+
+
+def test_a_pin_that_does_not_match_loads_in_full(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "a", "text": "A b."}\n{"id": "b", "text": "C d."}\n', encoding="utf-8")
+    full = corpus.load_jsonl(path)
+    for file_sha256, ids in [(bytes(32), full.ids), (hashlib.sha256(b"x").digest(), full.ids),
+                             (full.file_sha256, ["a", "b", "c"])]:  # more rows than lines
+        loaded = corpus.load_jsonl(path, file_sha256=file_sha256, digest=b"pinned", ids=ids)
+        assert type(loaded) is corpus.KnowledgeCorpus
+        assert loaded.sentences == full.sentences and loaded.digest == full.digest
+
+
+@pytest.mark.parametrize(
+    "text, file_hash",
+    [
+        ('{"id": "a", "text": "A"}\n{"id": "b", "text": "B"}\n', True),
+        ('{"id": "a", "text": "A"}\n{"id": "b", "text": "B"}', True),  # no last newline
+        ('{"id": "a", "text": "A"}\n{"id": "b", "text": "B"}\n\n \n', True),  # blank tail
+        ('{"id": "a", "text": "A"}\n{"id": "b", "text": "B"}\n{"paragraphs": [[0, 2]]}\n', True),
+        ('{"id": "a", "text": "A"}\n\n{"id": "b", "text": "B"}\n', False),  # a blank line
+        ('\n{"id": "a", "text": "A"}\n{"id": "b", "text": "B"}\n', False),
+        ('{"paragraphs": [[0, 2]]}\n{"id": "a", "text": "A"}\n{"id": "b", "text": "B"}\n', False),
+        ('{"id": "a", "text": "A"}\r\n{"id": "b", "text": "B"}\r\n', False),
+        ('{"id": "a", "text": "A"}\n{"id": "b", "text": "B"}\r', False),
+    ],
+)
+def test_the_file_sha256_is_kept_only_when_the_rows_lead_the_file(tmp_path, text, file_hash):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    loaded = corpus.load_jsonl(path)
+    assert loaded.ids == ["a", "b"]
+    assert loaded.file_sha256 == (hashlib.sha256(text.encode()).digest() if file_hash
+                                  else bytes(32))
+
+
+def test_an_in_memory_corpus_has_no_file_sha256():
+    assert corpus.KnowledgeCorpus([corpus.KnowledgeSentence("a", "A")]).file_sha256 == bytes(32)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b'{"id": "b", "text": 5}', "must be strings"),
+        (b'{"id": "x", "text": "t"}', "sentence id 'x' is not the index's 'b'"),
+        (b'{"id": "b", "text": " "}', "sentence 'b' is empty"),
+        (b'{"id": "b", "text": "\xff"}', "not valid UTF-8"),
+        (b'{"paragraphs": [[0, 1]]}', "missing field 'id'"),
+        (b"{not json", "invalid JSON"),
+        (b"", "invalid JSON"),
+    ],
+)
+def test_a_bad_pinned_row_names_its_line_when_it_is_read(tmp_path, line, message):
+    path = tmp_path / "c.jsonl"
+    data = b'{"id": "a", "text": "A b."}\n' + line + b'\n{"id": "c", "text": "C"}\n'
+    path.write_bytes(data)
+    pinned = corpus.load_jsonl(path, file_sha256=hashlib.sha256(data).digest(), digest=b"d",
+                               ids=["a", "b", "c"])
+    assert pinned.at(0) == corpus.KnowledgeSentence("a", "A b.", "generic")
+    assert pinned.at(2).text == "C"
+    with pytest.raises(corpus.CorpusError, match=f"c.jsonl:2: .*{message}"):
+        pinned.at(1)

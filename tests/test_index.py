@@ -150,6 +150,34 @@ def test_matches_brute_force(docs, query):
     assert all(a.score >= b.score for a, b in zip(hits, hits[1:]))
 
 
+def _bits(hits):
+    return [(h.sentence_id, struct.pack("<d", h.score)) for h in hits]
+
+
+@given(
+    docs=st.lists(
+        st.lists(_WORDS, min_size=1, max_size=12).map(" ".join), min_size=1, max_size=40
+    ),
+    # a few short queries over few words: terms repeat within a query
+    # (count > 1) and across queries (the same (term, count) hits the memo)
+    queries=st.lists(st.lists(_WORDS, max_size=6), min_size=1, max_size=12),
+)
+@settings(max_examples=100, deadline=None)
+def test_search_with_a_cold_or_warm_memo_matches_brute_force_bit_for_bit(docs, queries):
+    corpus = make_corpus(docs)
+    docs = [(s.id, s.text) for s in corpus]
+    warm = build_index(corpus)
+    for query in queries:
+        search(warm, query, k=len(docs))
+    for query in queries:
+        expected = [(sid, struct.pack("<d", score))
+                    for sid, score in bm25_brute_force(docs, query)]
+        assert _bits(search(build_index(corpus), query, k=len(docs))) == expected
+        assert _bits(search(warm, query, k=len(docs))) == expected
+    counts = {(t, c) for query in queries for t, c in Counter(query).items() if t in warm.postings}
+    assert set(warm._contributions) == counts
+
+
 @given(
     docs=st.lists(
         st.lists(_WORDS, min_size=1, max_size=12).map(" ".join), min_size=1, max_size=50
@@ -232,15 +260,17 @@ def _column(strings):
     return struct.pack(f"<{len(raw) + 1}I", len(raw), *map(len, raw)) + b"".join(raw)
 
 
-def payload_v3(docs, terms, k1=1.2, b=0.75, digest=bytes(range(32))):
-    """The KIIX v3 payload laid out field by field.
+def payload_v4(docs, terms, k1=1.2, b=0.75, digest=bytes(range(32)),
+               file_sha256=bytes(range(32, 64))):
+    """The KIIX v4 payload laid out field by field.
 
     ``docs`` lists (id, length) pairs and ``terms`` (term, [(pos, tf), ...])
-    pairs, both in file order: k1, b, the corpus digest, the id column and
-    the lengths, the term column and the dfs, then the postings term after
-    term.  A column is its count, each string's byte length, then the bytes.
+    pairs, both in file order: k1, b, the corpus digest, the corpus file's
+    sha256, the id column and the lengths, the term column and the dfs,
+    then the postings term after term.  A column is its count, each
+    string's byte length, then the bytes.
     """
-    data = struct.pack("<dd", k1, b) + digest
+    data = struct.pack("<dd", k1, b) + digest + file_sha256
     data += _column([d for d, _ in docs]) + struct.pack(f"<{len(docs)}I", *(n for _, n in docs))
     data += _column([t for t, _ in terms])
     data += struct.pack(f"<{len(terms)}I", *(len(p) for _, p in terms))
@@ -248,20 +278,21 @@ def payload_v3(docs, terms, k1=1.2, b=0.75, digest=bytes(range(32))):
     return data
 
 
-def pack_v3(*args, **kwargs):
-    """A whole KIIX v3 file around :func:`payload_v3`."""
-    return frame(b"KIIX", 3, payload_v3(*args, **kwargs))
+def pack_v4(*args, **kwargs):
+    """A whole KIIX v4 file around :func:`payload_v4`."""
+    return frame(b"KIIX", 4, payload_v4(*args, **kwargs))
 
 
 def test_hand_packed_v2_file_loads(tmp_path):
-    # Packs the current (version 3) layout; the name predates it.
-    data = pack_v3([("d0", 3), ("d1", 2)],
+    # Packs the current (version 4) layout; the name predates it.
+    data = pack_v4([("d0", 3), ("d1", 2)],
                    [("cat", [(0, 2), (1, 1)]), ("sat", [(0, 1)])])
     path = tmp_path / "hand.idx"
     path.write_bytes(data)
     idx = load_index(path)
     assert idx.params == Bm25Params(k1=1.2, b=0.75)
     assert idx.corpus_digest == bytes(range(32))
+    assert idx.corpus_file_sha256 == bytes(range(32, 64))
     assert idx.doc_ids == ["d0", "d1"]
     assert idx.doc_lengths.tolist() == [3, 2]
     assert idx.postings["cat"].tolist() == [(0, 2), (1, 1)]
@@ -293,7 +324,9 @@ def test_v1_file_rejected_with_rebuild_hint(tmp_path):
     v1 += struct.pack("<I", 1) + struct.pack("<I", 3) + b"cat" + struct.pack("<III", 1, 0, 1)
     # Version 2: the same columns (here an empty index) with no frame or checksum.
     v2 = b"KIIX" + struct.pack("<Idd", 2, 1.2, 0.75) + bytes(32) + struct.pack("<I", 0) * 2
-    for version, data in [(1, v1), (2, v2)]:
+    # Version 3: the version 4 frame without the corpus file's sha256.
+    v3 = frame(b"KIIX", 3, struct.pack("<dd", 1.2, 0.75) + bytes(32) + struct.pack("<I", 0) * 2)
+    for version, data in [(1, v1), (2, v2), (3, v3)]:
         path = tmp_path / f"v{version}.idx"
         path.write_bytes(data)
         with pytest.raises(IndexFormatError,
@@ -302,9 +335,9 @@ def test_v1_file_rejected_with_rebuild_hint(tmp_path):
 
 
 def test_string_column_that_is_not_utf8_rejected(tmp_path):
-    data = payload_v3([("d0", 1)], [("cat", [(0, 1)])])
+    data = payload_v4([("d0", 1)], [("cat", [(0, 1)])])
     path = tmp_path / "bad.idx"
-    path.write_bytes(frame(b"KIIX", 3, data.replace(b"cat", b"c\xffa")))
+    path.write_bytes(frame(b"KIIX", 4, data.replace(b"cat", b"c\xffa")))
     with pytest.raises(IndexFormatError, match="UTF-8"):
         load_index(path)
 
@@ -319,7 +352,7 @@ def test_string_column_that_is_not_utf8_rejected(tmp_path):
     ],
 )
 def test_bad_posting_rejected(tmp_path, cat_postings):
-    data = pack_v3([("d0", 3), ("d1", 2)], [("a", [(0, 1)]), ("cat", cat_postings)])
+    data = pack_v4([("d0", 3), ("d1", 2)], [("a", [(0, 1)]), ("cat", cat_postings)])
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     with pytest.raises(IndexFormatError, match="'cat'"):
@@ -327,7 +360,7 @@ def test_bad_posting_rejected(tmp_path, cat_postings):
 
 
 def test_repeated_term_rejected(tmp_path):
-    data = pack_v3([("d0", 1)], [("cat", [(0, 1)]), ("cat", [(0, 1)])])
+    data = pack_v4([("d0", 1)], [("cat", [(0, 1)]), ("cat", [(0, 1)])])
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     with pytest.raises(IndexFormatError, match="more than one"):
@@ -341,7 +374,7 @@ def test_params_outside_the_bm25_range_rejected(tmp_path, k1, b):
     with pytest.raises(ValueError, match="k1 >= 0"):
         Bm25Params(k1=k1, b=b)
     path = tmp_path / "bad.idx"
-    path.write_bytes(pack_v3([], [], k1=k1, b=b))
+    path.write_bytes(pack_v4([], [], k1=k1, b=b))
     with pytest.raises(IndexFormatError, match="k1 >= 0"):
         load_index(path)
 
