@@ -9,19 +9,19 @@ frequency ``df``, term frequency ``tf`` and length normalizer
 
 Queries are bags: each distinct term is added once, weighted by its count,
 in first-occurrence order.  Documents with zero score are omitted; ties
-are broken by sentence id ascending.  Searching an index fills three lazy
-caches on it: each queried term's positions as ``intp``; each queried
-``(term, count)``'s BM25 contributions by posting, so a term that many
-queries share is scored once; and, when the ids do not already ascend by
-position, each document's place in id order.  The caches live as long as
-the index: for each count a term is queried with, its contributions take
-8 bytes a posting.
+are broken by sentence id ascending.  A search hit carries the document's
+position, so a caller reads the corpus by position and needs no id lookup.
 
-Postings live in one flat array of little-endian ``(pos <u4, tf <u4)``
-records sorted by (term, document position); ``postings[term]`` is a view
-of that term's block, so its length is the term's document frequency.
-A search hit carries the document's position, so a caller reads the
-corpus by position and needs no id lookup.
+An index holds its postings as its file lays them out: one ``records``
+array of little-endian ``(pos <u4, tf <u4)`` records sorted by (term,
+document position), and ``postings``, which maps each term, ascending, to
+its ``range`` of rows, whose length is the term's document frequency.
+The first search makes one position column (``records["pos"]`` as
+``intp``), and searches fill two memos that live as long as the index:
+each queried ``(term, count)``'s BM25 contributions by posting (8 bytes a
+posting for each count the term is queried with), so a term that many
+queries share is scored once; and, when the ids do not ascend by
+position, each document's place in id order.
 
 An index file is a :mod:`kiqa.binfmt` frame, magic ``KIIX``, version 4,
 whose payload is columnar::
@@ -31,8 +31,7 @@ whose payload is columnar::
     term strings      dfs <u4[term count]
     postings: sum(dfs) (pos, tf) records, term after term
 
-Terms are sorted, so saving and loading take a few array calls per column.
-The sha256 is the corpus's :attr:`~kiqa.corpus.KnowledgeCorpus.digest`
+The corpus sha256 is the corpus's :attr:`~kiqa.corpus.KnowledgeCorpus.digest`
 over its id and text columns: an index pins the corpus it was built over,
 and attaching with any other corpus, even one with the same ids, is
 rejected.  The file sha256 is the corpus's
@@ -94,12 +93,12 @@ class InvertedIndex:
     params: Bm25Params
     doc_ids: list[str]
     doc_lengths: np.ndarray  # int64, one token count per document
-    postings: dict[str, np.ndarray]  # term -> block of POSTING records, by position
+    records: np.ndarray  # POSTING records, each term's block in turn, by position
+    postings: dict[str, range]  # term -> its rows of records, terms ascending
     corpus_digest: bytes  # KnowledgeCorpus.digest of the corpus it was built over
     corpus_file_sha256: bytes  # and its KnowledgeCorpus.file_sha256
     avg_doc_length: float = field(init=False)
     length_norm: np.ndarray = field(init=False, repr=False)  # k1*(1 - b + b*len/avg)
-    _positions: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
     _contributions: dict[tuple[str, int], np.ndarray] = field(
         init=False, repr=False, default_factory=dict)
 
@@ -121,12 +120,10 @@ class InvertedIndex:
         n = self.doc_count
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
-    def positions(self, term: str) -> np.ndarray | None:
-        """The term's posting positions as ``intp``, converted on first use; None if unseen."""
-        pos = self._positions.get(term)
-        if pos is None and term in self.postings:
-            pos = self._positions[term] = self.postings[term]["pos"].astype(np.intp)
-        return pos
+    @cached_property
+    def record_pos(self) -> np.ndarray:
+        """Each record's document position as ``intp``, made on first use."""
+        return self.records["pos"].astype(np.intp)
 
     def contributions(self, term: str, count: int) -> np.ndarray:
         """BM25 contributions of ``count`` uses of a seen ``term`` to the documents
@@ -134,9 +131,11 @@ class InvertedIndex:
         out = self._contributions.get((term, count))
         if out is None:
             w_idf, k1 = self.idf(term) * count, self.params.k1
-            tf = self.postings[term]["tf"]
+            rows = self.postings[term]
+            tf = self.records["tf"][rows.start:rows.stop]
+            pos = self.record_pos[rows.start:rows.stop]
             out = self._contributions[term, count] = (
-                w_idf * tf * (k1 + 1.0) / (tf + self.length_norm[self.positions(term)]))
+                w_idf * tf * (k1 + 1.0) / (tf + self.length_norm[pos]))
         return out
 
     @cached_property
@@ -154,11 +153,12 @@ class InvertedIndex:
         return rank
 
 
-def _blocks(terms: list[str], counts: Sequence[int], records: np.ndarray) -> dict[str, np.ndarray]:
-    """Split a (term, pos)-sorted record array into one view per term."""
-    ends = np.cumsum(counts, dtype=np.int64).tolist()
-    starts = [0, *ends[:-1]]
-    return {t: records[lo:hi] for t, lo, hi in zip(terms, starts, ends)}
+def _term_rows(terms: list[str], counts: np.ndarray) -> tuple[dict[str, range], np.ndarray]:
+    """Each term's rows of a record array whose blocks follow in ``terms``
+    order, ``counts`` records each; and the blocks' starts."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    starts = ends - counts
+    return dict(zip(terms, map(range, starts.tolist(), ends.tolist()))), starts
 
 
 def build_index(corpus: KnowledgeCorpus, params: Bm25Params = Bm25Params()) -> InvertedIndex:
@@ -183,8 +183,8 @@ def build_index(corpus: KnowledgeCorpus, params: Bm25Params = Bm25Params()) -> I
     records["tf"] = tf
     df = np.bincount(keys // n, minlength=len(terms))
     return InvertedIndex(params=params, doc_ids=list(corpus.ids), doc_lengths=doc_lengths,
-                         postings=_blocks(terms, df, records), corpus_digest=corpus.digest,
-                         corpus_file_sha256=corpus.file_sha256)
+                         records=records, postings=_term_rows(terms, df)[0],
+                         corpus_digest=corpus.digest, corpus_file_sha256=corpus.file_sha256)
 
 
 def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> list[SearchHit]:
@@ -203,9 +203,9 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
         raise ValueError("k must be positive")
     scores = np.zeros(index.doc_count)
     for term, count in Counter(query_terms).items():
-        pos = index.positions(term)
-        if pos is not None:
-            scores[pos] += index.contributions(term, count)
+        rows = index.postings.get(term)
+        if rows is not None:
+            scores[index.record_pos[rows.start:rows.stop]] += index.contributions(term, count)
     # No score is negative, so a positive k-th largest score keeps at least
     # k documents with every tie of the k-th; a zero one keeps every hit.
     n = index.doc_count
@@ -226,8 +226,6 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
 # ---------------------------------------------------------------------------
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    terms = sorted(index.postings)
-    blocks = [index.postings[t] for t in terms]
     w = binfmt.Writer()
     w.f64(index.params.k1)
     w.f64(index.params.b)
@@ -235,10 +233,9 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     w.array(np.frombuffer(index.corpus_file_sha256, np.uint8), np.uint8)
     w.strings(index.doc_ids)
     w.array(index.doc_lengths, _U4)
-    w.strings(terms)
-    w.array(list(map(len, blocks)), _U4)
-    for block in blocks:
-        w.array(block, POSTING)
+    w.strings(list(index.postings))
+    w.array(list(map(len, index.postings.values())), _U4)
+    w.array(index.records, POSTING)
     binfmt.save(path, KIIX, w)
 
 
@@ -256,20 +253,12 @@ def load_index(path: str | Path) -> InvertedIndex:
     counts = r.array(_U4, len(terms))
     records = r.array(POSTING, int(counts.sum(dtype=np.int64)))
     r.done()
-    if len(set(terms)) != len(terms):
+    postings, starts = _term_rows(terms, counts)
+    if len(postings) < len(terms):
         raise r.error("a term has more than one posting list")
-    _check_postings(records, counts, terms, len(doc_ids), r)
-    return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
-                         postings=_blocks(terms, counts, records), corpus_digest=corpus_digest,
-                         corpus_file_sha256=corpus_file_sha256)
-
-
-def _check_postings(records, counts, terms, doc_count, r: binfmt.Reader) -> None:
-    """Every position is in range and ascends within its block; every tf >= 1."""
-    counts = counts.astype(np.int64)
-    starts = np.cumsum(counts) - counts
+    # Every position is in range and ascends within its block; every tf >= 1.
     pos = records["pos"].astype(np.int64)
-    bad = (pos >= doc_count) | (records["tf"] < 1)
+    bad = (pos >= len(doc_ids)) | (records["tf"] < 1)
     first = np.zeros(len(records), dtype=bool)
     first[starts[counts > 0]] = True
     bad[1:] |= ~first[1:] & (pos[1:] <= pos[:-1])
@@ -278,5 +267,8 @@ def _check_postings(records, counts, terms, doc_count, r: binfmt.Reader) -> None
         term = terms[int(np.searchsorted(starts, i, side="right")) - 1]
         raise r.error(
             f"posting ({records['pos'][i]}, {records['tf'][i]}) of term {term!r} "
-            f"is out of range or out of order for {doc_count} documents"
+            f"is out of range or out of order for {len(doc_ids)} documents"
         )
+    return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
+                         records=records, postings=postings, corpus_digest=corpus_digest,
+                         corpus_file_sha256=corpus_file_sha256)

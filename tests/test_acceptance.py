@@ -129,8 +129,22 @@ def test_criterion_2_rerank_matches_oracle():
 # 3. Analytic gradients match central finite differences
 # ---------------------------------------------------------------------------
 
+def _spawn_pool(monkeypatch):
+    """A pool of up to two spawned processes, each started with one BLAS thread."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    return multiprocessing.get_context("spawn").Pool(min(2, os.cpu_count() or 1))
+
+
+def _grad_check_run(vocab, head, tied, item, d, encoder_seed, head_seed):
+    """One of test 3's gradient checks: a tiny model's worst relative error."""
+    encoder = EncoderModel.init(vocab, EncoderConfig(d=d, max_len=24), seed=encoder_seed)
+    model = FusionModel.init(encoder, head, seed=head_seed, tied=tied)
+    return grad_check(model, item, step=1e-6)
+
+
 @pytest.mark.slow
-def test_criterion_3_gradient_checks():
+def test_criterion_3_gradient_checks(monkeypatch):
     words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
     vocab = Vocab.from_texts([" ".join(words)])
     rng = np.random.default_rng(303)
@@ -139,9 +153,8 @@ def test_criterion_3_gradient_checks():
         return " ".join(map(str, rng.choice(words, size=int(rng.integers(1, 4)))))
 
     start = perf_counter()
-    worst = {}
+    specs = []  # every check's arguments, drawn here in one order from one rng
     for head, tied in HEAD_VARIANTS:
-        errs = []
         for trial in range(20):
             d = int(rng.integers(3, 5))
             n_options = int(rng.integers(2, 4))
@@ -159,12 +172,11 @@ def test_criterion_3_gradient_checks():
                 gold=int(rng.integers(n_options)),
                 premises=premises,
             )
-            encoder = EncoderModel.init(
-                vocab, EncoderConfig(d=d, max_len=24), seed=int(rng.integers(2**31))
-            )
-            model = FusionModel.init(encoder, head, seed=int(rng.integers(2**31)), tied=tied)
-            errs.append(grad_check(model, item, step=1e-6))
-        worst[(head, tied)] = max(errs)
+            specs.append((vocab, head, tied, item, d,
+                          int(rng.integers(2**31)), int(rng.integers(2**31))))
+    with _spawn_pool(monkeypatch) as pool:  # the checks share nothing
+        errs = pool.starmap(_grad_check_run, specs, chunksize=1)
+    worst = {variant: max(errs[20 * i:20 * (i + 1)]) for i, variant in enumerate(HEAD_VARIANTS)}
     elapsed = perf_counter() - start
     top = max(worst.values())
     check(3, top < 1e-5 and elapsed < 60.0,
@@ -345,11 +357,7 @@ def _revision_run(seed):
 
 @pytest.mark.slow
 def test_criterion_7_revision(monkeypatch):
-    # The six runs share nothing, so they run in a pool of up to two spawned
-    # processes, each started with one BLAS thread.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    with multiprocessing.get_context("spawn").Pool(min(2, os.cpu_count() or 1)) as pool:
+    with _spawn_pool(monkeypatch) as pool:  # the six runs share nothing
         ratio, *gaps = pool.map(_revision_run, [None, *range(5)], chunksize=1)
     mean_gap = sum(gaps) / len(gaps)
 

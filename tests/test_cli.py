@@ -406,6 +406,36 @@ def test_the_console_entry_runs_the_cli(artifacts, tmp_path):
     assert (tmp_path / "i").read_bytes() == (artifacts / "index.kiix").read_bytes()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_revise_writes_the_same_bytes_with_the_blas_thread_variables_unset_or_1(tmp_path):
+    # With more than one core, OpenBLAS splits a large enough product over
+    # threads by default, and the masked-token logits (M, d) @ (d, V) and
+    # both their gradient products then round differently.  Four sentences
+    # of 96 distinct words (V = 389 with the five special tokens) show it.
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("on one core OpenBLAS runs one thread either way, so the two runs "
+                    "cannot differ whether the entry pins the threads or not")
+    words = [f"w{i}" for i in range(4 * 96)]
+    corpus = KnowledgeCorpus([KnowledgeSentence(id=f"{i:08d}", text=" ".join(words[i::4]))
+                              for i in range(4)])
+    save_jsonl(corpus, tmp_path / "corpus.jsonl")
+    (tmp_path / "revise.cfg").write_text("epochs = 1\nbatch_size = 4\n", encoding="utf-8")
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    unset["PYTHONPATH"] = str(Path(kiqa.__file__).parents[1])
+    outs = []
+    for env in (unset, {**unset, **dict.fromkeys(BLAS_THREAD_VARS, "1")}):
+        out = tmp_path / f"encoder{len(outs)}.kenc"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kiqa", "revise", "--corpus", str(tmp_path / "corpus.jsonl"),
+             "--config", str(tmp_path / "revise.cfg"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_out_of_memory_exits_1_and_keeps_the_old_output(artifacts, tmp_path, capsys, monkeypatch):
     out = tmp_path / "encoder.kenc"
     out.write_bytes(b"the old encoder")
