@@ -138,7 +138,8 @@ def attention_softmax(scores: Tensor, pad: np.ndarray, scale: float) -> Tensor:
 def add_at_gather_grad(data: np.ndarray, key, grad: np.ndarray) -> np.ndarray:
     """The gradient of ``data[key]``: ``grad`` added into zeros with ``np.add.at``."""
     full = np.zeros_like(data)
-    with np.errstate(invalid="ignore"):  # callers draw ±inf on purpose: inf + -inf is NaN
+    # callers draw ±inf and near-max floats on purpose: sums overflow to inf, inf + -inf is NaN
+    with np.errstate(invalid="ignore", over="ignore"):
         np.add.at(full, key, grad)
     return full
 
