@@ -54,6 +54,7 @@ from pathlib import Path
 
 from .corpus import (
     FORMATS,
+    CorpusRows,
     KnowledgeCorpus,
     KnowledgeSentence,
     load_corpus,
@@ -193,13 +194,20 @@ def _input(path_str: str | Path) -> Path:
 def _check_outputs(*paths: str | Path | None) -> None:
     """Raise what writing would raise for an output in a missing directory or naming one.
 
-    A stage with several outputs checks them all before it writes any.
+    A stage with several outputs checks them all before it writes any, and
+    refuses two that are one file: the same path, or two links to one file.
     """
+    seen: list[str] = []
     for path in map(str, filter(None, paths)):
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for other in seen:
+            if Path(path).resolve() == Path(other).resolve() or (
+                    os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
+                raise CliError(f"outputs {other} and {path} are one file")
+        seen.append(path)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +242,7 @@ def _cmd_index_build(args) -> int:
     return 0
 
 
-def _corpus_and_index(args) -> tuple[KnowledgeCorpus, InvertedIndex]:
+def _corpus_and_index(args) -> tuple[CorpusRows, InvertedIndex]:
     """The ``--corpus`` and its index: built here, or the ``--index`` file.
 
     The index is loaded first, so a corpus file whose sha256 it records is

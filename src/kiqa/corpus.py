@@ -25,9 +25,10 @@ string value stays part of its record.
 
 A prepared corpus file whose first n lines are its n sentence records is
 pinned by the sha256 of its bytes, which an index built over it records.
-Given that pin, :func:`load_jsonl` hashes the file instead of parsing it,
-and the corpus it returns parses a row only when ``at`` asks for it: a
-stage that reads a few rows of a large corpus reads only those lines.
+Given that pin, :func:`load_jsonl` hashes the file instead of parsing it
+and returns a row reader, not a corpus: it has the index's length and
+content digest, and parses a row only when ``at`` asks for it, so a stage
+that reads a few rows of a large corpus reads only those lines.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ class KnowledgeCorpus:
         self.ids, self.texts, self.tags, self.titles = ids, texts, tags, titles
         self.paragraphs = paragraphs
         self._sentences: list[KnowledgeSentence] | None = None
-        self._pos = dict(zip(ids, range(len(ids))))
-        if len(self._pos) != len(ids) or not all(map(str.strip, texts)):
+        if len(set(ids)) != len(ids) or not all(map(str.strip, texts)):
             seen = set()
             for sid, text in zip(ids, texts):
                 if not text.strip():
@@ -156,8 +156,12 @@ class KnowledgeCorpus:
         """The sentence at position ``pos``."""
         return KnowledgeSentence(self.ids[pos], self.texts[pos], self.tags[pos], self.titles[pos])
 
+    @cached_property
+    def _id_set(self) -> frozenset[str]:
+        return frozenset(self.ids)
+
     def __contains__(self, sentence_id: str) -> bool:
-        return sentence_id in self._pos
+        return sentence_id in self._id_set
 
 
 def _normalize_ws(text: str) -> str:
@@ -396,8 +400,8 @@ def load_jsonl(
     file_sha256: bytes | None = None,
     digest: bytes = b"",
     ids: Sequence[str] = (),
-) -> KnowledgeCorpus:
-    """Read a corpus written by :func:`save_jsonl` into columns.
+) -> CorpusRows:
+    """A file written by :func:`save_jsonl`, as a corpus or, when an index pins it, as rows.
 
     Records are the ``\\n``-separated lines; each is parsed on its own, so a
     malformed one is reported with its line number.  ``source`` defaults to
@@ -407,9 +411,9 @@ def load_jsonl(
     otherwise it stays zeros.
 
     Given the ``file_sha256``, content ``digest`` and sentence ``ids`` that
-    an index records, a file whose sha256 matches is not parsed: the corpus
-    returned parses each row on demand (:class:`_PinnedRows`).  A file that
-    does not match is loaded in full.
+    an index records, a file whose sha256 matches is not parsed: what is
+    returned is a :class:`_PinnedRows`, which has only ``len``, ``digest``
+    and ``at``.  A file that does not match is loaded in full.
     """
     path = Path(path)
     data = read_bytes(path, CorpusError)
@@ -417,7 +421,7 @@ def load_jsonl(
     if sha == file_sha256:
         lines = data.split(b"\n", len(ids))  # the n rows, then the rest of the file
         if len(lines) > len(ids) or len(lines) == len(ids) and lines[-1]:  # it has n lines
-            return _PinnedRows(path, lines, sha, digest, ids)
+            return _PinnedRows(path, lines, digest, ids)
     corpus, last = _columns(path, decode(data, path, CorpusError))
     if last == len(corpus) and b"\r" not in data:
         corpus.file_sha256 = sha
@@ -453,32 +457,19 @@ def _columns(path: Path, content: str) -> tuple[KnowledgeCorpus, int]:
         raise CorpusError(f"{path}: {exc}") from None
 
 
-class _PinnedRows(KnowledgeCorpus):
-    """A prepared corpus file that an index pins by its sha256, parsed row by row.
+class _PinnedRows:
+    """The rows of a prepared corpus file that an index pins by its sha256.
 
     ``at(pos)`` parses line ``pos + 1`` alone, by :func:`load_jsonl`'s
     record rules and with its ``path:line`` errors, checks the id against
     the index's, and keeps the sentence.  ``len`` is the index's document
     count and ``digest`` the content digest it records, which the file's
-    sha256 proves.  The first read of a column (``ids``, ``texts``,
-    ``sentences``, ``paragraphs``, ``in`` and the rest) parses the whole
-    file once, as :func:`load_jsonl` does.
+    sha256 proves.  It has no columns.
     """
 
-    _COLUMNS = frozenset({"ids", "texts", "tags", "titles", "paragraphs", "_pos", "_sentences"})
-
-    def __init__(self, path: Path, lines: list[bytes], file_sha256: bytes, digest: bytes,
-                 ids: Sequence[str]):
-        self._path, self._lines, self._ids = path, lines, ids
+    def __init__(self, path: Path, lines: list[bytes], digest: bytes, ids: Sequence[str]):
+        self._path, self._lines, self._ids, self.digest = path, lines, ids, digest
         self._rows: dict[int, KnowledgeSentence] = {}
-        self.file_sha256, self.digest = file_sha256, digest
-
-    def __getattr__(self, name: str):  # runs only while the columns are unset
-        if name not in self._COLUMNS:
-            raise AttributeError(name)
-        full, _ = _columns(self._path, decode(b"\n".join(self._lines), self._path, CorpusError))
-        vars(self).update((key, vars(full)[key]) for key in self._COLUMNS)
-        return getattr(self, name)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -505,6 +496,10 @@ class _PinnedRows(KnowledgeCorpus):
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from None
         return KnowledgeSentence(sid, text, tag, title)
+
+
+# what load_jsonl returns: attach reads only its digest, its len and at(pos)
+CorpusRows = KnowledgeCorpus | _PinnedRows
 
 
 def _sentence_fields(rec) -> tuple[str, str, str, str | None]:

@@ -27,7 +27,7 @@ import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import CorpusError, KnowledgeCorpus, KnowledgeSentence, _sentence_fields
+from .corpus import CorpusError, CorpusRows, KnowledgeSentence, _sentence_fields
 from .index import InvertedIndex, search
 from .querygen import EmptyQueryError, QueryGenConfig, generate_query
 from .rerank import RerankConfig, rerank
@@ -286,21 +286,22 @@ def _mcq_record(item: McqItem) -> dict:
 
 def attach_premises(
     dataset: McqDataset,
-    corpus: KnowledgeCorpus,
+    corpus: CorpusRows,
     index: InvertedIndex,
     qg_config: QueryGenConfig,
     rr_config: RerankConfig,
     retrieve_k: int = RETRIEVE_K,
 ) -> McqDataset:
-    """Retrieve and re-rank knowledge for every (item, option) pair.
+    """The dataset with every option's premises retrieved and re-ranked.
 
-    The corpus provides sentence texts for re-ranking; it must be the one
-    the index was built over, which is checked by the corpus digest the
-    index records (a sha256 of the corpus's ids and texts).  Hits carry
-    document positions, and candidates are read with ``corpus.at``, so a
-    corpus loaded pinned to the index (:func:`kiqa.corpus.load_jsonl`)
-    parses only the rows retrieved.  An option whose query is all stopwords, or whose query retrieves
-    nothing, gets an empty premise list.  Re-rank features are prepared
+    Of the corpus only ``digest``, ``len`` and ``at`` are read.  It must be
+    the one the index was built over, which is checked by the corpus
+    digest the index records (a sha256 of the corpus's ids and texts).
+    Hits carry document positions, and candidates are read with
+    ``corpus.at``, so the rows that :func:`kiqa.corpus.load_jsonl` returns
+    for a file the index pins parse only the lines retrieved.  An option
+    whose query is all stopwords, or whose query retrieves nothing, gets an
+    empty premise list.  Re-rank features are prepared
     once per distinct text in one memo, which is dropped when the call
     returns.
     """

@@ -23,7 +23,7 @@ padded keys get an additive ``NEG_INF`` before the attention softmax, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -44,7 +44,10 @@ class CheckpointError(ValueError):
     pass
 
 
-KENC = binfmt.Kind(b"KENC", 2, "encoder", "revise", CheckpointError)
+KENC = binfmt.Kind(b"KENC", 3, "encoder", "revise", CheckpointError)
+
+LN_EPS = 1e-12  # layer-norm epsilon
+INIT_SCALE = 0.1  # standard deviation of the initial weight matrices
 
 
 def encoder_tokens(text: str) -> list[str]:
@@ -97,16 +100,10 @@ class Vocab:
 class EncoderConfig:
     d: int = 32
     max_len: int = 256
-    ln_eps: float = 1e-12
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if self.d < 1 or self.max_len < 4:
             raise ValueError("d must be >= 1 and max_len >= 4")
-        if not (np.isfinite(self.ln_eps) and self.ln_eps > 0):
-            raise ValueError(f"layer-norm epsilon must be finite and > 0, got {self.ln_eps!r}")
-        if not np.isfinite(self.init_scale):
-            raise ValueError(f"init scale must be finite, got {self.init_scale!r}")
 
 
 @dataclass
@@ -166,7 +163,7 @@ class EncoderModel:
             elif name.endswith(("beta", "b1", "b2")):
                 data = np.zeros(shape)
             else:
-                data = rng.normal(0.0, config.init_scale, size=shape)
+                data = rng.normal(0.0, INIT_SCALE, size=shape)
             params[name] = Tensor(data, requires_grad=True)
         return cls(vocab, config, params)
 
@@ -203,11 +200,9 @@ class EncoderModel:
         scores = (x @ p["att_wq"]) @ k.swap_last_axes()  # (B, Q, L)
         # mask keys per query row
         attn = attention_softmax(scores, pad_mask[:, None, :], 1.0 / np.sqrt(self.config.d))
-        x = layer_norm(
-            x + (attn @ v) @ p["att_wo"], p["ln1_gamma"], p["ln1_beta"], self.config.ln_eps
-        )
+        x = layer_norm(x + (attn @ v) @ p["att_wo"], p["ln1_gamma"], p["ln1_beta"], LN_EPS)
         ffn = ad.tanh(x @ p["ffn_w1"] + p["ffn_b1"]) @ p["ffn_w2"] + p["ffn_b2"]
-        return layer_norm(x + ffn, p["ln2_gamma"], p["ln2_beta"], self.config.ln_eps)
+        return layer_norm(x + ffn, p["ln2_gamma"], p["ln2_beta"], LN_EPS)
 
     def encode_ids(self, ids: np.ndarray) -> Tensor:
         """(B, L) int ids -> (B, d) pooled first-position vectors."""
@@ -358,18 +353,16 @@ def write_encoder(w: binfmt.Writer, model: EncoderModel) -> None:
     config = model.config
     w.u32(config.d)
     w.u32(config.max_len)
-    w.f64(config.ln_eps)
-    w.f64(config.init_scale)
     w.strings(model.vocab.tokens)
     w.tensors({name: t.data for name, t in model.params.items()})
 
 
 def read_encoder(r: binfmt.Reader) -> EncoderModel:
     """The fields :func:`write_encoder` wrote, with every shape and value checked."""
-    d, max_len, ln_eps, init_scale = r.u32(), r.u32(), r.f64(), r.f64()
+    d, max_len = r.u32(), r.u32()
     tokens = r.strings()
     try:
-        config = EncoderConfig(d=d, max_len=max_len, ln_eps=ln_eps, init_scale=init_scale)
+        config = EncoderConfig(d=d, max_len=max_len)
         vocab = Vocab(tokens)
     except ValueError as exc:
         raise r.error(str(exc)) from None

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .autodiff import Tensor
-from .corpus import KnowledgeCorpus
+from .corpus import CorpusRows
 from .datasets import RETRIEVE_K, McqDataset, attach_premises
 from .encoder import EncoderModel, TrainConfig
 from .external import ExternalVectorStore
@@ -48,28 +45,9 @@ class EvalReport:
             raise EvalError("accuracy must be exactly correct/n_items")
 
 
-def _primitive(obj):
-    """Canonical JSON-compatible view of configs for fingerprinting."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            "__kind__": type(obj).__name__,
-            **{f.name: _primitive(getattr(obj, f.name)) for f in dataclasses.fields(obj)},
-        }
-    if isinstance(obj, dict):
-        return {str(k): _primitive(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_primitive(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if callable(obj):
-        return getattr(obj, "__name__", type(obj).__name__)
-    return repr(obj)
-
-
 def config_fingerprint(configs: dict[str, object]) -> str:
-    blob = json.dumps(_primitive(configs), sort_keys=True, ensure_ascii=False)
+    """sha256 of the configs as JSON with sorted keys; the values must be JSON values."""
+    blob = json.dumps(configs, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -127,7 +105,7 @@ def sweep_m(
     model: FusionModel,
     train_set: McqDataset,
     eval_set: McqDataset,
-    corpus: KnowledgeCorpus,
+    corpus: CorpusRows,
     index: InvertedIndex,
     m_values: list[int],
     rr_config: RerankConfig | None = None,
@@ -135,8 +113,9 @@ def sweep_m(
     retrieve_k: int = RETRIEVE_K,
     freeze_encoder: bool = False,
 ) -> list[tuple[int, float]]:
-    """Accuracy at each retrieval depth m.
+    """(m, accuracy) at each retrieval depth m, in the order given.
 
+    Of the corpus only what :func:`attach_premises` reads is read.
     Premises are attached (retrieve + re-rank) once, at the largest m; each
     depth takes the first m of every option's list.  The greedy re-rank
     picks in the same order whatever its m, which only bounds how many

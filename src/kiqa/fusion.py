@@ -53,7 +53,7 @@ class FusionError(ValueError):
     pass
 
 
-KFUS = binfmt.Kind(b"KFUS", 2, "model", "train", CheckpointError)
+KFUS = binfmt.Kind(b"KFUS", 3, "model", "train", CheckpointError)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,11 @@ def load_index(path: str | Path) -> InvertedIndex:
             f"posting ({records['pos'][i]}, {records['tf'][i]}) of term {term!r} "
             f"is out of range or out of order for {len(doc_ids)} documents"
         )
+    tokens = np.bincount(pos, weights=records["tf"], minlength=len(doc_ids))
+    if (tokens != doc_lengths).any():
+        d = int(np.argmax(tokens != doc_lengths))
+        raise r.error(f"document {doc_ids[d]!r} has length {doc_lengths[d]} but its postings "
+                      f"hold {tokens[d]:.0f} tokens")
     return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
                          records=records, postings=postings, corpus_digest=corpus_digest,
                          corpus_file_sha256=corpus_file_sha256)

@@ -241,22 +241,16 @@ def generate_questions(facts: list[ParentFact], seed: int = 0) -> list[PfqaQuest
 
 
 def assign_splits(
-    questions: list[PfqaQuestion],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
+    questions: list[PfqaQuestion], seed: int = 0
 ) -> tuple[list[PfqaQuestion], list[PfqaQuestion], list[PfqaQuestion]]:
-    """Partition by person so no person straddles splits."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("need three non-negative ratios")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios sum to {sum(ratios)}, expected 1")
+    """Partition by person, 80/10/10 into train/dev/test, so no person straddles splits."""
     by_person: dict[str, list[PfqaQuestion]] = {}
     for q in questions:
         by_person.setdefault(q.person, []).append(q)
     persons = sorted(by_person)
     random.Random(seed).shuffle(persons)
     total = len(questions)
-    boundaries = (ratios[0] * total, (ratios[0] + ratios[1]) * total)
+    boundaries = (0.8 * total, (0.8 + 0.1) * total)  # the float sum, just above 0.9
     splits: tuple[list, list, list] = ([], [], [])
     assigned = 0
     bucket = 0

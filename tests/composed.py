@@ -160,7 +160,7 @@ def full_hidden_states(model: encoder.EncoderModel, ids: np.ndarray) -> Tensor:
     v = x @ p["att_wv"]
     pad = np.where(ids == model.vocab.pad_id, -1e30, 0.0)[:, None, :]
     attn = attention_softmax(q @ k.swap_last_axes(), pad, 1.0 / np.sqrt(model.config.d))
-    eps = model.config.ln_eps
+    eps = encoder.LN_EPS
     x = layer_norm(x + (attn @ v) @ p["att_wo"], p["ln1_gamma"], p["ln1_beta"], eps)
     ffn = ad.tanh(x @ p["ffn_w1"] + p["ffn_b1"]) @ p["ffn_w2"] + p["ffn_b2"]
     return layer_norm(x + ffn, p["ln2_gamma"], p["ln2_beta"], eps)

@@ -491,6 +491,28 @@ def test_eval_checks_both_outputs_before_writing_either(artifacts, tmp_path, cap
     assert os.listdir(tmp_path / "adir") == []
 
 
+@pytest.mark.parametrize("report, preds, link", [
+    ("r.json", "r.json", None),
+    ("r.json", "./r.json", None),
+    ("new.json", "./new.json", None),  # neither exists yet
+    ("r.json", "p.jsonl", os.symlink),
+    ("r.json", "p.jsonl", os.link),
+])
+def test_eval_refuses_report_and_predictions_in_one_file(artifacts, tmp_path, capsys,
+                                                         monkeypatch, report, preds, link):
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_bytes(b"the old report\n")
+    if link:
+        link("r.json", preds)
+    before = sorted(os.listdir())
+    assert main(["eval", "--model", str(artifacts / "model.bin"),
+                 "--dataset", str(artifacts / "attached.jsonl"),
+                 "--out", report, "--predictions", preds]) == 1
+    assert one_error_line(capsys) == f"error: outputs {report} and {preds} are one file"
+    assert Path("r.json").read_bytes() == b"the old report\n"
+    assert sorted(os.listdir()) == before
+
+
 def test_unknown_flag_exits_1(artifacts, tmp_path, capsys):
     rc = main(["index-build", "--corpus", str(artifacts / "corpus.jsonl"),
                "--out", str(tmp_path / "i.json"), "--bogus"])
@@ -623,19 +645,6 @@ def test_encoder_with_nan_weight_exits_1(artifacts, tmp_path, capsys):
     assert rc == 1
     line = one_error_line(capsys)
     assert "ffn_w1" in line and "learning rate" not in line
-    assert not (tmp_path / "e.bin").exists()
-
-
-def test_encoder_with_nan_layer_norm_epsilon_exits_1(artifacts, tmp_path, capsys):
-    save_encoder(load_model(artifacts / "model.bin").encoder, tmp_path / "bad.bin")
-    raw = (tmp_path / "bad.bin").read_bytes()
-    # ln_eps follows d and max_len in the payload
-    (tmp_path / "bad.bin").write_bytes(patched(raw, 8, struct.pack("<d", np.nan)))
-    rc = main(["revise", "--corpus", str(artifacts / "corpus.jsonl"),
-               "--encoder", str(tmp_path / "bad.bin"), "--out", str(tmp_path / "e.bin")])
-    assert rc == 1
-    line = one_error_line(capsys)
-    assert "epsilon" in line and "learning rate" not in line
     assert not (tmp_path / "e.bin").exists()
 
 

@@ -10,6 +10,7 @@ the oracle on random vector stores.
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from kiqa.fusion import (
 from kiqa.toytasks import make_planted_evidence_task, route_premises, training_vocab
 
 from composed import composed_graphs, fused_and_composed, sub, tape
-from frames import patched, unframe
+from frames import frame, patched, unframe
 
 
 # ---------------------------------------------------------------------------
@@ -959,10 +960,21 @@ def test_model_checkpoint_rejects_a_vocab_without_special_tokens(tmp_path):
 
 
 def test_model_checkpoint_v1_rejected_with_rebuild_hint(tmp_path):
-    path = tmp_path / "v1.bin"
-    path.write_bytes(b"KFUS" + (1).to_bytes(4, "little") + (6).to_bytes(4, "little") + b"concat")
-    with pytest.raises(CheckpointError, match="version 1.*rebuild the model with train"):
-        load_model(path)
+    v1 = b"KFUS" + (1).to_bytes(4, "little") + (6).to_bytes(4, "little") + b"concat"
+    # Version 2: the version 3 frame with the encoder's layer-norm epsilon
+    # and init scale as <f8 after its d and max_len.
+    ds = separable_dataset(n_items=2)
+    enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
+    save_model(FusionModel.init(enc, "concat", seed=1), tmp_path / "v3.bin")
+    payload = unframe((tmp_path / "v3.bin").read_bytes())[2]
+    at = 20 + len("concat")  # after the head, the tied flag, d and max_len
+    v2 = frame(b"KFUS", 2, payload[:at] + struct.pack("<dd", 1e-12, 0.1) + payload[at:])
+    for version, data in [(1, v1), (2, v2)]:
+        path = tmp_path / f"v{version}.bin"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError,
+                           match=f"version {version} .*rebuild the model with train"):
+            load_model(path)
 
 
 def test_model_checkpoint_tied_shares_storage(tmp_path):

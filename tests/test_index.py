@@ -314,7 +314,7 @@ def pack_v4(*args, **kwargs):
 def test_hand_packed_v2_file_loads(tmp_path):
     # Packs the current (version 4) layout; the name predates it.
     data = pack_v4([("d0", 3), ("d1", 2)],
-                   [("cat", [(0, 2), (1, 1)]), ("sat", [(0, 1)])])
+                   [("cat", [(0, 2), (1, 1)]), ("mat", [(1, 1)]), ("sat", [(0, 1)])])
     path = tmp_path / "hand.idx"
     path.write_bytes(data)
     idx = load_index(path)
@@ -384,6 +384,22 @@ def test_bad_posting_rejected(tmp_path, cat_postings):
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
     with pytest.raises(IndexFormatError, match="'cat'"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("lengths, named", [
+    ((3, 9), "'d1' has length 9 but"),
+    ((3, 0), "'d1' has length 0 but"),
+    ((2, 2), "'d0' has length 2 but"),
+    ((4, 1), "'d0' has length 4 but"),  # the first document that differs
+])
+def test_document_length_that_is_not_its_term_frequency_sum_rejected(tmp_path, lengths, named):
+    # by its postings d0 holds 2 + 1 tokens and d1 holds 1 + 1
+    data = pack_v4(list(zip(["d0", "d1"], lengths)),
+                   [("cat", [(0, 2), (1, 1)]), ("mat", [(1, 1)]), ("sat", [(0, 1)])])
+    path = tmp_path / "bad.idx"
+    path.write_bytes(data)
+    with pytest.raises(IndexFormatError, match=f"document {named}"):
         load_index(path)
 
 

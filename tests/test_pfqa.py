@@ -281,7 +281,7 @@ def make_questions(n_persons, per_person):
 
 def test_splits_keep_persons_together():
     questions = make_questions(20, 3)
-    train, dev, test = assign_splits(questions, (0.8, 0.1, 0.1), seed=0)
+    train, dev, test = assign_splits(questions, seed=0)
     assert len(train) + len(dev) + len(test) == len(questions)
     membership = {}
     for name, split in (("train", train), ("dev", dev), ("test", test)):
@@ -291,7 +291,7 @@ def test_splits_keep_persons_together():
 
 def test_splits_roughly_match_ratios():
     questions = make_questions(50, 2)
-    train, dev, test = assign_splits(questions, (0.8, 0.1, 0.1), seed=1)
+    train, dev, test = assign_splits(questions, seed=1)
     assert 70 <= len(train) <= 90
     assert 4 <= len(dev) <= 16
     assert 4 <= len(test) <= 16
@@ -300,13 +300,6 @@ def test_splits_roughly_match_ratios():
 def test_splits_deterministic():
     questions = make_questions(10, 2)
     assert assign_splits(questions, seed=7) == assign_splits(questions, seed=7)
-
-
-def test_split_ratios_validated():
-    with pytest.raises(ValueError, match="sum"):
-        assign_splits([], (0.5, 0.2, 0.2))
-    with pytest.raises(ValueError, match="three"):
-        assign_splits([], (0.5, 0.5))  # type: ignore[arg-type]
 
 
 # --- facts file ----------------------------------------------------------------
