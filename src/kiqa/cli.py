@@ -22,12 +22,11 @@ key the file sets is type-checked when the config loads and range-checked
 by the library object it feeds, even where the run does not use it; a key
 it does not set takes the library's default.
 
-Training strategy is the config pair ``revision`` / ``openbook``:
-``openbook`` controls whether attached premises reach the scoring head
-(off forces the knowledge-free baseline head), ``revision`` controls
-whether the encoder is pretrained on the corpus with the masked-token
-objective before supervised training.  The three useful combinations are
-openbook-only, revision-only, and both.
+Each setting has one spelling, and an optional input turns on the step
+that reads it.  ``train --corpus`` revises the encoder on that corpus
+(masked-token pretraining) before supervised training; ``--embeddings``
+re-ranks by the cosine of mean word vectors instead of token overlap; the
+``baseline`` head is closed book, and every other head reads the premises.
 
 Seeds are derived from the global ``--seed`` (default 0): encoder init
 uses ``seed``, head init ``seed+1``, supervised training ``seed+2``, and
@@ -82,7 +81,6 @@ from .evalreport import (
 from .fusion import FusionModel, load_model, save_model, save_predictions, train
 from .index import Bm25Params, InvertedIndex, build_index, load_index, save_index
 from .pfqa import assign_splits, generate_questions, load_facts, render_fact, to_dataset
-from .querygen import QueryGenConfig
 from .rerank import RerankConfig, SimilarityFn, load_embedding_table
 from .textio import loads, read_text
 from .toytasks import training_vocab
@@ -191,12 +189,24 @@ def _input(path_str: str | Path) -> Path:
     return path
 
 
-def _check_outputs(*paths: str | Path | None) -> None:
+# The flags that name a file a command reads.
+INPUT_FLAGS = ("config", "input", "facts", "dataset", "schema_map", "corpus", "index",
+               "embeddings", "encoder", "model", "train", "eval")
+
+
+def _one_file(a: str, b: str) -> bool:
+    """The same path, or two links to one file."""
+    return Path(a).resolve() == Path(b).resolve() or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
+
+
+def _check_outputs(args, *paths: str | Path | None) -> None:
     """Raise what writing would raise for an output in a missing directory or naming one.
 
-    A stage with several outputs checks them all before it writes any, and
-    refuses two that are one file: the same path, or two links to one file.
+    A stage checks all its outputs before it writes any, and refuses an
+    output that is one file with another output or with one of its inputs.
     """
+    inputs = [str(getattr(args, flag)) for flag in INPUT_FLAGS if getattr(args, flag, None)]
     seen: list[str] = []
     for path in map(str, filter(None, paths)):
         if not Path(path).parent.is_dir():
@@ -204,9 +214,11 @@ def _check_outputs(*paths: str | Path | None) -> None:
         if Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for other in seen:
-            if Path(path).resolve() == Path(other).resolve() or (
-                    os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
+            if _one_file(path, other):
                 raise CliError(f"outputs {other} and {path} are one file")
+        for other in inputs:
+            if _one_file(path, other):
+                raise CliError(f"output {path} and input {other} are one file")
         seen.append(path)
 
 
@@ -221,6 +233,7 @@ REVISION_KEYS = {**SGD_KEYS, "mask_prob": float}
 
 def _cmd_corpus_prep(args) -> int:
     cfg = _load_config(args)
+    _check_outputs(args, args.out)
     if args.format == "prepared-jsonl":
         corpus = load_jsonl(_input(args.input))
     else:
@@ -234,6 +247,7 @@ def _cmd_corpus_prep(args) -> int:
 
 def _cmd_index_build(args) -> int:
     cfg = _load_config(args)
+    _check_outputs(args, args.out)
     params = Bm25Params(**cfg.pick("k1", "b"))
     corpus = load_jsonl(_input(args.corpus))
     index = build_index(corpus, params)
@@ -258,26 +272,22 @@ def _corpus_and_index(args) -> tuple[CorpusRows, InvertedIndex]:
     return corpus, index
 
 
-def _similarity(cfg: Config, embeddings_path) -> SimilarityFn:
-    """The configured similarity; an embedding table makes embedding-cosine the default."""
-    settings = cfg.pick(kind="similarity")
-    if embeddings_path is not None:
-        table = load_embedding_table(_input(embeddings_path))
-        settings = {"kind": "embedding-cosine", **settings, "table": table}
-    return SimilarityFn(**settings)
+def _similarity(embeddings_path) -> SimilarityFn:
+    """Embedding cosine over the ``--embeddings`` table, or token overlap without one."""
+    table = None if embeddings_path is None else load_embedding_table(_input(embeddings_path))
+    return SimilarityFn(table)
 
 
 def _cmd_attach(args) -> int:
     cfg = _load_config(args)
+    _check_outputs(args, args.out)
     schema_map = _input(args.schema_map) if args.schema_map else None
     dataset = load_mcq(_input(args.dataset), args.schema, schema_map=schema_map)
     corpus, index = _corpus_and_index(args)
     rr_config = RerankConfig(
-        **cfg.pick("m", lambda_="lambda"), similarity=_similarity(cfg, args.embeddings)
+        **cfg.pick("m", lambda_="lambda"), similarity=_similarity(args.embeddings)
     )
-    attached = attach_premises(
-        dataset, corpus, index, QueryGenConfig(), rr_config, **cfg.pick("retrieve_k")
-    )
+    attached = attach_premises(dataset, corpus, index, rr_config, **cfg.pick("retrieve_k"))
     save_mcq_jsonl(attached, args.out)
     print(f"attached premises for {len(attached)} items to {args.out}")
     return 0
@@ -292,7 +302,7 @@ def _cmd_pfqa_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = {out_dir / f"{name}.jsonl": split
               for name, split in (("train", train_q), ("dev", dev_q), ("test", test_q))}
-    _check_outputs(out_dir / "knowledge.jsonl", *splits)
+    _check_outputs(args, out_dir / "knowledge.jsonl", *splits)
     knowledge = KnowledgeCorpus(
         sentences=[
             KnowledgeSentence(id=f"pfqa-k-{n:06d}", text=render_fact(f), source_tag="pfqa")
@@ -321,6 +331,7 @@ def _load_encoder(cfg: Config, path) -> EncoderModel:
 
 def _cmd_revise(args) -> int:
     cfg = _load_config(args)
+    _check_outputs(args, args.out)
     encoder_config = EncoderConfig(**cfg.pick(*ENCODER_KEYS))
     revision_config = TrainConfig(seed=args.seed + 3, **cfg.pick(*REVISION_KEYS))
     corpus = load_jsonl(_input(args.corpus))
@@ -337,26 +348,20 @@ def _cmd_revise(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
+    _check_outputs(args, args.out)
     encoder_config = EncoderConfig(**cfg.pick(*ENCODER_KEYS))
     revision_config = TrainConfig(seed=args.seed + 3, **cfg.pick(*REVISION_KEYS, prefix="rev_"))
     train_config = TrainConfig(seed=args.seed + 2, **cfg.pick(*SGD_KEYS))
-    revision = cfg.get("revision", False)
     head = cfg.get("head", "weighted-sum")
-    if not cfg.get("openbook", True):
-        if "head" in cfg and head != "baseline":
-            raise CliError("openbook = false runs the baseline head; do not set head")
-        head = "baseline"
-    if revision and not args.corpus:
-        raise CliError("revision = true needs --corpus to pretrain on")
     dataset = load_mcq(_input(args.dataset), args.schema)
     corpus = load_jsonl(_input(args.corpus)) if args.corpus else None
 
     if args.encoder:
         encoder = _load_encoder(cfg, args.encoder)
     else:
-        vocab = training_vocab(dataset, corpus if revision else None)
+        vocab = training_vocab(dataset, corpus)
         encoder = EncoderModel.init(vocab, encoder_config, seed=args.seed)
-    if revision:
+    if corpus is not None:
         revision_train(encoder, corpus, revision_config)
     model = FusionModel.init(encoder, head, seed=args.seed + 1, **cfg.pick("tied"))
     train(model, dataset, train_config, **cfg.pick("freeze_encoder"))
@@ -367,7 +372,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _load_config(args)
-    _check_outputs(args.out, args.predictions)
+    _check_outputs(args, args.out, args.predictions)
     model = load_model(_input(args.model))
     dataset = load_mcq(_input(args.dataset), args.schema)
     report = evaluate(
@@ -383,6 +388,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep_m(args) -> int:
     cfg = _load_config(args)
+    _check_outputs(args, args.out)
     if "m_values" not in cfg:
         raise CliError("sweep-m needs m_values in the config, e.g. m_values = [1, 2, 5]")
     m_values = cfg["m_values"]
@@ -395,7 +401,7 @@ def _cmd_sweep_m(args) -> int:
         model, train_set, eval_set, corpus, index, m_values,
         rr_config=RerankConfig(
             m=m_values[0], **cfg.pick(lambda_="lambda"),
-            similarity=_similarity(cfg, args.embeddings),
+            similarity=_similarity(args.embeddings),
         ),
         train_config=train_config if cfg.get("retrain", True) else None,
         **cfg.pick("retrieve_k", "freeze_encoder"),
@@ -407,6 +413,7 @@ def _cmd_sweep_m(args) -> int:
 
 def _cmd_weight_report(args) -> int:
     _load_config(args)
+    _check_outputs(args, args.out)
     model = load_model(_input(args.model))
     dataset = load_mcq(_input(args.dataset), args.schema)
     rows = weight_overlap_report(model, dataset)
@@ -462,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
     sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
     _add_common(sub, "attached dataset JSONL",
-                {"m": int, "lambda": float, "retrieve_k": int, "similarity": str})
+                {"m": int, "lambda": float, "retrieve_k": int})
     sub.set_defaults(run=_cmd_attach)
 
     sub = commands.add_parser("pfqa-gen", help="generate the synthetic family-relations dataset")
@@ -479,11 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("train", help="train a fusion model on an attached dataset")
     sub.add_argument("--dataset", required=True, help="attached dataset JSONL")
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
-    sub.add_argument("--corpus", help="prepared corpus JSONL (needed when revision = true)")
+    sub.add_argument("--corpus", help="prepared corpus JSONL to revise the encoder on first")
     sub.add_argument("--encoder", help="pretrained encoder checkpoint to start from")
     _add_common(sub, "model checkpoint", {
         **ENCODER_KEYS, **SGD_KEYS, "head": str, "tied": bool, "freeze_encoder": bool,
-        "openbook": bool, "revision": bool,
         **{"rev_" + key: kind for key, kind in REVISION_KEYS.items()},
     })
     sub.set_defaults(run=_cmd_train)
@@ -506,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
     _add_common(sub, "CSV of (m, accuracy) rows", {
         **SGD_KEYS, "m_values": list, "retrain": bool, "lambda": float, "retrieve_k": int,
-        "freeze_encoder": bool, "similarity": str,
+        "freeze_encoder": bool,
     })
     sub.set_defaults(run=_cmd_sweep_m)
 

@@ -288,22 +288,21 @@ def attach_premises(
     dataset: McqDataset,
     corpus: CorpusRows,
     index: InvertedIndex,
-    qg_config: QueryGenConfig,
     rr_config: RerankConfig,
     retrieve_k: int = RETRIEVE_K,
 ) -> McqDataset:
     """The dataset with every option's premises retrieved and re-ranked.
 
     Of the corpus only ``digest``, ``len`` and ``at`` are read.  It must be
-    the one the index was built over, which is checked by the corpus
-    digest the index records (a sha256 of the corpus's ids and texts).
-    Hits carry document positions, and candidates are read with
-    ``corpus.at``, so the rows that :func:`kiqa.corpus.load_jsonl` returns
-    for a file the index pins parse only the lines retrieved.  An option
+    the one the index was built over, which is checked by the corpus digest
+    the index records (a sha256 of the corpus's ids and texts).  Hits carry
+    document positions, and candidates are read with ``corpus.at``, so the
+    rows that :func:`kiqa.corpus.load_jsonl` returns for a file the index
+    pins parse only the lines retrieved.  Queries are generated under the
+    default :class:`QueryGenConfig`, the packaged stopword list.  An option
     whose query is all stopwords, or whose query retrieves nothing, gets an
-    empty premise list.  Re-rank features are prepared
-    once per distinct text in one memo, which is dropped when the call
-    returns.
+    empty premise list.  Re-rank features are prepared once per distinct
+    text in one memo, which is dropped when the call returns.
     """
     if index.corpus_digest != corpus.digest:
         raise DatasetError(
@@ -311,6 +310,7 @@ def attach_premises(
             f"({index.doc_count} documents; the corpus has {len(corpus)} sentences); "
             f"rebuild it with index-build"
         )
+    qg_config = QueryGenConfig()
     out_items = []
     prepared: dict[str, object] = {}  # re-rank features by text, for this call only
     for item in dataset.items:

@@ -22,7 +22,6 @@ from .fusion import (
     train,
 )
 from .index import InvertedIndex
-from .querygen import QueryGenConfig
 from .rerank import RerankConfig
 from .textio import replacing
 from .textnorm import token_set
@@ -128,11 +127,10 @@ def sweep_m(
     if any(a >= b for a, b in zip(m_values, m_values[1:])):
         raise EvalError(f"m values must be strictly ascending, got {list(m_values)}")
     retrain = train_config is not None
-    qg_config = QueryGenConfig()
     rr = replace(rr_config or RerankConfig(), m=m_values[-1])
-    eval_full = attach_premises(eval_set, corpus, index, qg_config, rr, retrieve_k)
+    eval_full = attach_premises(eval_set, corpus, index, rr, retrieve_k)
     if retrain:
-        train_full = attach_premises(train_set, corpus, index, qg_config, rr, retrieve_k)
+        train_full = attach_premises(train_set, corpus, index, rr, retrieve_k)
     rows = []
     for m in m_values:
         if retrain:

@@ -54,8 +54,10 @@ class EmbeddingTableError(ValueError):
 def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Text format: ``word v1 v2 ... vd`` per line, one fixed dimension.
 
-    Components must be finite: one NaN would make every cosine with its
-    word NaN, and the re-rank would silently fall back to retrieval order.
+    A table needs at least one vector, and its components must be finite:
+    with no vectors every cosine would be 0, and one NaN would make every
+    cosine with its word NaN, so either way the re-rank would silently fall
+    back to retrieval order.
     """
     table: dict[str, tuple[float, ...]] = {}
     dim: int | None = None
@@ -80,6 +82,8 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
         if word in table:
             raise EmbeddingTableError(f"{path}:{lineno}: duplicate word {word!r}")
         table[word] = vec
+    if not table:
+        raise EmbeddingTableError(f"{path}: no vectors")
     return table
 
 
@@ -103,26 +107,19 @@ def _mean_vector(text: str, table: dict[str, tuple[float, ...]]) -> list[float] 
 
 @dataclass(frozen=True)
 class SimilarityFn:
-    """Pluggable sentence similarity: token overlap, or the cosine of mean word
-    vectors, where a text with no word in the table scores 0."""
+    """Sentence similarity: token overlap without a word-embedding table, else
+    the cosine of mean word vectors (0 for a text with no word in the table)."""
 
-    kind: str = "token-jaccard"
     table: dict[str, tuple[float, ...]] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("token-jaccard", "embedding-cosine"):
-            raise ValueError(f"unknown similarity kind {self.kind!r}")
-        if self.kind == "embedding-cosine" and self.table is None:
-            raise ValueError("embedding-cosine similarity needs an embedding table")
 
     def prepare(self, text: str):
         """The feature of one text that ``compare`` takes."""
-        if self.kind == "token-jaccard":
+        if self.table is None:
             return token_set(text)
         return _mean_vector(text, self.table)
 
     def compare(self, fa, fb) -> float:
-        if self.kind == "token-jaccard":
+        if self.table is None:
             return token_jaccard(fa, fb)
         return _vector_cosine(fa, fb)
 

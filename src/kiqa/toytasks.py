@@ -33,7 +33,6 @@ from .datasets import McqDataset, McqItem, attach_premises
 from .encoder import Vocab
 from .fusion import question_text
 from .index import build_index
-from .querygen import QueryGenConfig
 from .rerank import RerankConfig
 
 # Surface word pool for answer options; two-digit forms keep them distinct
@@ -203,9 +202,7 @@ def route_premises(
     """
     index = build_index(corpus)
     return attach_premises(
-        dataset, corpus, index,
-        QueryGenConfig(), RerankConfig(m=m, lambda_=0.0),
-        retrieve_k=retrieve_k,
+        dataset, corpus, index, RerankConfig(m=m, lambda_=0.0), retrieve_k=retrieve_k
     )
 
 

@@ -116,8 +116,8 @@ def test_criterion_2_rerank_matches_oracle():
         if trial % 2 == 0:
             fn, oracle_sim = SimilarityFn(), token_jaccard
         else:
-            fn = SimilarityFn(kind="embedding-cosine", table=table)
-            oracle_sim = SimilarityFn("embedding-cosine", table)
+            fn = SimilarityFn(table)
+            oracle_sim = SimilarityFn(table)
         got = rerank(candidates, query, RerankConfig(m=m, lambda_=lam, similarity=fn))
         want = rerank_oracle(candidates, query, m, lam, oracle_sim)
         assert [s.id for s in got] == [s.id for s in want]

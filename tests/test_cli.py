@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline driver."""
 
+import argparse
 import collections
 import contextlib
 import functools
@@ -26,7 +27,7 @@ import kiqa.cli
 import kiqa.corpus
 import kiqa.encoder
 from kiqa.autodiff import Tensor
-from kiqa.cli import CliError, build_parser, main, parse_config_file
+from kiqa.cli import CliError, Config, build_parser, main, parse_config_file
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, load_jsonl, save_jsonl
 from kiqa.datasets import load_mcq, save_mcq_jsonl
 from kiqa.encoder import load_encoder, save_encoder
@@ -239,7 +240,7 @@ def test_train_uses_pretrained_encoder(artifacts, tmp_path):
 
 def test_closed_book_strategy_trains_baseline_head(artifacts, tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("openbook = false\nd = 8\nepochs = 1\n", encoding="utf-8")
+    cfg.write_text('head = "baseline"\nd = 8\nepochs = 1\n', encoding="utf-8")
     out = tmp_path / "m.bin"
     assert main(["train", "--dataset", str(artifacts / "attached.jsonl"),
                  "--config", str(cfg), "--out", str(out)]) == 0
@@ -249,14 +250,15 @@ def test_closed_book_strategy_trains_baseline_head(artifacts, tmp_path):
 def test_revision_strategy_pretrains_inline(artifacts, tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
-        'head = "simple-sum"\nrevision = true\nd = 8\nepochs = 1\nrev_epochs = 1\n',
+        'head = "simple-sum"\nd = 8\nepochs = 1\nrev_epochs = 1\n',
         encoding="utf-8",
     )
     out = tmp_path / "m.bin"
     assert main(["train", "--dataset", str(artifacts / "attached.jsonl"),
                  "--corpus", str(artifacts / "corpus.jsonl"),
                  "--config", str(cfg), "--out", str(out)]) == 0
-    # corpus-only words are in the vocabulary exactly because revision saw them
+    # --corpus alone turns revision on: corpus-only words are in the vocabulary
+    # exactly because revision saw them
     assert load_model(out).encoder.vocab.id_of("salty") is not None
 
 
@@ -513,6 +515,66 @@ def test_eval_refuses_report_and_predictions_in_one_file(artifacts, tmp_path, ca
     assert sorted(os.listdir()) == before
 
 
+# Each stage that writes one --out file, with every input it can be given.
+ALL_INPUT_STAGES = {
+    **OUT_STAGES,
+    "attach": lambda d: [*OUT_STAGES["attach"](d), "--embeddings", d / "emb.txt"],
+    "revise": lambda d: [*OUT_STAGES["revise"](d), "--encoder", d / "encoder.kenc"],
+    "train": lambda d: [*OUT_STAGES["train"](d), "--corpus", d / "corpus.jsonl",
+                        "--encoder", d / "encoder.kenc"],
+    "sweep-m": lambda d: [*OUT_STAGES["sweep-m"](d), "--embeddings", d / "emb.txt"],
+    "weight-report": lambda d: ["--model", d / "model.bin", "--dataset", d / "attached.jsonl"],
+}
+
+
+@pytest.mark.parametrize("stage, flag", [
+    (stage, flag) for stage, argv in ALL_INPUT_STAGES.items() for flag in argv(Path())[::2]
+])
+def test_out_that_names_an_input_exits_1_and_keeps_it(artifacts, tmp_path, capsys, stage, flag):
+    argv = ALL_INPUT_STAGES[stage](tmp_path)
+    for path in argv[1::2]:
+        shutil.copy(artifacts / path.name, path)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    named = argv[argv.index(flag) + 1]
+    assert main([stage, *map(str, argv), "--out", str(named)]) == 1
+    assert one_error_line(capsys) == f"error: output {named} and input {named} are one file"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_the_input_flags_are_every_flag_that_names_a_file_to_read():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for sub in commands.choices.values() for action in sub._actions}
+    not_read = {"help", "seed", "out", "predictions", "schema", "format", "config_keys", "run"}
+    assert sorted(dests - not_read) == sorted(kiqa.cli.INPUT_FLAGS)
+
+
+@pytest.mark.parametrize("link", [None, os.symlink, os.link])
+def test_eval_refuses_predictions_that_name_an_input(artifacts, tmp_path, capsys, monkeypatch,
+                                                     link):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(artifacts / "model.bin", "model.bin")
+    shutil.copy(artifacts / "attached.jsonl", "data.jsonl")
+    preds = "./data.jsonl" if link is None else "p.jsonl"
+    if link:
+        link("data.jsonl", preds)
+    before = {name: Path(name).read_bytes() for name in os.listdir()}
+    assert main(["eval", "--model", "model.bin", "--dataset", "data.jsonl",
+                 "--out", "r.json", "--predictions", preds]) == 1
+    assert one_error_line(capsys) == f"error: output {preds} and input data.jsonl are one file"
+    assert {name: Path(name).read_bytes() for name in os.listdir()} == before
+
+
+@pytest.mark.parametrize("name", ["knowledge.jsonl", "train.jsonl", "dev.jsonl", "test.jsonl"])
+def test_pfqa_gen_refuses_an_output_that_names_its_facts(tmp_path, capsys, name):
+    out = tmp_path / "pfqa"
+    out.mkdir()
+    facts = out / name
+    facts.write_text(FACTS, encoding="utf-8")
+    assert main(["pfqa-gen", "--facts", str(facts), "--out", str(out)]) == 1
+    assert one_error_line(capsys) == f"error: output {facts} and input {facts} are one file"
+    assert os.listdir(out) == [name] and facts.read_text(encoding="utf-8") == FACTS
+
+
 def test_unknown_flag_exits_1(artifacts, tmp_path, capsys):
     rc = main(["index-build", "--corpus", str(artifacts / "corpus.jsonl"),
                "--out", str(tmp_path / "i.json"), "--bogus"])
@@ -542,22 +604,22 @@ def test_config_type_error_exits_1(artifacts, tmp_path, capsys):
     assert "must be a float" in capsys.readouterr().err
 
 
-def test_head_with_closed_book_exits_1(artifacts, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text('openbook = false\nhead = "concat"\n', encoding="utf-8")
-    rc = main(["train", "--dataset", str(artifacts / "attached.jsonl"),
-               "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "openbook", "false"),
+    ("train", "revision", "true"),
+    ("attach", "similarity", '"embedding-cosine"'),
+    ("sweep-m", "similarity", '"token-jaccard"'),
+], ids=["train-openbook", "train-revision", "attach-similarity", "sweep-m-similarity"])
+def test_a_key_that_restated_an_input_is_unknown(artifacts, tmp_path, capsys, command, key, value):
+    # closed book is head = "baseline", revision is train --corpus, and embedding
+    # cosine is --embeddings, so these keys are gone
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    rc = main([command, *map(str, KEY_STAGES[command](artifacts)), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "baseline" in capsys.readouterr().err
-
-
-def test_revision_without_corpus_exits_1(artifacts, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("revision = true\n", encoding="utf-8")
-    rc = main(["train", "--dataset", str(artifacts / "attached.jsonl"),
-               "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
-    assert rc == 1
-    assert "--corpus" in capsys.readouterr().err
+    assert one_error_line(capsys).startswith(f"error: unknown config keys: {key} ")
+    assert os.listdir(tmp_path) == ["old.cfg"]
 
 
 def one_error_line(capsys) -> str:
@@ -739,8 +801,7 @@ def test_collapsed_train_exits_1_without_checkpoint(artifacts, tmp_path, capsys,
 @pytest.mark.parametrize("command, key", [("train", "lr"), ("train", "rev_lr"), ("revise", "lr")])
 def test_non_finite_learning_rate_exits_1(artifacts, tmp_path, capsys, command, key, lr):
     cfg = tmp_path / "lr.cfg"
-    revision = "revision = true\n" if key == "rev_lr" else ""
-    cfg.write_text(f"d = 8\nepochs = 1\n{revision}{key} = {lr}\n", encoding="utf-8")
+    cfg.write_text(f"d = 8\nepochs = 1\n{key} = {lr}\n", encoding="utf-8")
     out = tmp_path / "out.bin"
     source = ["--dataset", str(artifacts / "attached.jsonl")] if command == "train" else []
     rc = main([command, *source, "--corpus", str(artifacts / "corpus.jsonl"),
@@ -839,6 +900,18 @@ def test_attach_with_non_finite_embedding_exits_1(artifacts, tmp_path, capsys, c
                "--embeddings", str(table), "--out", str(tmp_path / "a.jsonl")])
     assert rc == 1
     assert f"{table}:2: non-finite" in one_error_line(capsys)
+    assert not (tmp_path / "a.jsonl").exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+def test_attach_with_an_embedding_table_without_vectors_exits_1(artifacts, tmp_path, capsys, text):
+    table = tmp_path / "emb.txt"
+    table.write_text(text, encoding="utf-8")
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"), "--index", str(artifacts / "index.kiix"),
+               "--embeddings", str(table), "--out", str(tmp_path / "a.jsonl")])
+    assert rc == 1
+    assert one_error_line(capsys) == f"error: {table}: no vectors"
     assert not (tmp_path / "a.jsonl").exists()
 
 
@@ -1106,20 +1179,28 @@ KEY_STAGES = {
                          "--index", d / "index.kiix"],
     "pfqa-gen": lambda d: ["--facts", d / "facts.tsv"],
     "revise": lambda d: ["--corpus", d / "corpus.jsonl"],
-    "train": lambda d: ["--dataset", d / "attached.jsonl", "--corpus", d / "corpus.jsonl"],
+    "train": lambda d: ["--dataset", d / "attached.jsonl"],
     "eval": lambda d: ["--model", d / "model.bin", "--dataset", d / "attached.jsonl"],
     "sweep-m": lambda d: ["--model", d / "model.bin", "--train", d / "qs.jsonl",
                           "--eval", d / "qs.jsonl", "--corpus", d / "corpus.jsonl",
                           "--index", d / "index.kiix"],
     "weight-report": lambda d: ["--model", d / "model.bin", "--dataset", d / "attached.jsonl"],
 }
-# The optional input each command may also be given, which changes how it reads its keys.
-OPTIONAL_INPUT = {
-    "attach": lambda d: ["--embeddings", d / "emb.txt"],
-    "sweep-m": lambda d: ["--embeddings", d / "emb.txt"],
-    "revise": lambda d: ["--encoder", d / "encoder.kenc"],
-    "train": lambda d: ["--encoder", d / "encoder.kenc"],
+# The optional inputs a command may also be given, as (flag, fixture file); each turns on the
+# step that reads it.
+EMBEDDINGS = ("--embeddings", "emb.txt")
+ENCODER = ("--encoder", "encoder.kenc")
+REVISION_CORPUS = ("--corpus", "corpus.jsonl")
+OPTIONAL_INPUTS = {
+    "attach": [EMBEDDINGS],
+    "sweep-m": [EMBEDDINGS],
+    "revise": [ENCODER],
+    "train": [ENCODER, REVISION_CORPUS],
 }
+
+
+def optional_flags(d: Path, inputs) -> list:
+    return [arg for flag, name in inputs for arg in (flag, d / name)]
 
 
 def declared_keys(command: str) -> dict:
@@ -1143,6 +1224,20 @@ def run_quietly(argv) -> tuple[int, list[str]]:
     return rc, err.getvalue().splitlines()
 
 
+def test_the_readme_quickstart_sets_only_keys_its_commands_declare(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.replace("\\\n", " ").splitlines()  # join continued shell lines
+    written = {m[2]: m[1] for m in (re.match(r"printf '(.*)' > (\S+\.cfg)$", line.strip())
+                                    for line in lines) if m}
+    readers = {m[2]: m[1] for m in (re.match(r"kiqa ([\w-]+) .*--config (\S+)", line.strip())
+                                    for line in lines) if m}
+    assert written and sorted(written) == sorted(readers)
+    for name, text in written.items():
+        cfg = tmp_path / name
+        cfg.write_text(text.replace("\\n", "\n"), encoding="utf-8")
+        Config(parse_config_file(cfg), declared_keys(readers[name]))
+
+
 def test_a_key_has_one_type_in_every_command():
     kinds = collections.defaultdict(set)
     for command in KEY_STAGES:
@@ -1151,23 +1246,24 @@ def test_a_key_has_one_type_in_every_command():
     assert {key: k for key, k in kinds.items() if len(k) > 1} == {}
 
 
-@pytest.mark.parametrize("command, optional, config, message", [
-    ("sweep-m", False, 'm_values = [1]\nretrain = false\nlr = "fast"\n',
+@pytest.mark.parametrize("command, inputs, config, message", [
+    ("sweep-m", [], 'm_values = [1]\nretrain = false\nlr = "fast"\n',
      "config key 'lr' must be a float, got 'fast'"),
-    ("sweep-m", False, "m_values = [1]\nretrain = false\nepochs = -3\n",
+    ("sweep-m", [], "m_values = [1]\nretrain = false\nepochs = -3\n",
      "epochs must be >= 0 and batch size >= 1"),
-    ("train", False, 'rev_lr = "fast"\n', "config key 'rev_lr' must be a float, got 'fast'"),
-    ("train", False, "rev_epochs = true\n", "config key 'rev_epochs' must be an int, got a boolean"),
-    ("train", False, "rev_batch_size = 2.5\n", "config key 'rev_batch_size' must be an int, got 2.5"),
-    ("revise", True, 'd = "wide"\n', "config key 'd' must be an int, got 'wide'"),
+    # without --corpus train does not revise, and still checks the rev_ keys
+    ("train", [], 'rev_lr = "fast"\n', "config key 'rev_lr' must be a float, got 'fast'"),
+    ("train", [], "rev_epochs = true\n", "config key 'rev_epochs' must be an int, got a boolean"),
+    ("train", [], "rev_batch_size = 2.5\n", "config key 'rev_batch_size' must be an int, got 2.5"),
+    ("revise", [ENCODER], 'd = "wide"\n', "config key 'd' must be an int, got 'wide'"),
 ], ids=["sweep-m-lr", "sweep-m-epochs", "train-rev_lr", "train-rev_epochs",
         "train-rev_batch_size", "revise-encoder-d"])
 def test_a_bad_key_exits_1_where_the_run_would_not_read_it(
-        artifacts, tmp_path, command, optional, config, message):
+        artifacts, tmp_path, command, inputs, config, message):
     cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
     cfg.write_text(config, encoding="utf-8")
-    flags = OPTIONAL_INPUT[command](artifacts) if optional else []
-    rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts), *flags,
+    rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts),
+                             *optional_flags(artifacts, inputs),
                              "--config", cfg, "--out", out])
     assert (rc, lines) == (1, [f"error: {message}"])
     assert not out.exists()
@@ -1180,7 +1276,7 @@ def test_encoder_key_other_than_the_encoder_checkpoint_exits_1(
     cfg, out = tmp_path / "enc.cfg", tmp_path / "out"
     cfg.write_text(f"{key} = {value}\nepochs = 1\n", encoding="utf-8")
     rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts),
-                             *OPTIONAL_INPUT[command](artifacts), "--config", cfg, "--out", out])
+                             *optional_flags(artifacts, [ENCODER]), "--config", cfg, "--out", out])
     assert (rc, lines) == (1, [f"error: config key {key!r} is {value} but the --encoder "
                                f"checkpoint has {key} = {has}"])
     assert not out.exists()
@@ -1195,42 +1291,35 @@ BASE_CONFIG = {
     "sweep-m": {"m_values": [1], "epochs": 1},
 }
 SGD_CASES = [("lr", 0.05), ("epochs", 2), ("batch_size", 1), ("momentum", 0.5)]
-# (command, key, a non-default value, extra config, whether to give the optional input): the
-# spied call it must reach, the path to it in that call's arguments, and what is found there.
+# (command, key, a non-default value, extra config, the optional inputs to give): the spied
+# call it must reach, the path to it in that call's arguments, and what is found there.
 ROUTES = [
-    ("corpus-prep", "source_tag", "t", {}, False, "load_corpus", "source_tag", "t"),
-    ("index-build", "k1", 0.9, {}, False, "build_index", "params.k1", 0.9),
-    ("index-build", "b", 0.5, {}, False, "build_index", "params.b", 0.5),
-    ("attach", "m", 3, {}, False, "attach_premises", "rr_config.m", 3),
-    ("attach", "lambda", 0.5, {}, False, "attach_premises", "rr_config.lambda_", 0.5),
-    ("attach", "retrieve_k", 7, {}, False, "attach_premises", "retrieve_k", 7),
-    # with an embedding table the default would be embedding-cosine
-    ("attach", "similarity", "token-jaccard", {}, True,
-     "attach_premises", "rr_config.similarity.kind", "token-jaccard"),
-    ("revise", "d", 6, {}, False, "revision_train", "model.config.d", 6),
-    ("revise", "max_len", 16, {}, False, "revision_train", "model.config.max_len", 16),
-    *[("revise", key, value, {}, False, "revision_train", f"config.{key}", value)
+    ("corpus-prep", "source_tag", "t", {}, [], "load_corpus", "source_tag", "t"),
+    ("index-build", "k1", 0.9, {}, [], "build_index", "params.k1", 0.9),
+    ("index-build", "b", 0.5, {}, [], "build_index", "params.b", 0.5),
+    ("attach", "m", 3, {}, [], "attach_premises", "rr_config.m", 3),
+    ("attach", "lambda", 0.5, {}, [], "attach_premises", "rr_config.lambda_", 0.5),
+    ("attach", "retrieve_k", 7, {}, [], "attach_premises", "retrieve_k", 7),
+    ("revise", "d", 6, {}, [], "revision_train", "model.config.d", 6),
+    ("revise", "max_len", 16, {}, [], "revision_train", "model.config.max_len", 16),
+    *[("revise", key, value, {}, [], "revision_train", f"config.{key}", value)
       for key, value in [*SGD_CASES, ("mask_prob", 0.3)]],
-    ("train", "d", 6, {}, False, "train", "model.encoder.config.d", 6),
-    ("train", "max_len", 16, {}, False, "train", "model.encoder.config.max_len", 16),
-    *[("train", key, value, {}, False, "train", f"config.{key}", value) for key, value in SGD_CASES],
-    ("train", "head", "simple-sum", {}, False, "train", "model.head", "simple-sum"),
-    ("train", "tied", True, {}, False, "train", "model.tied", True),
-    ("train", "freeze_encoder", True, {}, False, "train", "freeze_encoder", True),
-    ("train", "openbook", False, {}, False, "train", "model.head", "baseline"),
-    # revision runs, on the revision seed (--seed 0 + 3)
-    ("train", "revision", True, {}, False, "revision_train", "config.seed", 3),
-    *[("train", "rev_" + key, value, {"revision": True}, False, "revision_train", f"config.{key}",
+    ("train", "d", 6, {}, [], "train", "model.encoder.config.d", 6),
+    ("train", "max_len", 16, {}, [], "train", "model.encoder.config.max_len", 16),
+    *[("train", key, value, {}, [], "train", f"config.{key}", value) for key, value in SGD_CASES],
+    ("train", "head", "simple-sum", {}, [], "train", "model.head", "simple-sum"),
+    ("train", "tied", True, {}, [], "train", "model.tied", True),
+    ("train", "freeze_encoder", True, {}, [], "train", "freeze_encoder", True),
+    # --corpus turns revision on
+    *[("train", "rev_" + key, value, {}, [REVISION_CORPUS], "revision_train", f"config.{key}",
        value) for key, value in [*SGD_CASES, ("mask_prob", 0.3)]],
-    *[("sweep-m", key, value, {}, False, "sweep_m", f"train_config.{key}", value)
+    *[("sweep-m", key, value, {}, [], "sweep_m", f"train_config.{key}", value)
       for key, value in SGD_CASES],
-    ("sweep-m", "m_values", [1, 2], {}, False, "sweep_m", "m_values", [1, 2]),
-    ("sweep-m", "retrain", False, {}, False, "sweep_m", "train_config", None),
-    ("sweep-m", "lambda", 0.5, {}, False, "sweep_m", "rr_config.lambda_", 0.5),
-    ("sweep-m", "retrieve_k", 7, {}, False, "sweep_m", "retrieve_k", 7),
-    ("sweep-m", "freeze_encoder", True, {}, False, "sweep_m", "freeze_encoder", True),
-    ("sweep-m", "similarity", "token-jaccard", {}, True,
-     "sweep_m", "rr_config.similarity.kind", "token-jaccard"),
+    ("sweep-m", "m_values", [1, 2], {}, [], "sweep_m", "m_values", [1, 2]),
+    ("sweep-m", "retrain", False, {}, [], "sweep_m", "train_config", None),
+    ("sweep-m", "lambda", 0.5, {}, [], "sweep_m", "rr_config.lambda_", 0.5),
+    ("sweep-m", "retrieve_k", 7, {}, [], "sweep_m", "retrieve_k", 7),
+    ("sweep-m", "freeze_encoder", True, {}, [], "sweep_m", "freeze_encoder", True),
 ]
 
 
@@ -1239,10 +1328,10 @@ def test_every_declared_key_has_a_route():
     assert sorted({route[:2] for route in ROUTES}) == sorted(declared)
 
 
-@pytest.mark.parametrize("command, key, value, extra, optional, spied, path, arrives", ROUTES,
+@pytest.mark.parametrize("command, key, value, extra, inputs, spied, path, arrives", ROUTES,
                          ids=[f"{route[0]}-{route[1]}" for route in ROUTES])
 def test_a_set_key_reaches_its_setting(artifacts, tmp_path, monkeypatch,
-                                       command, key, value, extra, optional, spied, path, arrives):
+                                       command, key, value, extra, inputs, spied, path, arrives):
     calls = collections.defaultdict(list)
     for name in SPIED:
         real = getattr(kiqa.cli, name)
@@ -1257,8 +1346,8 @@ def test_a_set_key_reaches_its_setting(artifacts, tmp_path, monkeypatch,
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config_text({**BASE_CONFIG.get(command, {}), **extra, key: value}),
                    encoding="utf-8")
-    flags = OPTIONAL_INPUT[command](artifacts) if optional else []
-    rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts), *flags,
+    rc, lines = run_quietly([command, *KEY_STAGES[command](artifacts),
+                             *optional_flags(artifacts, inputs),
                              "--config", cfg, "--out", tmp_path / "out"])
     assert (rc, lines) == (0, [])
     first, *rest = path.split(".")
@@ -1288,8 +1377,9 @@ def test_any_config_value_exits_cleanly(artifacts, command, data):
                        if keys else st.just([]), label="keys")
     values = {**BASE_CONFIG.get(command, {}),
               **{key: data.draw(_values_for(keys[key]), label=key) for key in chosen}}
-    flags = OPTIONAL_INPUT.get(command, lambda d: [])(artifacts)
-    flags = flags if flags and data.draw(st.booleans(), label="optional input") else []
+    given_inputs = [i for i in OPTIONAL_INPUTS.get(command, [])
+                    if data.draw(st.booleans(), label=f"give {i[0]}")]
+    flags = optional_flags(artifacts, given_inputs)
     work = artifacts / "keyfuzz"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()

@@ -16,7 +16,6 @@ from kiqa.datasets import (
     save_mcq_jsonl,
 )
 from kiqa.index import build_index
-from kiqa.querygen import QueryGenConfig
 from kiqa.rerank import RerankConfig
 
 
@@ -323,7 +322,7 @@ def planted_setup():
 
 def test_attach_finds_planted_sentences():
     ds, corpus, idx = planted_setup()
-    out = attach_premises(ds, corpus, idx, QueryGenConfig(), RerankConfig(m=10))
+    out = attach_premises(ds, corpus, idx, RerankConfig(m=10))
     assert [p[0].id for p in out.items[0].premises] == ["00000000", "00000001"]
     assert [p[0].id for p in out.items[1].premises] == ["00000002", "00000003"]
     # premises always come from the corpus
@@ -334,33 +333,33 @@ def test_attach_finds_planted_sentences():
 
 def test_attach_respects_m():
     ds, corpus, idx = planted_setup()
-    out = attach_premises(ds, corpus, idx, QueryGenConfig(), RerankConfig(m=1))
+    out = attach_premises(ds, corpus, idx, RerankConfig(m=1))
     assert all(len(plist) <= 1 for item in out.items for plist in item.premises)
 
 
 def test_attach_is_deterministic():
     ds, corpus, idx = planted_setup()
-    a = attach_premises(ds, corpus, idx, QueryGenConfig(), RerankConfig(m=2))
-    b = attach_premises(ds, corpus, idx, QueryGenConfig(), RerankConfig(m=2))
+    a = attach_premises(ds, corpus, idx, RerankConfig(m=2))
+    b = attach_premises(ds, corpus, idx, RerankConfig(m=2))
     assert a.items == b.items
 
 
 def test_attach_unmatched_option_gets_empty_list():
     corpus = make_corpus(["completely unrelated words here"])
     ds = McqDataset(items=[McqItem(id="a", question="xylophone", options=["quasar", "nebula"])])
-    out = attach_premises(ds, corpus, build_index(corpus), QueryGenConfig(), RerankConfig())
+    out = attach_premises(ds, corpus, build_index(corpus), RerankConfig())
     assert out.items[0].premises == [[], []]
 
 
 def test_attach_all_stopwords_option_gets_empty_list():
     corpus = make_corpus(["some words to index"])
     ds = McqDataset(items=[McqItem(id="a", question="the", options=["of the", "words"])])
-    out = attach_premises(ds, corpus, build_index(corpus), QueryGenConfig(), RerankConfig())
+    out = attach_premises(ds, corpus, build_index(corpus), RerankConfig())
     assert out.items[0].premises[0] == []
     assert [p.id for p in out.items[0].premises[1]] == ["00000000"]
 
 
 def test_attach_preserves_original_dataset():
     ds, corpus, idx = planted_setup()
-    attach_premises(ds, corpus, idx, QueryGenConfig(), RerankConfig())
+    attach_premises(ds, corpus, idx, RerankConfig())
     assert all(item.premises is None for item in ds.items)

@@ -25,7 +25,6 @@ from kiqa.evalreport import (
 from kiqa.external import ExternalVectorStore
 from kiqa.fusion import FusionError, FusionModel, question_text, save_predictions, train
 from kiqa.index import build_index
-from kiqa.querygen import QueryGenConfig
 from kiqa.rerank import RerankConfig
 
 
@@ -337,10 +336,9 @@ def test_premises_at_m_are_a_prefix_of_premises_at_10(lambda_):
     # sweep_m attaches once at its largest m and slices; that is only
     # sound if the re-ranker's first m picks do not depend on its m.
     ds, corpus, index, _ = decisive_pipeline(n_items=6, noise_per_item=8)
-    qg = QueryGenConfig()
-    deep = attach_premises(ds, corpus, index, qg, RerankConfig(m=10, lambda_=lambda_))
+    deep = attach_premises(ds, corpus, index, RerankConfig(m=10, lambda_=lambda_))
     for m in (1, 2, 5):
-        at_m = attach_premises(ds, corpus, index, qg, RerankConfig(m=m, lambda_=lambda_))
+        at_m = attach_premises(ds, corpus, index, RerankConfig(m=m, lambda_=lambda_))
         for deep_item, item in zip(deep.items, at_m.items):
             assert [plist[:m] for plist in deep_item.premises] == item.premises
 
@@ -350,10 +348,9 @@ def test_sweep_m_rows_equal_attaching_at_each_m():
 
     corpus, dataset = make_scattered_evidence_task(n_items=60, seed=0)
     index = build_index(corpus)
-    qg = QueryGenConfig()
 
     def attach(m):
-        return attach_premises(dataset, corpus, index, qg, RerankConfig(m=m, lambda_=0.5),
+        return attach_premises(dataset, corpus, index, RerankConfig(m=m, lambda_=0.5),
                                retrieve_k=20)
 
     config = TrainConfig(seed=2, lr=0.1, epochs=5, batch_size=16)
@@ -383,8 +380,7 @@ def test_concat_accuracy_does_not_improve_with_noise_passages():
     ds, corpus, index, vocab = decisive_pipeline(n_items=12, noise_per_item=3)
     enc = EncoderModel.init(vocab, EncoderConfig(d=8, max_len=48), seed=0)
     model = FusionModel.init(enc, "concat", seed=1)
-    qg, rr = QueryGenConfig(), RerankConfig(m=1)
-    train_1 = attach_premises(ds, corpus, index, qg, rr)
+    train_1 = attach_premises(ds, corpus, index, RerankConfig(m=1))
     train(model, train_1, TrainConfig(seed=2, lr=0.3, epochs=40, batch_size=6))
     rows = sweep_m(model, ds, ds, corpus, index, [1, 2, 4])
     accs = [acc for _, acc in rows]
@@ -420,7 +416,7 @@ def test_sweep_m_second_passage_unlocks_scattered_evidence():
     eval_set = McqDataset(items=dataset.items[120:])
     index = build_index(corpus)
     rr = RerankConfig(m=1, lambda_=0.0)
-    probe = attach_premises(dataset, corpus, index, QueryGenConfig(), rr, retrieve_k=20)
+    probe = attach_premises(dataset, corpus, index, rr, retrieve_k=20)
     enc = EncoderModel.init(training_vocab(probe, corpus), EncoderConfig(d=16), seed=0)
     model = FusionModel.init(enc, "simple-sum", seed=1)
     rows = sweep_m(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ import kiqa.rerank
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.datasets import McqDataset, McqItem, attach_premises
 from kiqa.index import build_index
-from kiqa.querygen import QueryGenConfig
 from kiqa.rerank import (
     EmbeddingTableError,
     RerankConfig,
@@ -87,7 +87,7 @@ def test_jaccard_takes_texts_or_token_sets(a, b):
 # --- embedding cosine -------------------------------------------------------
 
 TABLE = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 0.0), "gamma": (0.0, 0.0, 1.0)}
-COSINE = SimilarityFn("embedding-cosine", TABLE)
+COSINE = SimilarityFn(TABLE)
 
 
 def test_cosine_identical_sentences():
@@ -116,7 +116,14 @@ def test_cosine_no_known_words_scores_zero():
 
 def test_cosine_zero_vector_scores_zero():
     table = {"null": (0.0, 0.0), "one": (1.0, 0.0)}
-    assert SimilarityFn("embedding-cosine", table)("null", "one") == 0.0
+    assert SimilarityFn(table)("null", "one") == 0.0
+
+
+def test_an_empty_table_is_still_embedding_cosine():
+    # only a missing table means token overlap; an empty one knows no word
+    assert SimilarityFn({}).prepare("alpha beta") is None
+    assert SimilarityFn({})("alpha beta", "alpha beta") == 0.0
+    assert SimilarityFn()("alpha beta", "alpha beta") == 1.0
 
 
 def test_load_embedding_table(tmp_path):
@@ -137,6 +144,14 @@ def test_embedding_table_duplicate_word(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("cat 1.0\nCat 2.0\n", encoding="utf-8")
     with pytest.raises(EmbeddingTableError, match="duplicate"):
+        load_embedding_table(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\n"])
+def test_embedding_table_without_vectors(tmp_path, text):
+    path = tmp_path / "vecs.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EmbeddingTableError, match=f"^{re.escape(str(path))}: no vectors$"):
         load_embedding_table(path)
 
 
@@ -193,10 +208,6 @@ def test_config_validation():
     for lam in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="lambda"):
             RerankConfig(lambda_=lam)
-    with pytest.raises(ValueError, match="kind"):
-        SimilarityFn(kind="bogus")
-    with pytest.raises(ValueError, match="table"):
-        SimilarityFn(kind="embedding-cosine")
 
 
 _CAND_TEXT = st.lists(
@@ -236,7 +247,7 @@ def test_cosine_similarity_matches_oracle(texts, m):
         "ball": (0.4, 0.4, 0.4),
     }
     cands = sents(*texts)
-    cfg = RerankConfig(m=m, lambda_=1.0, similarity=SimilarityFn("embedding-cosine", table))
+    cfg = RerankConfig(m=m, lambda_=1.0, similarity=SimilarityFn(table))
     got = rerank(cands, "cat play", cfg)
     want = rerank_oracle(cands, "cat play", m, 1.0, cfg.similarity)
     assert got == want
@@ -274,8 +285,8 @@ def test_retrieval_sized_call_matches_string_oracle(kind, lam):
     if kind == "token-jaccard":
         fn, oracle_sim = SimilarityFn(), token_jaccard
     else:
-        fn = SimilarityFn(kind="embedding-cosine", table=_TABLE)
-        oracle_sim = SimilarityFn("embedding-cosine", _TABLE)
+        fn = SimilarityFn(_TABLE)
+        oracle_sim = SimilarityFn(_TABLE)
     for seed in range(6):
         cands, query = _retrieval_sized_call(seed)
         got = rerank(cands, query, RerankConfig(m=10, lambda_=lam, similarity=fn))
@@ -313,25 +324,25 @@ def test_query_outside_the_candidates_is_prepared_once_too(monkeypatch):
 def test_mean_vector_runs_once_per_distinct_text(monkeypatch):
     cands, query = _retrieval_sized_call(0)
     calls = _counting(monkeypatch, "_mean_vector")
-    fn = SimilarityFn(kind="embedding-cosine", table=_TABLE)
+    fn = SimilarityFn(_TABLE)
     rerank(cands, query, RerankConfig(m=10, similarity=fn))
     assert sorted(calls) == sorted({c.text for c in cands} | {query})
 
 
 def test_similarity_call_is_compare_of_prepared():
-    for fn in (SimilarityFn(), SimilarityFn(kind="embedding-cosine", table=_TABLE)):
+    for fn in (SimilarityFn(), SimilarityFn(_TABLE)):
         for a, b in [("cat play", "play yarn"), ("moss", "cat"), ("", "sun"), ("dog", "dog")]:
             assert fn(a, b) == fn.compare(fn.prepare(a), fn.prepare(b))
     assert SimilarityFn().prepare("The CAT, the cat") == {"the", "cat"}
-    assert SimilarityFn(kind="embedding-cosine", table=_TABLE).prepare("moss rain") is None
+    assert SimilarityFn(_TABLE).prepare("moss rain") is None
 
 
 def test_a_shared_memo_prepares_each_text_once_over_calls(monkeypatch):
     # Some texts have no table word: their mean vector is None, and that
     # None is a prepared feature, not a missing one.
-    fn = SimilarityFn(kind="embedding-cosine", table=_TABLE)
+    fn = SimilarityFn(_TABLE)
     calls_in = [_retrieval_sized_call(seed) for seed in range(4)]
-    want = [rerank_oracle(cands, query, 10, 1.0, SimilarityFn("embedding-cosine", _TABLE))
+    want = [rerank_oracle(cands, query, 10, 1.0, SimilarityFn(_TABLE))
             for cands, query in calls_in]
     calls = _counting(monkeypatch, "_mean_vector")
     prepared = {}
@@ -384,7 +395,7 @@ def full_greedy(candidates, query_text, config):
 )
 @settings(max_examples=150, deadline=None)
 def test_lambda_zero_picks_as_the_full_greedy_loop(texts, query, m, kind):
-    fn = SimilarityFn() if kind == "token-jaccard" else SimilarityFn(kind, _TABLE)
+    fn = SimilarityFn() if kind == "token-jaccard" else SimilarityFn(_TABLE)
     cands = sents(*texts)
     config = RerankConfig(m=m, lambda_=0.0, similarity=fn)
     assert [s.id for s in rerank(cands, query, config)] == \
@@ -412,7 +423,7 @@ def test_attach_prepares_each_text_once_per_call(monkeypatch):
     ])
     index = build_index(corpus)
     calls = _counting(monkeypatch, "token_set")
-    out = attach_premises(dataset, corpus, index, QueryGenConfig(), RerankConfig(m=2))
+    out = attach_premises(dataset, corpus, index, RerankConfig(m=2))
     first = list(calls)
     # the options share sentences, so a per-call preparation repeats texts
     picked = [p.text for item in out.items for plist in item.premises for p in plist]
@@ -420,5 +431,5 @@ def test_attach_prepares_each_text_once_per_call(monkeypatch):
     assert len(first) == len(set(first))
     assert set(corpus.texts) <= set(first)
     calls.clear()
-    attach_premises(dataset, corpus, index, QueryGenConfig(), RerankConfig(m=2))
+    attach_premises(dataset, corpus, index, RerankConfig(m=2))
     assert calls == first  # the memo does not outlive its call
