@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         head = "concat" if openbook else "baseline"
         train_set = train_open if openbook else train_raw
         eval_set = eval_open if openbook else eval_raw
-        model = FusionModel.init(encoder, head, seed=args.seed + 1)
+        model = FusionModel(encoder, head, seed=args.seed + 1)
         train(
             model, train_set,
             TrainConfig(seed=args.seed + 2, lr=0.3, epochs=args.epochs, batch_size=32),

@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     print(f"{'head':<14} {'train':>7} {'eval':>7} {'secs':>6}")
     for head in HEADS:
         encoder = EncoderModel.init(vocab, EncoderConfig(d=args.d), seed=args.seed)
-        model = FusionModel.init(encoder, head, seed=args.seed + 1)
+        model = FusionModel(encoder, head, seed=args.seed + 1)
         start = time.perf_counter()
         train(model, train_set, config)
         elapsed = time.perf_counter() - start

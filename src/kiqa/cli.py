@@ -32,9 +32,15 @@ Seeds are derived from the global ``--seed`` (default 0): encoder init
 uses ``seed``, head init ``seed+1``, supervised training ``seed+2``, and
 revision ``seed+3``, so stages stay reproducible independently.
 
+Every command runs through one runner, :func:`main`: it checks the config,
+and that each output can be written and names no input, before the command
+reads anything; then it runs the command and prints the one line it returns.
+``pfqa-gen`` makes its output directory only once the facts give three
+non-empty splits, and checks the files in it after making it.
+
 Exit codes: 0 success, 1 validation error or out of memory, 2 I/O error,
-130 interrupted.
-Every command with identical inputs, config, and seed writes byte-identical outputs.
+130 interrupted.  Every command with identical inputs, config, and seed
+writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ if __name__ == "__main__":  # python -m kiqa.cli: the imports below run under th
 import argparse
 import errno
 import os
+from collections.abc import Callable
 from pathlib import Path
 
 from .corpus import (
@@ -176,12 +183,6 @@ def _key_list(keys) -> str:
     return ", ".join(keys) or "none"
 
 
-def _load_config(args) -> Config:
-    """The ``--config`` file, checked against the keys the subparser declared."""
-    values = parse_config_file(_input(args.config)) if args.config else {}
-    return Config(values, args.config_keys)
-
-
 def _input(path_str: str | Path) -> Path:
     path = Path(path_str)
     if not path.is_file():
@@ -231,29 +232,22 @@ SGD_KEYS = {"lr": float, "epochs": int, "batch_size": int, "momentum": float}
 REVISION_KEYS = {**SGD_KEYS, "mask_prob": float}
 
 
-def _cmd_corpus_prep(args) -> int:
-    cfg = _load_config(args)
-    _check_outputs(args, args.out)
+def _cmd_corpus_prep(args, cfg: Config) -> str:
     if args.format == "prepared-jsonl":
         corpus = load_jsonl(_input(args.input))
     else:
-        corpus = load_corpus(
-            _input(args.input), args.format, seed=args.seed, **cfg.pick("source_tag")
-        )
+        corpus = load_corpus(_input(args.input), args.format, seed=args.seed,
+                             **cfg.pick("source_tag"))
     save_jsonl(corpus, args.out)
-    print(f"wrote {len(corpus)} sentences to {args.out}")
-    return 0
+    return f"wrote {len(corpus)} sentences to {args.out}"
 
 
-def _cmd_index_build(args) -> int:
-    cfg = _load_config(args)
-    _check_outputs(args, args.out)
+def _cmd_index_build(args, cfg: Config) -> str:
     params = Bm25Params(**cfg.pick("k1", "b"))
     corpus = load_jsonl(_input(args.corpus))
     index = build_index(corpus, params)
     save_index(index, args.out)
-    print(f"indexed {len(corpus)} sentences to {args.out}")
-    return 0
+    return f"indexed {len(corpus)} sentences to {args.out}"
 
 
 def _corpus_and_index(args) -> tuple[CorpusRows, InvertedIndex]:
@@ -278,117 +272,95 @@ def _similarity(embeddings_path) -> SimilarityFn:
     return SimilarityFn(table)
 
 
-def _cmd_attach(args) -> int:
-    cfg = _load_config(args)
-    _check_outputs(args, args.out)
+def _cmd_attach(args, cfg: Config) -> str:
     schema_map = _input(args.schema_map) if args.schema_map else None
     dataset = load_mcq(_input(args.dataset), args.schema, schema_map=schema_map)
     corpus, index = _corpus_and_index(args)
-    rr_config = RerankConfig(
-        **cfg.pick("m", lambda_="lambda"), similarity=_similarity(args.embeddings)
-    )
+    rr_config = RerankConfig(**cfg.pick("m", lambda_="lambda"),
+                             similarity=_similarity(args.embeddings))
     attached = attach_premises(dataset, corpus, index, rr_config, **cfg.pick("retrieve_k"))
     save_mcq_jsonl(attached, args.out)
-    print(f"attached premises for {len(attached)} items to {args.out}")
-    return 0
+    return f"attached premises for {len(attached)} items to {args.out}"
 
 
-def _cmd_pfqa_gen(args) -> int:
-    _load_config(args)
+def _cmd_pfqa_gen(args, cfg: Config) -> str:
     facts = load_facts(_input(args.facts))
     questions = generate_questions(facts, seed=args.seed)
-    train_q, dev_q, test_q = assign_splits(questions, seed=args.seed)
+    splits = dict(zip(("train", "dev", "test"), assign_splits(questions, seed=args.seed)))
+    counts = "/".join(str(len(split)) for split in splits.values())
+    if empty := [name for name, split in splits.items() if not split]:
+        raise CliError(f"no questions in the {' or '.join(empty)} split "
+                       f"({counts} train/dev/test); give more facts")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = {out_dir / f"{name}.jsonl": split
-              for name, split in (("train", train_q), ("dev", dev_q), ("test", test_q))}
-    _check_outputs(args, out_dir / "knowledge.jsonl", *splits)
-    knowledge = KnowledgeCorpus(
-        sentences=[
-            KnowledgeSentence(id=f"pfqa-k-{n:06d}", text=render_fact(f), source_tag="pfqa")
-            for n, f in enumerate(facts)
-        ]
-    )
+    paths = {out_dir / f"{name}.jsonl": split for name, split in splits.items()}
+    _check_outputs(args, out_dir / "knowledge.jsonl", *paths)
+    knowledge = KnowledgeCorpus([
+        KnowledgeSentence(id=f"pfqa-k-{n:06d}", text=render_fact(f), source_tag="pfqa")
+        for n, f in enumerate(facts)])
     save_jsonl(knowledge, out_dir / "knowledge.jsonl")
-    for path, split in splits.items():
+    for path, split in paths.items():
         save_mcq_jsonl(to_dataset(split), path)
-    print(
-        f"wrote {len(knowledge)} knowledge sentences and "
-        f"{len(train_q)}/{len(dev_q)}/{len(test_q)} train/dev/test questions to {out_dir}"
-    )
-    return 0
+    return (f"wrote {len(knowledge)} knowledge sentences and "
+            f"{counts} train/dev/test questions to {out_dir}")
 
 
-def _load_encoder(cfg: Config, path) -> EncoderModel:
-    """The ``--encoder`` checkpoint; the encoder keys the config sets must match it."""
-    encoder = load_encoder(_input(path))
-    for key, value in cfg.pick(*ENCODER_KEYS).items():
-        if value != (has := getattr(encoder.config, key)):
-            raise CliError(f"config key {key!r} is {value!r} but the --encoder checkpoint "
-                           f"has {key} = {has!r}")
+def _encoder(args, cfg: Config, encoder_config: EncoderConfig, revision_config: TrainConfig,
+             vocab: Callable[[], Vocab], corpus: CorpusRows | None) -> EncoderModel:
+    """The ``--encoder`` checkpoint, whose size the encoder keys the config sets
+    must match, or a new encoder over ``vocab()``; revised on ``corpus`` if given."""
+    if args.encoder:
+        encoder = load_encoder(_input(args.encoder))
+        for key, value in cfg.pick(*ENCODER_KEYS).items():
+            if value != (has := getattr(encoder.config, key)):
+                raise CliError(f"config key {key!r} is {value!r} but the --encoder checkpoint "
+                               f"has {key} = {has!r}")
+    else:
+        encoder = EncoderModel.init(vocab(), encoder_config, seed=args.seed)
+    if corpus is not None:
+        revision_train(encoder, corpus, revision_config)
     return encoder
 
 
-def _cmd_revise(args) -> int:
-    cfg = _load_config(args)
-    _check_outputs(args, args.out)
+# Both build their encoder and revision settings before reading any input, so a
+# bad key fails even where the run starts from --encoder or does not revise.
+def _cmd_revise(args, cfg: Config) -> str:
     encoder_config = EncoderConfig(**cfg.pick(*ENCODER_KEYS))
     revision_config = TrainConfig(seed=args.seed + 3, **cfg.pick(*REVISION_KEYS))
     corpus = load_jsonl(_input(args.corpus))
-    if args.encoder:
-        encoder = _load_encoder(cfg, args.encoder)
-    else:
-        vocab = Vocab.from_texts(corpus.texts)
-        encoder = EncoderModel.init(vocab, encoder_config, seed=args.seed)
-    revision_train(encoder, corpus, revision_config)
+    encoder = _encoder(args, cfg, encoder_config, revision_config,
+                       lambda: Vocab.from_texts(corpus.texts), corpus)
     save_encoder(encoder, args.out)
-    print(f"revised encoder on {len(corpus)} sentences to {args.out}")
-    return 0
+    return f"revised encoder on {len(corpus)} sentences to {args.out}"
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
-    _check_outputs(args, args.out)
+def _cmd_train(args, cfg: Config) -> str:
     encoder_config = EncoderConfig(**cfg.pick(*ENCODER_KEYS))
     revision_config = TrainConfig(seed=args.seed + 3, **cfg.pick(*REVISION_KEYS, prefix="rev_"))
     train_config = TrainConfig(seed=args.seed + 2, **cfg.pick(*SGD_KEYS))
     head = cfg.get("head", "weighted-sum")
     dataset = load_mcq(_input(args.dataset), args.schema)
     corpus = load_jsonl(_input(args.corpus)) if args.corpus else None
-
-    if args.encoder:
-        encoder = _load_encoder(cfg, args.encoder)
-    else:
-        vocab = training_vocab(dataset, corpus)
-        encoder = EncoderModel.init(vocab, encoder_config, seed=args.seed)
-    if corpus is not None:
-        revision_train(encoder, corpus, revision_config)
-    model = FusionModel.init(encoder, head, seed=args.seed + 1, **cfg.pick("tied"))
+    encoder = _encoder(args, cfg, encoder_config, revision_config,
+                       lambda: training_vocab(dataset, corpus), corpus)
+    model = FusionModel(encoder, head, seed=args.seed + 1, **cfg.pick("tied"))
     train(model, dataset, train_config, **cfg.pick("freeze_encoder"))
     save_model(model, args.out)
-    print(f"trained {head} model on {len(dataset)} items to {args.out}")
-    return 0
+    return f"trained {head} model on {len(dataset)} items to {args.out}"
 
 
-def _cmd_eval(args) -> int:
-    _load_config(args)
-    _check_outputs(args, args.out, args.predictions)
+def _cmd_eval(args, cfg: Config) -> str:
     model = load_model(_input(args.model))
     dataset = load_mcq(_input(args.dataset), args.schema)
-    report = evaluate(
-        model, dataset,
-        configs={"head": model.head, "tied": model.tied, "seed": args.seed},
-    )
+    report = evaluate(model, dataset,
+                      configs={"head": model.head, "tied": model.tied, "seed": args.seed})
     save_report(report, args.out)
     if args.predictions:
         save_predictions(model, dataset, args.predictions)
-    print(f"accuracy {report.accuracy!r} over {report.n_items} items; report in {args.out}")
-    return 0
+    return f"accuracy {report.accuracy!r} over {report.n_items} items; report in {args.out}"
 
 
-def _cmd_sweep_m(args) -> int:
-    cfg = _load_config(args)
-    _check_outputs(args, args.out)
+def _cmd_sweep_m(args, cfg: Config) -> str:
     if "m_values" not in cfg:
         raise CliError("sweep-m needs m_values in the config, e.g. m_values = [1, 2, 5]")
     m_values = cfg["m_values"]
@@ -407,19 +379,15 @@ def _cmd_sweep_m(args) -> int:
         **cfg.pick("retrieve_k", "freeze_encoder"),
     )
     write_sweep_csv(rows, args.out)
-    print(f"swept m over {m_values} to {args.out}")
-    return 0
+    return f"swept m over {m_values} to {args.out}"
 
 
-def _cmd_weight_report(args) -> int:
-    _load_config(args)
-    _check_outputs(args, args.out)
+def _cmd_weight_report(args, cfg: Config) -> str:
     model = load_model(_input(args.model))
     dataset = load_mcq(_input(args.dataset), args.schema)
     rows = weight_overlap_report(model, dataset)
     write_weight_report_csv(rows, args.out)
-    print(f"wrote {len(rows)} weight/overlap rows to {args.out}")
-    return 0
+    return f"wrote {len(rows)} weight/overlap rows to {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -431,106 +399,105 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _add_common(sub, out_help: str, config_keys: dict[str, type]):
+def _add_common(sub, run, out_help: str, config_keys: dict[str, type], outputs=("out",)):
+    """The flags every command takes; its run, config keys and output flags for :func:`main`."""
     sub.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
     sub.add_argument(
         "--config",
         help=f"TOML-style key = value configuration file (config keys: {_key_list(config_keys)})",
     )
     sub.add_argument("--out", required=True, help=out_help)
-    sub.set_defaults(config_keys=config_keys)
+    sub.set_defaults(run=run, config_keys=config_keys, outputs=outputs)
+
+
+def _add_retrieval(sub):
+    sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
+    sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
+    sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kiqa", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sub = commands.add_parser(
-        "corpus-prep", parents=[], help="prepare a raw knowledge source into a corpus"
-    )
+    sub = commands.add_parser("corpus-prep", help="prepare a raw knowledge source into a corpus")
     sub.add_argument("--input", required=True, help="raw knowledge source file")
     sub.add_argument(
         "--format", choices=(*FORMATS, "prepared-jsonl"), default="plain-lines",
         help="input layout (default plain-lines)",
     )
-    _add_common(sub, "prepared corpus JSONL", {"source_tag": str})
-    sub.set_defaults(run=_cmd_corpus_prep)
+    _add_common(sub, _cmd_corpus_prep, "prepared corpus JSONL", {"source_tag": str})
 
     sub = commands.add_parser("index-build", help="build the retrieval index for a corpus")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
-    _add_common(sub, "binary KIIX index file", {"k1": float, "b": float})
-    sub.set_defaults(run=_cmd_index_build)
+    _add_common(sub, _cmd_index_build, "binary KIIX index file", {"k1": float, "b": float})
 
     sub = commands.add_parser("attach", help="retrieve and attach premises to a dataset")
     sub.add_argument("--dataset", required=True, help="question file")
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="question file schema")
     sub.add_argument("--schema-map", help="JSON field-name overrides for off-spec dumps")
-    sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
-    sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
-    sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
-    _add_common(sub, "attached dataset JSONL",
+    _add_retrieval(sub)
+    _add_common(sub, _cmd_attach, "attached dataset JSONL",
                 {"m": int, "lambda": float, "retrieve_k": int})
-    sub.set_defaults(run=_cmd_attach)
 
     sub = commands.add_parser("pfqa-gen", help="generate the synthetic family-relations dataset")
     sub.add_argument("--facts", required=True, help="parent-facts file, one 'Child<TAB>Parent' per line")
-    _add_common(sub, "output directory for knowledge.jsonl and train/dev/test.jsonl", {})
-    sub.set_defaults(run=_cmd_pfqa_gen)
+    # --out is a directory, made once the facts give three splits; the command checks its files
+    _add_common(sub, _cmd_pfqa_gen, "output directory for knowledge.jsonl and train/dev/test.jsonl",
+                {}, outputs=())
 
     sub = commands.add_parser("revise", help="pretrain an encoder on a corpus (masked tokens)")
     sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
     sub.add_argument("--encoder", help="existing encoder checkpoint to continue from")
-    _add_common(sub, "encoder checkpoint", {**ENCODER_KEYS, **REVISION_KEYS})
-    sub.set_defaults(run=_cmd_revise)
+    _add_common(sub, _cmd_revise, "encoder checkpoint", {**ENCODER_KEYS, **REVISION_KEYS})
 
     sub = commands.add_parser("train", help="train a fusion model on an attached dataset")
     sub.add_argument("--dataset", required=True, help="attached dataset JSONL")
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
     sub.add_argument("--corpus", help="prepared corpus JSONL to revise the encoder on first")
     sub.add_argument("--encoder", help="pretrained encoder checkpoint to start from")
-    _add_common(sub, "model checkpoint", {
+    _add_common(sub, _cmd_train, "model checkpoint", {
         **ENCODER_KEYS, **SGD_KEYS, "head": str, "tied": bool, "freeze_encoder": bool,
         **{"rev_" + key: kind for key, kind in REVISION_KEYS.items()},
     })
-    sub.set_defaults(run=_cmd_train)
 
     sub = commands.add_parser("eval", help="evaluate a model and write the accuracy report")
     sub.add_argument("--model", required=True, help="model checkpoint")
     sub.add_argument("--dataset", required=True, help="labelled dataset JSONL")
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
     sub.add_argument("--predictions", help="also write per-item predictions JSONL here")
-    _add_common(sub, "evaluation report JSON", {})
-    sub.set_defaults(run=_cmd_eval)
+    _add_common(sub, _cmd_eval, "evaluation report JSON", {}, outputs=("out", "predictions"))
 
     sub = commands.add_parser("sweep-m", help="accuracy as a function of premises per option")
     sub.add_argument("--model", required=True, help="model checkpoint to start each point from")
     sub.add_argument("--train", required=True, help="training dataset (raw; premises are re-attached)")
     sub.add_argument("--eval", required=True, help="evaluation dataset (raw)")
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
-    sub.add_argument("--corpus", required=True, help="prepared corpus JSONL")
-    sub.add_argument("--index", help="prebuilt binary KIIX index (default: build from the corpus)")
-    sub.add_argument("--embeddings", help="word-embedding table for embedding-cosine re-ranking")
-    _add_common(sub, "CSV of (m, accuracy) rows", {
+    _add_retrieval(sub)
+    _add_common(sub, _cmd_sweep_m, "CSV of (m, accuracy) rows", {
         **SGD_KEYS, "m_values": list, "retrain": bool, "lambda": float, "retrieve_k": int,
         "freeze_encoder": bool,
     })
-    sub.set_defaults(run=_cmd_sweep_m)
 
     sub = commands.add_parser("weight-report", help="per-passage weights vs. token overlap")
     sub.add_argument("--model", required=True, help="weighted-sum model checkpoint")
     sub.add_argument("--dataset", required=True, help="attached dataset JSONL")
     sub.add_argument("--schema", choices=SCHEMA_TAGS, default="generic", help="dataset schema")
-    _add_common(sub, "CSV of (item, option, passage, weight, overlap) rows", {})
-    sub.set_defaults(run=_cmd_weight_report)
+    _add_common(sub, _cmd_weight_report, "CSV of (item, option, passage, weight, overlap) rows", {})
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command as the module docstring says; return its exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        values = parse_config_file(_input(args.config)) if args.config else {}
+        cfg = Config(values, args.config_keys)
+        _check_outputs(args, *(getattr(args, flag) for flag in args.outputs))
+        print(args.run(args, cfg))
+        return 0
     except SystemExit as exc:  # --help
         code = exc.code
         return code if isinstance(code, int) else 0

@@ -88,12 +88,12 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _clone_model(model: FusionModel) -> FusionModel:
-    """A trainable copy; like ``load_model``, ``FusionModel.init`` wires the head."""
+    """A trainable copy; like ``load_model``, the ``FusionModel`` constructor wires the head."""
     encoder = model.encoder
     if not isinstance(encoder, ExternalVectorStore):
         params = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in encoder.params.items()}
         encoder = EncoderModel(encoder.vocab, encoder.config, params)
-    clone = FusionModel.init(encoder, model.head, tied=model.tied)
+    clone = FusionModel(encoder, model.head, tied=model.tied)
     source = model.parameters()
     for name, param in clone.parameters().items():
         param.data = source[name].data.copy()

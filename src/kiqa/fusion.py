@@ -70,54 +70,31 @@ class OptionScores:
 
 
 class FusionModel:
+    """A head over an encoder, its layers drawn from ``seed``; a tied
+    weighted-sum head weighs passages with its score layer."""
+
     def __init__(
         self,
         encoder: EncoderModel | ExternalVectorStore,
         head: str,
-        score_w: Tensor,
-        score_b: Tensor,
-        weight_w: Tensor | None = None,
-        weight_b: Tensor | None = None,
+        seed: int = 0,
         tied: bool = False,
     ):
         if head not in HEADS:
             raise FusionError(f"unknown head kind {head!r}")
-        if head == "weighted-sum":
-            if weight_w is None or weight_b is None:
-                raise FusionError("weighted-sum needs a weight layer")
-            if tied and (weight_w is not score_w or weight_b is not score_b):
-                raise FusionError("tied weighted-sum must share score-layer storage")
-        else:
-            if tied or weight_w is not None or weight_b is not None:
-                raise FusionError(f"{head} takes no weight layer")
-        self.encoder = encoder
-        self.head = head
-        self.score_w = score_w
-        self.score_b = score_b
-        self.weight_w = weight_w
-        self.weight_b = weight_b
-        self.tied = tied
-
-    @classmethod
-    def init(
-        cls,
-        encoder: EncoderModel | ExternalVectorStore,
-        head: str,
-        seed: int = 0,
-        tied: bool = False,
-    ) -> "FusionModel":
+        if tied and head != "weighted-sum":
+            raise FusionError(f"{head} takes no weight layer")
         d = encoder.dimension if isinstance(encoder, ExternalVectorStore) else encoder.config.d
         rng = np.random.default_rng(seed)
-        score_w = Tensor(rng.normal(0.0, 0.1, size=(d, 1)), requires_grad=True)
-        score_b = Tensor(np.zeros(1), requires_grad=True)
-        weight_w = weight_b = None
-        if head == "weighted-sum":
-            if tied:
-                weight_w, weight_b = score_w, score_b
-            else:
-                weight_w = Tensor(rng.normal(0.0, 0.1, size=(d, 1)), requires_grad=True)
-                weight_b = Tensor(np.zeros(1), requires_grad=True)
-        return cls(encoder, head, score_w, score_b, weight_w, weight_b, tied=tied)
+        self.encoder, self.head, self.tied = encoder, head, tied
+        self.score_w = Tensor(rng.normal(0.0, 0.1, size=(d, 1)), requires_grad=True)
+        self.score_b = Tensor(np.zeros(1), requires_grad=True)
+        self.weight_w = self.weight_b = None
+        if tied:
+            self.weight_w, self.weight_b = self.score_w, self.score_b
+        elif head == "weighted-sum":
+            self.weight_w = Tensor(rng.normal(0.0, 0.1, size=(d, 1)), requires_grad=True)
+            self.weight_b = Tensor(np.zeros(1), requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
         """Trainable head parameters; each shared tensor appears once."""
@@ -126,10 +103,6 @@ class FusionModel:
             params["weight_w"] = self.weight_w
             params["weight_b"] = self.weight_b
         return params
-
-    @property
-    def d(self) -> int:
-        return self.score_w.data.shape[0]
 
 
 def question_text(item: McqItem) -> str:
@@ -371,7 +344,7 @@ def load_model(path: str | Path) -> FusionModel:
     if tied > (head == "weighted-sum"):
         raise r.error(f"tied flag {tied} for a {head} head (only weighted-sum may be tied, with 1)")
     # a fresh model of the stored kind names the head parameters and their shapes
-    model = FusionModel.init(read_encoder(r), head, tied=bool(tied))
+    model = FusionModel(read_encoder(r), head, tied=bool(tied))
     params = model.parameters()
     for name, data in r.tensors({n: t.shape for n, t in params.items()}, "head parameter").items():
         params[name].data = data

@@ -139,7 +139,7 @@ def _spawn_pool(monkeypatch):
 def _grad_check_run(vocab, head, tied, item, d, encoder_seed, head_seed):
     """One of test 3's gradient checks: a tiny model's worst relative error."""
     encoder = EncoderModel.init(vocab, EncoderConfig(d=d, max_len=24), seed=encoder_seed)
-    model = FusionModel.init(encoder, head, seed=head_seed, tied=tied)
+    model = FusionModel(encoder, head, seed=head_seed, tied=tied)
     return grad_check(model, item, step=1e-6)
 
 
@@ -257,7 +257,7 @@ def test_criterion_5_knowledge_helps():
     accs = {}
     for head in HEADS:
         encoder = EncoderModel.init(vocab, EncoderConfig(d=16), seed=0)
-        model = FusionModel.init(encoder, head, seed=1)
+        model = FusionModel(encoder, head, seed=1)
         train(model, train_set, config)
         accs[head] = evaluate(model, eval_set).accuracy
     elapsed = perf_counter() - start
@@ -283,7 +283,7 @@ def test_criterion_6_scattered_evidence():
     accs = {}
     for head in ("parallel-max", "simple-sum", "weighted-sum"):
         encoder = EncoderModel.init(vocab, EncoderConfig(d=16), seed=0)
-        model = FusionModel.init(encoder, head, seed=1)
+        model = FusionModel(encoder, head, seed=1)
         train(model, train_set, config)
         accs[head] = evaluate(model, eval_set).accuracy
 
@@ -340,7 +340,7 @@ def _revision_gap(seed):
                 TrainConfig(seed=3000 + seed, lr=0.05, epochs=200,
                             batch_size=32, mask_prob=0.3),
             )
-        model = FusionModel.init(enc, "concat", seed=1000 + seed)
+        model = FusionModel(enc, "concat", seed=1000 + seed)
         train(
             model, train_set,
             TrainConfig(seed=2000 + seed, lr=0.3, epochs=30, batch_size=32),
@@ -466,10 +466,10 @@ def test_criterion_9_stage_determinism(tmp_path):
         encoding="utf-8",
     )
     facts = tmp_path / "facts.tsv"
-    facts.write_text(
-        "Alice\tBob\nBob\tCarol\nCarol\tDave\nDave\tEve\nEve\tFrank\nFrank\tGrace\n",
-        encoding="utf-8",
-    )
+    names = "Alice Bob Carol Dave Eve Frank Grace Heidi Ivan Judy Mallory Niaj Olivia Peggy"
+    # 13 facts: enough persons that pfqa-gen's train, dev and test splits all get questions
+    facts.write_text("".join(f"{c}\t{p}\n" for c, p in zip(names.split(), names.split()[1:])),
+                     encoding="utf-8")
     (tmp_path / "train.cfg").write_text(
         'head = "weighted-sum"\nd = 8\nepochs = 2\n', encoding="utf-8"
     )

@@ -47,7 +47,9 @@ QUESTIONS = [
     {"id": "q1", "question": "what colour is the sky", "options": ["blue", "green"], "gold": 0},
     {"id": "q2", "question": "what colour is the grass", "options": ["yellow", "green"], "gold": 1},
 ]
-FACTS = "Alice\tBob\nBob\tCarol\nCarol\tDave\nDave\tEve\nEve\tFrank\nFrank\tGrace\n"
+# A chain of 13 parent facts, enough persons for pfqa-gen's three splits (20/3/2 at seed 0).
+NAMES = "Alice Bob Carol Dave Eve Frank Grace Heidi Ivan Judy Mallory Niaj Olivia Peggy".split()
+FACTS = "".join(f"{child}\t{parent}\n" for child, parent in zip(NAMES, NAMES[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +84,11 @@ def artifacts(tmp_path_factory):
         ["revise", "--corpus", str(d / "corpus.jsonl"), "--config", str(d / "revise.cfg"),
          "--out", str(d / "encoder.kenc")],
     ]
-    for argv in steps:
-        assert main(argv) == 0
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        for argv in steps:
+            assert main(argv) == 0
+    (d / "stdout.txt").write_text(printed.getvalue(), encoding="utf-8")
     return d
 
 
@@ -168,14 +173,25 @@ def test_pfqa_gen_writes_knowledge_and_splits(tmp_path):
         "dev.jsonl", "knowledge.jsonl", "test.jsonl", "train.jsonl"
     ]
     knowledge = load_jsonl(out / "knowledge.jsonl")
-    assert len(knowledge) == 6
+    assert len(knowledge) == 13
     assert "Bob" in knowledge.sentences[0].text
     sizes = [
         len((out / f"{n}.jsonl").read_text(encoding="utf-8").splitlines())
         for n in ("train", "dev", "test")
     ]
-    assert sum(sizes) > 0 and sizes[0] >= sizes[1] >= sizes[2]
+    assert sizes[0] >= sizes[1] >= sizes[2] > 0
     assert len(load_mcq(out / "train.jsonl", "generic")) == sizes[0]
+
+
+def test_pfqa_gen_refuses_a_split_that_comes_out_empty(tmp_path, capsys):
+    # six facts put every person's questions in train or dev at seed 0
+    facts = tmp_path / "facts.tsv"
+    facts.write_text("".join(f"{c}\t{p}\n" for c, p in zip(NAMES[:6], NAMES[1:7])),
+                     encoding="utf-8")
+    assert main(["pfqa-gen", "--facts", str(facts), "--out", str(tmp_path / "pfqa")]) == 1
+    assert one_error_line(capsys) == \
+        "error: no questions in the test split (9/2/0 train/dev/test); give more facts"
+    assert os.listdir(tmp_path) == ["facts.tsv"]
 
 
 def test_pfqa_gen_checks_all_outputs_before_writing_any(tmp_path, capsys):
@@ -309,6 +325,35 @@ def test_weight_report_writes_rows(artifacts, tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "item,option,passage,weight,overlap"
     assert len(lines) > 1
+
+
+def test_each_command_prints_its_one_line(artifacts, tmp_path, capsys):
+    d, t = artifacts, tmp_path
+    (t / "w.cfg").write_text('head = "weighted-sum"\nd = 8\nepochs = 1\n', encoding="utf-8")
+    runs = [
+        ["eval", "--model", d / "model.bin", "--dataset", d / "attached.jsonl",
+         "--predictions", t / "p.jsonl", "--out", t / "r.json"],
+        ["sweep-m", *OUT_STAGES["sweep-m"](d), "--out", t / "s.csv"],
+        ["train", "--dataset", d / "attached.jsonl", "--config", t / "w.cfg", "--out", t / "w.bin"],
+        ["weight-report", "--model", t / "w.bin", "--dataset", d / "attached.jsonl",
+         "--out", t / "w.csv"],
+        ["pfqa-gen", "--facts", d / "facts.tsv", "--out", t / "pfqa"],
+    ]
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 0
+    printed = (d / "stdout.txt").read_text(encoding="utf-8") + capsys.readouterr().out
+    assert printed.splitlines() == [
+        f"wrote 4 sentences to {d / 'corpus.jsonl'}",
+        f"indexed 4 sentences to {d / 'index.kiix'}",
+        f"attached premises for 2 items to {d / 'attached.jsonl'}",
+        f"trained concat model on 2 items to {d / 'model.bin'}",
+        f"revised encoder on 4 sentences to {d / 'encoder.kenc'}",
+        f"accuracy 0.5 over 2 items; report in {t / 'r.json'}",
+        f"swept m over [1] to {t / 's.csv'}",
+        f"trained weighted-sum model on 2 items to {t / 'w.bin'}",
+        f"wrote 6 weight/overlap rows to {t / 'w.csv'}",
+        f"wrote 13 knowledge sentences and 20/3/2 train/dev/test questions to {t / 'pfqa'}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +499,11 @@ def test_out_of_memory_exits_1_and_keeps_the_old_output(artifacts, tmp_path, cap
     assert os.listdir(tmp_path) == ["encoder.kenc"]
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 # Each stage that writes one --out file, with the inputs it reads from the fixture.
 OUT_STAGES = {
     "corpus-prep": lambda d: ["--input", d / "raw.txt"],
@@ -466,11 +516,16 @@ OUT_STAGES = {
     "sweep-m": lambda d: ["--model", d / "model.bin", "--train", d / "qs.jsonl",
                           "--eval", d / "qs.jsonl", "--corpus", d / "corpus.jsonl",
                           "--index", d / "index.kiix", "--config", d / "sweep.cfg"],
+    "weight-report": lambda d: ["--model", d / "model.bin", "--dataset", d / "attached.jsonl"],
 }
 
 
+# Every command the parser has, so that one added later is held to the runner's output
+# check too.  pfqa-gen is the exception: its --out is a directory that it makes only once
+# the facts give three splits, and it checks the files in it itself, as
+# test_pfqa_gen_checks_all_outputs_before_writing_any shows.
 @pytest.mark.parametrize("where", ["nodir/out", "adir"])
-@pytest.mark.parametrize("stage", sorted(OUT_STAGES))
+@pytest.mark.parametrize("stage", sorted(set(subcommands()) - {"pfqa-gen"}))
 def test_out_that_cannot_be_written_exits_2_naming_it(artifacts, tmp_path, capsys, stage, where):
     (tmp_path / "adir").mkdir()
     out = tmp_path / where
@@ -523,7 +578,6 @@ ALL_INPUT_STAGES = {
     "train": lambda d: [*OUT_STAGES["train"](d), "--corpus", d / "corpus.jsonl",
                         "--encoder", d / "encoder.kenc"],
     "sweep-m": lambda d: [*OUT_STAGES["sweep-m"](d), "--embeddings", d / "emb.txt"],
-    "weight-report": lambda d: ["--model", d / "model.bin", "--dataset", d / "attached.jsonl"],
 }
 
 
@@ -542,8 +596,7 @@ def test_out_that_names_an_input_exits_1_and_keeps_it(artifacts, tmp_path, capsy
 
 
 def test_the_input_flags_are_every_flag_that_names_a_file_to_read():
-    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {action.dest for sub in commands.choices.values() for action in sub._actions}
+    dests = {action.dest for sub in subcommands().values() for action in sub._actions}
     not_read = {"help", "seed", "out", "predictions", "schema", "format", "config_keys", "run"}
     assert sorted(dests - not_read) == sorted(kiqa.cli.INPUT_FLAGS)
 
@@ -712,7 +765,7 @@ def test_encoder_with_nan_weight_exits_1(artifacts, tmp_path, capsys):
 
 def test_model_with_wrong_head_shape_exits_1(artifacts, tmp_path, capsys):
     model = load_model(artifacts / "model.bin")
-    model.score_w = Tensor(np.zeros((model.d + 1, 1)))
+    model.score_w = Tensor(np.zeros((model.encoder.config.d + 1, 1)))
     save_model(model, tmp_path / "bad.bin")
     rc = main(["eval", "--model", str(tmp_path / "bad.bin"),
                "--dataset", str(artifacts / "attached.jsonl"),
@@ -1255,9 +1308,15 @@ def test_a_key_has_one_type_in_every_command():
     ("train", [], 'rev_lr = "fast"\n', "config key 'rev_lr' must be a float, got 'fast'"),
     ("train", [], "rev_epochs = true\n", "config key 'rev_epochs' must be an int, got a boolean"),
     ("train", [], "rev_batch_size = 2.5\n", "config key 'rev_batch_size' must be an int, got 2.5"),
+    ("train", [], "rev_epochs = -3\n", "epochs must be >= 0 and batch size >= 1"),
+    ("train", [], "rev_mask_prob = 1.5\n", "mask probability must be in (0, 1)"),
+    # with --encoder the checkpoint sets the size, and the encoder keys are still range-checked
     ("revise", [ENCODER], 'd = "wide"\n', "config key 'd' must be an int, got 'wide'"),
+    ("revise", [ENCODER], "d = 0\n", "d must be >= 1 and max_len >= 4"),
+    ("train", [ENCODER], "max_len = 2\n", "d must be >= 1 and max_len >= 4"),
 ], ids=["sweep-m-lr", "sweep-m-epochs", "train-rev_lr", "train-rev_epochs",
-        "train-rev_batch_size", "revise-encoder-d"])
+        "train-rev_batch_size", "train-rev_epochs-range", "train-rev_mask_prob-range",
+        "revise-encoder-d", "revise-encoder-d-range", "train-encoder-max_len-range"])
 def test_a_bad_key_exits_1_where_the_run_would_not_read_it(
         artifacts, tmp_path, command, inputs, config, message):
     cfg, out = tmp_path / "bad.cfg", tmp_path / "out"

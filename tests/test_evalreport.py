@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from kiqa.autodiff import Tensor
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.datasets import McqDataset, McqItem, attach_premises
 from kiqa.encoder import EncoderConfig, EncoderModel, TrainConfig, Vocab
@@ -44,13 +43,9 @@ def store_dataset(n_items=10, d=3, seed=0, n_options=2):
 
 
 def baseline_model(store, seed=0):
-    d = store.dimension
-    rng = np.random.default_rng(seed)
-    return FusionModel(
-        store, "baseline",
-        Tensor(rng.normal(size=(d, 1)), requires_grad=True),
-        Tensor(np.zeros(1), requires_grad=True),
-    )
+    model = FusionModel(store, "baseline")
+    model.score_w.data = np.random.default_rng(seed).normal(size=(store.dimension, 1))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +66,8 @@ def test_all_correct_toy_set_is_one():
     # score weights aligned with the gold vector of each item
     vectors = {("a", 0, None): np.array([1.0, 0.0]), ("a", 1, None): np.array([0.0, 1.0])}
     store = ExternalVectorStore(vectors)
-    model = FusionModel(store, "baseline",
-                        Tensor(np.array([[1.0], [0.0]]), requires_grad=True),
-                        Tensor(np.zeros(1), requires_grad=True))
+    model = FusionModel(store, "baseline")
+    model.score_w.data = np.array([[1.0], [0.0]])
     ds = McqDataset(items=[McqItem(id="a", question="q", options=["x", "y"], gold=0)])
     assert evaluate(model, ds).accuracy == 1.0
 
@@ -180,9 +174,8 @@ def weighted_store_setup(n_items=10, m=3, seed=0):
         items.append(McqItem(id=iid, question=f"question {k}", options=["o0", "o1"],
                              gold=0, premises=premises))
     store = ExternalVectorStore(vectors)
-    w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
-    b = Tensor(np.zeros(1), requires_grad=True)
-    model = FusionModel(store, "weighted-sum", w, b, w, b, tied=True)
+    model = FusionModel(store, "weighted-sum", tied=True)
+    model.score_w.data = rng.normal(size=(3, 1))
     return McqDataset(items=items), model
 
 
@@ -263,7 +256,7 @@ def decisive_pipeline(n_items=12, noise_per_item=2):
 def test_sweep_m_row_structure():
     ds, corpus, index, vocab = decisive_pipeline()
     enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=0)
-    model = FusionModel.init(enc, "concat", seed=1)
+    model = FusionModel(enc, "concat", seed=1)
     rows = sweep_m(model, ds, ds, corpus, index, [1, 2, 3])
     assert [m for m, _ in rows] == [1, 2, 3]
     assert all(0.0 <= acc <= 1.0 for _, acc in rows)
@@ -272,7 +265,7 @@ def test_sweep_m_row_structure():
 def test_sweep_m_validation():
     ds, corpus, index, vocab = decisive_pipeline(n_items=4)
     enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=0)
-    model = FusionModel.init(enc, "concat", seed=1)
+    model = FusionModel(enc, "concat", seed=1)
     with pytest.raises(EvalError, match="positive"):
         sweep_m(model, ds, ds, corpus, index, [0, 1])
     for m_values in ([3, 1], [1, 1]):
@@ -283,7 +276,7 @@ def test_sweep_m_validation():
 def test_sweep_m_retrain_leaves_original_model_untouched():
     ds, corpus, index, vocab = decisive_pipeline(n_items=6)
     enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=0)
-    model = FusionModel.init(enc, "simple-sum", seed=1)
+    model = FusionModel(enc, "simple-sum", seed=1)
     before = model.score_w.data.copy()
     enc_before = enc.params["emb"].data.copy()
     sweep_m(model, ds, ds, corpus, index, [1, 2],
@@ -301,7 +294,7 @@ def test_clone_model_copies_parameters_and_wiring(head, tied, store):
         encoder = ExternalVectorStore({("q", 0, None): np.ones(4)})
     else:
         encoder = EncoderModel.init(Vocab.from_texts(["a b"]), EncoderConfig(d=4), seed=0)
-    model = FusionModel.init(encoder, head, seed=1, tied=tied)
+    model = FusionModel(encoder, head, seed=1, tied=tied)
     clone = _clone_model(model)
     assert (clone.head, clone.tied) == (head, tied)
     assert (clone.weight_w is clone.score_w) == tied
@@ -324,7 +317,7 @@ def test_sweep_m_deterministic():
     def run():
         ds, corpus, index, vocab = decisive_pipeline(n_items=6)
         enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=0)
-        model = FusionModel.init(enc, "concat", seed=1)
+        model = FusionModel(enc, "concat", seed=1)
         return sweep_m(model, ds, ds, corpus, index, [1, 2],
                        train_config=TrainConfig(seed=3, lr=0.1, epochs=2, batch_size=4))
 
@@ -355,7 +348,7 @@ def test_sweep_m_rows_equal_attaching_at_each_m():
 
     config = TrainConfig(seed=2, lr=0.1, epochs=5, batch_size=16)
     enc = EncoderModel.init(training_vocab(attach(4), corpus), EncoderConfig(d=8), seed=0)
-    model = FusionModel.init(enc, "simple-sum", seed=1)
+    model = FusionModel(enc, "simple-sum", seed=1)
     train(model, attach(4), config)
     ms = [1, 2, 3, 4]
 
@@ -379,7 +372,7 @@ def test_concat_accuracy_does_not_improve_with_noise_passages():
     # retraining: appended filler can only dilute the concatenated text
     ds, corpus, index, vocab = decisive_pipeline(n_items=12, noise_per_item=3)
     enc = EncoderModel.init(vocab, EncoderConfig(d=8, max_len=48), seed=0)
-    model = FusionModel.init(enc, "concat", seed=1)
+    model = FusionModel(enc, "concat", seed=1)
     train_1 = attach_premises(ds, corpus, index, RerankConfig(m=1))
     train(model, train_1, TrainConfig(seed=2, lr=0.3, epochs=40, batch_size=6))
     rows = sweep_m(model, ds, ds, corpus, index, [1, 2, 4])
@@ -418,7 +411,7 @@ def test_sweep_m_second_passage_unlocks_scattered_evidence():
     rr = RerankConfig(m=1, lambda_=0.0)
     probe = attach_premises(dataset, corpus, index, rr, retrieve_k=20)
     enc = EncoderModel.init(training_vocab(probe, corpus), EncoderConfig(d=16), seed=0)
-    model = FusionModel.init(enc, "simple-sum", seed=1)
+    model = FusionModel(enc, "simple-sum", seed=1)
     rows = sweep_m(
         model, train_set, eval_set, corpus, index, [1, 2],
         rr_config=rr,

@@ -100,20 +100,17 @@ def store_model(head, pooled_per_option, item_id="it-0", tied=False,
     and joined (-1) entries so any head can run against it.
     """
     d = len(pooled_per_option[0][0])
-    store = ExternalVectorStore(store_vectors(pooled_per_option, item_id))
+    model = FusionModel(ExternalVectorStore(store_vectors(pooled_per_option, item_id)), head,
+                        tied=tied)
     rng = np.random.default_rng(0)
     sw = np.asarray(score_w if score_w is not None else rng.normal(size=d), float)
-    score_w_t = Tensor(sw.reshape(d, 1).copy(), requires_grad=True)
-    score_b_t = Tensor(np.array([float(score_b)]), requires_grad=True)
-    ww = wb = None
-    if head == "weighted-sum":
-        if tied:
-            ww, wb = score_w_t, score_b_t
-        else:
-            uw = np.asarray(weight_w if weight_w is not None else rng.normal(size=d), float)
-            ww = Tensor(uw.reshape(d, 1).copy(), requires_grad=True)
-            wb = Tensor(np.array([float(weight_b)]), requires_grad=True)
-    return FusionModel(store, head, score_w_t, score_b_t, ww, wb, tied=tied)
+    model.score_w.data = sw.reshape(d, 1).copy()
+    model.score_b.data = np.array([float(score_b)])
+    if head == "weighted-sum" and not tied:
+        uw = np.asarray(weight_w if weight_w is not None else rng.normal(size=d), float)
+        model.weight_w.data = uw.reshape(d, 1).copy()
+        model.weight_b.data = np.array([float(weight_b)])
+    return model
 
 
 def make_item(n_options=2, m=2, item_id="it-0", gold=0):
@@ -315,30 +312,30 @@ def encoder_item(m=2, gold=0, texts=None):
 
 def test_m1_max_equals_simple_sum_bitwise():
     enc = tiny_encoder()
-    mx = FusionModel.init(enc, "parallel-max", seed=3)
-    sm = FusionModel.init(enc, "simple-sum", seed=3)
+    mx = FusionModel(enc, "parallel-max", seed=3)
+    sm = FusionModel(enc, "simple-sum", seed=3)
     item = encoder_item(m=1)
     assert score_item(mx, item).scores == score_item(sm, item).scores
 
 
 def test_m1_weighted_sum_weight_is_exactly_one():
-    model = FusionModel.init(tiny_encoder(), "weighted-sum", seed=3)
+    model = FusionModel(tiny_encoder(), "weighted-sum", seed=3)
     out = score_item(model, encoder_item(m=1))
     assert out.weights == ((1.0,), (1.0,))
 
 
 def test_concat_of_one_passage_equals_single_passage_heads():
     enc = tiny_encoder()
-    cc = FusionModel.init(enc, "concat", seed=3)
-    sm = FusionModel.init(enc, "simple-sum", seed=3)
+    cc = FusionModel(enc, "concat", seed=3)
+    sm = FusionModel(enc, "simple-sum", seed=3)
     item = encoder_item(m=1)
     assert score_item(cc, item).scores == score_item(sm, item).scores
 
 
 def test_empty_premises_concat_equals_baseline():
     enc = tiny_encoder()
-    cc = FusionModel.init(enc, "concat", seed=5)
-    bl = FusionModel.init(enc, "baseline", seed=5)
+    cc = FusionModel(enc, "concat", seed=5)
+    bl = FusionModel(enc, "baseline", seed=5)
     bare = McqItem(id="e-1", question="which one?", options=["opt0", "opt1"], gold=0)
     assert score_item(cc, bare).scores == score_item(bl, bare).scores
     empty = McqItem(id="e-2", question="which one?", options=["opt0", "opt1"],
@@ -351,11 +348,11 @@ def test_empty_premises_placeholder_makes_per_passage_heads_total():
     item = McqItem(id="e-3", question="which one?", options=["opt0", "opt1"],
                    gold=0, premises=[[], []])
     for head in ("parallel-max", "simple-sum", "weighted-sum"):
-        model = FusionModel.init(enc, head, seed=5)
+        model = FusionModel(enc, head, seed=5)
         out = score_item(model, item)
         assert len(out.scores) == 2 and all(np.isfinite(out.scores))
-    bl = FusionModel.init(enc, "baseline", seed=5)
-    mx = FusionModel.init(enc, "parallel-max", seed=5)
+    bl = FusionModel(enc, "baseline", seed=5)
+    mx = FusionModel(enc, "parallel-max", seed=5)
     assert score_item(mx, item).scores == score_item(bl, item).scores
 
 
@@ -448,27 +445,19 @@ def test_tied_untied_agree_when_untied_copies_weight_layer():
 
 
 def test_tied_weighted_sum_shares_storage():
-    model = FusionModel.init(tiny_encoder(), "weighted-sum", tied=True)
+    model = FusionModel(tiny_encoder(), "weighted-sum", tied=True)
     assert model.weight_w is model.score_w and model.weight_b is model.score_b
     assert set(model.parameters()) == {"score_w", "score_b"}
-    untied = FusionModel.init(tiny_encoder(), "weighted-sum", tied=False)
+    untied = FusionModel(tiny_encoder(), "weighted-sum", tied=False)
     assert set(untied.parameters()) == {"score_w", "score_b", "weight_w", "weight_b"}
 
 
 def test_model_validation():
     enc = tiny_encoder()
     with pytest.raises(FusionError, match="unknown head"):
-        FusionModel.init(enc, "mean-pool")
+        FusionModel(enc, "mean-pool")
     with pytest.raises(FusionError, match="no weight layer"):
-        FusionModel.init(enc, "concat", tied=True)
-    w = Tensor(np.zeros((4, 1)), requires_grad=True)
-    b = Tensor(np.zeros(1), requires_grad=True)
-    with pytest.raises(FusionError, match="weight layer"):
-        FusionModel(enc, "weighted-sum", w, b)
-    with pytest.raises(FusionError, match="share"):
-        FusionModel(enc, "weighted-sum", w, b,
-                    Tensor(np.zeros((4, 1)), requires_grad=True),
-                    Tensor(np.zeros(1), requires_grad=True), tied=True)
+        FusionModel(enc, "concat", tied=True)
 
 
 def test_missing_store_key_errors():
@@ -492,7 +481,7 @@ def test_question_text_includes_context():
 @pytest.mark.parametrize("head,tied", [(h, False) for h in HEADS] + [("weighted-sum", True)])
 def test_grad_check_encoder_backed(head, tied):
     enc = tiny_encoder(seed=7, d=4)
-    model = FusionModel.init(enc, head, seed=11, tied=tied)
+    model = FusionModel(enc, head, seed=11, tied=tied)
     err = grad_check(model, encoder_item(m=2), step=1e-6)
     assert err < 1e-5
 
@@ -514,7 +503,7 @@ def test_symmetric_options_have_exactly_zero_score_difference_gradient():
     # as +x then -x (exact in IEEE); with more passages the contributions
     # interleave and only cancel to rounding.
     enc = tiny_encoder(seed=7, d=4)
-    model = FusionModel.init(enc, "simple-sum", seed=11)
+    model = FusionModel(enc, "simple-sum", seed=11)
     texts = [["alpha beta"]] * 2
     item = McqItem(id="sym", question="which one?", options=["opt0", "opt0"], gold=0,
                    premises=[[KnowledgeSentence(id=f"{i}{j}", text=t)
@@ -572,7 +561,7 @@ def dataset_vocab(dataset):
 def test_train_lr_zero_changes_nothing():
     ds = separable_dataset()
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
-    model = FusionModel.init(enc, "simple-sum", seed=1)
+    model = FusionModel(enc, "simple-sum", seed=1)
     before_head = {k: t.data.copy() for k, t in model.parameters().items()}
     before_enc = {k: t.data.copy() for k, t in enc.params.items()}
     acc_before = evaluate(model, ds).accuracy
@@ -586,7 +575,7 @@ def test_train_lr_zero_changes_nothing():
 
 def test_train_requires_gold():
     enc = tiny_encoder()
-    model = FusionModel.init(enc, "baseline", seed=1)
+    model = FusionModel(enc, "baseline", seed=1)
     ds = McqDataset(items=[McqItem(id="u", question="q?", options=["a", "b"])])
     with pytest.raises(FusionError, match="gold"):
         train(model, ds, TrainConfig(epochs=1))
@@ -614,7 +603,7 @@ def test_train_same_seed_identical_parameters():
     snaps = []
     for _ in range(2):
         enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=2)
-        model = FusionModel.init(enc, "weighted-sum", seed=3, tied=True)
+        model = FusionModel(enc, "weighted-sum", seed=3, tied=True)
         train(model, ds, TrainConfig(seed=5, lr=0.05, epochs=3, batch_size=4))
         snaps.append(
             {**{k: t.data.copy() for k, t in model.parameters().items()},
@@ -627,7 +616,7 @@ def test_train_same_seed_identical_parameters():
 def test_frozen_encoder_stays_fixed_while_head_learns():
     ds = separable_dataset()
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
-    model = FusionModel.init(enc, "simple-sum", seed=1)
+    model = FusionModel(enc, "simple-sum", seed=1)
     before = {k: t.data.copy() for k, t in enc.params.items()}
     head_before = model.score_w.data.copy()
     train(model, ds, TrainConfig(seed=0, lr=0.2, epochs=3, batch_size=4),
@@ -643,7 +632,7 @@ def test_separable_task_reaches_95_percent(head, tied):
     ds = separable_dataset(n_items=50, seed=4)
     best = 0.0
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=8, max_len=32), seed=0)
-    model = FusionModel.init(enc, head, seed=1, tied=tied)
+    model = FusionModel(enc, head, seed=1, tied=tied)
     for _ in range(10):  # 10 x 20 = at most 200 epochs
         train(model, ds, TrainConfig(seed=9, lr=0.2, epochs=20, batch_size=10))
         best = max(best, evaluate(model, ds).accuracy)
@@ -658,7 +647,7 @@ def test_train_stops_on_non_finite_loss(monkeypatch):
     corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
     attached = route_premises(dataset, corpus, m=1)
     enc = EncoderModel.init(training_vocab(attached), EncoderConfig(d=8), seed=0)
-    model = FusionModel.init(enc, "concat", seed=1)
+    model = FusionModel(enc, "concat", seed=1)
     log = []
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="nan|inf"):
         train(model, attached, TrainConfig(seed=2, lr=1e50, epochs=3, batch_size=8),
@@ -670,7 +659,7 @@ def test_train_stops_on_an_update_that_dwarfs_the_parameters():
     corpus, dataset = make_planted_evidence_task(n_items=40, seed=0)
     attached = route_premises(dataset, corpus, m=1)
     enc = EncoderModel.init(training_vocab(attached), EncoderConfig(d=8), seed=0)
-    model = FusionModel.init(enc, "concat", seed=1)
+    model = FusionModel(enc, "concat", seed=1)
     before = {k: v.tobytes() for k, v in all_parameters(model).items()}
     log = []
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="parameters' norm"):
@@ -683,7 +672,7 @@ def test_train_stops_on_an_update_that_dwarfs_the_parameters():
 def test_train_loss_decreases():
     ds = separable_dataset(n_items=12)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=8, max_len=32), seed=0)
-    model = FusionModel.init(enc, "concat", seed=1)
+    model = FusionModel(enc, "concat", seed=1)
     log = []
     train(model, ds, TrainConfig(seed=0, lr=0.2, epochs=20, batch_size=12), loss_log=log)
     assert log[-1] < log[0]
@@ -743,7 +732,7 @@ def test_train_matches_oracle_loop_encoder_backed(frozen):
 
     def make_model():
         enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=2)
-        return FusionModel.init(enc, "weighted-sum", seed=3)
+        return FusionModel(enc, "weighted-sum", seed=3)
 
     # 12 items in batches of 5: the last batch of each epoch is ragged
     assert_same_training(make_model, ds, TrainConfig(seed=5, lr=0.1, epochs=3, batch_size=5),
@@ -758,7 +747,7 @@ def test_train_matches_oracle_loop_store_backed():
         items.append(ragged_item(pooled, item_id=f"it-{k}", gold=k % 2))
         vectors.update(store_vectors(pooled, f"it-{k}"))
     store = ExternalVectorStore(vectors)
-    assert_same_training(lambda: FusionModel.init(store, "weighted-sum", seed=1),
+    assert_same_training(lambda: FusionModel(store, "weighted-sum", seed=1),
                          McqDataset(items=items),
                          TrainConfig(seed=6, lr=0.3, epochs=4, batch_size=3), frozen=True)
 
@@ -786,8 +775,7 @@ def test_train_encodes_each_sequence_once_per_call(monkeypatch, head):
     vocab = training_vocab(attached)
 
     def run():
-        model = FusionModel.init(EncoderModel.init(vocab, EncoderConfig(d=4), seed=0), head,
-                                 seed=1)
+        model = FusionModel(EncoderModel.init(vocab, EncoderConfig(d=4), seed=0), head, seed=1)
         train(model, attached, TrainConfig(seed=2, lr=0.1, epochs=3, batch_size=5))
         return {k: v.tobytes() for k, v in all_parameters(model).items()}
 
@@ -800,7 +788,7 @@ def test_train_encodes_each_sequence_once_per_call(monkeypatch, head):
 
 
 def test_grad_check_encodes_its_probe_once(monkeypatch):
-    model = FusionModel.init(tiny_encoder(seed=7, d=4), "parallel-max", seed=11)
+    model = FusionModel(tiny_encoder(seed=7, d=4), "parallel-max", seed=11)
     item = encoder_item(m=2)
     calls = counting_build_sequence(monkeypatch)
     assert grad_check(model, item, step=1e-6) < 1e-5
@@ -816,7 +804,7 @@ def test_weighted_sum_tape_keeps_its_fused_size():
     # the block at every position, plus the query gather
     ds = separable_dataset()
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=2)
-    model = FusionModel.init(enc, "weighted-sum", seed=3)
+    model = FusionModel(enc, "weighted-sum", seed=3)
     assert len(tape(_batch_loss(model, ds.items[:5], frozen=False))) <= 49
     with composed_graphs():
         assert len(tape(_batch_loss(model, ds.items[:5], frozen=False))) == 81
@@ -830,7 +818,7 @@ def test_train_is_bitwise_the_composed_graphs(head, tied, frozen):
 
     def run():
         enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=2)
-        model, log = FusionModel.init(enc, head, seed=3, tied=tied), []
+        model, log = FusionModel(enc, head, seed=3, tied=tied), []
         train(model, ds, TrainConfig(seed=5, lr=0.1, epochs=2, batch_size=5),
               freeze_encoder=frozen, loss_log=log)
         return log, {k: v.tobytes() for k, v in all_parameters(model).items()}
@@ -846,8 +834,8 @@ def test_diverging_train_stops_where_the_composed_graphs_stop(monkeypatch):
     vocab = training_vocab(attached)
 
     def run():
-        model, log = FusionModel.init(EncoderModel.init(vocab, EncoderConfig(d=8), seed=0),
-                                      "concat", seed=1), []
+        model, log = FusionModel(EncoderModel.init(vocab, EncoderConfig(d=8), seed=0),
+                                 "concat", seed=1), []
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as caught:
             train(model, attached, TrainConfig(seed=2, lr=1e50, epochs=3, batch_size=8),
                   loss_log=log)
@@ -910,7 +898,7 @@ ALL_VARIANTS = [(h, False) for h in HEADS] + [("weighted-sum", True)]
 def test_model_checkpoint_round_trip(head, tied, tmp_path):
     ds = separable_dataset(n_items=4)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=6, max_len=32), seed=0)
-    model = FusionModel.init(enc, head, seed=1, tied=tied)
+    model = FusionModel(enc, head, seed=1, tied=tied)
     path = tmp_path / "model.bin"
     save_model(model, path)
     loaded = load_model(path)
@@ -930,7 +918,7 @@ def test_model_save_load_save_reproduces_the_file(head, tied, tmp_path):
     ds = separable_dataset(n_items=2)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
     first, second = tmp_path / "a.bin", tmp_path / "b.bin"
-    save_model(FusionModel.init(enc, head, seed=1, tied=tied), first)
+    save_model(FusionModel(enc, head, seed=1, tied=tied), first)
     save_model(load_model(first), second)
     assert second.read_bytes() == first.read_bytes()
 
@@ -941,7 +929,7 @@ def test_model_checkpoint_rejects_a_bad_tied_flag(head, flag, tmp_path):
     ds = separable_dataset(n_items=2)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
     path = tmp_path / "m.bin"
-    save_model(FusionModel.init(enc, head, seed=1), path)
+    save_model(FusionModel(enc, head, seed=1), path)
     path.write_bytes(patched(path.read_bytes(), 8 + len(head), flag.to_bytes(4, "little")))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: tied flag {flag}")):
         load_model(path)
@@ -951,7 +939,7 @@ def test_model_checkpoint_rejects_a_vocab_without_special_tokens(tmp_path):
     ds = separable_dataset(n_items=2)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
     path = tmp_path / "m.bin"
-    save_model(FusionModel.init(enc, "concat", seed=1), path)
+    save_model(FusionModel(enc, "concat", seed=1), path)
     at = unframe(path.read_bytes())[2].index(b"<pad>")
     path.write_bytes(patched(path.read_bytes(), at, b"<PAD>"))
     with pytest.raises(CheckpointError,
@@ -965,7 +953,7 @@ def test_model_checkpoint_v1_rejected_with_rebuild_hint(tmp_path):
     # and init scale as <f8 after its d and max_len.
     ds = separable_dataset(n_items=2)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
-    save_model(FusionModel.init(enc, "concat", seed=1), tmp_path / "v3.bin")
+    save_model(FusionModel(enc, "concat", seed=1), tmp_path / "v3.bin")
     payload = unframe((tmp_path / "v3.bin").read_bytes())[2]
     at = 20 + len("concat")  # after the head, the tied flag, d and max_len
     v2 = frame(b"KFUS", 2, payload[:at] + struct.pack("<dd", 1e-12, 0.1) + payload[at:])
@@ -980,7 +968,7 @@ def test_model_checkpoint_v1_rejected_with_rebuild_hint(tmp_path):
 def test_model_checkpoint_tied_shares_storage(tmp_path):
     ds = separable_dataset(n_items=2)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
-    model = FusionModel.init(enc, "weighted-sum", seed=1, tied=True)
+    model = FusionModel(enc, "weighted-sum", seed=1, tied=True)
     save_model(model, tmp_path / "m.bin")
     loaded = load_model(tmp_path / "m.bin")
     assert loaded.weight_w is loaded.score_w
@@ -990,7 +978,7 @@ def test_model_checkpoint_tied_shares_storage(tmp_path):
 def test_model_checkpoint_deterministic_bytes(tmp_path):
     ds = separable_dataset(n_items=2)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
-    model = FusionModel.init(enc, "concat", seed=1)
+    model = FusionModel(enc, "concat", seed=1)
     save_model(model, tmp_path / "a.bin")
     save_model(model, tmp_path / "b.bin")
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
@@ -998,7 +986,7 @@ def test_model_checkpoint_deterministic_bytes(tmp_path):
 
 def test_model_checkpoint_rejects_store_backed(tmp_path):
     store = ExternalVectorStore({("it", 0, None): np.zeros(3), ("it", 1, None): np.ones(3)})
-    model = FusionModel.init(store, "baseline", seed=0)
+    model = FusionModel(store, "baseline", seed=0)
     with pytest.raises(FusionError, match="external vector store"):
         save_model(model, tmp_path / "m.bin")
 
@@ -1006,7 +994,7 @@ def test_model_checkpoint_rejects_store_backed(tmp_path):
 def test_model_checkpoint_rejects_corruption(tmp_path):
     ds = separable_dataset(n_items=2)
     enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
-    model = FusionModel.init(enc, "concat", seed=1)
+    model = FusionModel(enc, "concat", seed=1)
     path = tmp_path / "m.bin"
     save_model(model, path)
     raw = path.read_bytes()

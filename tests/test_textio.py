@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import kiqa
 from kiqa import binfmt, textio
-from kiqa.autodiff import Tensor
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, save_jsonl
 from kiqa.datasets import McqDataset, McqItem, save_mcq_jsonl
 from kiqa.encoder import KENC
@@ -248,6 +247,12 @@ def _dataset():
                              for i in range(2)])
 
 
+def _baseline_model():
+    model = FusionModel(_store(), "baseline")
+    model.score_w.data = np.array([[1.0], [0.5]])
+    return model
+
+
 def _kenc_frame(path):
     w = binfmt.Writer()
     w.u32(7)
@@ -267,9 +272,7 @@ WRITERS = {
     "evalreport.write_weight_report_csv": lambda path: write_weight_report_csv(
         [("q0", 0, 0, 0.25, 0.5), ("q0", 1, 0, 0.75, 0.0)], path),
     "external.save_external_vectors": lambda path: save_external_vectors(_store(), path),
-    "fusion.save_predictions": lambda path: save_predictions(
-        FusionModel(_store(), "baseline", Tensor(np.array([[1.0], [0.5]])), Tensor(np.zeros(1))),
-        _dataset(), path),
+    "fusion.save_predictions": lambda path: save_predictions(_baseline_model(), _dataset(), path),
 }
 
 
