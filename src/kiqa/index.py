@@ -162,6 +162,9 @@ def _term_rows(terms: list[str], counts: np.ndarray) -> tuple[dict[str, range], 
 
 
 def build_index(corpus: KnowledgeCorpus, params: Bm25Params = Bm25Params()) -> InvertedIndex:
+    """The BM25 index of ``corpus``: each text tokenized once by ``word_tokens``,
+    then one ``np.unique`` of (term rank, position) keys over every token gives
+    the postings in file order and each one's term frequency."""
     doc_lengths = []
     term_ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new term gets the next id
     token_col: list[int] = []  # the term id of every token, sentence after sentence

@@ -1,6 +1,7 @@
 """Ranked retrieval checked against a brute-force scorer."""
 
 import math
+import re
 import struct
 from collections import Counter
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.index import Bm25Params, build_index, load_index, save_index, search, IndexFormatError
-from kiqa.textnorm import word_tokens
 
 from frames import frame
 
@@ -20,8 +20,13 @@ from frames import frame
 # Straight-line re-derivation: score every document directly from token
 # counts, no inverted structure, no shared code with the implementation.
 
+def regex_tokens(text):
+    """Lowercase runs of Unicode letters and digits, as the regex finds them."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
 def bm25_brute_force(docs, query, k1=1.2, b=0.75):
-    tokenized = [(doc_id, word_tokens(text)) for doc_id, text in docs]
+    tokenized = [(doc_id, regex_tokens(text)) for doc_id, text in docs]
     n = len(tokenized)
     avg = sum(len(toks) for _, toks in tokenized) / n if n else 0.0
     df = Counter()
@@ -130,14 +135,23 @@ def test_empty_query_returns_nothing():
 
 # --- oracle equivalence ------------------------------------------------------
 
-_WORDS = st.sampled_from(["cat", "dog", "fish", "runs", "sleeps", "the", "a", "big"])
+_PLAIN = ["cat", "dog", "fish", "runs", "sleeps", "the", "a", "big"]
+_WORDS = st.sampled_from(_PLAIN)
+# _PLAIN and words that take either tokenizer path: uppercase, digits, "_"
+# and punctuation inside a word, and non-ASCII letters, digits and spaces
+_MIXED_WORDS = st.sampled_from(_PLAIN + [
+    "Cat", "DOG", "42", "b4", "cat_dog", "dog.", "x-ray", "(the)", "big!",
+    "café", "Straße", "İstanbul", "٣cat", "dog\u00a0fish", "naïve",
+])
 
 
 @given(
     docs=st.lists(
-        st.lists(_WORDS, min_size=1, max_size=12).map(" ".join), min_size=1, max_size=50
+        st.lists(_MIXED_WORDS, min_size=1, max_size=12).map(" ".join), min_size=1, max_size=50
     ),
-    query=st.lists(_WORDS, max_size=8),
+    # a query is terms: the words' tokens
+    query=st.lists(_MIXED_WORDS, max_size=8).map(
+        lambda words: [t for w in words for t in regex_tokens(w)]),
 )
 @settings(max_examples=150, deadline=None)
 def test_matches_brute_force(docs, query):
@@ -244,7 +258,7 @@ _CORPORA = st.lists(
 
 def _document_frequencies(texts):
     """Brute force: the number of texts each term occurs in."""
-    return Counter(term for text in texts for term in set(word_tokens(text)))
+    return Counter(term for text in texts for term in set(regex_tokens(text)))
 
 
 @given(texts=_CORPORA)
@@ -281,6 +295,22 @@ def test_save_load_save_reproduces_the_file(tmp_path_factory, texts, drawn):
         save_index(build_index(make_corpus(corpus), Bm25Params(k1=1.7, b=0.3)), first)
         save_index(load_index(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+@given(texts=st.lists(st.lists(_MIXED_WORDS, min_size=1, max_size=8).map(" ".join), max_size=20))
+@example(texts=["The cat_dog", "café CAFÉ cafe", "x-ray 42 İstanbul", "!!!"])
+@settings(max_examples=60, deadline=None)
+def test_index_file_is_the_regex_tokenizers(tmp_path_factory, texts):
+    # build_index tokenizes through kiqa.index's word_tokens; with the regex
+    # in its place the file must come out byte for byte the same
+    corpus = make_corpus(texts)
+    fast = tmp_path_factory.getbasetemp() / "fast.idx"
+    regex = tmp_path_factory.getbasetemp() / "regex.idx"
+    save_index(build_index(corpus), fast)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("kiqa.index.word_tokens", regex_tokens)
+        save_index(build_index(corpus), regex)
+    assert regex.read_bytes() == fast.read_bytes()
 
 
 def _column(strings):
