@@ -280,22 +280,6 @@ def swap_last_axes(a: Tensor) -> Tensor:
     return out
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    parents = tuple(tensors)
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), parents)
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad):
-            moved = np.moveaxis(grad, axis, 0)
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    t._accumulate(np.moveaxis(moved[lo:hi], 0, axis))
-        out._backward = backward
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fused primitives: each backward replays its composed graph's operations
 # in the tape's order (see the module docstring)

@@ -54,6 +54,7 @@ if __name__ == "__main__":  # python -m kiqa.cli: the imports below run under th
 
 import argparse
 import errno
+import json
 import os
 from collections.abc import Callable
 from pathlib import Path
@@ -89,7 +90,7 @@ from .fusion import FusionModel, load_model, save_model, save_predictions, train
 from .index import Bm25Params, InvertedIndex, build_index, load_index, save_index
 from .pfqa import assign_splits, generate_questions, load_facts, render_fact, to_dataset
 from .rerank import RerankConfig, SimilarityFn, load_embedding_table
-from .textio import loads, read_text
+from .textio import read_text
 from .toytasks import training_vocab
 
 
@@ -124,12 +125,17 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _parse_value(text: str, path: Path, lineno: int):
-    if not text.startswith(('"', '[')) and "#" in text:
-        text = text.split("#", 1)[0].strip()
+    if text.startswith(('"', '[')):  # a JSON value, then at most a comment
+        try:
+            value, end = json.JSONDecoder().raw_decode(text)
+        except (ValueError, RecursionError) as exc:
+            raise CliError(f"{path}:{lineno}: malformed value: invalid JSON: {exc}") from None
+        if text[end:].lstrip()[:1] not in ("", "#"):
+            raise CliError(f"{path}:{lineno}: malformed value: {text[end:].strip()!r} follows it")
+        return value
+    text = text.split("#", 1)[0].strip()
     if not text:
         raise CliError(f"{path}:{lineno}: missing value")
-    if text.startswith(('"', '[')):
-        return loads(text, f"{path}:{lineno}: malformed value", CliError)
     if text == "true":
         return True
     if text == "false":

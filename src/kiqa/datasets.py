@@ -9,7 +9,7 @@ read through :mod:`kiqa.textio`):
 * ``piqa``: physical goals — ``goal`` is the question, ``sol1``/``sol2``
   the options, no context.
 * ``socialiqa``: ``context`` + ``question`` + three answers, 1-based label.
-* ``pfqa`` / ``generic``: the canonical schema this package writes:
+* ``generic``: the canonical schema this package writes, PFQA splits too:
   ``{"id", "context"?, "question", "options", "gold"?, "knowledge"?,
   "premises"?, "extras"?}``.
 
@@ -71,7 +71,6 @@ class McqItem:
 @dataclass
 class McqDataset:
     items: list[McqItem]
-    schema_tag: str = "generic"
 
     def __post_init__(self):
         seen = set()
@@ -115,7 +114,7 @@ _DEFAULT_MAPS = {
     },
 }
 
-SCHEMA_TAGS = ("anli", "piqa", "socialiqa", "pfqa", "generic")
+SCHEMA_TAGS = ("anli", "piqa", "socialiqa", "generic")
 
 
 def load_mcq(
@@ -149,7 +148,7 @@ def load_mcq(
         try:
             if type(rec) is not dict:
                 raise TypeError(f"record must be a JSON object, got {type(rec).__name__}")
-            if schema_tag in ("pfqa", "generic"):
+            if schema_tag == "generic":
                 items.append(_item_from_generic(rec))
             else:
                 items.append(_item_from_mapped(rec, schema_tag, mapping, lineno))
@@ -158,7 +157,7 @@ def load_mcq(
     if not items:
         raise DatasetError(f"empty dataset: {path}")
     try:
-        return McqDataset(items=items, schema_tag=schema_tag)
+        return McqDataset(items=items)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
 
@@ -329,4 +328,4 @@ def attach_premises(
             query_text = " ".join(query.terms)
             premises.append(rerank(candidates, query_text, rr_config, prepared=prepared))
         out_items.append(replace(item, premises=premises))
-    return McqDataset(items=out_items, schema_tag=dataset.schema_tag)
+    return McqDataset(items=out_items)

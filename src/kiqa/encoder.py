@@ -338,7 +338,7 @@ def _nsp_epoch(model, sequences, pairs, nsp_params, opt, rng, config):
         ]
         pooled = model.encode_ids(pad_batch(seqs, model.vocab.pad_id))
         z = pooled @ nsp_params["nsp_w"] + nsp_params["nsp_b"]  # (B, 1)
-        logits = ad.concat([Tensor(np.zeros_like(z.data)), z], axis=1)
+        logits = z * Tensor([[0.0, 1.0]])  # (B, 2) logits [0, z]
         return cross_entropy(logits, np.array([y for _, _, y in batch]))
 
     ad.sgd_epoch(opt, rng.permutation(len(examples)), config.batch_size, nsp_loss)

@@ -33,15 +33,16 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True)
 class EvalReport:
-    accuracy: float
-    n_items: int
     predictions: tuple[tuple[str, int, int], ...]  # (item id, predicted, gold)
     fingerprint: str
 
-    def __post_init__(self):
-        correct = sum(1 for _, p, g in self.predictions if p == g)
-        if self.n_items != len(self.predictions) or self.accuracy != correct / self.n_items:
-            raise EvalError("accuracy must be exactly correct/n_items")
+    @property
+    def n_items(self) -> int:
+        return len(self.predictions)
+
+    @property
+    def accuracy(self) -> float:
+        return sum(1 for _, p, g in self.predictions if p == g) / self.n_items
 
 
 def config_fingerprint(configs: dict[str, object]) -> str:
@@ -58,14 +59,10 @@ def evaluate(
         raise EvalError(f"items without gold labels: {missing[:3]}")
     if not dataset.items:
         raise EvalError("empty dataset")
-    preds = tuple(
-        (it.id, score_item(model, it).predicted, it.gold) for it in dataset.items
-    )
-    correct = sum(1 for _, p, g in preds if p == g)
     return EvalReport(
-        accuracy=correct / len(preds),
-        n_items=len(preds),
-        predictions=preds,
+        predictions=tuple(
+            (it.id, score_item(model, it).predicted, it.gold) for it in dataset.items
+        ),
         fingerprint=config_fingerprint(configs or {}),
     )
 
@@ -145,7 +142,7 @@ def sweep_m(
 
 def _first_premises(dataset: McqDataset, m: int) -> McqDataset:
     items = [replace(it, premises=[plist[:m] for plist in it.premises]) for it in dataset.items]
-    return McqDataset(items=items, schema_tag=dataset.schema_tag)
+    return McqDataset(items=items)
 
 
 def write_sweep_csv(rows: list[tuple[int, float]], path: str | Path) -> None:

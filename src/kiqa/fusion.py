@@ -61,12 +61,11 @@ class OptionScores:
     """Per-option scores for one item; ties in argmax go to the lowest index."""
 
     scores: tuple[float, ...]
-    predicted: int
     weights: tuple[tuple[float, ...], ...] | None = None
 
-    def __post_init__(self):
-        if self.predicted != int(np.argmax(self.scores)):
-            raise ValueError("predicted index must be the argmax of the scores")
+    @property
+    def predicted(self) -> int:
+        return int(np.argmax(self.scores))
 
 
 class FusionModel:
@@ -187,9 +186,7 @@ def score_item(model: FusionModel, item: McqItem) -> OptionScores:
         wts = tuple(
             tuple(float(v) for v in weights.data[0, i, :m, 0]) for i, m in enumerate(counts[0])
         )
-    return OptionScores(
-        scores=tuple(float(v) for v in row), predicted=int(np.argmax(row)), weights=wts
-    )
+    return OptionScores(scores=tuple(float(v) for v in row), weights=wts)
 
 
 # ---------------------------------------------------------------------------

@@ -153,43 +153,26 @@ def _adjacency(facts: list[ParentFact]) -> tuple[dict[str, list[str]], dict[str,
     )
 
 
-def _true_answers(person: str, qtype: str, parents: dict, children: dict) -> list[str]:
-    if qtype == "parent":
-        return parents.get(person, [])
-    if qtype == "grandparent":
-        return sorted(
-            {gp for p in parents.get(person, []) for gp in parents.get(p, [])}
-        )
-    return sorted(
-        {c for p in parents.get(person, []) for c in children.get(p, []) if c != person}
-    )
-
-
 def render_fact(fact: ParentFact) -> str:
     return f"The parent of {fact.child} is {fact.parent}."
 
 
-def _supporting_facts(
-    person: str, qtype: str, gold_first: str, parents: dict, children: dict
-) -> list[str]:
-    facts: list[ParentFact] = []
+def _derivations(
+    person: str, qtype: str, parents: dict, children: dict
+) -> list[tuple[str, tuple[ParentFact, ...]]]:
+    """``(answer, facts)`` for each path from ``person`` to a ``qtype``
+    relative, with the parent facts that the path composes."""
     if qtype == "parent":
-        for p in parents.get(person, []):
-            if first_name(p) == gold_first:
-                facts.append(ParentFact(person, p))
-    elif qtype == "grandparent":
-        for p in parents.get(person, []):
-            for gp in parents.get(p, []):
-                if first_name(gp) == gold_first:
-                    facts.append(ParentFact(person, p))
-                    facts.append(ParentFact(p, gp))
-    else:  # sibling
-        for p in parents.get(person, []):
-            for c in children.get(p, []):
-                if c != person and first_name(c) == gold_first:
-                    facts.append(ParentFact(person, p))
-                    facts.append(ParentFact(c, p))
-    return list(dict.fromkeys(render_fact(f) for f in facts))
+        return [(p, (ParentFact(person, p),)) for p in parents.get(person, [])]
+    if qtype == "grandparent":
+        return [
+            (gp, (ParentFact(person, p), ParentFact(p, gp)))
+            for p in parents.get(person, []) for gp in parents.get(p, [])
+        ]
+    return [
+        (c, (ParentFact(person, p), ParentFact(c, p)))
+        for p in parents.get(person, []) for c in children.get(p, []) if c != person
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +194,10 @@ def generate_questions(facts: list[ParentFact], seed: int = 0) -> list[PfqaQuest
     questions: list[PfqaQuestion] = []
     for person in persons:
         for qtype in QTYPES:
-            answers = _true_answers(person, qtype, parents, children)
-            if not answers:
+            derivations = _derivations(person, qtype, parents, children)
+            if not derivations:
                 continue
-            answer_firsts = sorted({first_name(a) for a in answers})
+            answer_firsts = sorted({first_name(a) for a, _ in derivations})
             gold_first = rng.choice(answer_firsts)
             available = [n for n in pool if n not in answer_firsts]
             try:
@@ -232,9 +215,10 @@ def generate_questions(facts: list[ParentFact], seed: int = 0) -> list[PfqaQuest
                     question=f"Who is the {qtype} of {person}?",
                     options=tuple(options),
                     gold=options.index(gold_first),
-                    knowledge=tuple(
-                        _supporting_facts(person, qtype, gold_first, parents, children)
-                    ),
+                    knowledge=tuple(dict.fromkeys(
+                        render_fact(f) for answer, path in derivations
+                        if first_name(answer) == gold_first for f in path
+                    )),
                 )
             )
     return questions
@@ -275,4 +259,4 @@ def to_dataset(questions: list[PfqaQuestion]) -> McqDataset:
         )
         for n, q in enumerate(questions)
     ]
-    return McqDataset(items=items, schema_tag="pfqa")
+    return McqDataset(items=items)

@@ -26,6 +26,8 @@ All generators are pure functions of their seed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .corpus import KnowledgeCorpus, KnowledgeSentence
@@ -38,6 +40,41 @@ from .rerank import RerankConfig
 # Surface word pool for answer options; two-digit forms keep them distinct
 # from every structural token (clue/aid/pad/end and the verdict words).
 OPTION_WORDS = tuple(f"w{n:02d}" for n in range(40))
+
+# Verdict pairs, (gold, wrong) surface forms.  The planted task and the
+# paraphrase task's supervised split use the first pair; the transfer
+# pairs occur in the corpus and in evaluation items but never with a label.
+SUPERVISED_VERDICTS = ("indeed", "hardly")
+TRANSFER_VERDICTS = (
+    ("truly", "barely"),
+    ("surely", "rarely"),
+    ("plainly", "faintly"),
+    ("clearly", "dimly"),
+    ("fully", "thinly"),
+)
+
+
+def _corpus(texts: list[str]) -> KnowledgeCorpus:
+    """The sentences ``texts`` in order, with ids numbered from 0."""
+    return KnowledgeCorpus(KnowledgeSentence(f"{n:08d}", text) for n, text in enumerate(texts))
+
+
+def _verdict_items(rng: np.random.Generator, texts: list[str], n: int, id_prefix: str,
+                   key_prefix: str, phrasings: Callable[[], tuple]) -> list[McqItem]:
+    """``n`` items of two option words, each appending to ``texts`` one ``clue
+    <key> <word> <verdict>`` sentence per verdict pair of ``phrasings()``:
+    the pair's first verdict for the gold option, its second for the other."""
+    items = []
+    for k in range(n):
+        key = f"{key_prefix}{k:04d}"
+        gold = int(rng.integers(2))
+        options = [str(w) for w in rng.choice(OPTION_WORDS, size=2, replace=False)]
+        pairs = phrasings()
+        for i, word in enumerate(options):
+            texts.extend(f"clue {key} {word} {pair[0] if i == gold else pair[1]}" for pair in pairs)
+        items.append(McqItem(id=f"{id_prefix}{k:04d}", question=f"clue {key}", options=options,
+                             gold=gold))
+    return items
 
 
 def make_planted_evidence_task(
@@ -52,25 +89,11 @@ def make_planted_evidence_task(
     the planted sentence attached the verdict token decides the answer
     linearly.
     """
-    rng = np.random.default_rng(seed)
-    sentences: list[KnowledgeSentence] = []
-    items: list[McqItem] = []
-    sid = 0
-    for k in range(n_items):
-        key = f"k{k:04d}"
-        gold = int(rng.integers(2))
-        wa, wb = rng.choice(OPTION_WORDS, size=2, replace=False)
-        options = [str(wa), str(wb)]
-        for i, word in enumerate(options):
-            verdict = "indeed" if i == gold else "hardly"
-            sentences.append(
-                KnowledgeSentence(id=f"{sid:08d}", text=f"clue {key} {word} {verdict}")
-            )
-            sid += 1
-        items.append(
-            McqItem(id=f"i{k:04d}", question=f"clue {key}", options=options, gold=gold)
-        )
-    return KnowledgeCorpus(sentences=tuple(sentences)), McqDataset(items=items)
+    texts: list[str] = []
+    items = _verdict_items(
+        np.random.default_rng(seed), texts, n_items, "i", "k", lambda: (SUPERVISED_VERDICTS,)
+    )
+    return _corpus(texts), McqDataset(items=items)
 
 
 def make_scattered_evidence_task(
@@ -94,40 +117,20 @@ def make_scattered_evidence_task(
       passages and remains at chance for every head.
     """
     rng = np.random.default_rng(seed)
-    sentences: list[KnowledgeSentence] = []
+    texts: list[str] = []
     items: list[McqItem] = []
-    sid = 0
     for k in range(n_items):
         key = f"k{k:04d}"
         gold = int(rng.integers(2))
         options = ["alpha", "beta"]
         for i, word in enumerate(options):
-            counts = (3, 3) if i == gold else (3, 1)
-            for count in counts:
+            for count in (3, 3) if i == gold else (3, 1):
                 fill = " ".join(["aid"] * count + ["pad"] * (3 - count))
-                sentences.append(
-                    KnowledgeSentence(
-                        id=f"{sid:08d}", text=f"clue {key} {word} {fill} end"
-                    )
-                )
-                sid += 1
+                texts.append(f"clue {key} {word} {fill} end")
         items.append(
             McqItem(id=f"i{k:04d}", question=f"clue {key}", options=options, gold=gold)
         )
-    return KnowledgeCorpus(sentences=tuple(sentences)), McqDataset(items=items)
-
-
-# Verdict synonym pairs for the paraphrase-transfer task: (gold, wrong)
-# surface forms.  The first pair is the supervised phrasing; the rest
-# occur in the corpus and in evaluation items but never with a label.
-SUPERVISED_VERDICTS = ("indeed", "hardly")
-TRANSFER_VERDICTS = (
-    ("truly", "barely"),
-    ("surely", "rarely"),
-    ("plainly", "faintly"),
-    ("clearly", "dimly"),
-    ("fully", "thinly"),
-)
+    return _corpus(texts), McqDataset(items=items)
 
 
 def make_paraphrase_transfer_task(
@@ -148,42 +151,15 @@ def make_paraphrase_transfer_task(
     on any one pair's random geometry averages out near chance.
     """
     rng = np.random.default_rng(seed)
-    sentences: list[KnowledgeSentence] = []
-    sid = 0
-
-    def build_items(prefix: str, n: int, supervised_split: bool) -> list[McqItem]:
-        nonlocal sid
-        built = []
-        for k in range(n):
-            key = f"{prefix}{k:04d}"
-            gold = int(rng.integers(2))
-            wa, wb = rng.choice(OPTION_WORDS, size=2, replace=False)
-            options = [str(wa), str(wb)]
-            if supervised_split:
-                phrasings = (SUPERVISED_VERDICTS,) + TRANSFER_VERDICTS
-            else:
-                phrasings = (TRANSFER_VERDICTS[int(rng.integers(len(TRANSFER_VERDICTS)))],)
-            for i, word in enumerate(options):
-                for pair in phrasings:
-                    verdict = pair[0] if i == gold else pair[1]
-                    sentences.append(
-                        KnowledgeSentence(
-                            id=f"{sid:08d}", text=f"clue {key} {word} {verdict}"
-                        )
-                    )
-                    sid += 1
-            built.append(
-                McqItem(
-                    id=f"{prefix}{k:04d}", question=f"clue {key}",
-                    options=options, gold=gold,
-                )
-            )
-        return built
-
-    train_items = build_items("t", n_train, True)
-    eval_items = build_items("e", n_eval, False)
-    corpus = KnowledgeCorpus(sentences=tuple(sentences))
-    return corpus, McqDataset(items=train_items), McqDataset(items=eval_items)
+    texts: list[str] = []
+    train_items = _verdict_items(
+        rng, texts, n_train, "t", "t", lambda: (SUPERVISED_VERDICTS,) + TRANSFER_VERDICTS
+    )
+    eval_items = _verdict_items(
+        rng, texts, n_eval, "e", "e",
+        lambda: (TRANSFER_VERDICTS[int(rng.integers(len(TRANSFER_VERDICTS)))],),
+    )
+    return _corpus(texts), McqDataset(items=train_items), McqDataset(items=eval_items)
 
 
 def route_premises(

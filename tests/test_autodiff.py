@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import kiqa
 from kiqa import autodiff as ad
-from kiqa.autodiff import SGD, Tensor, concat, cross_entropy, no_grad, softmax
+from kiqa.autodiff import SGD, Tensor, cross_entropy, no_grad, softmax
 
 import composed
 from composed import add_at_gather_grad, batched_weight_grad, div, log_softmax, neg, sub
@@ -247,11 +247,6 @@ def test_one_row_weight_gradient_is_bitwise_the_batched_product(batch, k, n, zer
     out = ad.matmul(Tensor(x), w)
     out._backward(grad)
     assert_bitwise(w.grad, batched_weight_grad(x, grad, (k, n)))
-
-
-def test_concat():
-    a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(4, 3))
-    check_grads(lambda x, y: sum_of_squares(concat([x, y], axis=0)), a, b)
 
 
 # --- softmax and cross-entropy ------------------------------------------------------

@@ -1182,10 +1182,16 @@ def test_config_parses_all_value_kinds(tmp_path):
         "other = false\n"
         "count = 7\n"
         "rate = 0.25  # trailing comment\n"
-        "values = [1, 2, 3]\n",
+        "values = [1, 2, 3]\n"
+        'head = "concat"  # the head\n'
+        "m_values = [1, 2]# depths\n"
+        'hashed = "a # b"\n',
         encoding="utf-8",
     )
     assert parse_config_file(cfg) == {
+        "head": "concat",
+        "m_values": [1, 2],
+        "hashed": "a # b",
         "name": "quoted string",
         "bare": "weighted-sum",
         "flag": True,
@@ -1203,6 +1209,7 @@ def test_config_parses_all_value_kinds(tmp_path):
         ("just words", "expected 'key = value'"),
         ("key =", "missing value"),
         ("key = [1, 2", "malformed value"),
+        ('key = "x" y', "malformed value"),
         ("= 3", "empty key"),
     ],
 )

@@ -49,7 +49,7 @@ def test_load_anli(tmp_path):
         ],
     )
     ds = load_mcq(path, "anli")
-    assert ds.schema_tag == "anli" and len(ds) == 2 and ds.items[0].n == 2
+    assert len(ds) == 2 and ds.items[0].n == 2
     first = ds.items[0]
     assert first.id == "s1"
     assert first.context == "It rained all night. The street was dry."
@@ -157,7 +157,7 @@ def test_schema_map_null_id_and_label_make_ids_and_drop_gold(tmp_path):
 
 @pytest.mark.parametrize("schema, schema_map, message", [
     ("generic", {}, "applies only to anli, piqa, socialiqa, not generic"),
-    ("pfqa", {"id": "id"}, "not pfqa"),
+    ("anli", ["id"], "must be a JSON object, got list"),
     ("socialiqa", {"fields": ["c", "q", "a", "b"]}, "'fields' must be a list of 5 field names"),
     ("anli", {"fields": ["o1", "o2", "h1", 4]}, "'fields' must be a list of 4 field names"),
     ("anli", {"label_base": None}, "'label_base' must be an integer, got None"),
@@ -225,11 +225,10 @@ def test_generic_round_trip(tmp_path):
                 extras={"person": "A", "qtype": "parent"},
             )
         ],
-        schema_tag="pfqa",
     )
     path = tmp_path / "ds.jsonl"
     save_mcq_jsonl(ds, path)
-    back = load_mcq(path, "pfqa")
+    back = load_mcq(path, "generic")
     assert back.items == ds.items
 
 

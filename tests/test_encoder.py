@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kiqa import autodiff as ad
-from kiqa.autodiff import SGD, DivergenceError, Tensor, concat, cross_entropy, no_grad
+from kiqa.autodiff import SGD, DivergenceError, Tensor, cross_entropy, no_grad
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
 from kiqa.encoder import (
     LN_EPS,
@@ -707,7 +707,7 @@ def oracle_revision_train(model, corpus, config, loss_log=None):
                 ]
                 pooled = model.encode_ids(pad_batch(seqs, vocab.pad_id))
                 z = pooled @ nsp_params["nsp_w"] + nsp_params["nsp_b"]
-                logits = concat([Tensor(np.zeros_like(z.data)), z], axis=1)
+                logits = z @ Tensor([[0.0, 1.0]])  # [0, z] as a matrix product
                 loss = cross_entropy(logits, np.array([y for _, _, y in batch]))
                 finite(loss)
                 opt.zero_grad()

@@ -10,7 +10,6 @@ from kiqa.datasets import McqDataset, McqItem, attach_premises
 from kiqa.encoder import EncoderConfig, EncoderModel, TrainConfig, Vocab
 from kiqa.evalreport import (
     EvalError,
-    EvalReport,
     _clone_model,
     config_fingerprint,
     evaluate,
@@ -86,12 +85,6 @@ def test_untrained_model_near_chance_on_thousand_items():
         ds, store = store_dataset(n_items=1000, seed=seed)
         accs.append(evaluate(baseline_model(store, seed=seed + 50), ds).accuracy)
     assert 0.44 <= float(np.mean(accs)) <= 0.56
-
-
-def test_report_invariant_enforced():
-    with pytest.raises(EvalError):
-        EvalReport(accuracy=0.9, n_items=2,
-                   predictions=(("a", 0, 0), ("b", 1, 0)), fingerprint="x")
 
 
 def test_evaluate_matches_predictions_file(tmp_path):

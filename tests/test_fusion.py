@@ -30,7 +30,6 @@ from kiqa.fusion import (
     HEADS,
     FusionError,
     FusionModel,
-    OptionScores,
     _batch_loss,
     _batch_scores,
     _passages,
@@ -545,7 +544,7 @@ def separable_dataset(n_items=12, seed=0):
             premises.append([KnowledgeSentence(id=f"{k}{i}", text=f"{tag} fact {k}")])
         items.append(McqItem(id=f"toy-{k:03d}", question="pick the marked option",
                              options=options, gold=gold, premises=premises))
-    return McqDataset(items=items, schema_tag="generic")
+    return McqDataset(items=items)
 
 
 def dataset_vocab(dataset):
@@ -880,11 +879,6 @@ def test_save_predictions_deterministic_bytes(tmp_path):
     for name in ("a", "b"):
         save_predictions(store_model("simple-sum", pooled), ds, tmp_path / name)
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
-
-
-def test_option_scores_validates_predicted():
-    with pytest.raises(ValueError):
-        OptionScores(scores=(1.0, 2.0), predicted=0)
 
 
 # ---------------------------------------------------------------------------

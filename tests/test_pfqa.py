@@ -1,5 +1,7 @@
 """Family-relations generator: distances, distractors, graphs, splits."""
 
+import hashlib
+import itertools
 import random
 import re
 
@@ -7,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa import pfqa
 from kiqa.datasets import load_mcq, save_mcq_jsonl
 from kiqa.pfqa import (
     FactsError,
@@ -41,9 +42,20 @@ def parse_knowledge(sentences):
 
 
 def knowledge_supports(question):
-    """True when the gold option is reachable using only the question's facts."""
-    parents, children = pfqa._adjacency(parse_knowledge(question.knowledge))
-    answers = pfqa._true_answers(question.person, question.qtype, parents, children)
+    """True when the gold option is reachable using only the question's facts,
+    by a walk over the parsed facts that shares no code with the generator's."""
+    facts = parse_knowledge(question.knowledge)
+
+    def parents_of(name):
+        return {f.parent for f in facts if f.child == name}
+
+    person = question.person
+    if question.qtype == "parent":
+        answers = parents_of(person)
+    elif question.qtype == "grandparent":
+        answers = {g for p in parents_of(person) for g in parents_of(p)}
+    else:
+        answers = {f.child for f in facts if f.parent in parents_of(person)} - {person}
     return question.options[question.gold] in {first_name(a) for a in answers}
 
 
@@ -350,7 +362,6 @@ def test_load_facts_empty_file(tmp_path):
 def test_to_dataset_round_trips_through_generic_schema(tmp_path):
     questions = generate_questions(FAMILY, seed=0)
     ds = to_dataset(questions)
-    assert ds.schema_tag == "pfqa"
     assert ds.items[0].n == 4
     for item, q in zip(ds.items, questions):
         assert item.extras == {"person": q.person, "qtype": q.qtype}
@@ -358,7 +369,35 @@ def test_to_dataset_round_trips_through_generic_schema(tmp_path):
         assert item.options[item.gold] == q.options[q.gold]
     path = tmp_path / "pfqa.jsonl"
     save_mcq_jsonl(ds, path)
-    assert load_mcq(path, "pfqa").items == ds.items
+    assert load_mcq(path, "generic").items == ds.items
+
+
+# sha256 of each split's save_mcq_jsonl on a fixed 40-person fact set with
+# up to two parents each, so grandparent and sibling questions have several
+# derivations: a change to any generated byte shows here.
+SPLIT_SHA256 = (
+    "4886c6dcc18f1662ec13d218ef75497f67f50f90cf974c1eff2e0e26240c4a0c",
+    "a92e4563556f334d04be86b7f1637478b889f85601b1e8901cc46641b35ed692",
+    "d23c29e4da291082f63e202f9929d1877f3404f5faf9dba622c2a93b4e4683d3",
+)
+
+
+def pinned_facts():
+    names = [f"{a}{b} {c}" for a, b, c in itertools.product("BDKMRT", "aeio", ("Lee", "Ray"))]
+    rng = random.Random(27)
+    return [
+        ParentFact(names[i], parent)
+        for i in range(1, 40)
+        for parent in sorted({names[rng.randrange(i)] for _ in range(2)})
+    ]
+
+
+def test_split_bytes_are_pinned(tmp_path):
+    splits = assign_splits(generate_questions(pinned_facts(), seed=0), seed=0)
+    assert [len(s) for s in splits] == [93, 9, 11]
+    for split, want in zip(splits, SPLIT_SHA256):
+        save_mcq_jsonl(to_dataset(split), tmp_path / "split.jsonl")
+        assert hashlib.sha256((tmp_path / "split.jsonl").read_bytes()).hexdigest() == want
 
 
 def test_parse_knowledge_rejects_non_facts():

@@ -267,7 +267,7 @@ WRITERS = {
         KnowledgeSentence("s1", "the sky is blue"), KnowledgeSentence("s2", "grass")]), path),
     "datasets.save_mcq_jsonl": lambda path: save_mcq_jsonl(_dataset(), path),
     "evalreport.save_report": lambda path: save_report(
-        EvalReport(0.5, 2, (("q0", 0, 0), ("q1", 0, 1)), "f" * 64), path),
+        EvalReport((("q0", 0, 0), ("q1", 0, 1)), "f" * 64), path),
     "evalreport.write_sweep_csv": lambda path: write_sweep_csv([(1, 0.5), (2, 0.75)], path),
     "evalreport.write_weight_report_csv": lambda path: write_weight_report_csv(
         [("q0", 0, 0, 0.25, 0.5), ("q0", 1, 0, 0.75, 0.0)], path),

@@ -5,9 +5,13 @@ default query generator must attach exactly the planted sentences, since
 every accuracy contrast downstream is meaningless if retrieval strays.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from kiqa.corpus import save_jsonl
+from kiqa.datasets import save_mcq_jsonl
 from kiqa.encoder import SPECIAL_TOKENS
 from kiqa.toytasks import (
     OPTION_WORDS,
@@ -156,6 +160,40 @@ def test_paraphrase_eval_uses_multiple_pairs():
         verdict = item.premises[item.gold][0].text.split()[-1]
         pairs_seen.add(verdict)
     assert len(pairs_seen) >= 3  # luck on one pair cannot dominate
+
+
+# ------------------------------------------------------------------ bytes
+
+TASKS = {
+    "planted": make_planted_evidence_task,
+    "scattered": make_scattered_evidence_task,
+    "paraphrase": make_paraphrase_transfer_task,
+}
+
+# sha256 of a default-size task's corpus (save_jsonl) followed by its
+# datasets (save_mcq_jsonl): a change to any generated byte shows here.
+TASK_SHA256 = {
+    ("planted", 0): "adc4ae25483bd496cc7f6561acc96660c18e3e1f64953469a010fd8ee2bda44c",
+    ("planted", 1): "f7dd1af6d610ab581ac2ea395f540f88219520b200e0680932c88033fd8af38b",
+    ("planted", 2): "722c04a3bc27c3f9e3d75d59cb2d705b0cbd65d089d298031b8751dc38a0dcd1",
+    ("scattered", 0): "37c690a68f1f4bed992c3ff6e62bd8398bcafe4ce25319309cd23503b628308e",
+    ("scattered", 1): "59029bb9350e7eb59b997d6ebb40f4c68f5a9d704c27d04bbf18fde087511f48",
+    ("scattered", 2): "f95abd76cf9d52b2ca9eb7d3288aafbda7360d20871a46294d9aa936b94e53cd",
+    ("paraphrase", 0): "b43d24a8c9473f5f14b0674bb0ca7bf50d4acb4cb67e81f3178adf431902c2b6",
+    ("paraphrase", 1): "dfde59b57ee3759aceb3d520c11556facc810030973d423935f361f0a7b6ff6b",
+    ("paraphrase", 2): "0f8eb6b78a9f25aa0e80e0acde7990c51dedd6e64c37d5c9c3b0158e452d4d13",
+}
+
+
+@pytest.mark.parametrize("task, seed", sorted(TASK_SHA256))
+def test_task_bytes_are_pinned(tmp_path, task, seed):
+    corpus, *datasets = TASKS[task](seed=seed)
+    save_jsonl(corpus, tmp_path / "corpus.jsonl")
+    blob = (tmp_path / "corpus.jsonl").read_bytes()
+    for n, dataset in enumerate(datasets):
+        save_mcq_jsonl(dataset, tmp_path / f"{n}.jsonl")
+        blob += (tmp_path / f"{n}.jsonl").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == TASK_SHA256[task, seed]
 
 
 # ------------------------------------------------------------------ vocab
