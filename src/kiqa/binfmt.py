@@ -13,7 +13,9 @@ own error class.
 The payload is a sequence of untagged fields, read in the order written:
 ``u32`` and ``f64`` scalars; ``array(dtype, n)``; ``strings``, a column of
 the ``<u4`` count, each string's ``<u4`` UTF-8 byte length and the
-concatenated UTF-8 bytes; and ``tensors``, a set of named float64 arrays:
+concatenated UTF-8 bytes, written from and read as a list or a
+:class:`StringColumn`, which makes a string only when it is read; and
+``tensors``, a set of named float64 arrays:
 the string column of the sorted names, then each array's ``<u4`` rank,
 ``<u4`` shape and ``<f8`` data.  A reader is told the names and shapes
 of a tensor set and rejects non-finite values.  :meth:`Reader.done`
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +51,72 @@ class Kind:
     error: type[Exception]
 
 
+def _utf8(strings: Sequence[str]) -> tuple[bytes, np.ndarray]:
+    """The strings' UTF-8 bytes (surrogates allowed), joined, and each one's length."""
+    raw = [s.encode("utf-8", "surrogatepass") for s in strings]
+    return b"".join(raw), np.fromiter(map(len, raw), np.int64, len(raw))
+
+
+class StringColumn(Sequence):
+    """A read-only sequence of strings kept as one text and each string's
+    bounds in it; a string is sliced out when it is read.
+
+    ``blob`` and ``lengths`` are the column as a file holds it: the UTF-8
+    bytes and each string's byte length.  :meth:`take` reads many strings
+    in one call.
+    """
+
+    def __init__(self, blob: bytes | memoryview, lengths: np.ndarray):
+        """Raises ValueError unless ``blob`` is UTF-8 (surrogates allowed) and
+        every string starts at a character: then each string is UTF-8 too."""
+        self.blob, self.lengths = blob, np.asarray(lengths)
+        self.text = str(blob, "utf-8", "surrogatepass")
+        bounds = np.zeros(len(self.lengths) + 1, dtype=np.int64)
+        np.cumsum(self.lengths, out=bounds[1:])
+        self.ascii = len(self.text) == len(blob)
+        if not self.ascii:  # count the characters before each byte bound
+            lead = (np.frombuffer(blob, np.uint8) & 0xC0) != 0x80
+            if not lead[bounds[bounds < len(lead)]].all():
+                raise ValueError("a string boundary splits a character")
+            chars = np.zeros(len(lead) + 1, dtype=np.int64)
+            np.cumsum(lead, out=chars[1:])
+            bounds = chars[bounds]
+        bounds = bounds.tolist()
+        # two lists, so a read is plain list indexing (negative or out of range too)
+        self.starts, self.ends = bounds[:-1], bounds[1:]
+
+    @classmethod
+    def encode(cls, strings: Sequence[str]) -> StringColumn:
+        return cls(*_utf8(strings))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i: int) -> str:
+        return self.text[self.starts[i] : self.ends[i]]
+
+    def __iter__(self):
+        return map(self.text.__getitem__, map(slice, self.starts, self.ends))
+
+    def take(self, positions: list[int]) -> list[str]:
+        """The strings at ``positions``, each in ``range(len(self))``."""
+        text, starts, ends = self.text, self.starts, self.ends
+        return [text[starts[p] : ends[p]] for p in positions]
+
+    def ascending(self) -> bool:
+        """Whether each string is ``<=`` the next, as ``str`` compares them.
+
+        Non-empty ASCII strings of one width are compared as a numpy bytes
+        array, whose order is theirs; any other column is decoded and compared.
+        """
+        width = int(self.lengths[0]) if len(self) else 0
+        if self.ascii and width and (self.lengths == width).all():
+            fixed = np.frombuffer(self.blob, f"S{width}")
+            return bool((fixed[:-1] <= fixed[1:]).all())
+        strings = list(self)
+        return all(map(operator.le, strings, strings[1:]))
+
+
 class Writer:
     def __init__(self):
         self.parts: list[bytes] = []
@@ -62,10 +131,15 @@ class Writer:
         self.parts.append(np.asarray(values, dtype=dtype).tobytes())
 
     def strings(self, strings: Sequence[str]) -> None:
-        raw = [s.encode("utf-8", "surrogatepass") for s in strings]
-        self.u32(len(raw))
-        self.array(list(map(len, raw)), _U4)
-        self.parts.append(b"".join(raw))
+        self._string_bytes(*_utf8(strings))
+
+    def string_column(self, column: StringColumn) -> None:
+        self._string_bytes(column.blob, column.lengths)
+
+    def _string_bytes(self, blob: bytes | memoryview, lengths) -> None:
+        self.u32(len(lengths))
+        self.array(lengths, _U4)
+        self.parts.append(blob)
 
     def tensors(self, tensors: dict[str, np.ndarray]) -> None:
         """Refuses a non-finite value, as :meth:`Reader.tensors` would."""
@@ -104,15 +178,14 @@ class Reader:
         return np.frombuffer(self._take(n * dtype.itemsize), dtype)
 
     def strings(self) -> list[str]:
-        ends = np.cumsum(self.array(_U4, self.u32()), dtype=np.int64).tolist()
-        blob = self._take(ends[-1] if ends else 0)
-        starts = [0, *ends[:-1]]
+        return list(self.string_column())
+
+    def string_column(self) -> StringColumn:
+        lengths = self.array(_U4, self.u32())
+        blob = self._take(int(lengths.sum(dtype=np.int64)))
         try:
-            text = str(blob, "utf-8", "surrogatepass")
-            if len(text) == len(blob):  # all ASCII: byte offsets are character offsets
-                return list(map(text.__getitem__, map(slice, starts, ends)))
-            return [str(blob[lo:hi], "utf-8", "surrogatepass") for lo, hi in zip(starts, ends)]
-        except UnicodeDecodeError:
+            return StringColumn(blob, lengths)
+        except ValueError:
             raise self.error("a string column is not valid UTF-8") from None
 
     def tensors(self, shapes: dict[str, tuple[int, ...]], what: str) -> dict[str, np.ndarray]:

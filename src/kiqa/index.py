@@ -16,12 +16,19 @@ An index holds its postings as its file lays them out: one ``records``
 array of little-endian ``(pos <u4, tf <u4)`` records sorted by (term,
 document position), and ``postings``, which maps each term, ascending, to
 its ``range`` of rows, whose length is the term's document frequency.
-The first search makes one position column (``records["pos"]`` as
-``intp``), and searches fill two memos that live as long as the index:
+The first search of a built index makes one position column
+(``records["pos"]`` as ``intp``; :func:`load_index` hands over the one its
+order check made), and searches fill two memos that live as long as the index:
 each queried ``(term, count)``'s BM25 contributions by posting (8 bytes a
 posting for each count the term is queried with), so a term that many
 queries share is scored once; and, when the ids do not ascend by
 position, each document's place in id order.
+
+The doc ids are a :class:`kiqa.binfmt.StringColumn`: the id column's text
+and each id's bounds in it, so an id is made when a hit or a pinned row
+reads it, and a search makes its ``k`` ids in one call.  Whether the ids
+ascend by position is decided from that column: one numpy comparison when
+the ids are ASCII of one width, else by decoding and comparing them all.
 
 An index file is a :mod:`kiqa.binfmt` frame, magic ``KIIX``, version 4,
 whose payload is columnar::
@@ -44,7 +51,6 @@ only the rows it reads (:func:`kiqa.corpus.load_jsonl`).
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -91,7 +97,7 @@ class SearchHit:
 @dataclass
 class InvertedIndex:
     params: Bm25Params
-    doc_ids: list[str]
+    doc_ids: binfmt.StringColumn
     doc_lengths: np.ndarray  # int64, one token count per document
     records: np.ndarray  # POSTING records, each term's block in turn, by position
     postings: dict[str, range]  # term -> its rows of records, terms ascending
@@ -145,9 +151,9 @@ class InvertedIndex:
         Ids that ascend by position (every corpus ``corpus-prep`` writes) need
         no sort.  Equal ids keep position order, as a stable sort by id would.
         """
-        ids = self.doc_ids
-        if all(map(operator.le, ids, ids[1:])):
+        if self.doc_ids.ascending():
             return None
+        ids = list(self.doc_ids)
         rank = np.empty(len(ids), dtype=np.intp)
         rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         return rank
@@ -185,7 +191,8 @@ def build_index(corpus: KnowledgeCorpus, params: Bm25Params = Bm25Params()) -> I
     records["pos"] = keys % n
     records["tf"] = tf
     df = np.bincount(keys // n, minlength=len(terms))
-    return InvertedIndex(params=params, doc_ids=list(corpus.ids), doc_lengths=doc_lengths,
+    return InvertedIndex(params=params, doc_ids=binfmt.StringColumn.encode(corpus.ids),
+                         doc_lengths=doc_lengths,
                          records=records, postings=_term_rows(terms, df)[0],
                          corpus_digest=corpus.digest, corpus_file_sha256=corpus.file_sha256)
 
@@ -217,11 +224,8 @@ def search(index: InvertedIndex, query_terms: Sequence[str], k: int = 10) -> lis
     vals = scores[hit]
     rank = index.id_rank
     order = np.lexsort((hit if rank is None else rank[hit], -vals))[:k]
-    doc_ids = index.doc_ids
-    return [
-        SearchHit(sentence_id=doc_ids[p], score=s, pos=p)
-        for p, s in zip(hit[order].tolist(), vals[order].tolist())
-    ]
+    pos = hit[order].tolist()
+    return list(map(SearchHit, index.doc_ids.take(pos), vals[order].tolist(), pos))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     w.f64(index.params.b)
     w.array(np.frombuffer(index.corpus_digest, np.uint8), np.uint8)
     w.array(np.frombuffer(index.corpus_file_sha256, np.uint8), np.uint8)
-    w.strings(index.doc_ids)
+    w.string_column(index.doc_ids)
     w.array(index.doc_lengths, _U4)
     w.strings(list(index.postings))
     w.array(list(map(len, index.postings.values())), _U4)
@@ -250,7 +254,7 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise r.error(str(exc)) from None
     corpus_digest = r.array(np.uint8, 32).tobytes()
     corpus_file_sha256 = r.array(np.uint8, 32).tobytes()
-    doc_ids = r.strings()
+    doc_ids = r.string_column()
     doc_lengths = r.array(_U4, len(doc_ids))
     terms = r.strings()
     counts = r.array(_U4, len(terms))
@@ -277,6 +281,8 @@ def load_index(path: str | Path) -> InvertedIndex:
         d = int(np.argmax(tokens != doc_lengths))
         raise r.error(f"document {doc_ids[d]!r} has length {doc_lengths[d]} but its postings "
                       f"hold {tokens[d]:.0f} tokens")
-    return InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
-                         records=records, postings=postings, corpus_digest=corpus_digest,
-                         corpus_file_sha256=corpus_file_sha256)
+    index = InvertedIndex(params=params, doc_ids=doc_ids, doc_lengths=doc_lengths,
+                          records=records, postings=postings, corpus_digest=corpus_digest,
+                          corpus_file_sha256=corpus_file_sha256)
+    index.record_pos = pos.astype(np.intp, copy=False)  # the first search makes no other
+    return index

@@ -15,13 +15,29 @@ passes one memo of prepared features to every call it makes, so a corpus
 sentence retrieved by many queries is prepared once per attach.  The memo
 lives only as long as that attach.
 
-A call of ``m`` picks from ``n`` candidates makes ``n`` query compares, and
-at lambda > 0, after each pick but the last, one redundancy compare per
-candidate left: ``n + sum(n - j for j in 1..min(m, n) - 1)`` in all.
+The greedy is evaluated lazily (Minoux 1978): redundancy only grows as
+picks are added, so a gain computed against fewer picks is an upper bound
+of the current one.  Candidates wait in a heap keyed by (-gain, candidate
+index); the top one is compared only with the picks it has not yet been
+compared with and pushed back, and it is picked once it is up to date.
+No other candidate can then beat it, or tie it from an earlier index, so
+the picks and their order are those of the eager loop that re-scores
+every candidate after every pick, for any similarity that is never NaN:
+token overlap never is, and :func:`load_embedding_table` refuses the
+tables whose cosines could be.  At lambda = 0 the gain is the query
+similarity, and a stable sort by it gives the picks.
+
+A call of ``m`` picks from ``n`` candidates makes ``n`` query compares; at
+lambda > 0 it adds redundancy compares, at least each pick's compares
+with the picks before it and at most the eager loop's one compare per
+candidate left after each pick but the last,
+``n + sum(n - j for j in 1..min(m, n) - 1)`` in all.  None is made after
+the last pick, and none at all at lambda = 0.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +73,10 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
     A table needs at least one vector, and its components must be finite:
     with no vectors every cosine would be 0, and one NaN would make every
     cosine with its word NaN, so either way the re-rank would silently fall
-    back to retrieval order.
+    back to retrieval order.  Each vector's squared length must also be
+    below half the largest float: no mean of vectors is longer than the
+    longest, so no cosine's dot product or norms overflow to a NaN, which
+    would leave the greedy's picks undefined.
     """
     table: dict[str, tuple[float, ...]] = {}
     dim: int | None = None
@@ -75,6 +94,9 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
             raise EmbeddingTableError(f"{path}:{lineno}: no vector components")
         if not all(map(math.isfinite, vec)):
             raise EmbeddingTableError(f"{path}:{lineno}: non-finite vector component")
+        if not math.isfinite(2.0 * sum(x * x for x in vec)):
+            raise EmbeddingTableError(f"{path}:{lineno}: vector too long: its squared length "
+                                      f"overflows")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
@@ -163,26 +185,28 @@ def rerank(
             prepared[text] = sim.prepare(text)
     features = [prepared[c.text] for c in candidates]
     query_sim = [sim.compare(f, prepared[query_text]) for f in features]
-    n = len(candidates)
-    picks = min(config.m, n)
+    lam, picks = config.lambda_, min(config.m, len(candidates))
+    if not lam:  # the gain is the query similarity alone; the sort is stable
+        order = sorted(range(len(candidates)), key=query_sim.__getitem__, reverse=True)
+        return [candidates[i] for i in order[:picks]]
+    # The heap holds (-gain, i) of each candidate not yet picked; gain was
+    # computed against the first seen[i] picks and, as redundancy only
+    # grows, it is an upper bound of i's current gain.
+    heap = [(-s, i) for i, s in enumerate(query_sim)]
+    heapq.heapify(heap)
+    redundancy, seen = [0.0] * len(candidates), [0] * len(candidates)
     selected: list[int] = []
-    # redundancy[i] tracks max similarity to anything already selected
-    redundancy = [0.0] * n
-    remaining = list(range(n))
     while True:
-        best = remaining[0]
-        best_gain = query_sim[best] - config.lambda_ * redundancy[best]
-        for i in remaining[1:]:
-            gain = query_sim[i] - config.lambda_ * redundancy[i]
-            if gain > best_gain:
-                best, best_gain = i, gain
-        selected.append(best)
+        i = heap[0][1]
+        if seen[i] < len(selected):
+            for j in selected[seen[i]:]:
+                s = sim.compare(features[i], features[j])
+                if s > redundancy[i]:
+                    redundancy[i] = s
+            seen[i] = len(selected)
+            heapq.heapreplace(heap, (-(query_sim[i] - lam * redundancy[i]), i))
+            continue
+        heapq.heappop(heap)
+        selected.append(i)
         if len(selected) == picks:
             return [candidates[i] for i in selected]
-        remaining.remove(best)
-        if not config.lambda_:
-            continue  # the gain is the query similarity alone
-        for i in remaining:
-            s = sim.compare(features[i], features[best])
-            if s > redundancy[i]:
-                redundancy[i] = s

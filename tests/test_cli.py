@@ -956,6 +956,17 @@ def test_attach_with_non_finite_embedding_exits_1(artifacts, tmp_path, capsys, c
     assert not (tmp_path / "a.jsonl").exists()
 
 
+def test_attach_with_an_overlong_embedding_vector_exits_1(artifacts, tmp_path, capsys):
+    table = tmp_path / "emb.txt"
+    table.write_text("sky 0.5 1.0\nblue 1e200 1e200\ngrass 1.0 0.0\n", encoding="utf-8")
+    rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
+               "--corpus", str(artifacts / "corpus.jsonl"), "--index", str(artifacts / "index.kiix"),
+               "--embeddings", str(table), "--out", str(tmp_path / "a.jsonl")])
+    assert rc == 1
+    assert f"{table}:2: vector too long" in one_error_line(capsys)
+    assert not (tmp_path / "a.jsonl").exists()
+
+
 @pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
 def test_attach_with_an_embedding_table_without_vectors_exits_1(artifacts, tmp_path, capsys, text):
     table = tmp_path / "emb.txt"

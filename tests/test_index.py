@@ -271,7 +271,7 @@ def test_save_load_round_trip(tmp_path_factory, texts):
     loaded = load_index(path)
     assert loaded.params == idx.params
     assert loaded.corpus_digest == idx.corpus_digest
-    assert loaded.doc_ids == idx.doc_ids
+    assert list(loaded.doc_ids) == list(idx.doc_ids)
     assert np.array_equal(loaded.doc_lengths, idx.doc_lengths)
     assert list(loaded.postings) == list(idx.postings) == sorted(idx.postings)
     df = _document_frequencies(texts)
@@ -280,7 +280,15 @@ def test_save_load_round_trip(tmp_path_factory, texts):
         assert loaded.records[loaded.postings[term]].tolist() == idx.records[rows].tolist()
         assert len(rows) == len(loaded.postings[term]) == df[term]
     assert loaded.avg_doc_length == idx.avg_doc_length
+    # load_index hands its order check's position column to the first search
+    assert loaded.record_pos.dtype == np.intp
+    assert np.array_equal(loaded.record_pos, loaded.records["pos"].astype(np.intp))
     assert search(loaded, ["cat", "dog"], k=3) == search(idx, ["cat", "dog"], k=3)
+    docs = list(zip(loaded.doc_ids, texts))
+    for query in (["cat", "dog"], ["the", "the", "a"], list(df)[:3]):
+        expected = bm25_brute_force(docs, query)
+        assert [(h.sentence_id, h.score) for h in search(loaded, query, k=len(texts) or 1)] \
+            == expected
 
 
 @pytest.mark.parametrize(
@@ -351,7 +359,7 @@ def test_hand_packed_v2_file_loads(tmp_path):
     assert idx.params == Bm25Params(k1=1.2, b=0.75)
     assert idx.corpus_digest == bytes(range(32))
     assert idx.corpus_file_sha256 == bytes(range(32, 64))
-    assert idx.doc_ids == ["d0", "d1"]
+    assert list(idx.doc_ids) == ["d0", "d1"]
     assert idx.doc_lengths.tolist() == [3, 2]
     assert idx.records[idx.postings["cat"]].tolist() == [(0, 2), (1, 1)]
     assert idx.records[idx.postings["sat"]].tolist() == [(0, 1)]
@@ -367,11 +375,75 @@ def test_non_ascii_ids_and_terms_round_trip(tmp_path):
     idx = build_index(corpus)
     save_index(idx, tmp_path / "a.idx")
     loaded = load_index(tmp_path / "a.idx")
-    assert loaded.doc_ids == ["é-0", "😀"]
+    assert list(loaded.doc_ids) == ["é-0", "😀"]
     assert sorted(loaded.postings) == sorted(idx.postings)
     assert loaded.corpus_digest == corpus.digest
     save_index(loaded, tmp_path / "b.idx")
     assert (tmp_path / "b.idx").read_bytes() == (tmp_path / "a.idx").read_bytes()
+
+
+# Ids that take every path of the encoded id column: ASCII of one width,
+# ASCII of several widths, non-ASCII, NUL bytes, and orders that do or do not
+# ascend by position.
+_IDS = st.one_of(
+    st.lists(st.text("ab\x00", min_size=3, max_size=3), min_size=1, max_size=20, unique=True),
+    st.lists(st.text("ab\x00\x7f", max_size=4), min_size=1, max_size=20, unique=True),
+    st.lists(st.text("aé\x00日😀", max_size=3), min_size=1, max_size=20, unique=True),
+).flatmap(lambda ids: st.one_of(st.just(sorted(ids)), st.permutations(ids)))
+
+
+def assert_ids_round_trip(ids, texts, query, path):
+    """A corpus with these ids and texts keeps its ids through save and load,
+    and search on the built and the loaded index ranks as brute force does."""
+    corpus = KnowledgeCorpus([KnowledgeSentence(id=i, text=t) for i, t in zip(ids, texts)])
+    built = build_index(corpus)
+    save_index(built, path)
+    loaded = load_index(path)
+    assert list(loaded.doc_ids) == list(built.doc_ids) == ids
+    assert [loaded.doc_ids[p] for p in range(len(ids))] == ids
+    assert loaded.doc_ids[-1] == ids[-1]
+    assert loaded.doc_ids.take([len(ids) - 1, 0, 0]) == [ids[-1], ids[0], ids[0]]
+    assert loaded.doc_ids.ascending() == built.doc_ids.ascending() == (ids == sorted(ids))
+    assert (loaded.id_rank is None) == (ids == sorted(ids))
+    expected = bm25_brute_force(list(zip(ids, texts)), query)
+    for k in range(1, len(ids) + 1):
+        for index in (built, loaded):
+            hits = search(index, query, k=k)
+            assert [(h.sentence_id, h.score) for h in hits] == expected[:k]
+            assert all(ids[h.pos] == h.sentence_id for h in hits)
+
+
+@given(ids=_IDS, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_encoded_ids_round_trip_and_break_ties_as_built(tmp_path_factory, ids, data):
+    # few words, so scores tie and the id order decides among them
+    texts = data.draw(st.lists(st.lists(st.sampled_from(["cat", "dog"]), min_size=1,
+                                        max_size=3).map(" ".join),
+                               min_size=len(ids), max_size=len(ids)), label="texts")
+    query = data.draw(st.lists(st.sampled_from(["cat", "dog"]), min_size=1, max_size=3),
+                      label="query")
+    assert_ids_round_trip(ids, texts, query, tmp_path_factory.getbasetemp() / "ids.kiix")
+
+
+def _raw_column(raw):
+    return struct.pack(f"<{len(raw) + 1}I", len(raw), *map(len, raw)) + b"".join(raw)
+
+
+@pytest.mark.parametrize("raw_ids", [
+    [b"\xc3", b"\xa9"],                  # "é" split after its first byte
+    [b"a\xe6\x97", b"\xa5b"],            # "日" split after two of its three
+    [b"\xf0\x9f", b"\x98\x80", b"x"],     # "😀" split in the middle
+])
+def test_id_column_that_splits_a_character_rejected(tmp_path, raw_ids):
+    # The blob decodes as a whole; only an id boundary is inside a character.
+    str(b"".join(raw_ids), "utf-8")
+    data = payload_v4([(f"d{i}", 1) for i in range(len(raw_ids))],
+                      [("cat", [(i, 1) for i in range(len(raw_ids))])])
+    ids = _column([f"d{i}" for i in range(len(raw_ids))])
+    path = tmp_path / "split.idx"
+    path.write_bytes(frame(b"KIIX", 4, data.replace(ids, _raw_column(raw_ids))))
+    with pytest.raises(IndexFormatError, match="not valid UTF-8"):
+        load_index(path)
 
 
 def test_v1_file_rejected_with_rebuild_hint(tmp_path):

@@ -1,0 +1,123 @@
+"""Each fast path's oracle check is shown to catch a fault.
+
+A row names a fast path, a small wrong variant of it and the oracle check
+that must catch it.  The variant is the function's own source with a few
+literal edits, compiled in its module's namespace and swapped in for the
+test; each edit must match the source exactly once, so a row whose code
+has moved fails loudly instead of testing nothing.  The check must fail
+under the variant and pass on the unchanged code.  A later fast path adds
+its row here.
+"""
+
+import inspect
+import random
+import sys
+import textwrap
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+import kiqa.rerank
+from kiqa import binfmt
+from kiqa.rerank import SimilarityFn
+
+from test_index import assert_ids_round_trip
+from test_rerank import (LAZY_COMPARES, LAZY_LAMBDAS, _TABLE, _WORDS,
+                         assert_picks_are_the_eager_loops, lazy_compare_count)
+
+
+def rerank_check(tmp_path):
+    """The lazy re-rank against the eager loop and the string-level oracle on
+    seeded calls: few words and repeated texts, so gains tie, and at lambda > 0."""
+    rng = random.Random(0)
+    pool = [" ".join(rng.choices(_WORDS[:6], k=rng.randint(1, 3))) for _ in range(8)]
+    for case in range(120):
+        fn = SimilarityFn() if case % 2 else SimilarityFn(_TABLE)
+        texts = rng.choices(pool, k=rng.randint(2, 12))
+        assert_picks_are_the_eager_loops(texts, rng.choice(pool), rng.randint(2, 12),
+                                         rng.choice([0.3, 1.0, 2.0]), fn)
+
+
+def compare_count_check(tmp_path):
+    """The lazy re-rank's pinned compare count on every seeded retrieval-sized call."""
+    for (n, m), counts in LAZY_COMPARES.items():
+        for lam, count in zip(LAZY_LAMBDAS, counts):
+            assert lazy_compare_count(n, m, lam) == count
+
+
+def ids_check(tmp_path):
+    """Id columns of every kind through save, load and a search where every
+    score ties, so the id order alone ranks the hits."""
+    columns = [
+        ["aaa", "aab", "aba", "abb", "baa"],  # ASCII of one width, ascending
+        ["aaa", "aab", "aba", "bab", "baa"],  # ... that descends at the last pair only
+        ["b\x00", "a\x00", "a\x01", "ab"],  # NUL bytes, one width
+        ["c", "ab", "", "abc", "b"],  # several widths
+        ["é-0", "日", "a😀", "\x00é", "e"],  # non-ASCII
+    ]
+    for n, ids in enumerate(columns):
+        assert_ids_round_trip(ids, ["cat"] * len(ids), ["cat"], tmp_path / f"{n}.kiix")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    owner: object  # a module or a class
+    attr: str
+    edits: tuple[tuple[str, str], ...]
+    check: Callable
+
+
+MUTANTS = [
+    Mutant("rerank never refreshes a stale gain", kiqa.rerank, "rerank",
+           (("if seen[i] < len(selected):", "if False:"),), rerank_check),
+    Mutant("rerank orders equal gains by heap insertion, not candidate index",
+           kiqa.rerank, "rerank",
+           (("heap = [(-s, i) for i, s in enumerate(query_sim)]",
+             "tick = __import__('itertools').count()\n"
+             "    heap = [(-s, next(tick), i) for i, s in enumerate(query_sim)]"),
+            ("i = heap[0][1]", "i = heap[0][2]"),
+            ("(-(query_sim[i] - lam * redundancy[i]), i)",
+             "(-(query_sim[i] - lam * redundancy[i]), next(tick), i)")),
+           rerank_check),
+    Mutant("rerank compares once more after the last pick", kiqa.rerank, "rerank",
+           (("        if len(selected) == picks:\n",
+             "        if len(selected) == picks:\n"
+             "            if heap:\n"
+             "                sim.compare(features[heap[0][1]], features[i])\n"),),
+           compare_count_check),
+    Mutant("id column offsets shifted by one", binfmt.StringColumn, "__init__",
+           (("np.cumsum(self.lengths, out=bounds[1:])",
+             "np.cumsum(self.lengths, out=bounds[:-1])"),), ids_check),
+    Mutant("id column iteration runs each string into the next", binfmt.StringColumn,
+           "__iter__",
+           (("self.starts, self.ends", "self.starts, self.ends[1:] + self.ends[-1:]"),), ids_check),
+    Mutant("fixed-width ascending check skips the last pair", binfmt.StringColumn, "ascending",
+           (("fixed[:-1] <= fixed[1:]", "fixed[:-2] <= fixed[1:-1]"),), ids_check),
+]
+
+
+def mutated(mutant: Mutant):
+    fn = inspect.unwrap(mutant.owner.__dict__[mutant.attr]
+                        if isinstance(mutant.owner, type) else getattr(mutant.owner, mutant.attr))
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in mutant.edits:
+        assert source.count(old) == 1, f"{mutant.name}: {old!r} is not in the source once"
+        source = source.replace(old, new)
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(compile(source, f"<mutant: {mutant.name}>", "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize("check", sorted({m.check for m in MUTANTS}, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_the_unmutated_code_passes_each_check(tmp_path, check):
+    check(tmp_path)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_each_mutant_fails_its_check(monkeypatch, tmp_path, mutant):
+    monkeypatch.setattr(mutant.owner, mutant.attr, mutated(mutant))
+    with pytest.raises(AssertionError):
+        mutant.check(tmp_path)

@@ -18,7 +18,9 @@ Dunders are out of scope.  ``ALLOWED`` names each exception and why it stays.
 """
 
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,22 @@ def found() -> dict[str, bool]:
         for p in sorted((ROOT / folder).glob("*.py")):
             files[str(p)] = (None, ast.parse(p.read_text(encoding="utf-8")))
     return reached(files)
+
+
+def test_every_tracer_wrap_resolves(monkeypatch):
+    # --trace 1's trace-names-resolve check, run on perfbench/tracing.py's
+    # own resolver without editing it: a kiqa rename fails here first
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    missing = []
+    for wrap in tracing.WRAPS:
+        owner, attr = tracing._resolve(wrap.target)
+        if attr not in (owner.__dict__ if isinstance(owner, type) else dir(owner)):
+            missing.append(wrap.target)
+    assert len(tracing.WRAPS) > 30 and missing == []
 
 
 def test_every_public_name_has_a_caller(found):

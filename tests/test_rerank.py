@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kiqa.rerank
@@ -160,6 +160,38 @@ def test_embedding_table_bad_component(tmp_path):
     path.write_text("cat 1.0 oops\n", encoding="utf-8")
     with pytest.raises(EmbeddingTableError, match=r":1:"):
         load_embedding_table(path)
+
+
+def test_embedding_table_vector_too_long(tmp_path):
+    # Finite components whose squares overflow made every cosine with "a" NaN.
+    path = tmp_path / "vecs.txt"
+    path.write_text("b 1e200 0\na 1e200 1e200\n", encoding="utf-8")
+    with pytest.raises(EmbeddingTableError, match=r":1: vector too long"):
+        load_embedding_table(path)
+    big = math.sqrt(1.7e308 / 2) / math.sqrt(2)  # squared length just under half the largest float
+    path.write_text(f"a {big!r} {big!r}\nb {big!r} -{big!r}\n", encoding="utf-8")
+    fn = SimilarityFn(load_embedding_table(path))
+    assert [fn("a", "a"), fn("a b", "a"), fn("a", "b")] == pytest.approx([1.0, math.sqrt(0.5), 0.0])
+
+
+_TABLE_WORDS = ["w0", "w1", "w2"]
+
+
+@given(vectors=st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+    min_size=len(_TABLE_WORDS), max_size=len(_TABLE_WORDS))))
+@settings(max_examples=200, deadline=None)
+def test_no_cosine_is_nan_for_a_table_the_loader_accepts(tmp_path_factory, vectors):
+    path = tmp_path_factory.mktemp("vecs") / "vecs.txt"
+    lines = [f"{w} {' '.join(map(repr, v))}\n" for w, v in zip(_TABLE_WORDS, vectors)]
+    path.write_text("".join(lines), encoding="utf-8")
+    try:
+        fn = SimilarityFn(load_embedding_table(path))
+    except EmbeddingTableError as exc:
+        assert "vector too long" in str(exc)
+        return
+    texts = [*_TABLE_WORDS, "w0 w1", "w1 w2", "w0 w1 w2"]
+    assert not any(math.isnan(fn(a, b)) for a in texts for b in texts)
 
 
 # --- rerank -----------------------------------------------------------------
@@ -355,14 +387,65 @@ def test_a_shared_memo_prepares_each_text_once_over_calls(monkeypatch):
     assert any(prepared[t] is None for t in texts)
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (5, 3), (5, 5), (5, 9), (50, 2), (50, 10)])
-def test_no_compare_after_the_last_pick(monkeypatch, n, m):
-    cands, query = _retrieval_sized_call(n + m)
-    calls = _counting(monkeypatch, "token_jaccard")
-    rerank(cands[:n], query, RerankConfig(m=m))
+def _compare_bounds(n, m, lam):
+    """The fewest and most compares a lazy call can make: n query compares,
+    then at lambda > 0 each pick is compared with every earlier pick, and no
+    candidate more often than the eager loop's one compare per candidate
+    left after each pick but the last."""
     picks = min(m, n)
-    # n query compares, then one per candidate left after each pick but the last
-    assert len(calls) == n + sum(n - j for j in range(1, picks))
+    if not lam:
+        return n, n
+    return n + sum(range(picks)), n + sum(n - j for j in range(1, picks))
+
+
+# The lazy call's exact compare count on each seeded retrieval-sized call,
+# (n, m): at lambda 1e-3, 0.3 and 1.  Each lies within _compare_bounds, and
+# one compare more after the last pick, or one left out, changes it.
+LAZY_LAMBDAS = (1e-3, 0.3, 1.0)
+LAZY_COMPARES = {
+    (1, 1): (1, 1, 1), (5, 1): (5, 5, 5), (5, 3): (8, 8, 11), (5, 5): (15, 15, 15),
+    (5, 9): (15, 15, 15), (50, 2): (53, 53, 68), (50, 10): (122, 225, 367),
+}
+
+
+def lazy_compare_count(n, m, lam):
+    """The compares ``kiqa.rerank.rerank`` makes on the (n, m) seeded call."""
+    cands, query = _retrieval_sized_call(n + m)
+    real, calls = kiqa.rerank.token_jaccard, []
+    kiqa.rerank.token_jaccard = lambda a, b: (calls.append(a), real(a, b))[1]
+    try:
+        kiqa.rerank.rerank(cands[:n], query, RerankConfig(m=m, lambda_=lam))
+    finally:
+        kiqa.rerank.token_jaccard = real
+    return len(calls)
+
+
+@pytest.mark.parametrize("n, m", list(LAZY_COMPARES))
+def test_no_compare_after_the_last_pick(n, m):
+    count = lazy_compare_count(n, m, 1.0)
+    fewest, eager = _compare_bounds(n, m, 1.0)
+    assert fewest <= count <= eager
+    assert count == LAZY_COMPARES[n, m][LAZY_LAMBDAS.index(1.0)]
+    if m == 1:
+        assert count == n  # the one pick is the top of the heap, compared with nothing
+    if (n, m) == (50, 10):
+        assert count < eager
+
+
+def test_lazy_compare_count_hand_case(monkeypatch):
+    # test_greedy_hand_case's call.  Query similarities 0.75, 0.6, 0, 1/6,
+    # 2/3, 1 (6 compares) put 5 on top, and it is picked.  Then 0, 4, 1 and
+    # 3 in turn are compared with 5 (4 compares), each gain falls to 0, and
+    # 0 is picked.  Then 1 is compared with 0 (gain 0.6 - 0.8), and 2 with
+    # 5 and 0 (gain 0): 2 is picked before 3 and 4, whose stale gains are 0
+    # too but who come later.  13 compares where the eager loop makes 15.
+    cands = sents("cats play with yarn", "cats play with yarn balls", "dogs chase balls",
+                  "cats sleep all day", "play yarn", "cats play yarn")
+    calls = _counting(monkeypatch, "token_jaccard")
+    out = rerank(cands, "cats play yarn", RerankConfig(m=3, lambda_=1.0))
+    assert [s.id for s in out] == ["00000005", "00000000", "00000002"]
+    assert len(calls) == 13
+    assert _compare_bounds(6, 3, 1.0)[1] == 15
 
 
 def full_greedy(candidates, query_text, config):
@@ -402,14 +485,55 @@ def test_lambda_zero_picks_as_the_full_greedy_loop(texts, query, m, kind):
         [s.id for s in full_greedy(cands, query, config)]
 
 
+@given(
+    texts=st.lists(st.one_of(_CAND_TEXT, st.sampled_from(["moss rain", "sun", "", "tree"])),
+                   min_size=1, max_size=14),
+    query=st.one_of(_CAND_TEXT, st.just("tree")),
+    m=st.integers(1, 14),
+    lam=st.sampled_from([1e-3, 0.3, 1.0, 2.0]),
+    kind=st.sampled_from(["token-jaccard", "embedding-cosine"]),
+)
+@example(texts=["tree", "cat", "cat", "tree cat", "sun", "cat", "tree"], query="cat", m=7,
+         lam=1.0, kind="embedding-cosine")
+@example(texts=["cat play", "play cat", "yarn", "dog", "yarn", "cat play dog"], query="cat",
+         m=6, lam=0.3, kind="token-jaccard")
+@settings(max_examples=300, deadline=None)
+def test_lazy_picks_are_the_eager_loops(texts, query, m, lam, kind):
+    # Duplicate texts make equal gains, and "tree" has a negative cosine
+    # with "cat" under _TABLE, so gains below zero and ties are both drawn.
+    fn = SimilarityFn() if kind == "token-jaccard" else SimilarityFn(_TABLE)
+    assert_picks_are_the_eager_loops(texts, query, m, lam, fn)
+
+
+def assert_picks_are_the_eager_loops(texts, query, m, lam, fn):
+    """``kiqa.rerank.rerank``, looked up at call time, picks as both oracles do."""
+    cands = sents(*texts)
+    config = RerankConfig(m=m, lambda_=lam, similarity=fn)
+    got = [s.id for s in kiqa.rerank.rerank(cands, query, config)]
+    assert got == [s.id for s in full_greedy(cands, query, config)]
+    assert got == [s.id for s in rerank_oracle(cands, query, m, lam, fn)]
+
+
+def test_lazy_oracle_inputs_hold_negative_cosines_and_equal_gains():
+    fn = SimilarityFn(_TABLE)
+    assert fn("tree", "cat") < 0 and fn("tree cat", "cat") < fn("cat", "cat")
+    texts = ["tree", "cat", "cat", "tree cat", "sun", "cat", "tree"]
+    gains = [fn(t, "cat") for t in texts]
+    assert len(set(gains)) < len(gains) and min(gains) < 0
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.3])
-@pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (5, 3), (5, 5), (5, 9), (50, 2), (50, 10)])
-def test_redundancy_compares_run_only_at_positive_lambda(monkeypatch, n, m, lam):
-    cands, query = _retrieval_sized_call(n + m)
-    calls = _counting(monkeypatch, "token_jaccard")
-    rerank(cands[:n], query, RerankConfig(m=m, lambda_=lam))
-    redundancy = sum(n - j for j in range(1, min(m, n))) if lam else 0
-    assert len(calls) == n + redundancy
+@pytest.mark.parametrize("n, m", list(LAZY_COMPARES))
+def test_redundancy_compares_run_only_at_positive_lambda(n, m, lam):
+    count = lazy_compare_count(n, m, lam)
+    fewest, eager = _compare_bounds(n, m, lam)
+    assert fewest <= count <= eager
+    if not lam or m == 1:
+        assert count == n
+    else:
+        assert count == LAZY_COMPARES[n, m][LAZY_LAMBDAS.index(lam)]
+    if lam and (n, m) == (50, 10):
+        assert count < eager
 
 
 def test_attach_prepares_each_text_once_per_call(monkeypatch):
