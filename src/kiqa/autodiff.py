@@ -71,10 +71,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -89,9 +85,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
         """Backpropagate from this tensor (gradient seeded with ones)."""

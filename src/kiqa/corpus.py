@@ -67,9 +67,8 @@ class KnowledgeCorpus:
     ``ids``, ``texts``, ``tags`` and ``titles`` are parallel lists with one
     entry per sentence; treat them as read-only.  Loading, saving, indexing
     and retrieval work on the columns, so a 50k-sentence corpus never
-    becomes 50k objects: ``sentences`` builds the
-    :class:`KnowledgeSentence` objects on first use and keeps them, and
-    ``at`` builds one.
+    becomes 50k objects: ``sentences`` builds a new list of
+    :class:`KnowledgeSentence` objects on each read, and ``at`` builds one.
 
     ``paragraphs`` optionally records contiguous (start, end) index ranges of
     sentences that came from the same source paragraph; it is populated by
@@ -94,7 +93,6 @@ class KnowledgeCorpus:
             [s.title for s in sentences],
             paragraphs,
         )
-        self._sentences = sentences
 
     @classmethod
     def from_columns(
@@ -114,7 +112,6 @@ class KnowledgeCorpus:
             raise ValueError("corpus columns differ in length")
         self.ids, self.texts, self.tags, self.titles = ids, texts, tags, titles
         self.paragraphs = paragraphs
-        self._sentences: list[KnowledgeSentence] | None = None
         if len(set(ids)) != len(ids) or not all(map(str.strip, texts)):
             seen = set()
             for sid, text in zip(ids, texts):
@@ -126,11 +123,7 @@ class KnowledgeCorpus:
 
     @property
     def sentences(self) -> list[KnowledgeSentence]:
-        if self._sentences is None:
-            self._sentences = list(
-                map(KnowledgeSentence, self.ids, self.texts, self.tags, self.titles)
-            )
-        return self._sentences
+        return list(map(KnowledgeSentence, self.ids, self.texts, self.tags, self.titles))
 
     @cached_property
     def digest(self) -> bytes:
@@ -148,9 +141,6 @@ class KnowledgeCorpus:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.sentences)
 
     def at(self, pos: int) -> KnowledgeSentence:
         """The sentence at position ``pos``."""
@@ -328,7 +318,6 @@ def load_corpus(
     path: str | Path,
     format: str = "plain-lines",
     *,
-    name_pool: list[str] | None = None,
     seed: int = 0,
     source_tag: str | None = None,
 ) -> KnowledgeCorpus:
@@ -353,8 +342,8 @@ def load_corpus(
         corpus = KnowledgeCorpus(sentences, paragraphs=paragraphs)
     elif format == "atomic-events":
         records = _parse_jsonl(path, required=("event", "dimension", "inference"))
-        pool = name_pool if name_pool is not None else load_name_pool()
-        sentences = prepare_atomic(records, pool, seed, source_tag=source_tag or "atomic")
+        sentences = prepare_atomic(records, load_name_pool(), seed,
+                                   source_tag=source_tag or "atomic")
         corpus = KnowledgeCorpus(sentences)
     else:
         raise CorpusError(f"unknown corpus format {format!r}")

@@ -85,9 +85,6 @@ class McqDataset:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __iter__(self):
-        return iter(self.items)
-
 
 # ---------------------------------------------------------------------------
 # Loading
@@ -120,28 +117,24 @@ SCHEMA_TAGS = ("anli", "piqa", "socialiqa", "generic")
 def load_mcq(
     path: str | Path,
     schema_tag: str,
-    schema_map: dict | str | Path | None = None,
+    schema_map: str | Path | None = None,
 ) -> McqDataset:
     """Load one JSON-lines file into the unified model.
 
-    ``schema_map`` overrides the default field names of an ``anli``,
-    ``piqa`` or ``socialiqa`` load (a dict or a path to a JSON file).  It
-    is checked before any record is read: its keys must be among the
-    built-in mapping's, ``id`` and ``label`` a field name or null,
-    ``label_base`` an integer, and ``fields`` the tag's number of field
-    names.
+    ``schema_map``, the path of a JSON file, overrides the default field
+    names of an ``anli``, ``piqa`` or ``socialiqa`` load.  It is checked
+    before any record is read: its keys must be among the built-in
+    mapping's, ``id`` and ``label`` a field name or null, ``label_base``
+    an integer, and ``fields`` the tag's number of field names.
     """
     if schema_tag not in SCHEMA_TAGS:
         raise DatasetError(f"unknown schema tag {schema_tag!r}")
     path = Path(path)
     mapping = dict(_DEFAULT_MAPS.get(schema_tag, {}))
     if schema_map is not None:
-        where = "schema map"
-        if isinstance(schema_map, (str, Path)):
-            name = str(schema_map)
-            schema_map = loads(read_text(name, DatasetError), name, DatasetError)
-            where = f"{name}: schema map"
-        mapping.update(_check_schema_map(schema_map, schema_tag, where))
+        name = str(schema_map)
+        schema = loads(read_text(name, DatasetError), name, DatasetError)
+        mapping.update(_check_schema_map(schema, schema_tag, f"{name}: schema map"))
 
     items = []
     for lineno, rec in json_lines(path, DatasetError):

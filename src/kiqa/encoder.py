@@ -74,9 +74,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id_of(self, token: str) -> int:
         return self._ids.get(token, self._ids[UNK])
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class Bm25Params:
             raise ValueError(f"BM25 needs k1 >= 0 and 0 <= b <= 1, got k1={self.k1}, b={self.b}")
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     sentence_id: str
     score: float
     pos: int  # the document's position in the corpus and in ``doc_ids``

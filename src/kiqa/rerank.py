@@ -8,12 +8,12 @@ already selected.
 
 Features are prepared once per distinct text and then compared for every
 pair scored: a token set for token overlap, a mean word vector for
-embedding cosine.  A similarity called on two strings is the same
-comparison of the two texts' prepared features.  One call prepares its
-query and candidates, deduplicated by text; :func:`kiqa.datasets.attach_premises`
-passes one memo of prepared features to every call it makes, so a corpus
-sentence retrieved by many queries is prepared once per attach.  The memo
-lives only as long as that attach.
+embedding cosine; a similarity compares prepared features, never two
+strings.  One call prepares its query and candidates, deduplicated by
+text; :func:`kiqa.datasets.attach_premises` passes one memo of prepared
+features to every call it makes, so a corpus sentence retrieved by many
+queries is prepared once per attach.  The memo lives only as long as
+that attach.
 
 The greedy is evaluated lazily (Minoux 1978): redundancy only grows as
 picks are added, so a gain computed against fewer picks is an upper bound
@@ -48,13 +48,8 @@ from .textio import read_text
 from .textnorm import token_set, word_tokens
 
 
-def token_jaccard(a: str | set[str], b: str | set[str]) -> float:
-    """Jaccard overlap of lowercase token sets; two empty sets count as equal.
-
-    Each argument is a text or its ``token_set``.
-    """
-    sa = token_set(a) if isinstance(a, str) else a
-    sb = token_set(b) if isinstance(b, str) else b
+def token_jaccard(sa: set[str], sb: set[str]) -> float:
+    """Jaccard overlap of two texts' ``token_set``s; two empty sets count as equal."""
     if not sa and not sb:
         return 1.0
     if not sa or not sb:
@@ -144,9 +139,6 @@ class SimilarityFn:
         if self.table is None:
             return token_jaccard(fa, fb)
         return _vector_cosine(fa, fb)
-
-    def __call__(self, a: str, b: str) -> float:
-        return self.compare(self.prepare(a), self.prepare(b))
 
 
 @dataclass

@@ -24,7 +24,7 @@ import pytest
 from test_fusion import store_model
 from test_index import bm25_brute_force
 from test_pfqa import levenshtein_oracle
-from test_rerank import rerank_oracle
+from test_rerank import jaccard, on_texts, rerank_oracle
 
 from kiqa.cli import main as cli_main
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
@@ -45,7 +45,7 @@ from kiqa.evalreport import evaluate
 from kiqa.fusion import HEADS, FusionModel, grad_check, score_item, train
 from kiqa.index import Bm25Params, build_index, search
 from kiqa.pfqa import assign_splits, edit_distance, generate_questions, load_facts
-from kiqa.rerank import RerankConfig, SimilarityFn, rerank, token_jaccard
+from kiqa.rerank import RerankConfig, SimilarityFn, rerank
 from kiqa.toytasks import (
     make_paraphrase_transfer_task,
     make_planted_evidence_task,
@@ -114,10 +114,10 @@ def test_criterion_2_rerank_matches_oracle():
         m = int(rng.integers(1, 13))
         lam = float(rng.uniform(0.0, 2.0))
         if trial % 2 == 0:
-            fn, oracle_sim = SimilarityFn(), token_jaccard
+            fn, oracle_sim = SimilarityFn(), jaccard
         else:
             fn = SimilarityFn(table)
-            oracle_sim = SimilarityFn(table)
+            oracle_sim = on_texts(SimilarityFn(table))
         got = rerank(candidates, query, RerankConfig(m=m, lambda_=lam, similarity=fn))
         want = rerank_oracle(candidates, query, m, lam, oracle_sim)
         assert [s.id for s in got] == [s.id for s in want]

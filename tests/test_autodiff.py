@@ -1,6 +1,7 @@
 """Every differentiation rule is checked against central finite differences."""
 
 import ast
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,13 @@ def test_attention_shaped_product():
 def test_sum_axis_keepdims():
     a = RNG.normal(size=(3, 4, 2))
     check_grads(lambda x: (x.sum(axis=1, keepdims=True) * x).sum(), a)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1, -2, -3])
+def test_sum_over_an_axis_drops_it(axis):
+    a = RNG.normal(size=(3, 4, 2))
+    assert Tensor(a).sum(axis=axis).shape == a.sum(axis=axis).shape
+    check_grads(lambda x: sum_of_squares(x.sum(axis=axis)), a)
 
 
 def test_mean_axes():
@@ -429,6 +437,22 @@ FUSED_FD = {  # each a scalar loss of one (3, 4) input
 @pytest.mark.parametrize("name", sorted(FUSED_FD))
 def test_fused_primitive_gradients_match_finite_differences(name):
     check_grads(FUSED_FD[name], RNG.normal(size=(3, 4)))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_layer_norm_of_a_constant_input_is_bitwise_its_composed_graph(shape):
+    # x needs no gradient: gamma's and beta's are still those of the graph
+    rng = np.random.default_rng(shape[-1] + 1)
+    x, gamma, beta = rng.normal(size=shape), rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    for kind in UPSTREAM:
+        up = upstream(kind, shape, rng)
+        got = []
+        for fn in (ad.layer_norm, composed.layer_norm):
+            constant = Tensor(x)
+            fused = functools.partial(fn, constant, eps=1e-5)
+            got.append(value_and_grad_bytes(fused, [gamma, beta], up))
+            assert constant.grad is None
+        assert got[0] == got[1], kind
 
 
 def test_layer_norm_gradients_reach_gain_and_shift():

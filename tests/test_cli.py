@@ -29,13 +29,14 @@ import kiqa.encoder
 from kiqa.autodiff import Tensor
 from kiqa.cli import CliError, Config, build_parser, main, parse_config_file
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, load_jsonl, save_jsonl
-from kiqa.datasets import load_mcq, save_mcq_jsonl
+from kiqa.datasets import RETRIEVE_K, load_mcq, save_mcq_jsonl
 from kiqa.encoder import load_encoder, save_encoder
 from kiqa.fusion import load_model, save_model
 from kiqa.index import build_index, load_index, save_index
 from kiqa.toytasks import make_planted_evidence_task, route_premises
 
 from frames import MARK, patched, replace_f8, unframe
+from test_reachability import load_perfbench
 
 RAW_LINES = (
     "the sky is blue today\n"
@@ -146,6 +147,74 @@ def test_corpus_prep_with_a_non_string_field_exits_1(tmp_path, capsys, fmt, reco
     assert rc == 1
     assert one_error_line(capsys).startswith(f"error: {raw}:2: ")
     assert not out.exists()
+
+
+RAW_RECORDS = {
+    "titled-paragraphs": [
+        {"title": "Bake bread", "text": "Mix the flour. Knead the dough. Bake it hot."},
+        {"title": "Water plants", "text": "Fill the can. Pour it slowly."},
+    ],
+    "atomic-events": [
+        {"event": "PersonX bakes bread", "dimension": "xReact", "inference": "proud"},
+        {"event": "PersonX greets PersonY", "dimension": "oReact", "inference": "welcome"},
+    ],
+}
+
+
+def prep_raw(tmp_path, fmt, out_name="corpus.jsonl"):
+    """``corpus-prep --format fmt`` on RAW_RECORDS[fmt]; the written corpus file."""
+    raw, out = tmp_path / f"{fmt}.jsonl", tmp_path / out_name
+    raw.write_text("".join(json.dumps(r) + "\n" for r in RAW_RECORDS[fmt]), encoding="utf-8")
+    assert run_quietly(["corpus-prep", "--input", raw, "--format", fmt, "--out", out]) == (0, [])
+    return out
+
+
+@pytest.mark.parametrize("fmt", sorted(RAW_RECORDS))
+def test_corpus_prep_of_a_raw_format_reruns_to_the_same_bytes(tmp_path, fmt):
+    first, again = prep_raw(tmp_path, fmt, "a.jsonl"), prep_raw(tmp_path, fmt, "b.jsonl")
+    assert first.read_bytes() == again.read_bytes()
+    assert len(load_jsonl(first)) == {"titled-paragraphs": 5, "atomic-events": 2}[fmt]
+
+
+def test_corpus_prep_names_atomic_persons_from_the_packaged_pool(tmp_path):
+    pool = kiqa.corpus.load_name_pool()
+    names = (Path(kiqa.corpus.__file__).parent / "data" / "neutral_names.txt").read_text(
+        encoding="utf-8").split()
+    assert pool == names and len(set(pool)) > 2
+    texts = load_jsonl(prep_raw(tmp_path, "atomic-events")).texts
+    x = re.fullmatch(r"(\w+) bakes bread, as a result \1 feels proud\.", texts[0])
+    xy = re.fullmatch(r"(\w+) greets (\w+), as a result others feel welcome\.", texts[1])
+    assert x and xy and xy[1] != xy[2]
+    assert {x[1], xy[1], xy[2]} <= set(pool)
+
+
+def test_revise_on_titled_paragraphs_trains_the_adjacent_sentence_objective(tmp_path,
+                                                                           monkeypatch):
+    corpus = prep_raw(tmp_path, "titled-paragraphs")
+    *records, last = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert json.loads(last) == {"paragraphs": [[0, 3], [3, 5]]}
+    flat = tmp_path / "flat.jsonl"
+    flat.write_text("".join(records), encoding="utf-8")
+    cfg = tmp_path / "revise.cfg"
+    cfg.write_text("d = 8\nepochs = 2\n", encoding="utf-8")
+    calls, real = [], kiqa.encoder._nsp_epoch
+
+    def nsp_epoch(model, sequences, pairs, *rest):
+        calls.append(pairs)
+        return real(model, sequences, pairs, *rest)
+
+    monkeypatch.setattr(kiqa.encoder, "_nsp_epoch", nsp_epoch)
+    runs = {}
+    for name, src in [("titled", corpus), ("again", corpus), ("flat", flat)]:
+        out = tmp_path / f"{name}.kenc"
+        assert run_quietly(["revise", "--corpus", src, "--config", cfg, "--out", out]) == (0, [])
+        runs[name] = out.read_bytes(), calls[:]
+        calls.clear()
+    # one pass per epoch over the neighbours within each paragraph
+    assert runs["titled"][1] == [[(0, 1), (1, 2), (3, 4)]] * 2
+    assert runs["flat"][1] == []
+    assert runs["titled"] == runs["again"]
+    assert runs["titled"][0] != runs["flat"][0]
 
 
 def test_attach_bounds_premises_by_m(artifacts):
@@ -772,6 +841,43 @@ def test_model_with_wrong_head_shape_exits_1(artifacts, tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "score_w" in one_error_line(capsys)
+
+
+def test_perfbench_output_checks_pass_on_cli_artifacts(artifacts, tmp_path, monkeypatch):
+    # perfbench/checks.py reads kiqa outside the stages, so a kiqa change
+    # that breaks a check fails here, not only as a lower benchmark ok_share
+    checks, d = load_perfbench("checks", monkeypatch), artifacts
+    corpus, index = load_jsonl(d / "corpus.jsonl"), load_index(d / "index.kiix")
+    oracle = checks.BruteBm25(corpus, index.params.k1, index.params.b)
+    # revision lowers a held-out loss only on more text than the fixture's four lines
+    zipf_lines = load_perfbench("inputs", monkeypatch).zipf_lines
+    rng = np.random.default_rng(0)
+    (tmp_path / "raw.txt").write_text(zipf_lines(rng, 200, 100, 1.1), encoding="utf-8")
+    (tmp_path / "heldout.txt").write_text(zipf_lines(rng, 16, 100, 1.1), encoding="utf-8")
+    (tmp_path / "revise.cfg").write_text("d = 8\nepochs = 1\n", encoding="utf-8")
+    revision = [["corpus-prep", "--input", tmp_path / "raw.txt", "--out", tmp_path / "c.jsonl"],
+                ["revise", "--corpus", tmp_path / "c.jsonl", "--config", tmp_path / "revise.cfg",
+                 "--out", tmp_path / "e.kenc"]]
+    assert [run_quietly(argv) for argv in revision] == [(0, [])] * 2
+    results = [
+        checks.bm25_oracle(oracle, index, d / "qs.jsonl", RETRIEVE_K),
+        checks.premises(oracle, corpus, [(d / "qs.jsonl", d / "attached.jsonl")], 2, RETRIEVE_K),
+        checks.revision_loss(tmp_path / "c.jsonl", tmp_path / "heldout.txt", tmp_path / "e.kenc",
+                             8, 0.15),
+    ]
+    assert [result[:2] for result in results] == [
+        ("bm25-oracle", True), ("premises", True), ("revision-loss", True)], results
+    assert results[0][2] == "4/4 queries match"
+    assert results[1][2] == "4/4 options ok []"
+
+
+def test_model_with_an_unknown_head_kind_exits_1(artifacts, tmp_path):
+    # the payload starts with the head column: count, length, then "concat"
+    bad, out = tmp_path / "bad.bin", tmp_path / "r.json"
+    bad.write_bytes(patched((artifacts / "model.bin").read_bytes(), 8, b"concot"))
+    rc, lines = run_quietly(LOADING_STAGES["model.bin"](artifacts, bad, out))
+    assert (rc, lines) == (1, [f"error: {bad}: unknown head kind 'concot'"])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from unittest import mock
 
 import pytest
@@ -216,6 +217,17 @@ def test_single_name_pool_with_two_persons_rejected():
         corpus.prepare_atomic(events, ["Solo"], seed=0)
 
 
+def test_empty_name_pool_rejected():
+    events = [{"event": "PersonX sings", "dimension": "xReact", "inference": "joyful"}]
+    with pytest.raises(corpus.CorpusError, match="^empty name pool$"):
+        corpus.prepare_atomic(events, [], seed=0)
+
+
+def test_corpus_columns_of_different_lengths_rejected():
+    with pytest.raises(ValueError, match="^corpus columns differ in length$"):
+        corpus.KnowledgeCorpus.from_columns(["a", "b"], ["x", "y"], ["t", "t"], [None])
+
+
 _SEED_EVENTS = [
     {"event": "PersonX plants a tree", "dimension": "xWant", "inference": "to see it grow"},
     {"event": "PersonX greets PersonY", "dimension": "oReact", "inference": "welcome"},
@@ -254,7 +266,7 @@ def test_load_plain_lines_round_trip(tmp_path):
     src = tmp_path / "kb.txt"
     src.write_text("Water boils at 100 C.\nIce is frozen water.\n", encoding="utf-8")
     loaded = corpus.load_corpus(src, "plain-lines")
-    assert [s.id for s in loaded] == ["00000000", "00000001"]
+    assert [s.id for s in loaded.sentences] == ["00000000", "00000001"]
     assert loaded.texts == ["Water boils at 100 C.", "Ice is frozen water."]
 
 
@@ -289,8 +301,9 @@ def test_load_atomic_events_file(tmp_path):
         + "\n",
         encoding="utf-8",
     )
-    loaded = corpus.load_corpus(src, "atomic-events", name_pool=["Remy"], seed=9)
-    assert loaded.sentences[0].text == "Remy bakes bread, as a result Remy feels proud."
+    loaded = corpus.load_corpus(src, "atomic-events", seed=9)
+    name = random.Random(9).choice(corpus.load_name_pool())  # the first draw names PersonX
+    assert loaded.sentences[0].text == f"{name} bakes bread, as a result {name} feels proud."
     assert loaded.sentences[0].source_tag == "atomic"
 
 

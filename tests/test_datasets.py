@@ -131,10 +131,17 @@ def test_unknown_schema_tag(tmp_path):
         load_mcq(tmp_path / "x.jsonl", "csv")
 
 
+def map_file(tmp_path, schema_map):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(schema_map), encoding="utf-8")
+    return path
+
+
 def test_schema_map_override(tmp_path):
     path = tmp_path / "renamed.jsonl"
     write_jsonl(path, [{"g": "goal text", "a": "one", "b": "two", "y": 1}])
-    ds = load_mcq(path, "piqa", schema_map={"fields": ["g", "a", "b"], "label": "y"})
+    ds = load_mcq(path, "piqa", schema_map=map_file(tmp_path, {"fields": ["g", "a", "b"],
+                                                                  "label": "y"}))
     assert ds.items[0].question == "goal text"
     assert ds.items[0].gold == 1
 
@@ -151,7 +158,7 @@ def test_schema_map_from_file(tmp_path):
 def test_schema_map_null_id_and_label_make_ids_and_drop_gold(tmp_path):
     path = tmp_path / "piqa.jsonl"
     write_jsonl(path, [{"id": "p1", "goal": "g", "sol1": "a", "sol2": "b", "label": 1}])
-    ds = load_mcq(path, "piqa", schema_map={"id": None, "label": None})
+    ds = load_mcq(path, "piqa", schema_map=map_file(tmp_path, {"id": None, "label": None}))
     assert (ds.items[0].id, ds.items[0].gold) == ("piqa-000001", None)
 
 
@@ -166,9 +173,10 @@ def test_schema_map_null_id_and_label_make_ids_and_drop_gold(tmp_path):
 ])
 def test_bad_schema_map_is_refused_before_any_record_is_read(tmp_path, schema, schema_map,
                                                             message):
-    never_opened = tmp_path / "missing.jsonl"
-    with pytest.raises(DatasetError, match=f"^schema map.*{re.escape(message)}"):
-        load_mcq(never_opened, schema, schema_map=schema_map)
+    never_opened, map_path = tmp_path / "missing.jsonl", map_file(tmp_path, schema_map)
+    with pytest.raises(DatasetError,
+                       match=f"^{re.escape(str(map_path))}: schema map.*{re.escape(message)}"):
+        load_mcq(never_opened, schema, schema_map=map_path)
 
 
 PIQA = {"id": "p1", "goal": "g", "sol1": "a", "sol2": "b", "label": 0}

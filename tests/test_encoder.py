@@ -732,6 +732,18 @@ def test_revision_train_matches_oracle_loops(paragraphs):
     assert params == oracle_params
 
 
+def test_revision_train_on_a_two_sentence_paragraph_matches_oracle_loops():
+    # no third sentence can be a negative, so the neighbour objective sees the positive pair only
+    corpus = KnowledgeCorpus(toy_corpus().sentences[:2], paragraphs=[(0, 2)])
+    config = TrainConfig(seed=3, lr=0.05, epochs=2, batch_size=4)
+    runs = []
+    for fit in (revision_train, oracle_revision_train):
+        model = small_model(seed=22)
+        fit(model, corpus, config)
+        runs.append({k: t.data.tobytes() for k, t in model.params.items()})
+    assert runs[0] == runs[1]
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=-0.1)

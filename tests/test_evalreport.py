@@ -78,6 +78,12 @@ def test_evaluate_requires_gold():
         evaluate(baseline_model(store), ds)
 
 
+def test_evaluate_refuses_an_empty_dataset():
+    store = ExternalVectorStore({("a", 0, None): np.zeros(2), ("a", 1, None): np.zeros(2)})
+    with pytest.raises(EvalError, match="^empty dataset$"):
+        evaluate(baseline_model(store), McqDataset(items=[]))
+
+
 def test_untrained_model_near_chance_on_thousand_items():
     # seed-averaged binomial check: 3 random models on 1000 2-option items
     accs = []

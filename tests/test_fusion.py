@@ -1010,3 +1010,38 @@ def test_model_checkpoint_rejects_corruption(tmp_path):
 
     with pytest.raises(CheckpointError, match="cannot read"):
         load_model(tmp_path / "missing.bin")
+
+
+def saved_concat_model(path):
+    """``path`` after saving a concat model to it."""
+    ds = separable_dataset(n_items=2)
+    enc = EncoderModel.init(dataset_vocab(ds), EncoderConfig(d=4, max_len=32), seed=0)
+    save_model(FusionModel(enc, "concat", seed=1), path)
+    return path
+
+
+def two_head_names(data: bytes) -> bytes:
+    """A KFUS frame whose head column (count, lengths, bytes) holds its head twice."""
+    magic, version, payload = unframe(data)
+    (n, length), rest = struct.unpack_from("<II", payload), payload[8:]
+    assert n == 1
+    head, rest = rest[:length], rest[length:]
+    return frame(magic, version, struct.pack("<III", 2, length, length) + head + head + rest)
+
+
+# Each frame is valid, so the payload check fires, not the checksum.
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: frame(*unframe(data)[:2], unframe(data)[2][:-8]),
+     "a field runs past the end of the model payload"),
+    (lambda data: frame(*unframe(data)[:2], unframe(data)[2] + b"\0"),
+     "trailing bytes after the last field of the model payload"),
+    (lambda data: patched(data, unframe(data)[2].index(b"score_w"), b"score_x"),
+     "unexpected head parameter set ['score_b', 'score_x']"),
+    (lambda data: patched(data, 8, b"concot"), "unknown head kind 'concot'"),
+    (two_head_names, "unknown head kind ['concat', 'concat']"),
+], ids=["cut", "trailing", "renamed-parameter", "renamed-head", "two-heads"])
+def test_model_checkpoint_payload_checks_name_the_file(tmp_path, damage, message):
+    path = saved_concat_model(tmp_path / "m.bin")
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_model(path)

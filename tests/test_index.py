@@ -158,7 +158,7 @@ def test_matches_brute_force(docs, query):
     corpus = make_corpus(docs)
     idx = build_index(corpus)
     hits = search(idx, query, k=len(docs))
-    expected = bm25_brute_force([(s.id, s.text) for s in corpus], query)
+    expected = bm25_brute_force([(s.id, s.text) for s in corpus.sentences], query)
     assert [(h.sentence_id, h.score) for h in hits] == expected
     assert all(h.score > 0 for h in hits)
     assert all(a.score >= b.score for a, b in zip(hits, hits[1:]))
@@ -179,7 +179,7 @@ def _bits(hits):
 @settings(max_examples=100, deadline=None)
 def test_search_with_a_cold_or_warm_memo_matches_brute_force_bit_for_bit(docs, queries):
     corpus = make_corpus(docs)
-    docs = [(s.id, s.text) for s in corpus]
+    docs = [(s.id, s.text) for s in corpus.sentences]
     warm = build_index(corpus)
     assert "record_pos" not in vars(warm)  # the position column waits for the first search
     for query in queries:
@@ -206,7 +206,7 @@ def test_matches_brute_force_any_params(docs, query, k1, b):
     corpus = make_corpus(docs)
     idx = build_index(corpus, Bm25Params(k1=k1, b=b))
     hits = search(idx, query, k=len(docs))
-    expected = bm25_brute_force([(s.id, s.text) for s in corpus], query, k1=k1, b=b)
+    expected = bm25_brute_force([(s.id, s.text) for s in corpus.sentences], query, k1=k1, b=b)
     assert [(h.sentence_id, h.score) for h in hits] == expected
 
 
@@ -230,7 +230,7 @@ def test_top_k_cuts_tie_groups_like_brute_force(tmp_path_factory, docs, copies, 
     corpus = KnowledgeCorpus(
         [KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in zip(ids, docs)]
     )
-    expected = bm25_brute_force([(s.id, s.text) for s in corpus], query)[:k]
+    expected = bm25_brute_force([(s.id, s.text) for s in corpus.sentences], query)[:k]
     # a reloaded index ranks its ids anew, so it must order ties the same way
     path = tmp_path_factory.getbasetemp() / "ties.kiix"
     built = build_index(corpus)

@@ -420,3 +420,8 @@ def test_question_invariants_enforced():
             person="P", qtype="cousin", question="?", options=("a", "b", "c", "d"),
             gold=0, knowledge=(),
         )
+    with pytest.raises(FactsError, match="gold index out of range"):
+        PfqaQuestion(
+            person="P", qtype="parent", question="?", options=("a", "b", "c", "d"),
+            gold=4, knowledge=(),
+        )

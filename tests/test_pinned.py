@@ -141,7 +141,7 @@ def candidate_ids(d, questions_file="qs.jsonl") -> set[str]:
     """The ids of every BM25 hit attach re-ranks for the questions in ``d``."""
     index = load_index(d / "i.kiix")
     found = set()
-    for item in load_mcq(d / questions_file, "generic"):
+    for item in load_mcq(d / questions_file, "generic").items:
         for option in range(item.n):
             terms = generate_query(item, option, QueryGenConfig()).terms
             found |= {hit.sentence_id for hit in search(index, terms, k=RETRIEVE_K)}

@@ -151,14 +151,20 @@ def found() -> dict[str, bool]:
     return reached(files)
 
 
+def load_perfbench(name: str, monkeypatch):
+    """``perfbench/<name>.py`` loaded by path, so perfbench itself is not edited."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_tracer_wrap_resolves(monkeypatch):
     # --trace 1's trace-names-resolve check, run on perfbench/tracing.py's
     # own resolver without editing it: a kiqa rename fails here first
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing", monkeypatch)
     missing = []
     for wrap in tracing.WRAPS:
         owner, attr = tracing._resolve(wrap.target)

@@ -44,6 +44,16 @@ def rerank_oracle(candidates, query_text, m, lam, sim):
     return chosen
 
 
+def on_texts(fn):
+    """``fn`` on two texts: each prepared, then compared, as the re-rank does."""
+    return lambda a, b: fn.compare(fn.prepare(a), fn.prepare(b))
+
+
+def jaccard(a, b):
+    """Token overlap of two texts."""
+    return token_jaccard(token_set(a), token_set(b))
+
+
 def sents(*texts):
     return [KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in enumerate(texts)]
 
@@ -51,43 +61,40 @@ def sents(*texts):
 # --- token_jaccard ----------------------------------------------------------
 
 def test_jaccard_basics():
-    assert token_jaccard("a b", "a b") == 1.0
-    assert token_jaccard("a b", "c d") == 0.0
-    assert token_jaccard("a b c", "b c d") == 0.5
-    assert token_jaccard("", "") == 1.0
-    assert token_jaccard("a", "") == 0.0
-    assert token_jaccard("", "a") == 0.0
+    assert jaccard("a b", "a b") == 1.0
+    assert jaccard("a b", "c d") == 0.0
+    assert jaccard("a b c", "b c d") == 0.5
+    assert jaccard("", "") == 1.0
+    assert jaccard("a", "") == 0.0
+    assert jaccard("", "a") == 0.0
 
 
 def test_jaccard_ignores_case_and_punctuation():
-    assert token_jaccard("The CAT!", "the cat") == 1.0
+    assert jaccard("The CAT!", "the cat") == 1.0
 
 
 @given(st.text(max_size=40), st.text(max_size=40))
 def test_jaccard_symmetric_and_bounded(a, b):
-    s = token_jaccard(a, b)
-    assert s == token_jaccard(b, a)
+    s = jaccard(a, b)
+    assert s == jaccard(b, a)
     assert 0.0 <= s <= 1.0
 
 
 @given(st.text(min_size=1, max_size=40))
 def test_jaccard_self_similarity(a):
-    assert token_jaccard(a, a) == 1.0
+    assert jaccard(a, a) == 1.0
 
 
 @given(st.text(max_size=40), st.text(max_size=40))
-def test_jaccard_takes_texts_or_token_sets(a, b):
-    want = token_jaccard(a, b)
+def test_jaccard_is_shared_over_all_tokens(a, b):
     sa, sb = token_set(a), token_set(b)
-    assert token_jaccard(sa, b) == want
-    assert token_jaccard(a, sb) == want
-    assert token_jaccard(sa, sb) == want
+    assert token_jaccard(sa, sb) == (len(sa & sb) / len(sa | sb) if sa or sb else 1.0)
 
 
 # --- embedding cosine -------------------------------------------------------
 
 TABLE = {"alpha": (1.0, 0.0, 0.0), "beta": (0.0, 1.0, 0.0), "gamma": (0.0, 0.0, 1.0)}
-COSINE = SimilarityFn(TABLE)
+COSINE = on_texts(SimilarityFn(TABLE))
 
 
 def test_cosine_identical_sentences():
@@ -116,14 +123,14 @@ def test_cosine_no_known_words_scores_zero():
 
 def test_cosine_zero_vector_scores_zero():
     table = {"null": (0.0, 0.0), "one": (1.0, 0.0)}
-    assert SimilarityFn(table)("null", "one") == 0.0
+    assert on_texts(SimilarityFn(table))("null", "one") == 0.0
 
 
 def test_an_empty_table_is_still_embedding_cosine():
     # only a missing table means token overlap; an empty one knows no word
     assert SimilarityFn({}).prepare("alpha beta") is None
-    assert SimilarityFn({})("alpha beta", "alpha beta") == 0.0
-    assert SimilarityFn()("alpha beta", "alpha beta") == 1.0
+    assert on_texts(SimilarityFn({}))("alpha beta", "alpha beta") == 0.0
+    assert on_texts(SimilarityFn())("alpha beta", "alpha beta") == 1.0
 
 
 def test_load_embedding_table(tmp_path):
@@ -170,7 +177,7 @@ def test_embedding_table_vector_too_long(tmp_path):
         load_embedding_table(path)
     big = math.sqrt(1.7e308 / 2) / math.sqrt(2)  # squared length just under half the largest float
     path.write_text(f"a {big!r} {big!r}\nb {big!r} -{big!r}\n", encoding="utf-8")
-    fn = SimilarityFn(load_embedding_table(path))
+    fn = on_texts(SimilarityFn(load_embedding_table(path)))
     assert [fn("a", "a"), fn("a b", "a"), fn("a", "b")] == pytest.approx([1.0, math.sqrt(0.5), 0.0])
 
 
@@ -186,7 +193,7 @@ def test_no_cosine_is_nan_for_a_table_the_loader_accepts(tmp_path_factory, vecto
     lines = [f"{w} {' '.join(map(repr, v))}\n" for w, v in zip(_TABLE_WORDS, vectors)]
     path.write_text("".join(lines), encoding="utf-8")
     try:
-        fn = SimilarityFn(load_embedding_table(path))
+        fn = on_texts(SimilarityFn(load_embedding_table(path)))
     except EmbeddingTableError as exc:
         assert "vector too long" in str(exc)
         return
@@ -206,7 +213,7 @@ def test_lambda_zero_is_stable_similarity_sort():
     cands = sents("a b", "c d", "a b c", "a q")
     cfg = RerankConfig(m=4, lambda_=0.0)
     out = rerank(cands, "a b", cfg)
-    sim = cfg.similarity
+    sim = on_texts(cfg.similarity)
     sims = [sim(c.text, "a b") for c in cands]
     expected = [cands[i] for i in sorted(range(len(cands)), key=lambda i: -sims[i])]
     assert out == expected
@@ -258,13 +265,14 @@ def test_matches_oracle(texts, query, m, lam):
     cands = sents(*texts)
     cfg = RerankConfig(m=m, lambda_=lam)
     got = rerank(cands, query, cfg)
-    want = rerank_oracle(cands, query, m, lam, cfg.similarity)
+    sim = on_texts(cfg.similarity)
+    want = rerank_oracle(cands, query, m, lam, sim)
     assert got == want
     assert len(got) == min(m, len(cands))
     assert len({s.id for s in got}) == len(got)
     # first pick always maximizes plain query similarity
-    best = max(cfg.similarity(c.text, query) for c in cands)
-    assert cfg.similarity(got[0].text, query) == best
+    best = max(sim(c.text, query) for c in cands)
+    assert sim(got[0].text, query) == best
 
 
 @given(texts=st.lists(_CAND_TEXT, min_size=1, max_size=10), m=st.integers(1, 10))
@@ -281,7 +289,7 @@ def test_cosine_similarity_matches_oracle(texts, m):
     cands = sents(*texts)
     cfg = RerankConfig(m=m, lambda_=1.0, similarity=SimilarityFn(table))
     got = rerank(cands, "cat play", cfg)
-    want = rerank_oracle(cands, "cat play", m, 1.0, cfg.similarity)
+    want = rerank_oracle(cands, "cat play", m, 1.0, on_texts(cfg.similarity))
     assert got == want
 
 
@@ -315,10 +323,10 @@ def _retrieval_sized_call(seed):
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
 def test_retrieval_sized_call_matches_string_oracle(kind, lam):
     if kind == "token-jaccard":
-        fn, oracle_sim = SimilarityFn(), token_jaccard
+        fn, oracle_sim = SimilarityFn(), jaccard
     else:
         fn = SimilarityFn(_TABLE)
-        oracle_sim = SimilarityFn(_TABLE)
+        oracle_sim = on_texts(SimilarityFn(_TABLE))
     for seed in range(6):
         cands, query = _retrieval_sized_call(seed)
         got = rerank(cands, query, RerankConfig(m=10, lambda_=lam, similarity=fn))
@@ -361,10 +369,12 @@ def test_mean_vector_runs_once_per_distinct_text(monkeypatch):
     assert sorted(calls) == sorted({c.text for c in cands} | {query})
 
 
-def test_similarity_call_is_compare_of_prepared():
-    for fn in (SimilarityFn(), SimilarityFn(_TABLE)):
-        for a, b in [("cat play", "play yarn"), ("moss", "cat"), ("", "sun"), ("dog", "dog")]:
-            assert fn(a, b) == fn.compare(fn.prepare(a), fn.prepare(b))
+def test_similarity_compares_prepared_features():
+    overlap, cosine = SimilarityFn(), SimilarityFn(_TABLE)
+    for a, b in [("cat play", "play yarn"), ("moss", "cat"), ("", "sun"), ("dog", "dog")]:
+        assert on_texts(overlap)(a, b) == jaccard(a, b)
+        assert on_texts(cosine)(a, b) == kiqa.rerank._vector_cosine(
+            kiqa.rerank._mean_vector(a, _TABLE), kiqa.rerank._mean_vector(b, _TABLE))
     assert SimilarityFn().prepare("The CAT, the cat") == {"the", "cat"}
     assert SimilarityFn(_TABLE).prepare("moss rain") is None
 
@@ -374,7 +384,7 @@ def test_a_shared_memo_prepares_each_text_once_over_calls(monkeypatch):
     # None is a prepared feature, not a missing one.
     fn = SimilarityFn(_TABLE)
     calls_in = [_retrieval_sized_call(seed) for seed in range(4)]
-    want = [rerank_oracle(cands, query, 10, 1.0, SimilarityFn(_TABLE))
+    want = [rerank_oracle(cands, query, 10, 1.0, on_texts(SimilarityFn(_TABLE)))
             for cands, query in calls_in]
     calls = _counting(monkeypatch, "_mean_vector")
     prepared = {}
@@ -511,11 +521,11 @@ def assert_picks_are_the_eager_loops(texts, query, m, lam, fn):
     config = RerankConfig(m=m, lambda_=lam, similarity=fn)
     got = [s.id for s in kiqa.rerank.rerank(cands, query, config)]
     assert got == [s.id for s in full_greedy(cands, query, config)]
-    assert got == [s.id for s in rerank_oracle(cands, query, m, lam, fn)]
+    assert got == [s.id for s in rerank_oracle(cands, query, m, lam, on_texts(fn))]
 
 
 def test_lazy_oracle_inputs_hold_negative_cosines_and_equal_gains():
-    fn = SimilarityFn(_TABLE)
+    fn = on_texts(SimilarityFn(_TABLE))
     assert fn("tree", "cat") < 0 and fn("tree cat", "cat") < fn("cat", "cat")
     texts = ["tree", "cat", "cat", "tree cat", "sun", "cat", "tree"]
     gains = [fn(t, "cat") for t in texts]

@@ -206,11 +206,11 @@ def test_training_vocab_excludes_eval_keys():
     from kiqa.datasets import McqDataset
 
     vocab = training_vocab(McqDataset(items=train))
-    assert all(t in vocab for t in SPECIAL_TOKENS)
-    assert "clue" in vocab and "indeed" in vocab
-    assert train[0].question.split()[1] in vocab
+    assert all(t in vocab.tokens for t in SPECIAL_TOKENS)
+    assert "clue" in vocab.tokens and "indeed" in vocab.tokens
+    assert train[0].question.split()[1] in vocab.tokens
     eval_key = attached.items[-1].question.split()[1]
-    assert eval_key not in vocab
+    assert eval_key not in vocab.tokens
 
 
 def test_training_vocab_with_corpus_covers_transfer_verdicts():
@@ -220,8 +220,8 @@ def test_training_vocab_with_corpus_covers_transfer_verdicts():
     with_corpus = training_vocab(attached, corpus)
     for pair in TRANSFER_VERDICTS:
         for verdict in pair:
-            assert verdict not in without
-            assert verdict in with_corpus
+            assert verdict not in without.tokens
+            assert verdict in with_corpus.tokens
 
 
 def test_route_premises_rejects_bad_m():
