@@ -63,7 +63,6 @@ from .corpus import (
     FORMATS,
     CorpusRows,
     KnowledgeCorpus,
-    KnowledgeSentence,
     load_corpus,
     load_jsonl,
     save_jsonl,
@@ -301,9 +300,9 @@ def _cmd_pfqa_gen(args, cfg: Config) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {out_dir / f"{name}.jsonl": split for name, split in splits.items()}
     _check_outputs(args, out_dir / "knowledge.jsonl", *paths)
-    knowledge = KnowledgeCorpus([
-        KnowledgeSentence(id=f"pfqa-k-{n:06d}", text=render_fact(f), source_tag="pfqa")
-        for n, f in enumerate(facts)])
+    n = len(facts)
+    knowledge = KnowledgeCorpus([f"pfqa-k-{i:06d}" for i in range(n)],
+                                list(map(render_fact, facts)), ["pfqa"] * n, [None] * n)
     save_jsonl(knowledge, out_dir / "knowledge.jsonl")
     for path, split in paths.items():
         save_mcq_jsonl(to_dataset(split), path)

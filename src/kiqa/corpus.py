@@ -15,10 +15,13 @@ read through :mod:`kiqa.textio`, so an unreadable or non-UTF-8 file, or a
 line of invalid JSON, is a :class:`CorpusError` naming the file and line.
 
 A :class:`KnowledgeCorpus` is a column store: parallel lists of ids,
-texts, source tags and titles.  The plain-lines and JSONL loaders fill the
-columns directly and :func:`save_jsonl` writes from them, so no
-per-sentence object is made on the way; :class:`KnowledgeSentence`
-objects are built only when ``sentences`` or ``at`` asks for them.
+texts, source tags and titles, and its one constructor takes those
+columns.  The raw-format preparers return texts (and titles and paragraph
+ranges); :func:`load_corpus` alone numbers the sentence ids and gives each
+format its default source tag.  Every loader fills the columns and
+:func:`save_jsonl` writes from them, so no per-sentence object is made on
+the way; :class:`KnowledgeSentence` objects are built only when
+``sentences`` or ``at`` asks for them.
 Plain lines end at any line boundary ``str.splitlines`` knows; JSON-lines
 records are the ``\\n``-separated lines, so a U+2028 or U+0085 inside a
 string value stays part of its record.
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .textio import decode, json_line, json_lines, loads, read_bytes, read_text, replacing
 
@@ -82,32 +85,12 @@ class KnowledgeCorpus:
 
     def __init__(
         self,
-        sentences: Iterable[KnowledgeSentence],
-        paragraphs: list[tuple[int, int]] | None = None,
-    ):
-        sentences = list(sentences)
-        self._set_columns(
-            [s.id for s in sentences],
-            [s.text for s in sentences],
-            [s.source_tag for s in sentences],
-            [s.title for s in sentences],
-            paragraphs,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
         ids: list[str],
         texts: list[str],
         tags: list[str],
         titles: list[str | None],
         paragraphs: list[tuple[int, int]] | None = None,
-    ) -> KnowledgeCorpus:
-        corpus = cls.__new__(cls)
-        corpus._set_columns(ids, texts, tags, titles, paragraphs)
-        return corpus
-
-    def _set_columns(self, ids, texts, tags, titles, paragraphs) -> None:
+    ):
         if not len(ids) == len(texts) == len(tags) == len(titles):
             raise ValueError("corpus columns differ in length")
         self.ids, self.texts, self.tags, self.titles = ids, texts, tags, titles
@@ -184,7 +167,7 @@ def _ends_with_abbreviation(prefix: str) -> bool:
     word = match.group(0)
     if len(word) == 1 and word.isupper():
         return True  # initials: "J. Smith"
-    return word.lower().rstrip(".") in _ABBREVIATIONS or word.lower() in _ABBREVIATIONS
+    return word.lower().rstrip(".") in _ABBREVIATIONS
 
 
 def split_sentences(paragraph: str) -> list[str]:
@@ -227,28 +210,25 @@ def split_sentences(paragraph: str) -> list[str]:
 
 def prepare_titled(
     paragraphs: list[tuple[str, str]],
-    source_tag: str = "wikihow",
-) -> tuple[list[KnowledgeSentence], list[tuple[int, int]]]:
+) -> tuple[list[str], list[str | None], list[tuple[int, int]]]:
     """Split titled paragraphs into sentences, prefixing each with its title.
 
-    Returns the sentences plus (start, end) index ranges marking which
-    output sentences belong to the same paragraph.
+    Returns the sentence texts, their titles (None for an empty title), and
+    (start, end) index ranges marking which sentences belong to the same
+    paragraph.
     """
-    out: list[KnowledgeSentence] = []
+    texts: list[str] = []
+    titles: list[str | None] = []
     ranges: list[tuple[int, int]] = []
     for title, body in paragraphs:
         title = _normalize_ws(title)
-        first = len(out)
+        first = len(texts)
         for sent in split_sentences(body):
-            text = f"{title} . {sent}" if title else sent
-            out.append(
-                KnowledgeSentence(
-                    id=_make_id(len(out)), text=text, source_tag=source_tag, title=title or None
-                )
-            )
-        if len(out) > first:
-            ranges.append((first, len(out)))
-    return out, ranges
+            texts.append(f"{title} . {sent}" if title else sent)
+            titles.append(title or None)
+        if len(texts) > first:
+            ranges.append((first, len(texts)))
+    return texts, titles, ranges
 
 
 _PERSON_X_RE = re.compile(r"\bPersonX\b")
@@ -268,13 +248,8 @@ def load_name_pool() -> list[str]:
     return [name for name in map(str.strip, read_text(path, CorpusError).split("\n")) if name]
 
 
-def prepare_atomic(
-    events: list[dict],
-    name_pool: list[str],
-    seed: int,
-    source_tag: str = "atomic",
-) -> list[KnowledgeSentence]:
-    """Render event records into declarative sentences.
+def prepare_atomic(events: list[dict], name_pool: list[str], seed: int) -> list[str]:
+    """Render event records into declarative sentence texts.
 
     Placeholder persons are replaced with names drawn deterministically
     from ``name_pool``; the two placeholders within one event always get
@@ -285,7 +260,7 @@ def prepare_atomic(
         raise CorpusError("empty name pool")
     templates = load_atomic_templates()
     rng = random.Random(seed)
-    out: list[KnowledgeSentence] = []
+    out: list[str] = []
     for record in events:
         event = _normalize_ws(str(record["event"]))
         dimension = str(record["dimension"]).lower()
@@ -302,8 +277,7 @@ def prepare_atomic(
             name_y = rng.choice(others)
             event = _PERSON_Y_RE.sub(name_y, event)
         event = _PERSON_X_RE.sub(name_x, event)
-        text = templates[dimension].format(event=event, x=name_x, inference=inference)
-        out.append(KnowledgeSentence(id=_make_id(len(out)), text=text, source_tag=source_tag))
+        out.append(templates[dimension].format(event=event, x=name_x, inference=inference))
     return out
 
 
@@ -311,7 +285,8 @@ def prepare_atomic(
 # Loading and serialization
 # ---------------------------------------------------------------------------
 
-FORMATS = ("plain-lines", "titled-paragraphs", "atomic-events")
+# each raw format, with the source tag its sentences get by default
+FORMATS = {"plain-lines": "plain", "titled-paragraphs": "wikihow", "atomic-events": "atomic"}
 
 
 def load_corpus(
@@ -323,34 +298,30 @@ def load_corpus(
 ) -> KnowledgeCorpus:
     """Read a raw knowledge source and prepare it into a corpus.
 
-    Sentence ids are assigned in source-file order, so loading the same
-    file twice yields an identical corpus.
+    Sentence ids number the sentences in source-file order, so loading the
+    same file twice yields an identical corpus.  Every sentence gets
+    ``source_tag``, or the format's default tag in :data:`FORMATS`.
     """
     path = Path(path)
+    titles = paragraphs = None
     if format == "plain-lines":
         # _normalize_ws on every line, as C-level maps
         lines = read_text(path, CorpusError).splitlines()
         texts = [text for text in map(" ".join, map(str.split, lines)) if text]
-        n = len(texts)
-        corpus = KnowledgeCorpus.from_columns(
-            list(map(_make_id, range(n))), texts, [source_tag or "plain"] * n, [None] * n
-        )
     elif format == "titled-paragraphs":
         records = _parse_jsonl(path, required=("title", "text"))
-        pairs = [(rec["title"], rec["text"]) for rec in records]
-        sentences, paragraphs = prepare_titled(pairs, source_tag=source_tag or "wikihow")
-        corpus = KnowledgeCorpus(sentences, paragraphs=paragraphs)
+        texts, titles, paragraphs = prepare_titled([(rec["title"], rec["text"]) for rec in records])
     elif format == "atomic-events":
         records = _parse_jsonl(path, required=("event", "dimension", "inference"))
-        sentences = prepare_atomic(records, load_name_pool(), seed,
-                                   source_tag=source_tag or "atomic")
-        corpus = KnowledgeCorpus(sentences)
+        texts = prepare_atomic(records, load_name_pool(), seed)
     else:
         raise CorpusError(f"unknown corpus format {format!r}")
 
-    if not len(corpus):
+    n = len(texts)
+    if not n:
         raise CorpusError(f"empty corpus: {path}")
-    return corpus
+    return KnowledgeCorpus(list(map(_make_id, range(n))), texts,
+                           [source_tag or FORMATS[format]] * n, titles or [None] * n, paragraphs)
 
 
 def _parse_jsonl(path: Path, required: tuple[str, ...]) -> list[dict]:
@@ -441,7 +412,7 @@ def _columns(path: Path, content: str) -> tuple[KnowledgeCorpus, int]:
     if paragraphs is not None:
         paragraphs = _paragraph_ranges(paragraphs, len(ids), path, paragraphs_line)
     try:
-        return KnowledgeCorpus.from_columns(ids, texts, tags, titles, paragraphs), last
+        return KnowledgeCorpus(ids, texts, tags, titles, paragraphs), last
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 

@@ -67,6 +67,11 @@ class McqItem:
     def n(self) -> int:
         return len(self.options)
 
+    @property
+    def question_text(self) -> str:
+        """The context, when there is one, and the question, joined by a space."""
+        return f"{self.context} {self.question}" if self.context else self.question
+
 
 @dataclass
 class McqDataset:

@@ -58,6 +58,10 @@ def encoder_tokens(text: str) -> list[str]:
 class Vocab:
     """Token ↔ id table; ids 0..4 are the special tokens, in fixed order."""
 
+    pad_id = 0
+    mask_id = 3
+    first_word_id = len(SPECIAL_TOKENS)
+
     def __init__(self, tokens: list[str]):
         if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
             raise ValueError("vocabulary must start with the special tokens")
@@ -79,18 +83,6 @@ class Vocab:
 
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.id_of(t) for t in tokens], dtype=np.int64)
-
-    @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
-    def mask_id(self) -> int:
-        return 3
-
-    @property
-    def first_word_id(self) -> int:
-        return len(SPECIAL_TOKENS)
 
 
 @dataclass(frozen=True)
@@ -284,9 +276,12 @@ def revision_train(
     with no masked position are skipped.  When the corpus carries
     paragraph structure, an adjacent-sentence objective runs alongside:
     a throwaway linear probe classifies whether two sentences were
-    neighbors, and its parameters are discarded afterwards.  Both
-    objectives take their passes through :func:`kiqa.autodiff.sgd_epoch`,
-    so a loss gone non-finite stops the run with DivergenceError.
+    neighbors, and its parameters are discarded afterwards.  The probe draws
+    its weights, negatives and order from a generator of its own, spawned
+    from ``config.seed``, so the masked-token batches are the same with or
+    without paragraph ranges.  Both objectives take their passes through
+    :func:`kiqa.autodiff.sgd_epoch`, so a loss gone non-finite stops the
+    run with DivergenceError.
     """
     rng = np.random.default_rng(config.seed)
     vocab = model.vocab
@@ -295,10 +290,12 @@ def revision_train(
         for text in corpus.texts
     ]
     pairs = _adjacent_pairs(corpus)
+    nsp_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     nsp_params = {}
     if pairs:
         nsp_params = {
-            "nsp_w": Tensor(rng.normal(0.0, 0.1, size=(model.config.d, 1)), requires_grad=True),
+            "nsp_w": Tensor(nsp_rng.normal(0.0, 0.1, size=(model.config.d, 1)),
+                            requires_grad=True),
             "nsp_b": Tensor(np.zeros(1), requires_grad=True),
         }
     opt = SGD({**model.params, **nsp_params}, lr=config.lr, momentum=config.momentum)
@@ -311,7 +308,7 @@ def revision_train(
     for _ in range(config.epochs):
         ad.sgd_epoch(opt, rng.permutation(len(sequences)), config.batch_size, mlm_loss, loss_log)
         if pairs:
-            _nsp_epoch(model, sequences, pairs, nsp_params, opt, rng, config)
+            _nsp_epoch(model, sequences, pairs, nsp_params, opt, nsp_rng, config)
     return model
 
 

@@ -2,22 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .autodiff import Tensor
 from .corpus import CorpusRows
 from .datasets import RETRIEVE_K, McqDataset, attach_premises
-from .encoder import EncoderModel, TrainConfig
-from .external import ExternalVectorStore
+from .encoder import TrainConfig
 from .fusion import (
     FusionModel,
     FusionError,
     _passages,
-    question_text,
     score_item,
     train,
 )
@@ -84,19 +82,6 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 # Retrieval-depth sweep
 # ---------------------------------------------------------------------------
 
-def _clone_model(model: FusionModel) -> FusionModel:
-    """A trainable copy; like ``load_model``, the ``FusionModel`` constructor wires the head."""
-    encoder = model.encoder
-    if not isinstance(encoder, ExternalVectorStore):
-        params = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in encoder.params.items()}
-        encoder = EncoderModel(encoder.vocab, encoder.config, params)
-    clone = FusionModel(encoder, model.head, tied=model.tied)
-    source = model.parameters()
-    for name, param in clone.parameters().items():
-        param.data = source[name].data.copy()
-    return clone
-
-
 def sweep_m(
     model: FusionModel,
     train_set: McqDataset,
@@ -116,8 +101,9 @@ def sweep_m(
     depth takes the first m of every option's list.  The greedy re-rank
     picks in the same order whatever its m, which only bounds how many
     picks it makes, so that prefix is exactly what attaching at m gives.
-    With a ``train_config`` a fresh copy of the model is fitted per depth;
-    without one the given model is only re-evaluated at each depth.
+    With a ``train_config`` a deep copy of the model, which shares a vector
+    store, is fitted per depth; without one the given model is only
+    re-evaluated at each depth.
     """
     if not m_values or any(m < 1 for m in m_values):
         raise EvalError("m values must be positive")
@@ -131,7 +117,7 @@ def sweep_m(
     rows = []
     for m in m_values:
         if retrain:
-            candidate = _clone_model(model)
+            candidate = copy.deepcopy(model)
             train(candidate, _first_premises(train_full, m), train_config,
                   freeze_encoder=freeze_encoder)
         else:
@@ -176,7 +162,7 @@ def weight_overlap_report(
     for item in dataset.items:
         out = score_item(model, item)
         for i in range(item.n):
-            qa = f"{question_text(item)} {item.options[i]}"
+            qa = f"{item.question_text} {item.options[i]}"
             for j, (_, text) in enumerate(_passages(model.head, item, i)):
                 rows.append(
                     (item.id, i, j, out.weights[i][j], normalized_overlap(text, qa))

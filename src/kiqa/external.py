@@ -36,6 +36,9 @@ class ExternalVectorStore:
     def __len__(self) -> int:
         return len(self._vectors)
 
+    def __deepcopy__(self, memo) -> ExternalVectorStore:
+        return self  # read-only, so a copied model shares it
+
     def __contains__(self, key: Key) -> bool:
         return key in self._vectors
 

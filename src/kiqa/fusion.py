@@ -104,10 +104,6 @@ class FusionModel:
         return params
 
 
-def question_text(item: McqItem) -> str:
-    return f"{item.context} {item.question}" if item.context else item.question
-
-
 def _passages(head: str, item: McqItem, option: int) -> list[tuple[int | None, str]]:
     """(store key, knowledge text) of every passage the head scores for one option."""
     texts = [p.text for p in item.premises[option]] if item.premises else []
@@ -125,7 +121,7 @@ def _encoder_inputs(model: FusionModel, item: McqItem) -> list[list[np.ndarray]]
     if isinstance(enc, ExternalVectorStore):
         return [[enc.get(item.id, i, key) for key, _ in _passages(model.head, item, i)]
                 for i in range(item.n)]
-    max_len, question = enc.config.max_len, question_text(item)
+    max_len, question = enc.config.max_len, item.question_text
     return [[enc.vocab.encode(build_sequence(text, question, option, max_len=max_len))
              for _, text in _passages(model.head, item, i)]
             for i, option in enumerate(item.options)]

@@ -11,14 +11,16 @@ Each question carries the parent facts that derive its answer, rendered as
 only those constituent facts, never a sentence stating the answer
 directly, so answering them requires composing two facts.
 
-Splits are assigned per person: every question about one person lands in
-the same split.
+Each question is a :class:`~kiqa.datasets.McqItem` whose ``extras`` name
+the person asked about and the question type.  Splits are assigned per
+person: every question about one person lands in the same split, and
+:func:`to_dataset` numbers the ids of one split.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .datasets import McqDataset, McqItem
@@ -41,24 +43,6 @@ class ParentFact:
             raise FactsError("names must be non-empty")
         if self.child == self.parent:
             raise FactsError(f"{self.child!r} cannot be their own parent")
-
-
-@dataclass(frozen=True)
-class PfqaQuestion:
-    person: str
-    qtype: str
-    question: str
-    options: tuple[str, ...]
-    gold: int
-    knowledge: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.qtype not in QTYPES:
-            raise FactsError(f"unknown question type {self.qtype!r}")
-        if len(self.options) != 4 or len(set(self.options)) != 4:
-            raise FactsError("need exactly 4 pairwise distinct options")
-        if not 0 <= self.gold < 4:
-            raise FactsError("gold index out of range")
 
 
 def first_name(name: str) -> str:
@@ -179,19 +163,22 @@ def _derivations(
 # Generation
 # ---------------------------------------------------------------------------
 
-def generate_questions(facts: list[ParentFact], seed: int = 0) -> list[PfqaQuestion]:
+def generate_questions(facts: list[ParentFact], seed: int = 0) -> list[McqItem]:
     """One question per (person, question type) with a derivable answer.
 
-    The gold answer is a seeded uniform choice among the true answers'
-    first names; every other true answer is barred from the distractor
-    pool, so exactly one option is correct.  (Person, qtype) pairs that
-    cannot field three distinct distractors are skipped.
+    Each is an item of four distinct first-name options, with the gold
+    answer's facts as ``knowledge`` and ``extras`` of ``person`` and
+    ``qtype``; ids number the questions in order.  The gold answer is a
+    seeded uniform choice among the true answers' first names; every other
+    true answer is barred from the distractor pool, so exactly one option is
+    correct.  (Person, qtype) pairs that cannot field three distinct
+    distractors are skipped.
     """
     parents, children = _adjacency(facts)
     persons = sorted(set(parents) | set(children))
     pool = sorted({first_name(p) for p in persons})
     rng = random.Random(seed)
-    questions: list[PfqaQuestion] = []
+    questions: list[McqItem] = []
     for person in persons:
         for qtype in QTYPES:
             derivations = _derivations(person, qtype, parents, children)
@@ -209,28 +196,28 @@ def generate_questions(facts: list[ParentFact], seed: int = 0) -> list[PfqaQuest
             options = [gold_first] + distractors
             rng.shuffle(options)
             questions.append(
-                PfqaQuestion(
-                    person=person,
-                    qtype=qtype,
+                McqItem(
+                    id=f"pfqa-{len(questions):06d}",
                     question=f"Who is the {qtype} of {person}?",
-                    options=tuple(options),
+                    options=options,
                     gold=options.index(gold_first),
-                    knowledge=tuple(dict.fromkeys(
+                    knowledge=list(dict.fromkeys(
                         render_fact(f) for answer, path in derivations
                         if first_name(answer) == gold_first for f in path
                     )),
+                    extras={"person": person, "qtype": qtype},
                 )
             )
     return questions
 
 
 def assign_splits(
-    questions: list[PfqaQuestion], seed: int = 0
-) -> tuple[list[PfqaQuestion], list[PfqaQuestion], list[PfqaQuestion]]:
+    questions: list[McqItem], seed: int = 0
+) -> tuple[list[McqItem], list[McqItem], list[McqItem]]:
     """Partition by person, 80/10/10 into train/dev/test, so no person straddles splits."""
-    by_person: dict[str, list[PfqaQuestion]] = {}
+    by_person: dict[str, list[McqItem]] = {}
     for q in questions:
-        by_person.setdefault(q.person, []).append(q)
+        by_person.setdefault(q.extras["person"], []).append(q)
     persons = sorted(by_person)
     random.Random(seed).shuffle(persons)
     total = len(questions)
@@ -246,17 +233,6 @@ def assign_splits(
     return splits
 
 
-def to_dataset(questions: list[PfqaQuestion]) -> McqDataset:
-    """Convert to the generic MCQ schema with knowledge embedded."""
-    items = [
-        McqItem(
-            id=f"pfqa-{n:06d}",
-            question=q.question,
-            options=list(q.options),
-            gold=q.gold,
-            knowledge=list(q.knowledge),
-            extras={"person": q.person, "qtype": q.qtype},
-        )
-        for n, q in enumerate(questions)
-    ]
-    return McqDataset(items=items)
+def to_dataset(questions: list[McqItem]) -> McqDataset:
+    """One split as a dataset, its ids numbered from 0 in order."""
+    return McqDataset(items=[replace(q, id=f"pfqa-{n:06d}") for n, q in enumerate(questions)])

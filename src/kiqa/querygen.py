@@ -1,7 +1,7 @@
 """Retrieval query generation from a question and one answer option.
 
-The query is the token bag of context + question + option with stopwords
-removed.
+The query is the token bag of the item's question text (context and
+question) and the option, with stopwords removed.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ def generate_query(item: "McqItem", option_index: int, config: QueryGenConfig) -
         raise IndexError(
             f"option index {option_index} out of range for {len(item.options)} options"
         )
-    parts = [item.context or "", item.question, item.options[option_index]]
-    tokens = word_tokens(" ".join(p for p in parts if p))
+    tokens = word_tokens(f"{item.question_text} {item.options[option_index]}")
     terms = [t for t in tokens if t not in config.stopwords]
     if not terms:
         raise EmptyQueryError(f"empty query for item {item.id!r} option {option_index}")

@@ -30,10 +30,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .corpus import KnowledgeCorpus, KnowledgeSentence
+from .corpus import KnowledgeCorpus
 from .datasets import McqDataset, McqItem, attach_premises
 from .encoder import Vocab
-from .fusion import question_text
 from .index import build_index
 from .rerank import RerankConfig
 
@@ -56,7 +55,8 @@ TRANSFER_VERDICTS = (
 
 def _corpus(texts: list[str]) -> KnowledgeCorpus:
     """The sentences ``texts`` in order, with ids numbered from 0."""
-    return KnowledgeCorpus(KnowledgeSentence(f"{n:08d}", text) for n, text in enumerate(texts))
+    n = len(texts)
+    return KnowledgeCorpus([f"{i:08d}" for i in range(n)], texts, ["generic"] * n, [None] * n)
 
 
 def _verdict_items(rng: np.random.Generator, texts: list[str], n: int, id_prefix: str,
@@ -193,7 +193,7 @@ def training_vocab(dataset: McqDataset, corpus: KnowledgeCorpus | None = None) -
     """
     texts: list[str] = []
     for item in dataset.items:
-        texts.append(question_text(item))
+        texts.append(item.question_text)
         texts.extend(item.options)
         for plist in item.premises or []:
             texts.extend(p.text for p in plist)

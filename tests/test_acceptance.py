@@ -21,13 +21,14 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from corpora import corpus_of
 from test_fusion import store_model
 from test_index import bm25_brute_force
 from test_pfqa import levenshtein_oracle
 from test_rerank import jaccard, on_texts, rerank_oracle
 
 from kiqa.cli import main as cli_main
-from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
+from kiqa.corpus import KnowledgeSentence
 from kiqa.datasets import McqDataset, McqItem
 from kiqa.encoder import (
     SEP,
@@ -79,7 +80,7 @@ def test_criterion_1_bm25_matches_brute_force():
             docs.append((f"{i:08d}", text))
         k1 = float(rng.uniform(0.5, 2.0))
         b = float(rng.uniform(0.0, 1.0))
-        corpus = KnowledgeCorpus([KnowledgeSentence(id=i, text=t) for i, t in docs])
+        corpus = corpus_of([KnowledgeSentence(id=i, text=t) for i, t in docs])
         index = build_index(corpus, Bm25Params(k1=k1, b=b))
         query = [str(w) for w in rng.choice(words, size=int(rng.integers(1, 5)))]
         hits = search(index, query, k=n_docs)
@@ -413,7 +414,8 @@ def test_criterion_8_pfqa_generator(tmp_path):
     fact_re = re.compile(r"^The parent of (.+) is (.+)\.$")
     pool = {p.split()[0] for p in persons}
     for q in questions:
-        truth = _derived_first_names(q.person, q.qtype, fact_pairs)
+        person, qtype = q.extras["person"], q.extras["qtype"]
+        truth = _derived_first_names(person, qtype, fact_pairs)
         gold_name = q.options[q.gold]
         # option invariants
         assert len(set(q.options)) == 4 and set(q.options) <= pool
@@ -427,10 +429,10 @@ def test_criterion_8_pfqa_generator(tmp_path):
         assert chosen_max <= min(edit_distance(n, gold_name) for n in unchosen)
         # the emitted knowledge alone supports the gold answer
         parsed = [fact_re.match(s).groups() for s in q.knowledge]
-        assert gold_name in _derived_first_names(q.person, q.qtype, parsed)
+        assert gold_name in _derived_first_names(person, qtype, parsed)
 
     splits = assign_splits(questions, seed=0)
-    persons_by_split = [{q.person for q in s} for s in splits]
+    persons_by_split = [{q.extras["person"] for q in s} for s in splits]
     assert persons_by_split[0] and sum(map(len, splits)) == len(questions)
     for a, b in itertools.combinations(persons_by_split, 2):
         assert not (a & b)

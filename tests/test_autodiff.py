@@ -220,9 +220,17 @@ def gather_keys(draw):
 @given(gather_keys(), st.data())
 def test_gather_gradient_is_bitwise_add_at_into_zeros(shape_key, data):
     shape, key = shape_key
+    assert_gather_gradient_is_add_at(
+        shape, key, lambda out_shape: data.draw(hnp.arrays(np.float64, out_shape,
+                                                           elements=_FLOATS)))
+
+
+def assert_gather_gradient_is_add_at(shape, key, upstream_of):
+    """``take``'s gradient into zeros of ``shape``, for the upstream gradient
+    ``upstream_of(out_shape)``, is ``np.add.at``'s bit for bit."""
     a = Tensor(np.zeros(shape), requires_grad=True)
     out = ad.take(a, key)
-    grad = data.draw(hnp.arrays(np.float64, out.shape, elements=_FLOATS))
+    grad = upstream_of(out.shape)
     out._backward(grad)
     assert_bitwise(a.grad, add_at_gather_grad(a.data, key, grad))
 

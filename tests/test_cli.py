@@ -4,6 +4,7 @@ import argparse
 import collections
 import contextlib
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -35,6 +36,7 @@ from kiqa.fusion import load_model, save_model
 from kiqa.index import build_index, load_index, save_index
 from kiqa.toytasks import make_planted_evidence_task, route_premises
 
+from corpora import corpus_of
 from frames import MARK, patched, replace_f8, unframe
 from test_reachability import load_perfbench
 
@@ -161,11 +163,12 @@ RAW_RECORDS = {
 }
 
 
-def prep_raw(tmp_path, fmt, out_name="corpus.jsonl"):
-    """``corpus-prep --format fmt`` on RAW_RECORDS[fmt]; the written corpus file."""
+def prep_raw(tmp_path, fmt, out_name="corpus.jsonl", seed=0):
+    """``corpus-prep --format fmt --seed seed`` on RAW_RECORDS[fmt]; the written corpus file."""
     raw, out = tmp_path / f"{fmt}.jsonl", tmp_path / out_name
     raw.write_text("".join(json.dumps(r) + "\n" for r in RAW_RECORDS[fmt]), encoding="utf-8")
-    assert run_quietly(["corpus-prep", "--input", raw, "--format", fmt, "--out", out]) == (0, [])
+    assert run_quietly(["corpus-prep", "--input", raw, "--format", fmt, "--seed", seed,
+                        "--out", out]) == (0, [])
     return out
 
 
@@ -174,6 +177,35 @@ def test_corpus_prep_of_a_raw_format_reruns_to_the_same_bytes(tmp_path, fmt):
     first, again = prep_raw(tmp_path, fmt, "a.jsonl"), prep_raw(tmp_path, fmt, "b.jsonl")
     assert first.read_bytes() == again.read_bytes()
     assert len(load_jsonl(first)) == {"titled-paragraphs": 5, "atomic-events": 2}[fmt]
+
+
+# sha256 of the text and integer artifacts of the fixed inputs above: a change
+# to any byte the loaders, pfqa-gen or index-build write shows here.  Models
+# and encoders are left out, since their bits depend on the BLAS build.
+PINNED_SHA256 = {
+    "atomic-events seed 0": "4957c410ba97a2c68d8ef9679dd1bac2af8e2e5922fb6827be2970a617a7a703",
+    "atomic-events seed 5": "8a31a4767de5c0622d95ee1e53c2472903771a9c4107f44c7f6b6f891b99616f",
+    "titled-paragraphs": "813b62cfb3e488cb4945631b5906e1355ffd7974f29b66f5d5399ec5d26c2560",
+    "plain-lines": "0c4ff36a038c0089273b1dba8d326061b2f7c7718020b4d2baca0b188716aa23",
+    "pfqa-gen knowledge": "b13ac15b0bb09a0a28309be634fb02836c05128a60ae58990f3780c5e67b36f5",
+    "index": "a1c1d2ec668be08664c2bab337444b18e740d30c5b0791280244f259b98973ab",
+}
+
+
+def test_prepared_corpus_and_index_bytes_are_pinned(artifacts, tmp_path):
+    facts = tmp_path / "facts.tsv"
+    facts.write_text(FACTS, encoding="utf-8")
+    assert run_quietly(["pfqa-gen", "--facts", facts, "--out", tmp_path / "pfqa"]) == (0, [])
+    files = {
+        "atomic-events seed 0": prep_raw(tmp_path, "atomic-events", "a0.jsonl"),
+        "atomic-events seed 5": prep_raw(tmp_path, "atomic-events", "a5.jsonl", seed=5),
+        "titled-paragraphs": prep_raw(tmp_path, "titled-paragraphs"),
+        "plain-lines": artifacts / "corpus.jsonl",
+        "pfqa-gen knowledge": tmp_path / "pfqa" / "knowledge.jsonl",
+        "index": artifacts / "index.kiix",
+    }
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in files.items()} == PINNED_SHA256
 
 
 def test_corpus_prep_names_atomic_persons_from_the_packaged_pool(tmp_path):
@@ -534,8 +566,8 @@ def test_revise_writes_the_same_bytes_with_the_blas_thread_variables_unset_or_1(
         pytest.skip("on one core OpenBLAS runs one thread either way, so the two runs "
                     "cannot differ whether the entry pins the threads or not")
     words = [f"w{i}" for i in range(4 * 96)]
-    corpus = KnowledgeCorpus([KnowledgeSentence(id=f"{i:08d}", text=" ".join(words[i::4]))
-                              for i in range(4)])
+    corpus = corpus_of([KnowledgeSentence(id=f"{i:08d}", text=" ".join(words[i::4]))
+                        for i in range(4)])
     save_jsonl(corpus, tmp_path / "corpus.jsonl")
     (tmp_path / "revise.cfg").write_text("epochs = 1\nbatch_size = 4\n", encoding="utf-8")
     unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
@@ -973,8 +1005,8 @@ def test_non_finite_learning_rate_exits_1(artifacts, tmp_path, capsys, command, 
 def test_index_of_another_corpus_exits_1(artifacts, tmp_path, capsys):
     # An index of the first three sentences, used with a corpus of the first one.
     corpus = load_jsonl(artifacts / "corpus.jsonl")
-    save_index(build_index(KnowledgeCorpus(corpus.sentences[:3])), tmp_path / "three.idx")
-    save_jsonl(KnowledgeCorpus(corpus.sentences[:1]), tmp_path / "one.jsonl")
+    save_index(build_index(corpus_of(corpus.sentences[:3])), tmp_path / "three.idx")
+    save_jsonl(corpus_of(corpus.sentences[:1]), tmp_path / "one.jsonl")
     rc = main(["attach", "--dataset", str(artifacts / "qs.jsonl"),
                "--corpus", str(tmp_path / "one.jsonl"),
                "--index", str(tmp_path / "three.idx"), "--out", str(tmp_path / "a.jsonl")])
@@ -985,7 +1017,7 @@ def test_index_of_another_corpus_exits_1(artifacts, tmp_path, capsys):
 
 def test_sweep_m_with_index_of_reordered_corpus_exits_1(artifacts, tmp_path, capsys):
     corpus = load_jsonl(artifacts / "corpus.jsonl")
-    save_index(build_index(KnowledgeCorpus(corpus.sentences[::-1])), tmp_path / "rev.idx")
+    save_index(build_index(corpus_of(corpus.sentences[::-1])), tmp_path / "rev.idx")
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("m_values = [1, 2]\nretrain = false\n", encoding="utf-8")
     rc = main(["sweep-m", "--model", str(artifacts / "model.bin"),
@@ -1001,7 +1033,7 @@ def _corpus_with_other_texts(artifacts, tmp_path):
     corpus = load_jsonl(artifacts / "corpus.jsonl")
     texts = list(corpus.texts)
     texts[1] = "the grass is blue here"
-    other = KnowledgeCorpus.from_columns(list(corpus.ids), texts, corpus.tags, corpus.titles)
+    other = KnowledgeCorpus(list(corpus.ids), texts, corpus.tags, corpus.titles)
     save_jsonl(other, tmp_path / "other.jsonl")
     return tmp_path / "other.jsonl"
 
@@ -1171,7 +1203,7 @@ def test_attach_with_a_bad_schema_map_exits_1(artifacts, tmp_path, capsys, text)
 
 def test_attach_then_train_with_unicode_line_separators(tmp_path):
     # attach writes these raw inside JSON strings; train must read them back
-    corpus = KnowledgeCorpus(sentences=[
+    corpus = corpus_of([
         KnowledgeSentence(id="s0", text="the sky is blue\u2028today"),
         KnowledgeSentence(id="s1", text="the grass is green\u2029here"),
     ])

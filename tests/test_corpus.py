@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from kiqa import corpus
 
+from corpora import corpus_of
+
 # ---------------------------------------------------------------------------
 # Sentence splitting: hand-labeled paragraphs
 # ---------------------------------------------------------------------------
@@ -119,23 +121,49 @@ def test_split_preserves_non_whitespace(paragraph):
 # ---------------------------------------------------------------------------
 
 def test_titled_prefixes_each_sentence():
-    sents, ranges = corpus.prepare_titled(
+    texts, titles, ranges = corpus.prepare_titled(
         [("How to Pack for Self Storage", "Stand sofas on end. Cover with blankets.")]
     )
-    assert [s.text for s in sents] == [
+    assert texts == [
         "How to Pack for Self Storage . Stand sofas on end.",
         "How to Pack for Self Storage . Cover with blankets.",
     ]
     assert ranges == [(0, 2)]
-    assert all(s.title == "How to Pack for Self Storage" for s in sents)
+    assert titles == ["How to Pack for Self Storage"] * 2
 
 
-def test_titled_paragraph_ranges_cover_all_sentences():
+def test_an_empty_title_prefixes_nothing_and_is_null():
+    texts, titles, _ = corpus.prepare_titled([("  ", "A b. C d.")])
+    assert texts == ["A b.", "C d."]
+    assert titles == [None, None]
+
+
+def test_titled_paragraph_ranges_cover_all_sentences(tmp_path):
     paras = [("T1", "A b. C d. E f."), ("T2", ""), ("T3", "G h.")]
-    sents, ranges = corpus.prepare_titled(paras)
-    assert len(sents) == 4
+    texts, titles, ranges = corpus.prepare_titled(paras)
+    assert len(texts) == len(titles) == 4
     assert ranges == [(0, 3), (3, 4)]  # empty paragraph contributes no range
-    assert [s.id for s in sents] == ["00000000", "00000001", "00000002", "00000003"]
+    src = tmp_path / "paras.jsonl"
+    src.write_text("".join(json.dumps({"title": t, "text": b}) + "\n" for t, b in paras),
+                   encoding="utf-8")
+    loaded = corpus.load_corpus(src, "titled-paragraphs")
+    assert loaded.ids == ["00000000", "00000001", "00000002", "00000003"]
+    assert (loaded.texts, loaded.titles, loaded.paragraphs) == (texts, titles, ranges)
+
+
+@pytest.mark.parametrize("fmt, record, tag", [
+    ("plain-lines", "Ice melts.", "plain"),
+    ("titled-paragraphs", {"title": "Ice", "text": "Ice melts."}, "wikihow"),
+    ("atomic-events", {"event": "PersonX melts ice", "dimension": "xReact",
+                       "inference": "cold"}, "atomic"),
+])
+def test_load_corpus_numbers_ids_and_tags_each_format(tmp_path, fmt, record, tag):
+    src = tmp_path / "raw"
+    src.write_text("".join((r if fmt == "plain-lines" else json.dumps(r)) + "\n"
+                           for r in [record, record]), encoding="utf-8")
+    loaded = corpus.load_corpus(src, fmt)
+    assert loaded.ids == ["00000000", "00000001"] and loaded.tags == [tag, tag]
+    assert corpus.load_corpus(src, fmt, source_tag="mine").tags == ["mine", "mine"]
 
 
 @given(
@@ -148,12 +176,12 @@ def test_titled_paragraph_ranges_cover_all_sentences():
     )
 )
 def test_titled_counts_match_split(paras):
-    sents, ranges = corpus.prepare_titled(paras)
+    texts, titles, ranges = corpus.prepare_titled(paras)
     expected_total = sum(len(corpus.split_sentences(body)) for _, body in paras)
-    assert len(sents) == expected_total
+    assert len(texts) == len(titles) == expected_total
     # ranges partition the output
     flat = [i for lo, hi in ranges for i in range(lo, hi)]
-    assert flat == list(range(len(sents)))
+    assert flat == list(range(len(texts)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +196,9 @@ def test_wants_template_renders_full_sentence():
             "inference": "to socialize with other dog owners",
         }
     ]
-    sents = corpus.prepare_atomic(events, ["Jody"], seed=0)
-    assert len(sents) == 1
-    assert sents[0].text == (
+    texts = corpus.prepare_atomic(events, ["Jody"], seed=0)
+    assert len(texts) == 1
+    assert texts[0] == (
         "Jody takes Jody's dog to the dog park, "
         "as a result Jody wants to socialize with other dog owners."
     )
@@ -183,17 +211,17 @@ def test_all_eight_dimensions_render():
         {"event": "PersonX wins the race", "dimension": dim, "inference": "happy"}
         for dim in templates
     ]
-    sents = corpus.prepare_atomic(events, ["Morgan"], seed=1)
-    assert len(sents) == 8
-    assert all("Morgan wins the race" in s.text for s in sents)
-    assert all(s.text.endswith(".") for s in sents)
+    texts = corpus.prepare_atomic(events, ["Morgan"], seed=1)
+    assert len(texts) == 8
+    assert all("Morgan wins the race" in text for text in texts)
+    assert all(text.endswith(".") for text in texts)
 
 
 def test_two_persons_get_distinct_names():
     events = [{"event": "PersonX thanks PersonY", "dimension": "xReact", "inference": "grateful"}]
     for seed in range(20):
-        (sent,) = corpus.prepare_atomic(events, ["Ada", "Bo"], seed=seed)
-        assert "Ada" in sent.text and "Bo" in sent.text
+        (text,) = corpus.prepare_atomic(events, ["Ada", "Bo"], seed=seed)
+        assert "Ada" in text and "Bo" in text
 
 
 def test_blank_events_are_skipped():
@@ -201,8 +229,8 @@ def test_blank_events_are_skipped():
         {"event": "PersonX fills in the ___", "dimension": "xWant", "inference": "to finish"},
         {"event": "PersonX waters the garden", "dimension": "xEffect", "inference": "gets muddy"},
     ]
-    sents = corpus.prepare_atomic(events, ["Kai"], seed=3)
-    assert [s.text for s in sents] == ["Kai waters the garden, as a result Kai gets muddy."]
+    texts = corpus.prepare_atomic(events, ["Kai"], seed=3)
+    assert texts == ["Kai waters the garden, as a result Kai gets muddy."]
 
 
 def test_unknown_dimension_rejected():
@@ -225,7 +253,7 @@ def test_empty_name_pool_rejected():
 
 def test_corpus_columns_of_different_lengths_rejected():
     with pytest.raises(ValueError, match="^corpus columns differ in length$"):
-        corpus.KnowledgeCorpus.from_columns(["a", "b"], ["x", "y"], ["t", "t"], [None])
+        corpus.KnowledgeCorpus(["a", "b"], ["x", "y"], ["t", "t"], [None])
 
 
 _SEED_EVENTS = [
@@ -242,14 +270,14 @@ _SEED_POOL = ["Jody", "Quinn", "Rowan", "Sage"]
 def test_seed_changes_names_but_not_structure(seed_a, seed_b):
     a = corpus.prepare_atomic(_SEED_EVENTS, _SEED_POOL, seed_a)
     b = corpus.prepare_atomic(_SEED_EVENTS, _SEED_POOL, seed_b)
-    assert [s.id for s in a] == [s.id for s in b]
+    assert len(a) == len(b)  # so load_corpus numbers the same ids
 
     def skeleton(text):
         for name in _SEED_POOL:
             text = text.replace(name, "<P>")
         return text
 
-    assert [skeleton(s.text) for s in a] == [skeleton(s.text) for s in b]
+    assert list(map(skeleton, a)) == list(map(skeleton, b))
 
 
 def test_same_seed_reproduces_exactly():
@@ -350,16 +378,16 @@ def test_duplicate_ids_rejected():
         corpus.KnowledgeSentence(id="x", text="C d."),
     ]
     with pytest.raises(corpus.CorpusError, match="duplicate"):
-        corpus.KnowledgeCorpus(sents)
+        corpus_of(sents)
 
 
 def test_blank_sentence_rejected():
     with pytest.raises(corpus.CorpusError, match="empty"):
-        corpus.KnowledgeCorpus([corpus.KnowledgeSentence(id="x", text="   ")])
+        corpus_of([corpus.KnowledgeSentence(id="x", text="   ")])
 
 
 def test_stats_and_lookup():
-    kc = corpus.KnowledgeCorpus(
+    kc = corpus_of(
         [
             corpus.KnowledgeSentence(id="a", text="Water boils at 100 C."),
             corpus.KnowledgeSentence(id="b", text="Ice melts."),
@@ -436,7 +464,7 @@ def corpora(draw):
         inner = st.sets(st.integers(1, n - 1)) if n > 1 else st.just(set())
         cuts = sorted(draw(inner) | {0, n})
         paragraphs = list(zip(cuts, cuts[1:]))
-    return corpus.KnowledgeCorpus(sentences, paragraphs=paragraphs)
+    return corpus_of(sentences, paragraphs=paragraphs)
 
 
 @given(corpora())
@@ -496,7 +524,7 @@ def test_plain_lines_loader_matches_the_oracle(tmp_path_factory, lines, sep):
 
 
 def test_line_separators_inside_a_text_round_trip(tmp_path):
-    kc = corpus.KnowledgeCorpus([
+    kc = corpus_of([
         corpus.KnowledgeSentence(id="a", text="one\u2028two"),
         corpus.KnowledgeSentence(id="b", text="three\x85four", title="t\u2029"),
     ])
@@ -527,7 +555,7 @@ def test_columns_make_no_sentence_objects(tmp_path, monkeypatch):
 
 def test_digest_pins_ids_and_texts_only():
     def kc(pairs, tag="x", title=None):
-        return corpus.KnowledgeCorpus(
+        return corpus_of(
             [corpus.KnowledgeSentence(id=i, text=t, source_tag=tag, title=title) for i, t in pairs]
         )
 
@@ -619,7 +647,7 @@ def test_pinned_rows_equal_the_full_load(tmp_path_factory, kc):
         assert parse.call_count == 1
         assert [pinned.at(pos) for pos in reversed(range(len(full)))] == full.sentences[::-1]
         assert parse.call_count == len(full)
-    assert pinned.digest == full.digest == corpus.KnowledgeCorpus(full.sentences).digest
+    assert pinned.digest == full.digest == corpus_of(full.sentences).digest
 
 
 def test_a_pin_that_does_not_match_loads_in_full(tmp_path):
@@ -657,22 +685,28 @@ def test_the_file_sha256_is_kept_only_when_the_rows_lead_the_file(tmp_path, text
 
 
 def test_an_in_memory_corpus_has_no_file_sha256():
-    assert corpus.KnowledgeCorpus([corpus.KnowledgeSentence("a", "A")]).file_sha256 == bytes(32)
+    assert corpus_of([corpus.KnowledgeSentence("a", "A")]).file_sha256 == bytes(32)
 
 
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        (b'{"id": "b", "text": 5}', "must be strings"),
-        (b'{"id": "x", "text": "t"}', "sentence id 'x' is not the index's 'b'"),
-        (b'{"id": "b", "text": " "}', "sentence 'b' is empty"),
-        (b'{"id": "b", "text": "\xff"}', "not valid UTF-8"),
-        (b'{"paragraphs": [[0, 1]]}', "missing field 'id'"),
-        (b"{not json", "invalid JSON"),
-        (b"", "invalid JSON"),
-    ],
-)
+BAD_PINNED_ROWS = [
+    (b'{"id": "b", "text": 5}', "must be strings"),
+    (b'{"id": "x", "text": "t"}', "sentence id 'x' is not the index's 'b'"),
+    (b'{"id": "b", "text": " "}', "sentence 'b' is empty"),
+    (b'{"id": "b", "text": "\xff"}', "not valid UTF-8"),
+    (b'{"paragraphs": [[0, 1]]}', "missing field 'id'"),
+    (b"{not json", "invalid JSON"),
+    (b"", "invalid JSON"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_PINNED_ROWS)
 def test_a_bad_pinned_row_names_its_line_when_it_is_read(tmp_path, line, message):
+    assert_bad_pinned_row_is_named(tmp_path, line, message)
+
+
+def assert_bad_pinned_row_is_named(tmp_path, line, message):
+    """A pinned file whose second row is ``line`` reads its good rows, and
+    reading the bad one fails with ``message`` after the row's path:line."""
     path = tmp_path / "c.jsonl"
     data = b'{"id": "a", "text": "A b."}\n' + line + b'\n{"id": "c", "text": "C"}\n'
     path.write_bytes(data)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
+from kiqa.corpus import KnowledgeSentence
 from kiqa.datasets import (
     ANLI_QUESTION,
     DatasetError,
@@ -17,6 +17,8 @@ from kiqa.datasets import (
 )
 from kiqa.index import build_index
 from kiqa.rerank import RerankConfig
+
+from corpora import corpus_of
 
 
 def write_jsonl(path, records):
@@ -304,7 +306,7 @@ def test_dataset_rejects_mixed_option_counts():
 # --- attach_premises ----------------------------------------------------------
 
 def make_corpus(texts):
-    return KnowledgeCorpus([KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in enumerate(texts)])
+    return corpus_of([KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in enumerate(texts)])
 
 
 def planted_setup():

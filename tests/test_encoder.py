@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kiqa import autodiff as ad
 from kiqa.autodiff import SGD, DivergenceError, Tensor, cross_entropy, no_grad
-from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
+from kiqa.corpus import KnowledgeSentence
 from kiqa.encoder import (
     LN_EPS,
     MASK,
@@ -47,6 +47,7 @@ from composed import (
     neg,
     tape,
 )
+from corpora import corpus_of
 from frames import MARK, frame, replace_f8, unframe
 
 
@@ -570,7 +571,7 @@ def toy_corpus(paragraphs=False):
     ]
     sents = tuple(KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in enumerate(texts))
     ranges = ((0, 3), (3, 6)) if paragraphs else None
-    return KnowledgeCorpus(sentences=sents, paragraphs=ranges)
+    return corpus_of(sents, paragraphs=ranges)
 
 
 def test_mlm_batch_loss_none_without_masks():
@@ -639,6 +640,19 @@ def test_revision_train_neighbor_objective_needs_paragraphs():
     assert not np.array_equal(flat.params["emb"].data, para.params["emb"].data)
 
 
+def test_paragraph_ranges_leave_the_masked_token_batches_as_they_are(monkeypatch):
+    # the neighbour probe draws from a generator of its own: with its passes
+    # switched off, a corpus with paragraphs trains exactly as one without
+    monkeypatch.setattr("kiqa.encoder._nsp_epoch", lambda *args: None)
+    config = TrainConfig(seed=3, lr=0.05, epochs=3, batch_size=4)
+    runs = []
+    for paragraphs in (False, True):
+        model = small_model(seed=22)
+        revision_train(model, toy_corpus(paragraphs=paragraphs), config)
+        runs.append({k: t.data.tobytes() for k, t in model.params.items()})
+    assert runs[0] == runs[1]
+
+
 def test_revision_train_discards_probe_parameters():
     model = small_model(seed=22)
     revision_train(model, toy_corpus(paragraphs=True), TrainConfig(seed=3, lr=0.05, epochs=1))
@@ -647,8 +661,10 @@ def test_revision_train_discards_probe_parameters():
 
 def oracle_revision_train(model, corpus, config, loss_log=None):
     """``revision_train`` with its own masked-token and neighbour loops, from
-    before ``autodiff.sgd_epoch``: the reference."""
+    before ``autodiff.sgd_epoch``: the reference.  The neighbour probe draws
+    from its own generator, spawned from the seed."""
     rng = np.random.default_rng(config.seed)
+    nsp_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     vocab = model.vocab
     sequences = [
         vocab.encode([START, *encoder_tokens(text), SEP][: model.config.max_len])
@@ -658,7 +674,8 @@ def oracle_revision_train(model, corpus, config, loss_log=None):
     nsp_params = {}
     if pairs:
         nsp_params = {
-            "nsp_w": Tensor(rng.normal(0.0, 0.1, size=(model.config.d, 1)), requires_grad=True),
+            "nsp_w": Tensor(nsp_rng.normal(0.0, 0.1, size=(model.config.d, 1)),
+                            requires_grad=True),
             "nsp_b": Tensor(np.zeros(1), requires_grad=True),
         }
     opt = SGD({**model.params, **nsp_params}, lr=config.lr, momentum=config.momentum)
@@ -694,11 +711,11 @@ def oracle_revision_train(model, corpus, config, loss_log=None):
                 examples.append((a, b, 1))
                 if n <= 2:
                     continue
-                j = int(rng.integers(n))
+                j = int(nsp_rng.integers(n))
                 while j in (a, a + 1):
-                    j = int(rng.integers(n))
+                    j = int(nsp_rng.integers(n))
                 examples.append((a, j, 0))
-            order = rng.permutation(len(examples))
+            order = nsp_rng.permutation(len(examples))
             for lo in range(0, len(order), config.batch_size):
                 batch = [examples[i] for i in order[lo : lo + config.batch_size]]
                 seqs = [
@@ -734,7 +751,7 @@ def test_revision_train_matches_oracle_loops(paragraphs):
 
 def test_revision_train_on_a_two_sentence_paragraph_matches_oracle_loops():
     # no third sentence can be a negative, so the neighbour objective sees the positive pair only
-    corpus = KnowledgeCorpus(toy_corpus().sentences[:2], paragraphs=[(0, 2)])
+    corpus = corpus_of(toy_corpus().sentences[:2], paragraphs=[(0, 2)])
     config = TrainConfig(seed=3, lr=0.05, epochs=2, batch_size=4)
     runs = []
     for fit in (revision_train, oracle_revision_train):

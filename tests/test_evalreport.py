@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -5,12 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
+from kiqa.corpus import KnowledgeSentence
 from kiqa.datasets import McqDataset, McqItem, attach_premises
 from kiqa.encoder import EncoderConfig, EncoderModel, TrainConfig, Vocab
 from kiqa.evalreport import (
     EvalError,
-    _clone_model,
     config_fingerprint,
     evaluate,
     normalized_overlap,
@@ -21,9 +21,11 @@ from kiqa.evalreport import (
     write_weight_report_csv,
 )
 from kiqa.external import ExternalVectorStore
-from kiqa.fusion import FusionError, FusionModel, question_text, save_predictions, train
+from kiqa.fusion import FusionError, FusionModel, save_predictions, train
 from kiqa.index import build_index
 from kiqa.rerank import RerankConfig
+
+from corpora import corpus_of
 
 
 def store_dataset(n_items=10, d=3, seed=0, n_options=2):
@@ -194,7 +196,7 @@ def test_weight_report_overlap_column_is_token_overlap():
     ds, model = weighted_store_setup(n_items=1, m=2)
     item = ds.items[0]
     rows = weight_overlap_report(model, ds)
-    qa = f"{question_text(item)} {item.options[0]}"
+    qa = f"{item.question_text} {item.options[0]}"
     want = normalized_overlap(item.premises[0][0].text, qa)
     assert rows[0][4] == want
 
@@ -244,7 +246,7 @@ def decisive_pipeline(n_items=12, noise_per_item=2):
         items.append(
             McqItem(id=f"t-{k:03d}", question=f"clue {key}", options=list(answers), gold=gold)
         )
-    corpus = KnowledgeCorpus(sentences=tuple(sentences))
+    corpus = corpus_of(tuple(sentences))
     index = build_index(corpus)
     ds = McqDataset(items=items)
     texts = [s.text for s in sentences] + [f"clue k{k:03d}" for k in range(n_items)]
@@ -289,12 +291,17 @@ def test_sweep_m_retrain_leaves_original_model_untouched():
 ])
 @pytest.mark.parametrize("store", [False, True])
 def test_clone_model_copies_parameters_and_wiring(head, tied, store):
+    # sweep_m's per-depth copy: a deep copy, sharing only a read-only vector store
     if store:
-        encoder = ExternalVectorStore({("q", 0, None): np.ones(4)})
+        encoder = ExternalVectorStore({("q", 0, None): np.ones(4), ("q", 1, None): np.zeros(4)})
     else:
         encoder = EncoderModel.init(Vocab.from_texts(["a b"]), EncoderConfig(d=4), seed=0)
     model = FusionModel(encoder, head, seed=1, tied=tied)
-    clone = _clone_model(model)
+    source = dict(model.parameters())
+    if not store:
+        source.update({f"enc.{k}": v for k, v in encoder.params.items()})
+    before = {name: param.data.copy() for name, param in source.items()}
+    clone = copy.deepcopy(model)
     assert (clone.head, clone.tied) == (head, tied)
     assert (clone.weight_w is clone.score_w) == tied
     for name, param in model.parameters().items():
@@ -310,6 +317,15 @@ def test_clone_model_copies_parameters_and_wiring(head, tied, store):
         for name, param in encoder.params.items():
             assert np.array_equal(clone.encoder.params[name].data, param.data)
             assert clone.encoder.params[name] is not param
+    # training the copy moves its parameters and leaves the source's as they were
+    trained = {name: param.data.copy() for name, param in clone.parameters().items()}
+    dataset = McqDataset([McqItem(id="q", question="a", options=["a", "b"], gold=0)])
+    train(clone, dataset, TrainConfig(seed=0, lr=0.1, epochs=2, batch_size=1),
+          freeze_encoder=store)
+    assert any(not np.array_equal(trained[name], param.data)
+               for name, param in clone.parameters().items())
+    for name, param in source.items():
+        assert np.array_equal(param.data, before[name]), name
 
 
 def test_sweep_m_deterministic():
@@ -358,7 +374,7 @@ def test_sweep_m_rows_equal_attaching_at_each_m():
 
     expected = []
     for m in ms[:2]:
-        fitted = _clone_model(model)
+        fitted = copy.deepcopy(model)
         train(fitted, attach(m), config)
         expected.append((m, evaluate(fitted, attach(m)).accuracy))
     rows = sweep_m(model, dataset, dataset, corpus, index, ms[:2],

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
+from kiqa.corpus import KnowledgeSentence
 from kiqa.index import Bm25Params, build_index, load_index, save_index, search, IndexFormatError
 
+from corpora import corpus_of
 from frames import frame
 
 
@@ -55,7 +56,7 @@ def bm25_brute_force(docs, query, k1=1.2, b=0.75):
 
 
 def make_corpus(texts):
-    return KnowledgeCorpus(
+    return corpus_of(
         [KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in enumerate(texts)]
     )
 
@@ -178,6 +179,12 @@ def _bits(hits):
 )
 @settings(max_examples=100, deadline=None)
 def test_search_with_a_cold_or_warm_memo_matches_brute_force_bit_for_bit(docs, queries):
+    assert_search_is_brute_force_bit_for_bit(docs, queries)
+
+
+def assert_search_is_brute_force_bit_for_bit(docs, queries):
+    """Every query's hits, on a fresh index and on one whose contributions memo
+    the earlier queries warmed, are brute-force BM25's, score bits included."""
     corpus = make_corpus(docs)
     docs = [(s.id, s.text) for s in corpus.sentences]
     warm = build_index(corpus)
@@ -227,7 +234,7 @@ def test_top_k_cuts_tie_groups_like_brute_force(tmp_path_factory, docs, copies, 
     k = data.draw(st.integers(1, len(docs)), label="k")
     # ids in shuffled order, so the id tie-break is not the position order
     ids = data.draw(st.permutations(range(len(docs))), label="ids")
-    corpus = KnowledgeCorpus(
+    corpus = corpus_of(
         [KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in zip(ids, docs)]
     )
     expected = bm25_brute_force([(s.id, s.text) for s in corpus.sentences], query)[:k]
@@ -370,8 +377,8 @@ def test_hand_packed_v2_file_loads(tmp_path):
 
 
 def test_non_ascii_ids_and_terms_round_trip(tmp_path):
-    corpus = KnowledgeCorpus([KnowledgeSentence(id="é-0", text="ß straße 日本"),
-                              KnowledgeSentence(id="😀", text="straße plain")])
+    corpus = corpus_of([KnowledgeSentence(id="é-0", text="ß straße 日本"),
+                        KnowledgeSentence(id="😀", text="straße plain")])
     idx = build_index(corpus)
     save_index(idx, tmp_path / "a.idx")
     loaded = load_index(tmp_path / "a.idx")
@@ -395,7 +402,7 @@ _IDS = st.one_of(
 def assert_ids_round_trip(ids, texts, query, path):
     """A corpus with these ids and texts keeps its ids through save and load,
     and search on the built and the loaded index ranks as brute force does."""
-    corpus = KnowledgeCorpus([KnowledgeSentence(id=i, text=t) for i, t in zip(ids, texts)])
+    corpus = corpus_of([KnowledgeSentence(id=i, text=t) for i, t in zip(ids, texts)])
     built = build_index(corpus)
     save_index(built, path)
     loaded = load_index(path)

@@ -4,8 +4,10 @@ A row names a fast path, a small wrong variant of it and the oracle check
 that must catch it.  The variant is the function's own source with a few
 literal edits, compiled in its module's namespace and swapped in for the
 test; each edit must match the source exactly once, so a row whose code
-has moved fails loudly instead of testing nothing.  The check must fail
-under the variant and pass on the unchanged code.  A later fast path adds
+has moved fails loudly instead of testing nothing.  The variant replaces
+the function on its owner and in every module that imported it by name.
+The check must fail under the variant (an assertion, or a ``pytest.raises``
+that sees no error) and pass on the unchanged code.  A later fast path adds
 its row here.
 """
 
@@ -16,13 +18,21 @@ import textwrap
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import pytest
 
+import kiqa.corpus
+import kiqa.fusion
+import kiqa.index
 import kiqa.rerank
-from kiqa import binfmt
+from kiqa import autodiff, binfmt
+from kiqa.fusion import HEADS
 from kiqa.rerank import SimilarityFn
 
-from test_index import assert_ids_round_trip
+from test_autodiff import assert_gather_gradient_is_add_at
+from test_corpus import BAD_PINNED_ROWS, assert_bad_pinned_row_is_named
+from test_fusion import assert_batch_loss_is_the_oracles
+from test_index import assert_ids_round_trip, assert_search_is_brute_force_bit_for_bit
 from test_rerank import (LAZY_COMPARES, LAZY_LAMBDAS, _TABLE, _WORDS,
                          assert_picks_are_the_eager_loops, lazy_compare_count)
 
@@ -60,6 +70,49 @@ def ids_check(tmp_path):
         assert_ids_round_trip(ids, ["cat"] * len(ids), ["cat"], tmp_path / f"{n}.kiix")
 
 
+def search_bits_check(tmp_path):
+    """Search on fresh and memo-warmed indexes against brute-force BM25, bit
+    for bit, on seeded corpora of few words, so terms repeat within a query."""
+    rng = random.Random(0)
+    words = ["cat", "dog", "fish", "bird", "the", "tree"]
+    for _ in range(10):
+        docs = [" ".join(rng.choices(words, k=rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 40))]
+        queries = [rng.choices(words, k=rng.randint(0, 6)) for _ in range(rng.randint(1, 12))]
+        assert_search_is_brute_force_bit_for_bit(docs, queries)
+
+
+def gather_gradient_check(tmp_path):
+    """The gather gradient against np.add.at for seeded keys that repeat indices."""
+    rng = np.random.default_rng(0)
+    keys = [
+        ((6,), np.array([0, 2, 2, 5, 0, 2])),
+        ((4, 3), np.array([[1, 1], [3, 0]])),
+        ((3, 5, 2), (slice(None), np.array([4, 0, 4, 4]))),
+        ((3, 4), (np.arange(3)[:, None], np.array([[0, 0], [3, 1], [2, 2]]))),
+    ]
+    for shape, key in keys:
+        assert_gather_gradient_is_add_at(shape, key, lambda out_shape: rng.normal(size=out_shape))
+
+
+def pinned_row_check(tmp_path):
+    """Every bad row of a pinned corpus file fails with its path:line when read."""
+    for line, message in BAD_PINNED_ROWS:
+        assert_bad_pinned_row_is_named(tmp_path, line, message)
+
+
+def ragged_batch_check(tmp_path):
+    """The batched loss against per-item definitions, every head, on seeded
+    batches whose options have from one to four passages."""
+    rng = random.Random(0)
+    for head in HEADS:
+        for tied in (False, True) if head == "weighted-sum" else (False,):
+            d, n = rng.randint(2, 3), rng.randint(2, 4)
+            batch = [([[[rng.uniform(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, 4))]
+                       for _ in range(n)], rng.randrange(n)) for _ in range(rng.randint(2, 5))]
+            assert_batch_loss_is_the_oracles(batch, head, tied)
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -95,12 +148,25 @@ MUTANTS = [
            (("self.starts, self.ends", "self.starts, self.ends[1:] + self.ends[-1:]"),), ids_check),
     Mutant("fixed-width ascending check skips the last pair", binfmt.StringColumn, "ascending",
            (("fixed[:-1] <= fixed[1:]", "fixed[:-2] <= fixed[1:-1]"),), ids_check),
+    Mutant("search orders ties by position, not by id rank", kiqa.index, "search",
+           (("hit if rank is None else rank[hit]", "hit"),), ids_check),
+    Mutant("BM25 contributions one ulp high", kiqa.index.InvertedIndex, "contributions",
+           (("w_idf * tf * (k1 + 1.0) / (tf + self.length_norm[pos]))",
+             "np.nextafter(w_idf * tf * (k1 + 1.0) / (tf + self.length_norm[pos]), np.inf))"),),
+           search_bits_check),
+    Mutant("take's backward drops duplicate indices", autodiff, "take",
+           (("full = np.bincount(flat, weights=grad.ravel(), minlength=a.data.size)",
+             "full = np.zeros(a.data.size); full[flat] = grad.ravel()"),), gather_gradient_check),
+    Mutant("pinned rows skip the id check", kiqa.corpus._PinnedRows, "_parse_row",
+           (("if sid != self._ids[pos]:", "if False:"),), pinned_row_check),
+    Mutant("batched heads leave padded passage slots unmasked", kiqa.fusion, "_batch_scores",
+           (("    vecs = pooled[rows] *", "    mask[:] = True\n    vecs = pooled[rows] *"),),
+           ragged_batch_check),
 ]
 
 
 def mutated(mutant: Mutant):
-    fn = inspect.unwrap(mutant.owner.__dict__[mutant.attr]
-                        if isinstance(mutant.owner, type) else getattr(mutant.owner, mutant.attr))
+    fn = inspect.unwrap(vars(mutant.owner)[mutant.attr])
     source = textwrap.dedent(inspect.getsource(fn))
     for old, new in mutant.edits:
         assert source.count(old) == 1, f"{mutant.name}: {old!r} is not in the source once"
@@ -118,6 +184,10 @@ def test_the_unmutated_code_passes_each_check(tmp_path, check):
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_each_mutant_fails_its_check(monkeypatch, tmp_path, mutant):
-    monkeypatch.setattr(mutant.owner, mutant.attr, mutated(mutant))
-    with pytest.raises(AssertionError):
+    original, variant = vars(mutant.owner)[mutant.attr], mutated(mutant)
+    monkeypatch.setattr(mutant.owner, mutant.attr, variant)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get(mutant.attr) is original:
+            monkeypatch.setattr(module, mutant.attr, variant)
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
         mutant.check(tmp_path)

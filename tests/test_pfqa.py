@@ -4,16 +4,17 @@ import hashlib
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiqa.datasets import load_mcq, save_mcq_jsonl
+from kiqa.datasets import McqItem, load_mcq, save_mcq_jsonl
 from kiqa.pfqa import (
+    QTYPES,
     FactsError,
     ParentFact,
-    PfqaQuestion,
     assign_splits,
     edit_distance,
     first_name,
@@ -49,10 +50,10 @@ def knowledge_supports(question):
     def parents_of(name):
         return {f.parent for f in facts if f.child == name}
 
-    person = question.person
-    if question.qtype == "parent":
+    person = question.extras["person"]
+    if question.extras["qtype"] == "parent":
         answers = parents_of(person)
-    elif question.qtype == "grandparent":
+    elif question.extras["qtype"] == "grandparent":
         answers = {g for p in parents_of(person) for g in parents_of(p)}
     else:
         answers = {f.child for f in facts if f.parent in parents_of(person)} - {person}
@@ -159,7 +160,7 @@ FAMILY = [
 
 
 def by_key(questions):
-    return {(q.person, q.qtype): q for q in questions}
+    return {(q.extras["person"], q.extras["qtype"]): q for q in questions}
 
 
 # --- generation ----------------------------------------------------------------
@@ -167,20 +168,20 @@ def by_key(questions):
 def test_grandparent_composition():
     q = by_key(generate_questions(FAMILY, seed=0))[("John Smith", "grandparent")]
     assert q.options[q.gold] == "Ann"
-    assert q.knowledge == (
+    assert q.knowledge == [
         "The parent of John Smith is Mary Smith.",
         "The parent of Mary Smith is Ann Lee.",
-    )
+    ]
     assert q.question == "Who is the grandparent of John Smith?"
 
 
 def test_sibling_from_shared_parent():
     q = by_key(generate_questions(FAMILY, seed=0))[("Jane Smith", "sibling")]
     assert q.options[q.gold] == "John"
-    assert q.knowledge == (
+    assert q.knowledge == [
         "The parent of Jane Smith is Mary Smith.",
         "The parent of John Smith is Mary Smith.",
-    )
+    ]
 
 
 def test_single_fact_person_gets_parent_question_only():
@@ -209,15 +210,15 @@ def test_every_question_is_supported_by_its_knowledge():
     questions = generate_questions(FAMILY, seed=5)
     assert questions
     for q in questions:
-        assert knowledge_supports(q), (q.person, q.qtype)
+        assert knowledge_supports(q), q.extras
 
 
 def test_composed_questions_need_two_facts():
     for q in generate_questions(FAMILY, seed=2):
-        if q.qtype in ("grandparent", "sibling"):
+        if q.extras["qtype"] in ("grandparent", "sibling"):
             assert len(q.knowledge) >= 2
         else:
-            assert all(f"The parent of {q.person} is" in s for s in q.knowledge)
+            assert all(f"The parent of {q.extras['person']} is" in s for s in q.knowledge)
 
 
 def test_sibling_relation_is_symmetric():
@@ -234,13 +235,13 @@ def test_sibling_relation_is_symmetric():
         }
 
     for q in questions:
-        if q.qtype != "sibling":
+        if q.extras["qtype"] != "sibling":
             continue
         gold_name = q.options[q.gold]
-        matches = [s for s in siblings(q.person) if first_name(s) == gold_name]
+        matches = [s for s in siblings(q.extras["person"]) if first_name(s) == gold_name]
         assert matches
         for sib in matches:
-            assert q.person in siblings(sib)
+            assert q.extras["person"] in siblings(sib)
 
 
 def test_generation_is_deterministic():
@@ -272,6 +273,16 @@ def test_options_are_four_distinct_first_names():
         assert all(" " not in o for o in q.options)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_every_question_has_a_known_type_and_a_gold_option(seed):
+    questions = generate_questions(pinned_facts(), seed=seed)
+    assert [q.id for q in questions] == [f"pfqa-{n:06d}" for n in range(len(questions))]
+    for q in questions:
+        assert q.extras.keys() == {"person", "qtype"} and q.extras["qtype"] in QTYPES
+        assert len(q.options) == 4 == len(set(q.options))
+        assert 0 <= q.gold < 4
+
+
 # --- splits ----------------------------------------------------------------------
 
 def make_questions(n_persons, per_person):
@@ -279,13 +290,13 @@ def make_questions(n_persons, per_person):
     for p in range(n_persons):
         for k in range(per_person):
             out.append(
-                PfqaQuestion(
-                    person=f"Person {p:03d}",
-                    qtype="parent",
+                McqItem(
+                    id=f"pfqa-{len(out):06d}",
                     question=f"Who is the parent of Person {p:03d}?",
-                    options=(f"g{k}", "x", "y", "z"),
+                    options=[f"g{k}", "x", "y", "z"],
                     gold=0,
-                    knowledge=(f"The parent of Person {p:03d} is G.",),
+                    knowledge=[f"The parent of Person {p:03d} is G."],
+                    extras={"person": f"Person {p:03d}", "qtype": "parent"},
                 )
             )
     return out
@@ -298,7 +309,7 @@ def test_splits_keep_persons_together():
     membership = {}
     for name, split in (("train", train), ("dev", dev), ("test", test)):
         for q in split:
-            assert membership.setdefault(q.person, name) == name
+            assert membership.setdefault(q.extras["person"], name) == name
 
 
 def test_splits_roughly_match_ratios():
@@ -361,11 +372,12 @@ def test_load_facts_empty_file(tmp_path):
 
 def test_to_dataset_round_trips_through_generic_schema(tmp_path):
     questions = generate_questions(FAMILY, seed=0)
-    ds = to_dataset(questions)
+    ds = to_dataset(questions[3:])
     assert ds.items[0].n == 4
-    for item, q in zip(ds.items, questions):
-        assert item.extras == {"person": q.person, "qtype": q.qtype}
-        assert item.knowledge == list(q.knowledge)
+    assert [item.id for item in ds.items] == [f"pfqa-{n:06d}" for n in range(len(ds))]
+    for item, q in zip(ds.items, questions[3:], strict=True):
+        assert replace(item, id=q.id) == q
+        assert item.extras == {"person": q.extras["person"], "qtype": q.extras["qtype"]}
         assert item.options[item.gold] == q.options[q.gold]
     path = tmp_path / "pfqa.jsonl"
     save_mcq_jsonl(ds, path)
@@ -404,24 +416,3 @@ def test_parse_knowledge_rejects_non_facts():
     with pytest.raises(FactsError, match="parent-fact"):
         parse_knowledge(["The grandparent of A is B."])
 
-
-def test_question_invariants_enforced():
-    with pytest.raises(FactsError, match="distinct"):
-        PfqaQuestion(
-            person="P",
-            qtype="parent",
-            question="Who?",
-            options=("a", "a", "b", "c"),
-            gold=0,
-            knowledge=(),
-        )
-    with pytest.raises(FactsError, match="type"):
-        PfqaQuestion(
-            person="P", qtype="cousin", question="?", options=("a", "b", "c", "d"),
-            gold=0, knowledge=(),
-        )
-    with pytest.raises(FactsError, match="gold index out of range"):
-        PfqaQuestion(
-            person="P", qtype="parent", question="?", options=("a", "b", "c", "d"),
-            gold=4, knowledge=(),
-        )

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 import kiqa.corpus
 from kiqa.cli import main
-from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, save_jsonl
+from kiqa.corpus import KnowledgeSentence, save_jsonl
 from kiqa.datasets import load_mcq
 from kiqa.index import build_index, load_index, save_index, search
 from kiqa.querygen import QueryGenConfig, generate_query
+
+from corpora import corpus_of
 
 WORDS = ["sky", "blue", "green", "grass", "sun", "yellow", "sea", "salt", "café", "日本"]
 # escaped quotes and backslashes, a line separator inside a string, non-ASCII
@@ -65,7 +67,7 @@ def sha256(path) -> bytes:
 
 def plain_corpus(n, tag="plain"):
     """n sentences of two to four of WORDS each, ids ascending."""
-    return KnowledgeCorpus(
+    return corpus_of(
         KnowledgeSentence(id=f"{i:08d}", source_tag=tag, text=" ".join(
             WORDS[(i * k + k) % len(WORDS)] for k in range(1, 2 + i % 3 + 1)))
         for i in range(n))
@@ -101,7 +103,7 @@ def corpora(draw):
         for i in range(n)
     ]
     paragraphs = [(0, n)] if draw(st.booleans()) else None  # a trailing paragraphs line
-    return KnowledgeCorpus(sentences, paragraphs=paragraphs)
+    return corpus_of(sentences, paragraphs=paragraphs)
 
 
 _ITEM_WORDS = st.tuples(*[st.sampled_from(WORDS)] * 4)

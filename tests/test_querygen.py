@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiqa.datasets import McqItem
@@ -14,6 +14,7 @@ from kiqa.querygen import (
     generate_query,
     load_stopwords,
 )
+from kiqa.textnorm import word_tokens
 
 
 def item(question, options, context=None):
@@ -92,3 +93,34 @@ def test_default_stopword_file_loads():
     assert {"the", "a", "is", "of"} <= stop
     assert all(w == w.lower() for w in stop)
     assert len(stop) > 100
+
+
+def joined_parts_terms(it, option_index, stopwords):
+    """The oracle: the terms of the context, question and option, each joined
+    in only when non-empty, as the query was built before it read the item's
+    question text."""
+    parts = [it.context or "", it.question, it.options[option_index]]
+    return [t for t in word_tokens(" ".join(p for p in parts if p)) if t not in stopwords]
+
+
+# words, stopwords, non-ASCII letters, underscores and odd whitespace, or nothing
+_PART = st.lists(
+    st.sampled_from(["Fox", "den", "the", "IS", "café", "日本", "a_b", "x2", "", " ", "\t",
+                     " ", "-", "ÉTÉ"]),
+    max_size=5,
+).map(" ".join)
+
+
+@settings(max_examples=300)
+@given(context=st.one_of(st.none(), st.just(""), _PART), question=_PART,
+       options=st.lists(_PART, min_size=2, max_size=4))
+def test_query_terms_are_the_joined_parts_terms(context, question, options):
+    it = item(question, options, context=context)
+    cfg = QueryGenConfig()
+    for i in range(it.n):
+        want = joined_parts_terms(it, i, cfg.stopwords)
+        if want:
+            assert generate_query(it, i, cfg).terms == tuple(want)
+        else:
+            with pytest.raises(EmptyQueryError):
+                generate_query(it, i, cfg)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kiqa.rerank
-from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence
+from kiqa.corpus import KnowledgeSentence
 from kiqa.datasets import McqDataset, McqItem, attach_premises
 from kiqa.index import build_index
 from kiqa.rerank import (
@@ -21,6 +21,8 @@ from kiqa.rerank import (
     token_jaccard,
     token_set,
 )
+
+from corpora import corpus_of
 
 
 # --- oracle -----------------------------------------------------------------
@@ -547,7 +549,7 @@ def test_redundancy_compares_run_only_at_positive_lambda(n, m, lam):
 
 
 def test_attach_prepares_each_text_once_per_call(monkeypatch):
-    corpus = KnowledgeCorpus([
+    corpus = corpus_of([
         KnowledgeSentence(id=f"{i:08d}", text=t) for i, t in enumerate(
             ["cats chase mice", "dogs chase cats", "mice eat cheese", "dogs eat bones"])
     ])

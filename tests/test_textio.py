@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 
 import kiqa
 from kiqa import binfmt, textio
-from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, save_jsonl
+from kiqa.corpus import KnowledgeSentence, save_jsonl
 from kiqa.datasets import McqDataset, McqItem, save_mcq_jsonl
 from kiqa.encoder import KENC
 from kiqa.evalreport import EvalReport, save_report, write_sweep_csv, write_weight_report_csv
 from kiqa.external import ExternalVectorStore, save_external_vectors
 from kiqa.fusion import FusionModel, save_predictions
 from kiqa.textio import json_lines, loads, read_text, replacing, write_json_lines
+
+from corpora import corpus_of
 
 
 class ProbeError(ValueError):
@@ -263,7 +265,7 @@ def _kenc_frame(path):
 # Every function in the package that writes a file, each writing a small output.
 WRITERS = {
     "binfmt.save": _kenc_frame,
-    "corpus.save_jsonl": lambda path: save_jsonl(KnowledgeCorpus(sentences=[
+    "corpus.save_jsonl": lambda path: save_jsonl(corpus_of([
         KnowledgeSentence("s1", "the sky is blue"), KnowledgeSentence("s2", "grass")]), path),
     "datasets.save_mcq_jsonl": lambda path: save_mcq_jsonl(_dataset(), path),
     "evalreport.save_report": lambda path: save_report(
