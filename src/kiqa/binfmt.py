@@ -7,8 +7,8 @@ An artifact file is one little-endian frame::
 The sha256 covers every byte before it.  :func:`load` checks the magic,
 the version (a file of another version must be rebuilt with the command
 its :class:`Kind` names), the length (truncated or trailing bytes) and the
-checksum, in that order.  Every error names the file and has the kind's
-own error class.
+checksum, in that order.  Every error is a :class:`kiqa.textio.InputError`
+that names the file.
 
 The payload is a sequence of untagged fields, read in the order written:
 ``u32`` and ``f64`` scalars; ``array(dtype, n)``; ``strings``, a column of
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .textio import replacing
+from .textio import InputError, read_bytes, replacing
 
 _HEADER = struct.Struct("<4sIQ")
 _DIGEST = 32
@@ -48,7 +48,6 @@ class Kind:
     version: int
     noun: str  # as in "rebuild the index with index-build"
     command: str  # the kiqa command that writes this kind
-    error: type[Exception]
 
 
 def _utf8(strings: Sequence[str]) -> tuple[bytes, np.ndarray]:
@@ -157,8 +156,8 @@ class Reader:
     def __init__(self, payload: memoryview, path: Path, kind: Kind):
         self.payload, self.offset, self.path, self.kind = payload, 0, path, kind
 
-    def error(self, message: str) -> Exception:
-        return self.kind.error(f"{self.path}: {message}")
+    def error(self, message: str) -> InputError:
+        return InputError(f"{self.path}: {message}")
 
     def _take(self, n: int) -> memoryview:
         if self.offset + n > len(self.payload):
@@ -223,21 +222,18 @@ def save(path: str | Path, kind: Kind, writer: Writer) -> None:
 def load(path: str | Path, kind: Kind) -> Reader:
     """A reader over the payload of a checked frame."""
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise kind.error(f"cannot read {path}: {exc}") from exc
+    data = read_bytes(path)
     if data[:4] != kind.magic:
-        raise kind.error(f"{path}: not a {kind.magic.decode()} file (bad magic)")
+        raise InputError(f"{path}: not a {kind.magic.decode()} file (bad magic)")
     version = int.from_bytes(data[4:8], "little")
     if len(data) >= 8 and version != kind.version:
-        raise kind.error(f"{path}: unsupported {kind.noun} version {version} (this version reads "
+        raise InputError(f"{path}: unsupported {kind.noun} version {version} (this version reads "
                          f"{kind.version}); rebuild the {kind.noun} with {kind.command}")
     end = _HEADER.size + int.from_bytes(data[8:16], "little")  # a cut header reads short too
     if len(data) < end + _DIGEST:
-        raise kind.error(f"{path}: truncated {kind.noun} file")
+        raise InputError(f"{path}: truncated {kind.noun} file")
     if len(data) > end + _DIGEST:
-        raise kind.error(f"{path}: trailing bytes after the {kind.noun} file's checksum")
+        raise InputError(f"{path}: trailing bytes after the {kind.noun} file's checksum")
     if hashlib.sha256(memoryview(data)[:end]).digest() != data[end:]:
-        raise kind.error(f"{path}: checksum mismatch, the {kind.noun} file is corrupt")
+        raise InputError(f"{path}: checksum mismatch, the {kind.noun} file is corrupt")
     return Reader(memoryview(data)[_HEADER.size : end], path, kind)

@@ -89,12 +89,8 @@ from .fusion import FusionModel, load_model, save_model, save_predictions, train
 from .index import Bm25Params, InvertedIndex, build_index, load_index, save_index
 from .pfqa import assign_splits, generate_questions, load_facts, render_fact, to_dataset
 from .rerank import RerankConfig, SimilarityFn, load_embedding_table
-from .textio import read_text
+from .textio import InputError, read_text
 from .toytasks import training_vocab
-
-
-class CliError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +101,20 @@ def parse_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` file; see the module docstring for the syntax."""
     path = Path(path)
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(read_text(path, CliError).splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
-            raise CliError(f"{path}:{lineno}: sections are not supported; use flat keys")
+            raise InputError(f"{path}:{lineno}: sections are not supported; use flat keys")
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+            raise InputError(f"{path}:{lineno}: expected 'key = value'")
         key, _, text = line.partition("=")
         key = key.strip()
         if not key:
-            raise CliError(f"{path}:{lineno}: empty key")
+            raise InputError(f"{path}:{lineno}: empty key")
         if key in values:
-            raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = _parse_value(text.strip(), path, lineno)
     return values
 
@@ -128,13 +124,13 @@ def _parse_value(text: str, path: Path, lineno: int):
         try:
             value, end = json.JSONDecoder().raw_decode(text)
         except (ValueError, RecursionError) as exc:
-            raise CliError(f"{path}:{lineno}: malformed value: invalid JSON: {exc}") from None
+            raise InputError(f"{path}:{lineno}: malformed value: invalid JSON: {exc}") from None
         if text[end:].lstrip()[:1] not in ("", "#"):
-            raise CliError(f"{path}:{lineno}: malformed value: {text[end:].strip()!r} follows it")
+            raise InputError(f"{path}:{lineno}: malformed value: {text[end:].strip()!r} follows it")
         return value
     text = text.split("#", 1)[0].strip()
     if not text:
-        raise CliError(f"{path}:{lineno}: missing value")
+        raise InputError(f"{path}:{lineno}: missing value")
     if text == "true":
         return True
     if text == "false":
@@ -156,7 +152,7 @@ class Config(dict):
     def __init__(self, values: dict, keys: dict[str, type]):
         unknown = sorted(set(values) - set(keys))
         if unknown:
-            raise CliError(
+            raise InputError(
                 f"unknown config keys: {', '.join(unknown)} "
                 f"(this command accepts: {_key_list(sorted(keys))})"
             )
@@ -176,12 +172,12 @@ def _checked(key: str, value, kind: type):
     if kind is list:
         if value and isinstance(value, list) and all(type(v) is int for v in value):
             return value
-        raise CliError(f"config key {key!r} must be a non-empty list of integers")
+        raise InputError(f"config key {key!r} must be a non-empty list of integers")
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
     got = "a boolean" if isinstance(value, bool) else repr(value)
-    raise CliError(f"config key {key!r} must be {'an' if kind is int else 'a'} "
-                   f"{kind.__name__}, got {got}")
+    raise InputError(f"config key {key!r} must be {'an' if kind is int else 'a'} "
+                     f"{kind.__name__}, got {got}")
 
 
 def _key_list(keys) -> str:
@@ -189,9 +185,12 @@ def _key_list(keys) -> str:
 
 
 def _input(path_str: str | Path) -> Path:
+    """The path of an input that exists and is not a directory; a pipe is read as a file."""
     path = Path(path_str)
-    if not path.is_file():
+    if not path.exists():
         raise FileNotFoundError(f"cannot read {path}: no such file")
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     return path
 
 
@@ -221,10 +220,10 @@ def _check_outputs(args, *paths: str | Path | None) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for other in seen:
             if _one_file(path, other):
-                raise CliError(f"outputs {other} and {path} are one file")
+                raise InputError(f"outputs {other} and {path} are one file")
         for other in inputs:
             if _one_file(path, other):
-                raise CliError(f"output {path} and input {other} are one file")
+                raise InputError(f"output {path} and input {other} are one file")
         seen.append(path)
 
 
@@ -294,8 +293,8 @@ def _cmd_pfqa_gen(args, cfg: Config) -> str:
     splits = dict(zip(("train", "dev", "test"), assign_splits(questions, seed=args.seed)))
     counts = "/".join(str(len(split)) for split in splits.values())
     if empty := [name for name, split in splits.items() if not split]:
-        raise CliError(f"no questions in the {' or '.join(empty)} split "
-                       f"({counts} train/dev/test); give more facts")
+        raise InputError(f"no questions in the {' or '.join(empty)} split "
+                         f"({counts} train/dev/test); give more facts")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {out_dir / f"{name}.jsonl": split for name, split in splits.items()}
@@ -318,8 +317,8 @@ def _encoder(args, cfg: Config, encoder_config: EncoderConfig, revision_config: 
         encoder = load_encoder(_input(args.encoder))
         for key, value in cfg.pick(*ENCODER_KEYS).items():
             if value != (has := getattr(encoder.config, key)):
-                raise CliError(f"config key {key!r} is {value!r} but the --encoder checkpoint "
-                               f"has {key} = {has!r}")
+                raise InputError(f"config key {key!r} is {value!r} but the --encoder checkpoint "
+                                 f"has {key} = {has!r}")
     else:
         encoder = EncoderModel.init(vocab(), encoder_config, seed=args.seed)
     if corpus is not None:
@@ -367,7 +366,7 @@ def _cmd_eval(args, cfg: Config) -> str:
 
 def _cmd_sweep_m(args, cfg: Config) -> str:
     if "m_values" not in cfg:
-        raise CliError("sweep-m needs m_values in the config, e.g. m_values = [1, 2, 5]")
+        raise InputError("sweep-m needs m_values in the config, e.g. m_values = [1, 2, 5]")
     m_values = cfg["m_values"]
     train_config = TrainConfig(seed=args.seed + 2, **cfg.pick(*SGD_KEYS))
     model = load_model(_input(args.model))
@@ -401,7 +400,7 @@ def _cmd_weight_report(args, cfg: Config) -> str:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
-        raise CliError(f"{self.prog}: {message}")
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _add_common(sub, run, out_help: str, config_keys: dict[str, type], outputs=("out",)):

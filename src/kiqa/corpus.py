@@ -12,7 +12,8 @@ Three raw formats are supported:
 Prepared corpora are exchanged between pipeline stages as JSON lines
 (one sentence record per line, see :func:`save_jsonl`).  Every source is
 read through :mod:`kiqa.textio`, so an unreadable or non-UTF-8 file, or a
-line of invalid JSON, is a :class:`CorpusError` naming the file and line.
+line of invalid JSON, is an :class:`~kiqa.textio.InputError` naming the file
+and line, as is every bad record.
 
 A :class:`KnowledgeCorpus` is a column store: parallel lists of ids,
 texts, source tags and titles, and its one constructor takes those
@@ -47,11 +48,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
-from .textio import decode, json_line, json_lines, loads, read_bytes, read_text, replacing
-
-
-class CorpusError(ValueError):
-    """Raised for unreadable, empty or malformed corpus inputs."""
+from .textio import (InputError, decode, json_line, json_lines, loads, read_bytes, read_text,
+                     replacing)
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,9 @@ class KnowledgeCorpus:
             seen = set()
             for sid, text in zip(ids, texts):
                 if not text.strip():
-                    raise CorpusError(f"sentence {sid!r} is empty")
+                    raise InputError(f"sentence {sid!r} is empty")
                 if sid in seen:
-                    raise CorpusError(f"duplicate sentence id {sid!r}")
+                    raise InputError(f"duplicate sentence id {sid!r}")
                 seen.add(sid)
 
     @property
@@ -239,13 +237,13 @@ _BLANK_RE = re.compile(r"_{2,}")
 def load_atomic_templates() -> dict[str, str]:
     """Connective templates, one per inference dimension, from a swappable data file."""
     path = Path(__file__).parent / "data" / "atomic_templates.json"
-    raw = loads(read_text(path, CorpusError), str(path), CorpusError)
+    raw = loads(read_text(path), str(path))
     return {k.lower(): v for k, v in raw.items()}
 
 
 def load_name_pool() -> list[str]:
     path = Path(__file__).parent / "data" / "neutral_names.txt"
-    return [name for name in map(str.strip, read_text(path, CorpusError).split("\n")) if name]
+    return [name for name in map(str.strip, read_text(path).split("\n")) if name]
 
 
 def prepare_atomic(events: list[dict], name_pool: list[str], seed: int) -> list[str]:
@@ -257,7 +255,7 @@ def prepare_atomic(events: list[dict], name_pool: list[str], seed: int) -> list[
     are skipped.
     """
     if not name_pool:
-        raise CorpusError("empty name pool")
+        raise InputError("empty name pool")
     templates = load_atomic_templates()
     rng = random.Random(seed)
     out: list[str] = []
@@ -266,14 +264,14 @@ def prepare_atomic(events: list[dict], name_pool: list[str], seed: int) -> list[
         dimension = str(record["dimension"]).lower()
         inference = _normalize_ws(str(record["inference"]))
         if dimension not in templates:
-            raise CorpusError(f"unknown inference dimension {record['dimension']!r}")
+            raise InputError(f"unknown inference dimension {record['dimension']!r}")
         name_x = rng.choice(name_pool)
         if _BLANK_RE.search(event) or not inference:
             continue
         if _PERSON_Y_RE.search(event):
             others = [n for n in name_pool if n != name_x]
             if not others:
-                raise CorpusError("name pool too small for two distinct persons")
+                raise InputError("name pool too small for two distinct persons")
             name_y = rng.choice(others)
             event = _PERSON_Y_RE.sub(name_y, event)
         event = _PERSON_X_RE.sub(name_x, event)
@@ -306,7 +304,7 @@ def load_corpus(
     titles = paragraphs = None
     if format == "plain-lines":
         # _normalize_ws on every line, as C-level maps
-        lines = read_text(path, CorpusError).splitlines()
+        lines = read_text(path).splitlines()
         texts = [text for text in map(" ".join, map(str.split, lines)) if text]
     elif format == "titled-paragraphs":
         records = _parse_jsonl(path, required=("title", "text"))
@@ -315,20 +313,20 @@ def load_corpus(
         records = _parse_jsonl(path, required=("event", "dimension", "inference"))
         texts = prepare_atomic(records, load_name_pool(), seed)
     else:
-        raise CorpusError(f"unknown corpus format {format!r}")
+        raise InputError(f"unknown corpus format {format!r}")
 
     n = len(texts)
     if not n:
-        raise CorpusError(f"empty corpus: {path}")
+        raise InputError(f"empty corpus: {path}")
     return KnowledgeCorpus(list(map(_make_id, range(n))), texts,
                            [source_tag or FORMATS[format]] * n, titles or [None] * n, paragraphs)
 
 
 def _parse_jsonl(path: Path, required: tuple[str, ...]) -> list[dict]:
     records = []
-    for lineno, rec in json_lines(path, CorpusError):
+    for lineno, rec in json_lines(path):
         if not isinstance(rec, dict) or any(not isinstance(rec.get(k), str) for k in required):
-            raise CorpusError(
+            raise InputError(
                 f"{path}:{lineno}: record must have string fields {', '.join(required)}"
             )
         records.append(rec)
@@ -376,13 +374,13 @@ def load_jsonl(
     and ``at``.  A file that does not match is loaded in full.
     """
     path = Path(path)
-    data = read_bytes(path, CorpusError)
+    data = read_bytes(path)
     sha = hashlib.sha256(data).digest()
     if sha == file_sha256:
         lines = data.split(b"\n", len(ids))  # the n rows, then the rest of the file
         if len(lines) > len(ids) or len(lines) == len(ids) and lines[-1]:  # it has n lines
             return _PinnedRows(path, lines, digest, ids)
-    corpus, last = _columns(path, decode(data, path, CorpusError))
+    corpus, last = _columns(path, decode(data, path))
     if last == len(corpus) and b"\r" not in data:
         corpus.file_sha256 = sha
     return corpus
@@ -392,14 +390,14 @@ def _columns(path: Path, content: str) -> tuple[KnowledgeCorpus, int]:
     """The corpus a prepared file's text holds, and the line of its last sentence record."""
     ids, texts, tags, titles = [], [], [], []
     paragraphs, paragraphs_line, last = None, 0, 0
-    for lineno, rec in json_lines(path, CorpusError, content):
+    for lineno, rec in json_lines(path, content):
         try:
             sid, text, tag, title = _sentence_fields(rec)
-        except CorpusError as exc:
+        except InputError as exc:
             if type(rec) is not dict or "id" in rec or "paragraphs" not in rec:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+                raise InputError(f"{path}:{lineno}: {exc}") from None
             if paragraphs is not None:
-                raise CorpusError(f"{path}:{lineno}: second paragraphs record") from None
+                raise InputError(f"{path}:{lineno}: second paragraphs record") from None
             paragraphs, paragraphs_line = rec["paragraphs"], lineno
             continue
         ids.append(sid)
@@ -408,13 +406,13 @@ def _columns(path: Path, content: str) -> tuple[KnowledgeCorpus, int]:
         titles.append(title)
         last = lineno
     if not ids:
-        raise CorpusError(f"empty corpus: {path}")
+        raise InputError(f"empty corpus: {path}")
     if paragraphs is not None:
         paragraphs = _paragraph_ranges(paragraphs, len(ids), path, paragraphs_line)
     try:
         return KnowledgeCorpus(ids, texts, tags, titles, paragraphs), last
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 class _PinnedRows:
@@ -445,16 +443,16 @@ class _PinnedRows:
         try:
             line = self._lines[pos].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorpusError(f"{where}: not valid UTF-8: {exc}") from None
-        rec = json_line(line, where, CorpusError)
+            raise InputError(f"{where}: not valid UTF-8: {exc}") from None
+        rec = json_line(line, where)
         try:
             sid, text, tag, title = _sentence_fields(rec)
             if not text.strip():
-                raise CorpusError(f"sentence {sid!r} is empty")
+                raise InputError(f"sentence {sid!r} is empty")
             if sid != self._ids[pos]:
-                raise CorpusError(f"sentence id {sid!r} is not the index's {self._ids[pos]!r}")
-        except CorpusError as exc:
-            raise CorpusError(f"{where}: {exc}") from None
+                raise InputError(f"sentence id {sid!r} is not the index's {self._ids[pos]!r}")
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
         return KnowledgeSentence(sid, text, tag, title)
 
 
@@ -470,11 +468,11 @@ def _sentence_fields(rec) -> tuple[str, str, str, str | None]:
         tag, title = rec.get("source", "generic"), rec.get("title")
     except (TypeError, KeyError):  # not an object, or no id or text
         if type(rec) is not dict:
-            raise CorpusError("record must be a JSON object") from None
-        raise CorpusError(f"missing field {'id' if 'id' not in rec else 'text'!r}") from None
+            raise InputError("record must be a JSON object") from None
+        raise InputError(f"missing field {'id' if 'id' not in rec else 'text'!r}") from None
     if not (type(sid) is str and type(text) is str and type(tag) is str
             and (title is None or type(title) is str)):
-        raise CorpusError("id, text and source must be strings and title a string or null")
+        raise InputError("id, text and source must be strings and title a string or null")
     return sid, text, tag, title
 
 
@@ -486,7 +484,7 @@ def _paragraph_ranges(value, n: int, path: Path, lineno: int) -> list[tuple[int,
         for r in value
     ):
         return [tuple(r) for r in value]
-    raise CorpusError(
+    raise InputError(
         f"{path}:{lineno}: paragraphs must be [start, end] integer pairs with "
         f"0 <= start < end <= {n} (the sentence count)"
     )

@@ -15,9 +15,9 @@ read through :mod:`kiqa.textio`):
 
 Field names of the ``anli``, ``piqa`` and ``socialiqa`` schemas can be
 overridden with a small JSON schema map for off-spec dumps of the same
-shape; the map is checked before any record is read, and a bad one is a
-:class:`DatasetError` naming the map.  Field types are checked, not
-coerced; a bad record or file is a :class:`DatasetError` naming the file
+shape; the map is checked before any record is read, and a bad one is an
+:class:`~kiqa.textio.InputError` naming the map.  Field types are
+checked, not coerced; a bad record or file is one too, naming the file
 and line.
 """
 
@@ -27,18 +27,14 @@ import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import CorpusError, CorpusRows, KnowledgeSentence, _sentence_fields
+from .corpus import CorpusRows, KnowledgeSentence, _sentence_fields
 from .index import InvertedIndex, search
 from .querygen import EmptyQueryError, QueryGenConfig, generate_query
 from .rerank import RerankConfig, rerank
-from .textio import json_lines, loads, read_text, write_json_lines
+from .textio import InputError, json_lines, loads, read_text, write_json_lines
 
 RETRIEVE_K = 50  # BM25 hits per option that the re-rank picks premises from
 ANLI_QUESTION = "What is the most plausible explanation?"
-
-
-class DatasetError(ValueError):
-    pass
 
 
 @dataclass
@@ -54,11 +50,11 @@ class McqItem:
 
     def __post_init__(self):
         if len(self.options) < 2:
-            raise DatasetError(f"item {self.id!r}: need at least 2 options")
+            raise InputError(f"item {self.id!r}: need at least 2 options")
         if self.gold is not None and not 0 <= self.gold < len(self.options):
-            raise DatasetError(f"item {self.id!r}: gold index {self.gold} out of range")
+            raise InputError(f"item {self.id!r}: gold index {self.gold} out of range")
         if self.premises is not None and len(self.premises) != len(self.options):
-            raise DatasetError(
+            raise InputError(
                 f"item {self.id!r}: {len(self.premises)} premise lists for "
                 f"{len(self.options)} options"
             )
@@ -81,11 +77,11 @@ class McqDataset:
         seen = set()
         for item in self.items:
             if item.id in seen:
-                raise DatasetError(f"duplicate item id {item.id!r}")
+                raise InputError(f"duplicate item id {item.id!r}")
             seen.add(item.id)
         sizes = {item.n for item in self.items}
         if len(sizes) > 1:
-            raise DatasetError(f"mixed option counts in one dataset: {sorted(sizes)}")
+            raise InputError(f"mixed option counts in one dataset: {sorted(sizes)}")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -133,16 +129,16 @@ def load_mcq(
     an integer, and ``fields`` the tag's number of field names.
     """
     if schema_tag not in SCHEMA_TAGS:
-        raise DatasetError(f"unknown schema tag {schema_tag!r}")
+        raise InputError(f"unknown schema tag {schema_tag!r}")
     path = Path(path)
     mapping = dict(_DEFAULT_MAPS.get(schema_tag, {}))
     if schema_map is not None:
         name = str(schema_map)
-        schema = loads(read_text(name, DatasetError), name, DatasetError)
+        schema = loads(read_text(name), name)
         mapping.update(_check_schema_map(schema, schema_tag, f"{name}: schema map"))
 
     items = []
-    for lineno, rec in json_lines(path, DatasetError):
+    for lineno, rec in json_lines(path):
         try:
             if type(rec) is not dict:
                 raise TypeError(f"record must be a JSON object, got {type(rec).__name__}")
@@ -150,22 +146,22 @@ def load_mcq(
                 items.append(_item_from_generic(rec))
             else:
                 items.append(_item_from_mapped(rec, schema_tag, mapping, lineno))
-        except (KeyError, TypeError, ValueError) as exc:  # McqItem's DatasetError is one too
-            raise DatasetError(f"{path}:{lineno}: malformed record: {exc}") from None
+        except (KeyError, TypeError, ValueError) as exc:  # McqItem's InputError is a ValueError
+            raise InputError(f"{path}:{lineno}: malformed record: {exc}") from None
     if not items:
-        raise DatasetError(f"empty dataset: {path}")
+        raise InputError(f"empty dataset: {path}")
     try:
         return McqDataset(items=items)
-    except DatasetError as exc:
-        raise DatasetError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _check_schema_map(schema_map, schema_tag: str, where: str) -> dict:
     """``schema_map`` once every key and value fits ``schema_tag``'s mapping."""
     if schema_tag not in _DEFAULT_MAPS:
-        raise DatasetError(f"{where} applies only to {', '.join(_DEFAULT_MAPS)}, not {schema_tag}")
+        raise InputError(f"{where} applies only to {', '.join(_DEFAULT_MAPS)}, not {schema_tag}")
     if type(schema_map) is not dict:
-        raise DatasetError(f"{where} must be a JSON object, got {type(schema_map).__name__}")
+        raise InputError(f"{where} must be a JSON object, got {type(schema_map).__name__}")
     n_fields = len(_DEFAULT_MAPS[schema_tag]["fields"])
     for key, value in schema_map.items():
         if key in ("id", "label"):
@@ -176,11 +172,11 @@ def _check_schema_map(schema_map, schema_tag: str, where: str) -> dict:
             ok = _is_str_list(value) and len(value) == n_fields
             want = f"a list of {n_fields} field names"
         else:
-            raise DatasetError(
+            raise InputError(
                 f"{where}: unknown key {key!r} (expected id, fields, label, label_base)"
             )
         if not ok:
-            raise DatasetError(f"{where}: {key!r} must be {want}, got {reprlib.repr(value)}")
+            raise InputError(f"{where}: {key!r} must be {want}, got {reprlib.repr(value)}")
     return schema_map
 
 
@@ -246,7 +242,7 @@ def _item_from_generic(rec: dict) -> McqItem:
             premises = [
                 [KnowledgeSentence(*_sentence_fields(p)) for p in plist] for plist in premises
             ]
-        except CorpusError as exc:
+        except InputError as exc:
             raise TypeError(f"premise: {exc}") from None
     return McqItem(rec["id"], rec["question"], options, gold, context, premises, knowledge, extras)
 
@@ -302,7 +298,7 @@ def attach_premises(
     text in one memo, which is dropped when the call returns.
     """
     if index.corpus_digest != corpus.digest:
-        raise DatasetError(
+        raise InputError(
             f"index does not match the corpus: it was built over other ids or texts "
             f"({index.doc_count} documents; the corpus has {len(corpus)} sentences); "
             f"rebuild it with index-build"

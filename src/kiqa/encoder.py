@@ -40,11 +40,7 @@ SPECIAL_TOKENS = (PAD, START, SEP, MASK, UNK)
 NEG_INF = -1e30  # additive mask of padded slots; its exponential is exactly 0.0
 
 
-class CheckpointError(ValueError):
-    pass
-
-
-KENC = binfmt.Kind(b"KENC", 3, "encoder", "revise", CheckpointError)
+KENC = binfmt.Kind(b"KENC", 3, "encoder", "revise")
 
 LN_EPS = 1e-12  # layer-norm epsilon
 INIT_SCALE = 0.1  # standard deviation of the initial weight matrices

@@ -14,19 +14,14 @@ from .datasets import RETRIEVE_K, McqDataset, attach_premises
 from .encoder import TrainConfig
 from .fusion import (
     FusionModel,
-    FusionError,
     _passages,
     score_item,
     train,
 )
 from .index import InvertedIndex
 from .rerank import RerankConfig
-from .textio import replacing
+from .textio import InputError, replacing
 from .textnorm import token_set
-
-
-class EvalError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -54,9 +49,9 @@ def evaluate(
 ) -> EvalReport:
     missing = [it.id for it in dataset.items if it.gold is None]
     if missing:
-        raise EvalError(f"items without gold labels: {missing[:3]}")
+        raise InputError(f"items without gold labels: {missing[:3]}")
     if not dataset.items:
-        raise EvalError("empty dataset")
+        raise InputError("empty dataset")
     return EvalReport(
         predictions=tuple(
             (it.id, score_item(model, it).predicted, it.gold) for it in dataset.items
@@ -106,9 +101,9 @@ def sweep_m(
     re-evaluated at each depth.
     """
     if not m_values or any(m < 1 for m in m_values):
-        raise EvalError("m values must be positive")
+        raise InputError("m values must be positive")
     if any(a >= b for a, b in zip(m_values, m_values[1:])):
-        raise EvalError(f"m values must be strictly ascending, got {list(m_values)}")
+        raise InputError(f"m values must be strictly ascending, got {list(m_values)}")
     retrain = train_config is not None
     rr = replace(rr_config or RerankConfig(), m=m_values[-1])
     eval_full = attach_premises(eval_set, corpus, index, rr, retrieve_k)
@@ -157,7 +152,7 @@ def weight_overlap_report(
 ) -> list[tuple[str, int, int, float, float]]:
     """(item, option, passage, weight, overlap) rows, one per passage."""
     if model.head != "weighted-sum":
-        raise FusionError(f"weight report needs a weighted-sum model, got {model.head!r}")
+        raise InputError(f"weight report needs a weighted-sum model, got {model.head!r}")
     rows = []
     for item in dataset.items:
         out = score_item(model, item)

@@ -14,22 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .textio import json_lines, write_json_lines
+from .textio import InputError, json_lines, write_json_lines
 
 Key = tuple[str, int, "int | None"]
-
-
-class ExternalVectorError(ValueError):
-    pass
 
 
 class ExternalVectorStore:
     def __init__(self, vectors: dict[Key, np.ndarray]):
         if not vectors:
-            raise ExternalVectorError("no vectors")
+            raise InputError("no vectors")
         dims = {v.shape for v in vectors.values()}
         if len(dims) != 1 or next(iter(dims))[0] < 1:
-            raise ExternalVectorError(f"inconsistent vector dimensions: {sorted(dims)}")
+            raise InputError(f"inconsistent vector dimensions: {sorted(dims)}")
         self._vectors = dict(vectors)
         self.dimension = next(iter(dims))[0]
 
@@ -47,7 +43,7 @@ class ExternalVectorStore:
         try:
             return self._vectors[key]
         except KeyError:
-            raise ExternalVectorError(f"no vector stored for {key}") from None
+            raise InputError(f"no vector stored for {key}") from None
 
     def keys(self) -> list[Key]:
         return sorted(self._vectors, key=_sort_key)
@@ -60,29 +56,29 @@ def _sort_key(key: Key):
 
 def load_external_vectors(path: str | Path) -> ExternalVectorStore:
     vectors: dict[Key, np.ndarray] = {}
-    for lineno, rec in json_lines(path, ExternalVectorError):
+    for lineno, rec in json_lines(path):
         at = f"{path}:{lineno}"
         try:
             item, option, vec = rec["item"], rec["option"], rec["vec"]
         except (KeyError, TypeError):
-            raise ExternalVectorError(f"{at}: record needs item, option, passage, vec") from None
+            raise InputError(f"{at}: record needs item, option, passage, vec") from None
         if "passage" not in rec:
-            raise ExternalVectorError(f"{at}: record is missing a passage field")
+            raise InputError(f"{at}: record is missing a passage field")
         passage = rec["passage"]
         if type(item) is not str or type(option) is not int:
-            raise ExternalVectorError(f"{at}: item must be a string and option an integer")
+            raise InputError(f"{at}: item must be a string and option an integer")
         if passage is not None and (type(passage) is not int or passage < -1):
-            raise ExternalVectorError(f"{at}: passage must be null, -1, or a premise index")
+            raise InputError(f"{at}: passage must be null, -1, or a premise index")
         key = (item, option, passage)
         if key in vectors:
-            raise ExternalVectorError(f"{at}: duplicate key {key}")
+            raise InputError(f"{at}: duplicate key {key}")
         if type(vec) is not list or not vec or not all(type(x) in (int, float) for x in vec):
-            raise ExternalVectorError(f"{at}: vec must be a non-empty flat list of numbers")
+            raise InputError(f"{at}: vec must be a non-empty flat list of numbers")
         arr = np.asarray(vec, dtype=np.float64)
         if not np.isfinite(arr).all():
-            raise ExternalVectorError(f"{at}: non-finite vector component")
+            raise InputError(f"{at}: non-finite vector component")
         if vectors and arr.shape != next(iter(vectors.values())).shape:
-            raise ExternalVectorError(f"{at}: vector dimension {arr.size} does not match the rest")
+            raise InputError(f"{at}: vector dimension {arr.size} does not match the rest")
         vectors[key] = arr
     return ExternalVectorStore(vectors)
 

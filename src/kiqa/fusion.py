@@ -35,7 +35,6 @@ from .autodiff import SGD, Tensor, cross_entropy, no_grad, sgd_epoch
 from .datasets import McqDataset, McqItem
 from .encoder import (
     NEG_INF,
-    CheckpointError,
     EncoderModel,
     TrainConfig,
     build_sequence,
@@ -44,16 +43,12 @@ from .encoder import (
     write_encoder,
 )
 from .external import ExternalVectorStore
-from .textio import write_json_lines
+from .textio import InputError, write_json_lines
 
 HEADS = ("baseline", "concat", "parallel-max", "simple-sum", "weighted-sum")
 
 
-class FusionError(ValueError):
-    pass
-
-
-KFUS = binfmt.Kind(b"KFUS", 3, "model", "train", CheckpointError)
+KFUS = binfmt.Kind(b"KFUS", 3, "model", "train")
 
 
 @dataclass(frozen=True)
@@ -80,9 +75,9 @@ class FusionModel:
         tied: bool = False,
     ):
         if head not in HEADS:
-            raise FusionError(f"unknown head kind {head!r}")
+            raise InputError(f"unknown head kind {head!r}")
         if tied and head != "weighted-sum":
-            raise FusionError(f"{head} takes no weight layer")
+            raise InputError(f"{head} takes no weight layer")
         d = encoder.dimension if isinstance(encoder, ExternalVectorStore) else encoder.config.d
         rng = np.random.default_rng(seed)
         self.encoder, self.head, self.tied = encoder, head, tied
@@ -219,9 +214,9 @@ def train(
     """
     missing = [it.id for it in dataset.items if it.gold is None]
     if missing:
-        raise FusionError(f"items without gold labels: {missing[:3]}")
+        raise InputError(f"items without gold labels: {missing[:3]}")
     if isinstance(model.encoder, ExternalVectorStore) and not freeze_encoder:
-        raise FusionError("precomputed vectors cannot receive gradients; freeze the encoder")
+        raise InputError("precomputed vectors cannot receive gradients; freeze the encoder")
     opt = SGD(_trainable(model, freeze_encoder), lr=config.lr, momentum=config.momentum)
     rng = np.random.default_rng(config.seed)
     items = dataset.items
@@ -263,7 +258,7 @@ def grad_check(model: FusionModel, item: McqItem, step: float = 1e-6) -> float:
     params = _trainable(model, frozen=False)
     loss = loss_value()
     if not np.isfinite(loss.item()):
-        raise FusionError(f"non-finite loss {loss.item()!r}")
+        raise InputError(f"non-finite loss {loss.item()!r}")
     for p in params.values():
         p.zero_grad()
     loss.backward()
@@ -318,7 +313,7 @@ def save_model(model: FusionModel, path: str | Path) -> None:
     own interchange file and the head would be meaningless without them.
     """
     if isinstance(model.encoder, ExternalVectorStore):
-        raise FusionError("cannot checkpoint a model backed by an external vector store")
+        raise InputError("cannot checkpoint a model backed by an external vector store")
     w = binfmt.Writer()
     w.strings([model.head])
     w.u32(int(model.tied))

@@ -68,11 +68,7 @@ POSTING = np.dtype([("pos", "<u4"), ("tf", "<u4")])
 _U4 = np.dtype("<u4")
 
 
-class IndexFormatError(ValueError):
-    """Raised when an index file is unreadable or malformed."""
-
-
-KIIX = binfmt.Kind(b"KIIX", 4, "index", "index-build", IndexFormatError)
+KIIX = binfmt.Kind(b"KIIX", 4, "index", "index-build")
 
 
 @dataclass(frozen=True)

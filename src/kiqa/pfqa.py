@@ -24,13 +24,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .datasets import McqDataset, McqItem
-from .textio import read_text
+from .textio import InputError, read_text
 
 QTYPES = ("parent", "grandparent", "sibling")
-
-
-class FactsError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -40,9 +36,9 @@ class ParentFact:
 
     def __post_init__(self):
         if not self.child.strip() or not self.parent.strip():
-            raise FactsError("names must be non-empty")
+            raise InputError("names must be non-empty")
         if self.child == self.parent:
-            raise FactsError(f"{self.child!r} cannot be their own parent")
+            raise InputError(f"{self.child!r} cannot be their own parent")
 
 
 def first_name(name: str) -> str:
@@ -54,22 +50,22 @@ def load_facts(path: str | Path) -> list[ParentFact]:
     path = Path(path)
     facts: list[ParentFact] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(read_text(path, FactsError).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise FactsError(f"{path}:{lineno}: expected child<TAB>parent")
+            raise InputError(f"{path}:{lineno}: expected child<TAB>parent")
         child, parent = parts[0].strip(), parts[1].strip()
         try:
             fact = ParentFact(child=child, parent=parent)
-        except FactsError as exc:
-            raise FactsError(f"{path}:{lineno}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
         if (child, parent) not in seen:
             seen.add((child, parent))
             facts.append(fact)
     if not facts:
-        raise FactsError(f"no facts in {path}")
+        raise InputError(f"no facts in {path}")
     return facts
 
 
@@ -104,7 +100,7 @@ def select_distractors(
     rng = random.Random(seed)
     candidates = sorted({n for n in name_pool if n != gold_first_name})
     if len(candidates) < count:
-        raise FactsError(
+        raise InputError(
             f"name pool has only {len(candidates)} candidates excluding the gold answer"
         )
     by_distance: dict[int, list[str]] = {}
@@ -191,7 +187,7 @@ def generate_questions(facts: list[ParentFact], seed: int = 0) -> list[McqItem]:
                 distractors = select_distractors(
                     gold_first, available, count=3, seed=rng.randrange(2**32)
                 )
-            except FactsError:
+            except InputError:
                 continue
             options = [gold_first] + distractors
             rng.shuffle(options)

@@ -28,7 +28,7 @@ class Query:
 
 def load_stopwords() -> frozenset[str]:
     path = Path(__file__).parent / "data" / "stopwords.txt"
-    words = map(str.strip, read_text(path, ValueError).split("\n"))
+    words = map(str.strip, read_text(path).split("\n"))
     return frozenset(word.lower() for word in words if word)
 
 

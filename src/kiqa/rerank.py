@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import KnowledgeSentence
-from .textio import read_text
+from .textio import InputError, read_text
 from .textnorm import token_set, word_tokens
 
 
@@ -56,10 +56,6 @@ def token_jaccard(sa: set[str], sb: set[str]) -> float:
         return 0.0
     inter = len(sa & sb)
     return inter / (len(sa) + len(sb) - inter)
-
-
-class EmbeddingTableError(ValueError):
-    pass
 
 
 def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
@@ -75,7 +71,7 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
     """
     table: dict[str, tuple[float, ...]] = {}
     dim: int | None = None
-    lines = read_text(path, EmbeddingTableError).split("\n")
+    lines = read_text(path).split("\n")
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts:
@@ -84,23 +80,22 @@ def load_embedding_table(path: str | Path) -> dict[str, tuple[float, ...]]:
         try:
             vec = tuple(float(x) for x in parts[1:])
         except ValueError as exc:
-            raise EmbeddingTableError(f"{path}:{lineno}: bad vector component") from exc
+            raise InputError(f"{path}:{lineno}: bad vector component") from exc
         if not vec:
-            raise EmbeddingTableError(f"{path}:{lineno}: no vector components")
+            raise InputError(f"{path}:{lineno}: no vector components")
         if not all(map(math.isfinite, vec)):
-            raise EmbeddingTableError(f"{path}:{lineno}: non-finite vector component")
+            raise InputError(f"{path}:{lineno}: non-finite vector component")
         if not math.isfinite(2.0 * sum(x * x for x in vec)):
-            raise EmbeddingTableError(f"{path}:{lineno}: vector too long: its squared length "
-                                      f"overflows")
+            raise InputError(f"{path}:{lineno}: vector too long: its squared length overflows")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
-            raise EmbeddingTableError(f"{path}:{lineno}: dimension {len(vec)} != {dim}")
+            raise InputError(f"{path}:{lineno}: dimension {len(vec)} != {dim}")
         if word in table:
-            raise EmbeddingTableError(f"{path}:{lineno}: duplicate word {word!r}")
+            raise InputError(f"{path}:{lineno}: duplicate word {word!r}")
         table[word] = vec
     if not table:
-        raise EmbeddingTableError(f"{path}: no vectors")
+        raise InputError(f"{path}: no vectors")
     return table
 
 

@@ -1,9 +1,11 @@
 """How a kiqa input file becomes text and records, and how an output reaches disk.
 
-Every text input is read here, so each fails the same way: as the caller's
-error class, naming the file (and line) that cannot be read, is not UTF-8,
-or holds invalid or too deeply nested JSON.  Each loader keeps its own line
-rule on the text, which has universal newlines as ``Path.read_text`` gives.
+Every input file is read here, so each fails the same way: as an
+:class:`InputError` naming the file (and line) that cannot be read, is not
+UTF-8, or holds invalid or too deeply nested JSON.  The text has universal
+newlines, as ``Path.read_text`` gives it, and every loader splits it into
+lines at ``\\n`` alone, so a U+2028 or U+0085 stays inside its line; only
+the plain-lines corpus format ends a line wherever ``str.splitlines`` does.
 
 Every output is written here too, through :func:`replacing`: a stage that
 fails or is interrupted leaves the file it would overwrite as it was.
@@ -21,44 +23,49 @@ from typing import IO, Iterable, Iterator
 _SCAN = JSONDecoder().scan_once
 
 
-def read_bytes(path: str | Path, error: type[Exception]) -> bytes:
+class InputError(ValueError):
+    """An input kiqa cannot use: a file, a record, a flag or a config value.
+
+    The message names the file, and the line, where there is one.
+    """
+
+
+def read_bytes(path: str | Path) -> bytes:
     """The file's bytes."""
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def decode(data: bytes, path: str | Path, error: type[Exception]) -> str:
+def decode(data: bytes, path: str | Path) -> str:
     """``path``'s bytes as ``Path.read_text`` gives them: UTF-8, universal newlines."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path} is not valid UTF-8: {exc}") from exc
+        raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def read_text(path: str | Path, error: type[Exception]) -> str:
+def read_text(path: str | Path) -> str:
     """The file's text, decoded as UTF-8."""
-    return decode(read_bytes(path, error), path, error)
+    return decode(read_bytes(path), path)
 
 
-def loads(text: str, where: str, error: type[Exception]):
+def loads(text: str, where: str):
     """One JSON value; ``where`` prefixes the error (a path, or ``path:line``)."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise error(f"{where}: invalid JSON: {exc}") from None
+        raise InputError(f"{where}: invalid JSON: {exc}") from None
 
 
-def json_lines(
-    path: str | Path, error: type[Exception], text: str | None = None
-) -> Iterator[tuple[int, object]]:
+def json_lines(path: str | Path, text: str | None = None) -> Iterator[tuple[int, object]]:
     """``(lineno, record)`` for each non-blank ``\\n``-separated line (a U+2028 stays inside).
 
     ``text`` is the file's text when the caller has read it already.
     """
-    lines = (read_text(path, error) if text is None else text).split("\n")
+    lines = (read_text(path) if text is None else text).split("\n")
     for lineno, line in enumerate(lines, start=1):
         try:
             rec, end = _SCAN(line, 0)  # what json.loads returns when the line has no padding
@@ -67,11 +74,11 @@ def json_lines(
         if end != len(line):
             if not line.strip():
                 continue
-            rec = loads(line, f"{path}:{lineno}", error)
+            rec = loads(line, f"{path}:{lineno}")
         yield lineno, rec
 
 
-def json_line(line: str, where: str, error: type[Exception]):
+def json_line(line: str, where: str):
     """One line's record, parsed as :func:`json_lines` parses a non-blank line."""
     try:
         rec, end = _SCAN(line, 0)
@@ -79,7 +86,7 @@ def json_line(line: str, where: str, error: type[Exception]):
             return rec
     except (StopIteration, ValueError, RecursionError):
         pass
-    return loads(line, where, error)
+    return loads(line, where)
 
 
 @contextmanager

@@ -3,6 +3,7 @@
 import argparse
 import collections
 import contextlib
+import errno
 import functools
 import hashlib
 import inspect
@@ -28,13 +29,14 @@ import kiqa.cli
 import kiqa.corpus
 import kiqa.encoder
 from kiqa.autodiff import Tensor
-from kiqa.cli import CliError, Config, build_parser, main, parse_config_file
+from kiqa.cli import Config, build_parser, main, parse_config_file
 from kiqa.corpus import KnowledgeCorpus, KnowledgeSentence, load_jsonl, save_jsonl
 from kiqa.datasets import RETRIEVE_K, load_mcq, save_mcq_jsonl
 from kiqa.encoder import load_encoder, save_encoder
 from kiqa.fusion import load_model, save_model
 from kiqa.index import build_index, load_index, save_index
 from kiqa.toytasks import make_planted_evidence_task, route_premises
+from kiqa.textio import InputError
 
 from corpora import corpus_of
 from frames import MARK, patched, replace_f8, unframe
@@ -466,6 +468,33 @@ def test_missing_input_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "i.json")])
     assert rc == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, config", [("adir", []), ("raw.txt", ["--config", "adir"])],
+                         ids=["input", "config"])
+def test_a_directory_input_exits_2_naming_it(tmp_path, capsys, raw, config):
+    (tmp_path / "raw.txt").write_text(RAW_LINES, encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    assert main(["corpus-prep", "--input", str(tmp_path / raw), "--out", str(tmp_path / "c.jsonl"),
+                 *(str(tmp_path / a) if a == "adir" else a for a in config)]) == 2
+    assert capsys.readouterr().err == (f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                                       f"{str(tmp_path / 'adir')!r}\n")
+    assert sorted(os.listdir(tmp_path)) == ["adir", "raw.txt"]
+
+
+def test_an_input_read_from_a_pipe_gives_the_bytes_of_a_file(tmp_path):
+    (tmp_path / "raw.txt").write_text(RAW_LINES, encoding="utf-8")
+    assert main(["corpus-prep", "--input", str(tmp_path / "raw.txt"),
+                 "--out", str(tmp_path / "file.jsonl")]) == 0
+    r, w = os.pipe()
+    with os.fdopen(w, "wb") as fh:
+        fh.write(RAW_LINES.encode("utf-8"))
+    try:
+        assert main(["corpus-prep", "--input", f"/dev/fd/{r}",
+                     "--out", str(tmp_path / "pipe.jsonl")]) == 0
+    finally:
+        os.close(r)
+    assert (tmp_path / "pipe.jsonl").read_bytes() == (tmp_path / "file.jsonl").read_bytes()
 
 
 def test_unwritable_output_exits_2(artifacts, tmp_path, capsys):
@@ -1365,14 +1394,25 @@ def test_config_parses_all_value_kinds(tmp_path):
 def test_config_syntax_errors(tmp_path, line, message):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(CliError, match=message):
+    with pytest.raises(InputError, match=message):
         parse_config_file(cfg)
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u0085"])
+def test_config_line_ends_only_at_newline(tmp_path, sep):
+    (tmp_path / "raw.txt").write_text(RAW_LINES, encoding="utf-8")
+    (tmp_path / "c.cfg").write_text(f'source_tag = "a{sep}b"\nm = 1\n', encoding="utf-8")
+    assert parse_config_file(tmp_path / "c.cfg") == {"source_tag": f"a{sep}b", "m": 1}
+    (tmp_path / "c.cfg").write_text(f'source_tag = "a{sep}b"\n', encoding="utf-8")
+    assert main(["corpus-prep", "--input", str(tmp_path / "raw.txt"), "--config",
+                 str(tmp_path / "c.cfg"), "--out", str(tmp_path / "c.jsonl")]) == 0
+    assert load_jsonl(tmp_path / "c.jsonl").tags == [f"a{sep}b"] * 4
 
 
 def test_config_duplicate_key_rejected(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("m = 1\nm = 2\n", encoding="utf-8")
-    with pytest.raises(CliError, match="duplicate key"):
+    with pytest.raises(InputError, match="duplicate key"):
         parse_config_file(cfg)
 
 

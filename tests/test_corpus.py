@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiqa import corpus
+from kiqa.textio import InputError
 
 from corpora import corpus_of
 
@@ -235,19 +236,19 @@ def test_blank_events_are_skipped():
 
 def test_unknown_dimension_rejected():
     events = [{"event": "PersonX sings", "dimension": "xBogus", "inference": "joyful"}]
-    with pytest.raises(corpus.CorpusError, match="dimension"):
+    with pytest.raises(InputError, match="dimension"):
         corpus.prepare_atomic(events, ["Kai"], seed=0)
 
 
 def test_single_name_pool_with_two_persons_rejected():
     events = [{"event": "PersonX calls PersonY", "dimension": "oReact", "inference": "glad"}]
-    with pytest.raises(corpus.CorpusError, match="pool"):
+    with pytest.raises(InputError, match="pool"):
         corpus.prepare_atomic(events, ["Solo"], seed=0)
 
 
 def test_empty_name_pool_rejected():
     events = [{"event": "PersonX sings", "dimension": "xReact", "inference": "joyful"}]
-    with pytest.raises(corpus.CorpusError, match="^empty name pool$"):
+    with pytest.raises(InputError, match="^empty name pool$"):
         corpus.prepare_atomic(events, [], seed=0)
 
 
@@ -338,33 +339,33 @@ def test_load_atomic_events_file(tmp_path):
 def test_empty_file_is_an_error(tmp_path):
     src = tmp_path / "empty.txt"
     src.write_text("", encoding="utf-8")
-    with pytest.raises(corpus.CorpusError, match="empty corpus"):
+    with pytest.raises(InputError, match="empty corpus"):
         corpus.load_corpus(src, "plain-lines")
 
 
 def test_malformed_jsonl_reports_line_number(tmp_path):
     src = tmp_path / "bad.jsonl"
     src.write_text('{"title": "T", "text": "A b."}\n{not json}\n', encoding="utf-8")
-    with pytest.raises(corpus.CorpusError, match=r":2:"):
+    with pytest.raises(InputError, match=r":2:"):
         corpus.load_corpus(src, "titled-paragraphs")
 
 
 def test_missing_field_reports_line_number(tmp_path):
     src = tmp_path / "bad.jsonl"
     src.write_text('{"title": "T"}\n', encoding="utf-8")
-    with pytest.raises(corpus.CorpusError, match=r":1:.*text"):
+    with pytest.raises(InputError, match=r":1:.*text"):
         corpus.load_corpus(src, "titled-paragraphs")
 
 
 def test_unknown_format_rejected(tmp_path):
     src = tmp_path / "kb.txt"
     src.write_text("A b.\n", encoding="utf-8")
-    with pytest.raises(corpus.CorpusError, match="format"):
+    with pytest.raises(InputError, match="format"):
         corpus.load_corpus(src, "csv")
 
 
 def test_missing_file_is_an_error(tmp_path):
-    with pytest.raises(corpus.CorpusError, match="cannot read"):
+    with pytest.raises(InputError, match="cannot read"):
         corpus.load_corpus(tmp_path / "nope.txt", "plain-lines")
 
 
@@ -377,12 +378,12 @@ def test_duplicate_ids_rejected():
         corpus.KnowledgeSentence(id="x", text="A b."),
         corpus.KnowledgeSentence(id="x", text="C d."),
     ]
-    with pytest.raises(corpus.CorpusError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         corpus_of(sents)
 
 
 def test_blank_sentence_rejected():
-    with pytest.raises(corpus.CorpusError, match="empty"):
+    with pytest.raises(InputError, match="empty"):
         corpus_of([corpus.KnowledgeSentence(id="x", text="   ")])
 
 
@@ -517,7 +518,7 @@ def test_plain_lines_loader_matches_the_oracle(tmp_path_factory, lines, sep):
     path.write_bytes(sep.join(lines).encode("utf-8"))
     expected = oracle_plain_lines(path.read_text(encoding="utf-8"), tag="t")
     if not expected:
-        with pytest.raises(corpus.CorpusError, match="empty corpus"):
+        with pytest.raises(InputError, match="empty corpus"):
             corpus.load_corpus(path, "plain-lines", source_tag="t")
         return
     assert corpus.load_corpus(path, "plain-lines", source_tag="t").sentences == expected
@@ -596,7 +597,7 @@ def test_malformed_prepared_record_names_its_line(tmp_path, line, message):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "text": "A b."}\n{"id": "b", "text": "C d."}\n' + line + "\n",
                     encoding="utf-8")
-    with pytest.raises(corpus.CorpusError, match=f"bad.jsonl:3: .*{message}"):
+    with pytest.raises(InputError, match=f"bad.jsonl:3: .*{message}"):
         corpus.load_jsonl(path)
 
 
@@ -604,21 +605,21 @@ def test_second_paragraphs_record_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "text": "A b."}\n{"paragraphs": [[0, 1]]}\n'
                     '{"paragraphs": [[0, 1]]}\n', encoding="utf-8")
-    with pytest.raises(corpus.CorpusError, match=r":3: second paragraphs"):
+    with pytest.raises(InputError, match=r":3: second paragraphs"):
         corpus.load_jsonl(path)
 
 
 def test_prepared_corpus_that_is_not_utf8_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(b'{"id": "a", "text": "\xff"}\n')
-    with pytest.raises(corpus.CorpusError, match="UTF-8"):
+    with pytest.raises(InputError, match="UTF-8"):
         corpus.load_jsonl(path)
 
 
 def test_duplicate_id_in_prepared_corpus_names_the_file(tmp_path):
     path = tmp_path / "dup.jsonl"
     path.write_text('{"id": "a", "text": "A b."}\n{"id": "a", "text": "C d."}\n', encoding="utf-8")
-    with pytest.raises(corpus.CorpusError, match="dup.jsonl: duplicate sentence id 'a'"):
+    with pytest.raises(InputError, match="dup.jsonl: duplicate sentence id 'a'"):
         corpus.load_jsonl(path)
 
 
@@ -714,5 +715,5 @@ def assert_bad_pinned_row_is_named(tmp_path, line, message):
                                ids=["a", "b", "c"])
     assert pinned.at(0) == corpus.KnowledgeSentence("a", "A b.", "generic")
     assert pinned.at(2).text == "C"
-    with pytest.raises(corpus.CorpusError, match=f"c.jsonl:2: .*{message}"):
+    with pytest.raises(InputError, match=f"c.jsonl:2: .*{message}"):
         pinned.at(1)

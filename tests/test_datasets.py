@@ -8,7 +8,6 @@ import pytest
 from kiqa.corpus import KnowledgeSentence
 from kiqa.datasets import (
     ANLI_QUESTION,
-    DatasetError,
     McqDataset,
     McqItem,
     attach_premises,
@@ -17,6 +16,7 @@ from kiqa.datasets import (
 )
 from kiqa.index import build_index
 from kiqa.rerank import RerankConfig
+from kiqa.textio import InputError
 
 from corpora import corpus_of
 
@@ -104,7 +104,7 @@ def test_load_socialiqa(tmp_path):
 def test_label_out_of_range(tmp_path):
     path = tmp_path / "anli.jsonl"
     write_jsonl(path, [{"story_id": "s", "obs1": "a", "obs2": "b", "hyp1": "c", "hyp2": "d", "label": 3}])
-    with pytest.raises(DatasetError, match="out of range"):
+    with pytest.raises(InputError, match="out of range"):
         load_mcq(path, "anli")
 
 
@@ -117,19 +117,19 @@ def test_missing_label_is_unlabeled(tmp_path):
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"goal": "g", "sol1": "a", "sol2": "b"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(DatasetError, match=r":2:"):
+    with pytest.raises(InputError, match=r":2:"):
         load_mcq(path, "piqa")
 
 
 def test_missing_field_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     write_jsonl(path, [{"goal": "g", "sol1": "only one"}])
-    with pytest.raises(DatasetError, match=r":1:.*sol2"):
+    with pytest.raises(InputError, match=r":1:.*sol2"):
         load_mcq(path, "piqa")
 
 
 def test_unknown_schema_tag(tmp_path):
-    with pytest.raises(DatasetError, match="schema tag"):
+    with pytest.raises(InputError, match="schema tag"):
         load_mcq(tmp_path / "x.jsonl", "csv")
 
 
@@ -176,7 +176,7 @@ def test_schema_map_null_id_and_label_make_ids_and_drop_gold(tmp_path):
 def test_bad_schema_map_is_refused_before_any_record_is_read(tmp_path, schema, schema_map,
                                                             message):
     never_opened, map_path = tmp_path / "missing.jsonl", map_file(tmp_path, schema_map)
-    with pytest.raises(DatasetError,
+    with pytest.raises(InputError,
                        match=f"^{re.escape(str(map_path))}: schema map.*{re.escape(message)}"):
         load_mcq(never_opened, schema, schema_map=map_path)
 
@@ -206,14 +206,14 @@ GENERIC = {"id": "q1", "question": "q", "options": ["a", "b"]}
 def test_record_with_a_wrong_field_type_names_its_line(tmp_path, schema, record, message):
     path = tmp_path / "bad.jsonl"
     write_jsonl(path, [PIQA if schema == "piqa" else GENERIC, record])
-    with pytest.raises(DatasetError, match=f"bad.jsonl:2: malformed record: {message}"):
+    with pytest.raises(InputError, match=f"bad.jsonl:2: malformed record: {message}"):
         load_mcq(path, schema)
 
 
 def test_dataset_level_error_names_the_file(tmp_path):
     path = tmp_path / "dup.jsonl"
     write_jsonl(path, [GENERIC, GENERIC])
-    with pytest.raises(DatasetError, match="dup.jsonl: duplicate item id 'q1'"):
+    with pytest.raises(InputError, match="dup.jsonl: duplicate item id 'q1'"):
         load_mcq(path, "generic")
 
 
@@ -271,17 +271,17 @@ def test_save_is_deterministic(tmp_path):
 # --- model invariants ----------------------------------------------------------
 
 def test_item_needs_two_options():
-    with pytest.raises(DatasetError, match="2 options"):
+    with pytest.raises(InputError, match="2 options"):
         McqItem(id="x", question="q", options=["only"])
 
 
 def test_item_gold_in_range():
-    with pytest.raises(DatasetError, match="out of range"):
+    with pytest.raises(InputError, match="out of range"):
         McqItem(id="x", question="q", options=["a", "b"], gold=2)
 
 
 def test_item_premises_length_checked():
-    with pytest.raises(DatasetError, match="premise lists"):
+    with pytest.raises(InputError, match="premise lists"):
         McqItem(id="x", question="q", options=["a", "b"], premises=[[]])
 
 
@@ -290,7 +290,7 @@ def test_dataset_rejects_duplicate_ids():
         McqItem(id="x", question="q", options=["a", "b"]),
         McqItem(id="x", question="r", options=["c", "d"]),
     ]
-    with pytest.raises(DatasetError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         McqDataset(items=items)
 
 
@@ -299,7 +299,7 @@ def test_dataset_rejects_mixed_option_counts():
         McqItem(id="x", question="q", options=["a", "b"]),
         McqItem(id="y", question="r", options=["c", "d", "e"]),
     ]
-    with pytest.raises(DatasetError, match="mixed option counts"):
+    with pytest.raises(InputError, match="mixed option counts"):
         McqDataset(items=items)
 
 

@@ -6,6 +6,7 @@ single-sequence reimplementation that shares no code with the package
 central finite differences.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -24,7 +25,6 @@ from kiqa.encoder import (
     SPECIAL_TOKENS,
     START,
     UNK,
-    CheckpointError,
     EncoderConfig,
     EncoderModel,
     TrainConfig,
@@ -37,6 +37,7 @@ from kiqa.encoder import (
     revision_train,
     save_encoder,
 )
+from kiqa.textio import InputError
 
 from composed import (
     composed_graphs,
@@ -837,7 +838,7 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(InputError, match="magic"):
         load_encoder(p)
 
 
@@ -848,7 +849,7 @@ def test_checkpoint_bad_version(tmp_path):
     raw = bytearray(p.read_bytes())
     raw[4:8] = (99).to_bytes(4, "little")
     p.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(InputError, match="version"):
         load_encoder(p)
 
 
@@ -862,7 +863,7 @@ def test_checkpoint_v1_rejected_with_rebuild_hint(tmp_path):
     for version, data in [(1, v1), (2, v2)]:
         p = tmp_path / f"v{version}.bin"
         p.write_bytes(data)
-        with pytest.raises(CheckpointError,
+        with pytest.raises(InputError,
                            match=f"version {version} .*rebuild the encoder with revise"):
             load_encoder(p)
 
@@ -872,7 +873,7 @@ def test_checkpoint_truncated(tmp_path):
     p = tmp_path / "t.bin"
     save_encoder(model, p)
     p.write_bytes(p.read_bytes()[:-9])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(InputError, match="truncated"):
         load_encoder(p)
 
 
@@ -881,7 +882,7 @@ def test_checkpoint_trailing_garbage(tmp_path):
     p = tmp_path / "g.bin"
     save_encoder(model, p)
     p.write_bytes(p.read_bytes() + b"\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
+    with pytest.raises(InputError, match="trailing"):
         load_encoder(p)
 
 
@@ -893,7 +894,7 @@ def test_checkpoint_non_finite_parameter_names_it(tmp_path, name, bad):
     model.params["ln2_gamma"].data[0] = MARK  # the last parameter in file order
     save_encoder(model, tmp_path / "n.bin")
     replace_f8(tmp_path / "n.bin", MARK, bad)
-    with pytest.raises(CheckpointError, match=f"parameter {name} holds a NaN or inf"):
+    with pytest.raises(InputError, match=f"parameter {name} holds a NaN or inf"):
         load_encoder(tmp_path / "n.bin")
 
 
@@ -908,5 +909,6 @@ def test_save_refuses_a_non_finite_parameter(tmp_path, bad):
 
 
 def test_checkpoint_missing_file(tmp_path):
-    with pytest.raises(CheckpointError):
-        load_encoder(tmp_path / "absent.bin")
+    path = tmp_path / "absent.bin"
+    with pytest.raises(InputError, match=f"^cannot read {re.escape(str(path))}: "):
+        load_encoder(path)

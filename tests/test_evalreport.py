@@ -10,7 +10,6 @@ from kiqa.corpus import KnowledgeSentence
 from kiqa.datasets import McqDataset, McqItem, attach_premises
 from kiqa.encoder import EncoderConfig, EncoderModel, TrainConfig, Vocab
 from kiqa.evalreport import (
-    EvalError,
     config_fingerprint,
     evaluate,
     normalized_overlap,
@@ -21,9 +20,10 @@ from kiqa.evalreport import (
     write_weight_report_csv,
 )
 from kiqa.external import ExternalVectorStore
-from kiqa.fusion import FusionError, FusionModel, save_predictions, train
+from kiqa.fusion import FusionModel, save_predictions, train
 from kiqa.index import build_index
 from kiqa.rerank import RerankConfig
+from kiqa.textio import InputError
 
 from corpora import corpus_of
 
@@ -76,13 +76,13 @@ def test_all_correct_toy_set_is_one():
 def test_evaluate_requires_gold():
     ds = McqDataset(items=[McqItem(id="a", question="q", options=["x", "y"])])
     store = ExternalVectorStore({("a", 0, None): np.zeros(2), ("a", 1, None): np.zeros(2)})
-    with pytest.raises(EvalError, match="gold"):
+    with pytest.raises(InputError, match="gold"):
         evaluate(baseline_model(store), ds)
 
 
 def test_evaluate_refuses_an_empty_dataset():
     store = ExternalVectorStore({("a", 0, None): np.zeros(2), ("a", 1, None): np.zeros(2)})
-    with pytest.raises(EvalError, match="^empty dataset$"):
+    with pytest.raises(InputError, match="^empty dataset$"):
         evaluate(baseline_model(store), McqDataset(items=[]))
 
 
@@ -203,7 +203,7 @@ def test_weight_report_overlap_column_is_token_overlap():
 
 def test_weight_report_rejects_other_heads():
     ds, store = store_dataset(n_items=2)
-    with pytest.raises(FusionError, match="weighted-sum"):
+    with pytest.raises(InputError, match="weighted-sum"):
         weight_overlap_report(baseline_model(store), ds)
 
 
@@ -267,10 +267,10 @@ def test_sweep_m_validation():
     ds, corpus, index, vocab = decisive_pipeline(n_items=4)
     enc = EncoderModel.init(vocab, EncoderConfig(d=4, max_len=32), seed=0)
     model = FusionModel(enc, "concat", seed=1)
-    with pytest.raises(EvalError, match="positive"):
+    with pytest.raises(InputError, match="positive"):
         sweep_m(model, ds, ds, corpus, index, [0, 1])
     for m_values in ([3, 1], [1, 1]):
-        with pytest.raises(EvalError, match="strictly ascending"):
+        with pytest.raises(InputError, match="strictly ascending"):
             sweep_m(model, ds, ds, corpus, index, m_values)
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from kiqa.external import (
-    ExternalVectorError,
     ExternalVectorStore,
     load_external_vectors,
     save_external_vectors,
 )
+from kiqa.textio import InputError
 
 
 def small_store():
@@ -43,7 +43,7 @@ def test_lookup_and_len():
 
 def test_missing_key_raises():
     store = small_store()
-    with pytest.raises(ExternalVectorError, match="no vector stored"):
+    with pytest.raises(InputError, match="no vector stored"):
         store.get("it-1", 0, 3)
 
 
@@ -58,12 +58,12 @@ def test_keys_sorted_with_sentinels_first():
 
 
 def test_empty_store_rejected():
-    with pytest.raises(ExternalVectorError, match="no vectors"):
+    with pytest.raises(InputError, match="no vectors"):
         ExternalVectorStore({})
 
 
 def test_mixed_dimensions_rejected():
-    with pytest.raises(ExternalVectorError, match="dimensions"):
+    with pytest.raises(InputError, match="dimensions"):
         ExternalVectorStore(
             {("a", 0, None): np.zeros(2), ("b", 0, None): np.zeros(3)}
         )
@@ -100,7 +100,7 @@ def test_load_three_records(tmp_path):
     store = load_external_vectors(path)
     assert len(store) == 3
     assert store.get("y", 0, 2) == pytest.approx([3.0])
-    with pytest.raises(ExternalVectorError):
+    with pytest.raises(InputError, match=r"^no vector stored for \('y', 1, 2\)$"):
         store.get("y", 1, 2)
 
 
@@ -135,7 +135,7 @@ def test_load_skips_blank_lines(tmp_path):
 def test_load_rejects_malformed_lines(tmp_path, line, message):
     path = tmp_path / "vecs.jsonl"
     path.write_text(line + "\n")
-    with pytest.raises(ExternalVectorError, match=message):
+    with pytest.raises(InputError, match=message):
         load_external_vectors(path)
 
 
@@ -145,7 +145,7 @@ def test_load_reports_line_numbers(tmp_path):
         '{"item": "x", "option": 0, "passage": null, "vec": [1.0]}\n'
         '{"item": "x", "option": 0, "passage": null, "vec": [1.0]}\n'
     )
-    with pytest.raises(ExternalVectorError, match=r"vecs\.jsonl:2: duplicate key"):
+    with pytest.raises(InputError, match=r"vecs\.jsonl:2: duplicate key"):
         load_external_vectors(path)
 
 
@@ -158,7 +158,7 @@ def test_load_rejects_dimension_drift(tmp_path):
             {"item": "y", "option": 0, "passage": None, "vec": [1.0]},
         ],
     )
-    with pytest.raises(ExternalVectorError, match=":2: vector dimension 1"):
+    with pytest.raises(InputError, match=":2: vector dimension 1"):
         load_external_vectors(path)
 
 
@@ -170,5 +170,5 @@ def test_load_rejects_non_finite_components(tmp_path, component):
         '{"item": "x", "option": 0, "passage": null, "vec": [1.0, 2.0]}\n'
         f'{{"item": "y", "option": 0, "passage": null, "vec": [{component}, 1.0]}}\n'
     )
-    with pytest.raises(ExternalVectorError, match=r"vecs\.jsonl:2: non-finite vector component"):
+    with pytest.raises(InputError, match=r"vecs\.jsonl:2: non-finite vector component"):
         load_external_vectors(path)

@@ -20,15 +20,13 @@ from hypothesis import strategies as st
 from kiqa import autodiff as ad
 from kiqa import fusion
 from kiqa.autodiff import SGD, DivergenceError, Tensor
-from kiqa.datasets import DatasetError, McqDataset, McqItem
+from kiqa.datasets import McqDataset, McqItem
 from kiqa.corpus import KnowledgeSentence
 from kiqa.encoder import EncoderConfig, EncoderModel, TrainConfig, Vocab
-from kiqa.external import ExternalVectorError, ExternalVectorStore
-from kiqa.encoder import CheckpointError
+from kiqa.external import ExternalVectorStore
 from kiqa.evalreport import evaluate
 from kiqa.fusion import (
     HEADS,
-    FusionError,
     FusionModel,
     _batch_loss,
     _batch_scores,
@@ -40,6 +38,7 @@ from kiqa.fusion import (
     score_item,
     train,
 )
+from kiqa.textio import InputError
 from kiqa.toytasks import make_planted_evidence_task, route_premises, training_vocab
 
 from composed import composed_graphs, fused_and_composed, sub, tape
@@ -457,16 +456,16 @@ def test_tied_weighted_sum_shares_storage():
 
 def test_model_validation():
     enc = tiny_encoder()
-    with pytest.raises(FusionError, match="unknown head"):
+    with pytest.raises(InputError, match="unknown head"):
         FusionModel(enc, "mean-pool")
-    with pytest.raises(FusionError, match="no weight layer"):
+    with pytest.raises(InputError, match="no weight layer"):
         FusionModel(enc, "concat", tied=True)
 
 
 def test_missing_store_key_errors():
     model = store_model("parallel-max", [[[1.0, 0.0]], [[0.0, 1.0]]])
     other = make_item(m=1, item_id="unknown-item")
-    with pytest.raises(ExternalVectorError, match="no vector"):
+    with pytest.raises(InputError, match="no vector"):
         score_item(model, other)
 
 
@@ -526,7 +525,7 @@ def test_symmetric_options_have_exactly_zero_score_difference_gradient():
 def test_grad_check_rejects_non_finite_loss():
     model = store_model("baseline", [[[1.0, 0.0]], [[0.0, 1.0]]])
     model.score_w.data[:] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(FusionError, match="non-finite"):
+    with np.errstate(invalid="ignore"), pytest.raises(InputError, match="non-finite"):
         grad_check(model, make_item(m=0))
 
 
@@ -580,14 +579,14 @@ def test_train_requires_gold():
     enc = tiny_encoder()
     model = FusionModel(enc, "baseline", seed=1)
     ds = McqDataset(items=[McqItem(id="u", question="q?", options=["a", "b"])])
-    with pytest.raises(FusionError, match="gold"):
+    with pytest.raises(InputError, match="gold"):
         train(model, ds, TrainConfig(epochs=1))
 
 
 def test_train_store_requires_frozen_encoder():
     model = store_model("baseline", [[[1.0, 0.0]], [[0.0, 1.0]]])
     ds = McqDataset(items=[make_item(m=0)])
-    with pytest.raises(FusionError, match="freeze"):
+    with pytest.raises(InputError, match="freeze"):
         train(model, ds, TrainConfig(epochs=1))
     train(model, ds, TrainConfig(epochs=1, lr=0.1), freeze_encoder=True)  # head-only: fine
 
@@ -929,7 +928,7 @@ def test_model_checkpoint_rejects_a_bad_tied_flag(head, flag, tmp_path):
     path = tmp_path / "m.bin"
     save_model(FusionModel(enc, head, seed=1), path)
     path.write_bytes(patched(path.read_bytes(), 8 + len(head), flag.to_bytes(4, "little")))
-    with pytest.raises(CheckpointError, match=re.escape(f"{path}: tied flag {flag}")):
+    with pytest.raises(InputError, match=re.escape(f"{path}: tied flag {flag}")):
         load_model(path)
 
 
@@ -940,7 +939,7 @@ def test_model_checkpoint_rejects_a_vocab_without_special_tokens(tmp_path):
     save_model(FusionModel(enc, "concat", seed=1), path)
     at = unframe(path.read_bytes())[2].index(b"<pad>")
     path.write_bytes(patched(path.read_bytes(), at, b"<PAD>"))
-    with pytest.raises(CheckpointError,
+    with pytest.raises(InputError,
                        match=re.escape(f"{path}: vocabulary must start with the special tokens")):
         load_model(path)
 
@@ -958,7 +957,7 @@ def test_model_checkpoint_v1_rejected_with_rebuild_hint(tmp_path):
     for version, data in [(1, v1), (2, v2)]:
         path = tmp_path / f"v{version}.bin"
         path.write_bytes(data)
-        with pytest.raises(CheckpointError,
+        with pytest.raises(InputError,
                            match=f"version {version} .*rebuild the model with train"):
             load_model(path)
 
@@ -985,7 +984,7 @@ def test_model_checkpoint_deterministic_bytes(tmp_path):
 def test_model_checkpoint_rejects_store_backed(tmp_path):
     store = ExternalVectorStore({("it", 0, None): np.zeros(3), ("it", 1, None): np.ones(3)})
     model = FusionModel(store, "baseline", seed=0)
-    with pytest.raises(FusionError, match="external vector store"):
+    with pytest.raises(InputError, match="external vector store"):
         save_model(model, tmp_path / "m.bin")
 
 
@@ -999,20 +998,20 @@ def test_model_checkpoint_rejects_corruption(tmp_path):
 
     bad_magic = tmp_path / "bad_magic.bin"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(CheckpointError, match="bad magic"):
+    with pytest.raises(InputError, match="bad magic"):
         load_model(bad_magic)
 
     truncated = tmp_path / "short.bin"
     truncated.write_bytes(raw[:-5])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(InputError, match="truncated"):
         load_model(truncated)
 
     trailing = tmp_path / "long.bin"
     trailing.write_bytes(raw + b"\0")
-    with pytest.raises(CheckpointError, match="trailing"):
+    with pytest.raises(InputError, match="trailing"):
         load_model(trailing)
 
-    with pytest.raises(CheckpointError, match="cannot read"):
+    with pytest.raises(InputError, match="cannot read"):
         load_model(tmp_path / "missing.bin")
 
 
@@ -1047,5 +1046,5 @@ def two_head_names(data: bytes) -> bytes:
 def test_model_checkpoint_payload_checks_name_the_file(tmp_path, damage, message):
     path = saved_concat_model(tmp_path / "m.bin")
     path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_model(path)

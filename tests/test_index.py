@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kiqa.corpus import KnowledgeSentence
-from kiqa.index import Bm25Params, build_index, load_index, save_index, search, IndexFormatError
+from kiqa.index import Bm25Params, build_index, load_index, save_index, search
+from kiqa.textio import InputError
 
 from corpora import corpus_of
 from frames import frame
@@ -449,7 +450,7 @@ def test_id_column_that_splits_a_character_rejected(tmp_path, raw_ids):
     ids = _column([f"d{i}" for i in range(len(raw_ids))])
     path = tmp_path / "split.idx"
     path.write_bytes(frame(b"KIIX", 4, data.replace(ids, _raw_column(raw_ids))))
-    with pytest.raises(IndexFormatError, match="not valid UTF-8"):
+    with pytest.raises(InputError, match="not valid UTF-8"):
         load_index(path)
 
 
@@ -466,7 +467,7 @@ def test_v1_file_rejected_with_rebuild_hint(tmp_path):
     for version, data in [(1, v1), (2, v2), (3, v3)]:
         path = tmp_path / f"v{version}.idx"
         path.write_bytes(data)
-        with pytest.raises(IndexFormatError,
+        with pytest.raises(InputError,
                            match=f"version {version}.*rebuild the index with index-build"):
             load_index(path)
 
@@ -475,7 +476,7 @@ def test_string_column_that_is_not_utf8_rejected(tmp_path):
     data = payload_v4([("d0", 1)], [("cat", [(0, 1)])])
     path = tmp_path / "bad.idx"
     path.write_bytes(frame(b"KIIX", 4, data.replace(b"cat", b"c\xffa")))
-    with pytest.raises(IndexFormatError, match="UTF-8"):
+    with pytest.raises(InputError, match="UTF-8"):
         load_index(path)
 
 
@@ -489,10 +490,18 @@ def test_string_column_that_is_not_utf8_rejected(tmp_path):
     ],
 )
 def test_bad_posting_rejected(tmp_path, cat_postings):
-    data = pack_v4([("d0", 3), ("d1", 2)], [("a", [(0, 1)]), ("cat", cat_postings)])
+    assert_bad_postings_rejected(tmp_path, cat_postings)
+
+
+def assert_bad_postings_rejected(tmp_path, cat_postings):
+    """A two-document file whose term 'cat' has these postings fails to load,
+    naming 'cat'.  Each document's length is the tf its postings give it, so
+    no length check can reject the file in the posting checks' place."""
+    terms = [("a", [(0, 1)]), ("cat", cat_postings)]
+    lengths = [sum(tf for _, plist in terms for pos, tf in plist if pos == d) for d in (0, 1)]
     path = tmp_path / "bad.idx"
-    path.write_bytes(data)
-    with pytest.raises(IndexFormatError, match="'cat'"):
+    path.write_bytes(pack_v4(list(zip(["d0", "d1"], lengths)), terms))
+    with pytest.raises(InputError, match="'cat'"):
         load_index(path)
 
 
@@ -508,7 +517,7 @@ def test_document_length_that_is_not_its_term_frequency_sum_rejected(tmp_path, l
                    [("cat", [(0, 2), (1, 1)]), ("mat", [(1, 1)]), ("sat", [(0, 1)])])
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
-    with pytest.raises(IndexFormatError, match=f"document {named}"):
+    with pytest.raises(InputError, match=f"document {named}"):
         load_index(path)
 
 
@@ -516,7 +525,7 @@ def test_repeated_term_rejected(tmp_path):
     data = pack_v4([("d0", 1)], [("cat", [(0, 1)]), ("cat", [(0, 1)])])
     path = tmp_path / "bad.idx"
     path.write_bytes(data)
-    with pytest.raises(IndexFormatError, match="more than one"):
+    with pytest.raises(InputError, match="more than one"):
         load_index(path)
 
 
@@ -528,7 +537,7 @@ def test_params_outside_the_bm25_range_rejected(tmp_path, k1, b):
         Bm25Params(k1=k1, b=b)
     path = tmp_path / "bad.idx"
     path.write_bytes(pack_v4([], [], k1=k1, b=b))
-    with pytest.raises(IndexFormatError, match="k1 >= 0"):
+    with pytest.raises(InputError, match="k1 >= 0"):
         load_index(path)
 
 
@@ -543,14 +552,14 @@ def test_serialization_is_deterministic(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.idx"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(IndexFormatError, match="magic"):
+    with pytest.raises(InputError, match="magic"):
         load_index(path)
 
 
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "bad.idx"
     path.write_bytes(b"KIIX" + struct.pack("<I", 99))
-    with pytest.raises(IndexFormatError, match="version"):
+    with pytest.raises(InputError, match="version"):
         load_index(path)
 
 
@@ -559,7 +568,7 @@ def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "kb.idx"
     save_index(idx, path)
     path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(IndexFormatError, match="truncated"):
+    with pytest.raises(InputError, match="truncated"):
         load_index(path)
 
 
@@ -568,10 +577,10 @@ def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "kb.idx"
     save_index(idx, path)
     path.write_bytes(path.read_bytes() + b"xx")
-    with pytest.raises(IndexFormatError, match="trailing"):
+    with pytest.raises(InputError, match="trailing"):
         load_index(path)
 
 
 def test_missing_file_rejected(tmp_path):
-    with pytest.raises(IndexFormatError, match="cannot read"):
+    with pytest.raises(InputError, match="cannot read"):
         load_index(tmp_path / "absent.idx")

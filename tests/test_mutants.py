@@ -32,7 +32,8 @@ from kiqa.rerank import SimilarityFn
 from test_autodiff import assert_gather_gradient_is_add_at
 from test_corpus import BAD_PINNED_ROWS, assert_bad_pinned_row_is_named
 from test_fusion import assert_batch_loss_is_the_oracles
-from test_index import assert_ids_round_trip, assert_search_is_brute_force_bit_for_bit
+from test_index import (assert_bad_postings_rejected, assert_ids_round_trip,
+                        assert_search_is_brute_force_bit_for_bit)
 from test_rerank import (LAZY_COMPARES, LAZY_LAMBDAS, _TABLE, _WORDS,
                          assert_picks_are_the_eager_loops, lazy_compare_count)
 
@@ -80,6 +81,13 @@ def search_bits_check(tmp_path):
                 for _ in range(rng.randint(1, 40))]
         queries = [rng.choices(words, k=rng.randint(0, 6)) for _ in range(rng.randint(1, 12))]
         assert_search_is_brute_force_bit_for_bit(docs, queries)
+
+
+def posting_order_check(tmp_path):
+    """Postings out of order, and one document twice, each in a file whose
+    document lengths agree with its postings, so only the order check rejects it."""
+    for cat_postings in ([(1, 1), (0, 1)], [(0, 1), (0, 2)]):
+        assert_bad_postings_rejected(tmp_path, cat_postings)
 
 
 def gather_gradient_check(tmp_path):
@@ -134,6 +142,8 @@ MUTANTS = [
             ("(-(query_sim[i] - lam * redundancy[i]), i)",
              "(-(query_sim[i] - lam * redundancy[i]), next(tick), i)")),
            rerank_check),
+    Mutant("rerank measures redundancy against the first pick only", kiqa.rerank, "rerank",
+           (("selected[seen[i]:]", "selected[:1]"),), rerank_check),
     Mutant("rerank compares once more after the last pick", kiqa.rerank, "rerank",
            (("        if len(selected) == picks:\n",
              "        if len(selected) == picks:\n"
@@ -154,6 +164,8 @@ MUTANTS = [
            (("w_idf * tf * (k1 + 1.0) / (tf + self.length_norm[pos]))",
              "np.nextafter(w_idf * tf * (k1 + 1.0) / (tf + self.length_norm[pos]), np.inf))"),),
            search_bits_check),
+    Mutant("load_index skips the posting order check", kiqa.index, "load_index",
+           (("bad[1:] |= ~first[1:] & (pos[1:] <= pos[:-1])", "pass"),), posting_order_check),
     Mutant("take's backward drops duplicate indices", autodiff, "take",
            (("full = np.bincount(flat, weights=grad.ravel(), minlength=a.data.size)",
              "full = np.zeros(a.data.size); full[flat] = grad.ravel()"),), gather_gradient_check),

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from kiqa.datasets import McqItem, load_mcq, save_mcq_jsonl
 from kiqa.pfqa import (
     QTYPES,
-    FactsError,
     ParentFact,
     assign_splits,
     edit_distance,
@@ -23,6 +22,7 @@ from kiqa.pfqa import (
     select_distractors,
     to_dataset,
 )
+from kiqa.textio import InputError
 
 
 # --- oracles ----------------------------------------------------------------
@@ -37,7 +37,7 @@ def parse_knowledge(sentences):
     for sentence in sentences:
         match = _FACT_RE.match(sentence)
         if match is None:
-            raise FactsError(f"not a parent-fact sentence: {sentence!r}")
+            raise InputError(f"not a parent-fact sentence: {sentence!r}")
         facts.append(ParentFact(child=match.group(1), parent=match.group(2)))
     return facts
 
@@ -139,7 +139,7 @@ def test_distractors_deterministic():
 
 
 def test_distractors_need_three_candidates():
-    with pytest.raises(FactsError, match="candidates"):
+    with pytest.raises(InputError, match="candidates"):
         select_distractors("John", ["Jon", "John"], count=3, seed=0)
 
 
@@ -340,31 +340,38 @@ def test_load_facts(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u0085"])
+def test_load_facts_ends_a_line_only_at_newline(tmp_path, sep):
+    path = tmp_path / "facts.tsv"
+    path.write_text(f"Ann{sep}Lee\tBob\nCid\tBob\n", encoding="utf-8")
+    assert load_facts(path) == [ParentFact(f"Ann{sep}Lee", "Bob"), ParentFact("Cid", "Bob")]
+
+
 def test_load_facts_bad_columns(tmp_path):
     path = tmp_path / "facts.tsv"
     path.write_text("John Smith\n", encoding="utf-8")
-    with pytest.raises(FactsError, match=r":1:"):
+    with pytest.raises(InputError, match=r":1:"):
         load_facts(path)
 
 
 def test_load_facts_self_parent(tmp_path):
     path = tmp_path / "facts.tsv"
     path.write_text("A B\tA B\n", encoding="utf-8")
-    with pytest.raises(FactsError, match=r":1:.*own parent"):
+    with pytest.raises(InputError, match=r":1:.*own parent"):
         load_facts(path)
 
 
 def test_load_facts_empty_name(tmp_path):
     path = tmp_path / "facts.tsv"
     path.write_text("A B\t \n", encoding="utf-8")
-    with pytest.raises(FactsError, match=r":1:"):
+    with pytest.raises(InputError, match=r":1:"):
         load_facts(path)
 
 
 def test_load_facts_empty_file(tmp_path):
     path = tmp_path / "facts.tsv"
     path.write_text("\n\n", encoding="utf-8")
-    with pytest.raises(FactsError, match="no facts"):
+    with pytest.raises(InputError, match="no facts"):
         load_facts(path)
 
 
@@ -413,6 +420,6 @@ def test_split_bytes_are_pinned(tmp_path):
 
 
 def test_parse_knowledge_rejects_non_facts():
-    with pytest.raises(FactsError, match="parent-fact"):
+    with pytest.raises(InputError, match="parent-fact"):
         parse_knowledge(["The grandparent of A is B."])
 

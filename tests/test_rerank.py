@@ -13,7 +13,6 @@ from kiqa.corpus import KnowledgeSentence
 from kiqa.datasets import McqDataset, McqItem, attach_premises
 from kiqa.index import build_index
 from kiqa.rerank import (
-    EmbeddingTableError,
     RerankConfig,
     SimilarityFn,
     load_embedding_table,
@@ -21,6 +20,7 @@ from kiqa.rerank import (
     token_jaccard,
     token_set,
 )
+from kiqa.textio import InputError
 
 from corpora import corpus_of
 
@@ -145,14 +145,14 @@ def test_load_embedding_table(tmp_path):
 def test_embedding_table_dimension_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("cat 1.0 0.0\ndog 0.5\n", encoding="utf-8")
-    with pytest.raises(EmbeddingTableError, match=r":2:.*dimension"):
+    with pytest.raises(InputError, match=r":2:.*dimension"):
         load_embedding_table(path)
 
 
 def test_embedding_table_duplicate_word(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("cat 1.0\nCat 2.0\n", encoding="utf-8")
-    with pytest.raises(EmbeddingTableError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         load_embedding_table(path)
 
 
@@ -160,14 +160,14 @@ def test_embedding_table_duplicate_word(tmp_path):
 def test_embedding_table_without_vectors(tmp_path, text):
     path = tmp_path / "vecs.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(EmbeddingTableError, match=f"^{re.escape(str(path))}: no vectors$"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: no vectors$"):
         load_embedding_table(path)
 
 
 def test_embedding_table_bad_component(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("cat 1.0 oops\n", encoding="utf-8")
-    with pytest.raises(EmbeddingTableError, match=r":1:"):
+    with pytest.raises(InputError, match=r":1:"):
         load_embedding_table(path)
 
 
@@ -175,7 +175,7 @@ def test_embedding_table_vector_too_long(tmp_path):
     # Finite components whose squares overflow made every cosine with "a" NaN.
     path = tmp_path / "vecs.txt"
     path.write_text("b 1e200 0\na 1e200 1e200\n", encoding="utf-8")
-    with pytest.raises(EmbeddingTableError, match=r":1: vector too long"):
+    with pytest.raises(InputError, match=r":1: vector too long"):
         load_embedding_table(path)
     big = math.sqrt(1.7e308 / 2) / math.sqrt(2)  # squared length just under half the largest float
     path.write_text(f"a {big!r} {big!r}\nb {big!r} -{big!r}\n", encoding="utf-8")
@@ -196,7 +196,7 @@ def test_no_cosine_is_nan_for_a_table_the_loader_accepts(tmp_path_factory, vecto
     path.write_text("".join(lines), encoding="utf-8")
     try:
         fn = on_texts(SimilarityFn(load_embedding_table(path)))
-    except EmbeddingTableError as exc:
+    except InputError as exc:
         assert "vector too long" in str(exc)
         return
     texts = [*_TABLE_WORDS, "w0 w1", "w1 w2", "w0 w1 w2"]

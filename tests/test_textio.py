@@ -22,31 +22,27 @@ from kiqa.encoder import KENC
 from kiqa.evalreport import EvalReport, save_report, write_sweep_csv, write_weight_report_csv
 from kiqa.external import ExternalVectorStore, save_external_vectors
 from kiqa.fusion import FusionModel, save_predictions
-from kiqa.textio import json_lines, loads, read_text, replacing, write_json_lines
+from kiqa.textio import InputError, json_lines, loads, read_text, replacing, write_json_lines
 
 from corpora import corpus_of
 
 
-class ProbeError(ValueError):
-    pass
-
-
 def test_read_text_names_a_file_it_cannot_read(tmp_path):
-    with pytest.raises(ProbeError, match=f"^cannot read {re.escape(str(tmp_path))}: "):
-        read_text(tmp_path, ProbeError)  # a directory
+    with pytest.raises(InputError, match=f"^cannot read {re.escape(str(tmp_path))}: "):
+        read_text(tmp_path)  # a directory
 
 
 def test_read_text_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "x.txt"
     path.write_bytes(b"fine\nnot \xff fine\n")
-    with pytest.raises(ProbeError, match=f"^{re.escape(str(path))} is not valid UTF-8: "):
-        read_text(path, ProbeError)
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))} is not valid UTF-8: "):
+        read_text(path)
 
 
 @pytest.mark.parametrize("text", ["{not json}", "[1, 2", "", "[" * 100_000, "{" * 100_000])
 def test_loads_names_its_place_for_invalid_or_too_deep_json(text):
-    with pytest.raises(ProbeError, match="^here:3: invalid JSON: "):
-        loads(text, "here:3", ProbeError)
+    with pytest.raises(InputError, match="^here:3: invalid JSON: "):
+        loads(text, "here:3")
 
 
 _JSON = st.recursive(
@@ -68,15 +64,15 @@ def test_json_lines_matches_json_loads_on_each_line(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("jl") / "x.jsonl"
     path.write_bytes("\n".join(lines).encode("utf-8"))
     expected = [(n, json.loads(line)) for n, line in enumerate(lines, 1) if line.strip()]
-    assert list(json_lines(path, ProbeError)) == expected
+    assert list(json_lines(path)) == expected
 
 
 def test_json_lines_names_the_bad_line(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_text('{"a": 1}\n\n  [2]  \n{"b": \n', encoding="utf-8")
-    records = json_lines(path, ProbeError)
+    records = json_lines(path)
     assert next(records) == (1, {"a": 1}) and next(records) == (3, [2])
-    with pytest.raises(ProbeError, match=f"^{re.escape(str(path))}:4: invalid JSON: "):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:4: invalid JSON: "):
         next(records)
 
 
@@ -148,7 +144,7 @@ def test_the_guard_sees_every_way_of_reading():
         "p.open('a')",
         "p.read_bytes()",
         "p.write_text(s)",
-        "read_text(p, E)",               # textio's own function
+        "read_text(p)",                  # textio's own function
         "json.dumps(x)",
     ])
     assert [line for line, _ in text_reads(ast.parse(code))] == list(range(2, 12))
@@ -295,13 +291,14 @@ def test_a_write_cut_short_leaves_the_old_file(tmp_path, monkeypatch, writer, ex
 
 
 # ---------------------------------------------------------------------------
-# Guard: only kiqa.textio writes files in the package
+# Guard: only kiqa.textio opens, reads or writes files in the package
 # ---------------------------------------------------------------------------
 
 def file_writes(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, what) for each way a module could write or replace a file.
+    """(line, what) for each way a module could read, write or replace a file.
 
-    An ``open`` whose mode cannot be seen counts as a write.
+    Every ``open`` counts, whatever its mode, and so does a ``read_bytes`` or
+    ``read_text`` method; textio's own functions, called by name, do not.
     """
     found = []
     for node in ast.walk(tree):
@@ -312,25 +309,13 @@ def file_writes(tree: ast.AST) -> list[tuple[int, str]]:
             continue
         func = node.func
         if isinstance(func, ast.Attribute):
-            name, method = func.attr, True
-            if name in ("write_text", "write_bytes"):
-                found.append((node.lineno, name))
             if isinstance(func.value, ast.Name) and func.value.id == "os" \
-                    and name in ("open", "rename", "replace"):
-                found.append((node.lineno, f"os.{name}"))
-                continue
-        elif isinstance(func, ast.Name):
-            name, method = func.id, False
-        else:
-            continue
-        if name == "open":
-            # open(file, mode) or path.open(mode); no mode reads
-            args = node.args[0 if method else 1:]
-            mode = args[0] if args else next(
-                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
-            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
-                    or set(mode.value) & set("wax+"):
-                found.append((node.lineno, "open for writing"))
+                    and func.attr in ("open", "rename", "replace"):
+                found.append((node.lineno, f"os.{func.attr}"))
+            elif func.attr in ("open", "read_bytes", "read_text", "write_bytes", "write_text"):
+                found.append((node.lineno, func.attr))
+        elif isinstance(func, ast.Name) and func.id == "open":
+            found.append((node.lineno, "open"))
     return sorted(found)
 
 
@@ -359,12 +344,16 @@ def test_the_guard_sees_every_way_of_writing():
         "os.replace(a, b)",              # 11
         "os.rename(a, b)",               # 12
         "os.open(p, flags)",             # 13
-        "open(p)",                       # reads are fine
-        "open(p, 'rb')",
-        "p.open()",
-        "p.read_bytes()",
+        "open(p)",                       # 14: reads count too
+        "open(p, 'rb')",                 # 15
+        "p.open()",                      # 16
+        "p.read_bytes()",                # 17
+        "Path(p).read_text()",           # 18
         "s.replace('a', 'b')",
         "fh.write(s)",
-        "replacing(p)",                  # textio's own writer
+        "fh.read()",
+        "replacing(p)",                  # textio's own writer and readers
+        "read_bytes(p)",
+        "read_text(p)",
     ])
-    assert [line for line, _ in file_writes(ast.parse(code))] == list(range(2, 14))
+    assert [line for line, _ in file_writes(ast.parse(code))] == list(range(2, 19))
